@@ -1,0 +1,67 @@
+"""Every config the parser accepts runs end to end: no failure marker anywhere.
+
+A few dozen training and adaptation steps per run on a tiny world, over
+every model kind x parameterisation x task kind, both allocation modes of
+the skilled model, and the frozen skilled allocations with held-out tasks
+(which adapt a learnable row over the fixed inventory).
+"""
+
+import itertools
+import json
+
+import pytest
+
+from skillmix.config import MODEL_KINDS, PARAMETERISATIONS, TASK_KINDS, parse_config_dict
+from skillmix.experiment import OUTPUT_ROOT_ENV, run_experiment
+
+TINY = {
+    "seed": 1,
+    "world": {
+        "num_tasks": 4,
+        "num_true_skills": 2,
+        "input_dim": 4,
+        "examples_per_task": 16,
+        "skills_per_task_max": 2,
+        "holdout_tasks": 1,
+    },
+    "num_skills": 3,
+    "hidden_dim": 4,
+    "rank": 2,
+    "steps": 30,
+    "batch_size": 8,
+    "eval_every": 10,
+    "warmup_mask_steps": 10,
+    "k_shot": 4,
+    "adaptation_steps": 12,
+    "adapt_z_only_steps": 6,
+    "adaptation_resamples": 1,
+}
+
+
+def _cases():
+    for kind, param, task_kind in itertools.product(MODEL_KINDS, PARAMETERISATIONS, TASK_KINDS):
+        modes = ("per_layer", "global") if kind == "skilled" else ("per_layer",)
+        for mode in modes:
+            changes = {"model_kind": kind, "parameterisation": param, "allocation_mode": mode}
+            if kind == "expert":
+                changes["expert_table"] = "planted"
+            yield f"{kind}-{param}-{task_kind}-{mode}", changes, task_kind
+    for frozen, param in itertools.product(("identity", "ones"), PARAMETERISATIONS):
+        yield f"skilled-{param}-frozen_{frozen}", {"freeze_allocation": frozen, "parameterisation": param}, "regression"
+
+
+CASES = {name: (changes, task_kind) for name, changes, task_kind in _cases()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_runs_end_to_end(name, tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    changes, task_kind = CASES[name]
+    doc = json.loads(json.dumps(TINY))
+    doc.update(changes)
+    doc["world"]["task_kind"] = task_kind
+    record = run_experiment(parse_config_dict(doc))
+    assert record.failure is None, record.failure
+    summary = json.loads((record.run_dir / "summary.json").read_text())
+    assert "failure" not in summary
+    assert len(summary["few_shot"]) == TINY["world"]["holdout_tasks"]
