@@ -37,9 +37,7 @@ from .recovery import skill_recovery_score
 from .skills import (
     DenseSkills,
     LowRankSkills,
-    SparseSkills,
     compose_dense,
-    compose_sparse,
     lora_forward,
     param_count_lora,
     select_sparse_mask,

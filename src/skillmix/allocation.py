@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,10 +27,9 @@ UNIFORM_EPS = 1e-7
 
 @dataclass
 class AllocationLogits:
-    """Unconstrained real matrix [num_tasks, num_skills], one per layer."""
+    """Unconstrained real matrix [num_tasks, num_skills]."""
 
     z: Tensor
-    layer_id: int = 0
 
     def __post_init__(self):
         if self.z.ndim != 2:
@@ -70,11 +68,11 @@ class BinaryAllocation:
         self.b = self.b.astype(np.int64)
 
 
-def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0, layer_id: int = 0) -> AllocationLogits:
+def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0) -> AllocationLogits:
     """Constant-filled logits; the 0.0 default puts every cell at probability 0.5."""
     if num_tasks < 1 or num_skills < 1:
         raise ShapeError("task and skill counts must be >= 1")
-    return AllocationLogits(full((num_tasks, num_skills), init_value, requires_grad=True), layer_id)
+    return AllocationLogits(full((num_tasks, num_skills), init_value, requires_grad=True))
 
 
 def gumbel_sigmoid_sample(logits: AllocationLogits, tau: float, seed: SeedLike) -> RelaxedAllocation:
@@ -174,26 +172,6 @@ def metric_usage(z_hat) -> float:
 # serialisation
 
 
-def logits_to_json(logits: AllocationLogits, task_names: list[str]) -> str:
-    if len(task_names) != logits.num_tasks:
-        raise ShapeError("one task name per row is required")
-    doc = {
-        "tasks": list(task_names),
-        "skills": logits.num_skills,
-        "layer": logits.layer_id,
-        "logits": logits.z.data.tolist(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def logits_from_json(text: str) -> tuple[AllocationLogits, list[str]]:
-    doc = json.loads(text)
-    z = np.asarray(doc["logits"], dtype=np.float64)
-    if z.ndim != 2 or z.shape != (len(doc["tasks"]), doc["skills"]):
-        raise ShapeError("logits payload does not match declared tasks/skills")
-    return AllocationLogits(tensor(z, requires_grad=True), int(doc["layer"])), list(doc["tasks"])
-
-
 def hardened_to_csv(binary: BinaryAllocation, task_names: list[str]) -> str:
     if len(task_names) != binary.b.shape[0]:
         raise ShapeError("one task name per row is required")
@@ -203,10 +181,3 @@ def hardened_to_csv(binary: BinaryAllocation, task_names: list[str]) -> str:
     for name, row in zip(task_names, binary.b):
         writer.writerow([name] + [int(v) for v in row])
     return buf.getvalue()
-
-
-def hardened_from_csv(text: str) -> tuple[BinaryAllocation, list[str]]:
-    rows = list(csv.reader(io.StringIO(text)))
-    names = [r[0] for r in rows[1:]]
-    values = np.asarray([[int(v) for v in r[1:]] for r in rows[1:]], dtype=np.int64)
-    return BinaryAllocation(values), names

@@ -43,7 +43,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data: Array = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        # Not np.ascontiguousarray: it turns 0-d data (a take_row of a vector) into shape (1,).
+        self.data: Array = np.array(data, dtype=np.float64, order="C", copy=None)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
 
@@ -417,16 +418,6 @@ def neg(x: Tensor) -> Tensor:
         return (-g,)
 
     return _apply((x,), -x.data, vjp)
-
-
-def absolute(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    sign = np.sign(x.data)
-
-    def vjp(g: Array):
-        return (g * sign,)
-
-    return _apply((x,), np.abs(x.data), vjp)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -9,7 +9,6 @@ two-layer generators (one for each adapter factor).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,13 +72,6 @@ def allocation_expert(table: dict[str, list[int]], num_skills: int, task_order: 
                 raise ContractError(f"task '{name}' references skill {skill} outside [0, {num_skills})")
             matrix[row, int(skill)] = 1
     return FixedAllocation("expert", BinaryAllocation(matrix))
-
-
-def expert_table_from_json(text: str) -> tuple[dict[str, list[int]], int]:
-    """Parse {"tasks": {name: [skill indices]}, "num_skills": k}."""
-    doc = json.loads(text)
-    table = {str(k): [int(v) for v in vals] for k, vals in doc["tasks"].items()}
-    return table, int(doc["num_skills"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ PARAMETERISATIONS = ("dense", "sparse", "lowrank")
 ALLOCATION_MODES = ("per_layer", "global")
 ADAPT_MODES = ("z_then_full", "z_only", "full")
 TASK_KINDS = ("regression", "classification", "mixed")
+MAX_FEW_SHOT = 32  # upper bound on k_shot: the k-shot pool is drawn from the training split
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,8 @@ def _validate(c: ExperimentConfig) -> None:
         raise ConfigError("eval_every", "must be >= 1")
     if not 0.0 < c.loss_threshold_frac <= 1.0:
         raise ConfigError("loss_threshold_frac", "must lie in (0, 1]")
-    if not 0 <= c.k_shot <= 32:
-        raise ConfigError("k_shot", "must lie in [0, 32]")
+    if not 0 <= c.k_shot <= MAX_FEW_SHOT:
+        raise ConfigError("k_shot", f"must lie in [0, {MAX_FEW_SHOT}]")
     if c.adaptation_steps < 0:
         raise ConfigError("adaptation_steps", "must be >= 0")
     if c.adaptation_batch_size < 1:

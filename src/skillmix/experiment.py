@@ -28,7 +28,6 @@ from .allocation import (
     metric_usage,
 )
 from .config import ExperimentConfig, config_hash
-from .model import LearnedAllocationState
 from .recovery import skill_recovery_score
 from .synthetic import generate_synthetic_benchmark
 from .trainer import TrainedModel, evaluate, few_shot_adapt, multitask_train, steps_to_threshold
@@ -89,9 +88,9 @@ def _allocation_documents(trained: TrainedModel, task_names: list[str]):
             "layer": layer,
             "logits": None,
         }
-        alloc = getattr(model, "alloc", None)
-        if isinstance(alloc, LearnedAllocationState) and alloc.frozen is None:
-            doc["logits"] = alloc.matrices[alloc._matrix_index(layer)].z.data.tolist()
+        logits = model.alloc.logits(layer)
+        if logits is not None:
+            doc["logits"] = logits.tolist()
         else:
             doc["matrix"] = matrix.tolist()
         csv_text = hardened_to_csv(harden(matrix), names)

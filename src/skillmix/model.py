@@ -1,10 +1,14 @@
 """Per-task networks assembled from composed layer parameters.
 
 A model is a stack of linear layers whose parameters are produced, per task,
-by one of two mechanisms:
+in one of two ways:
 
-  * skill composition: a (learned or fixed) allocation row is normalised into
-    simplex weights and mixed over a skill inventory on top of a shared base;
+  * skill composition (skilled, private, shared, expert): the task's row of
+    the allocation is normalised into simplex weights and mixed over a skill
+    inventory on top of a shared base. One `AllocationState` covers every
+    kind: its matrix is learnable logits for the skilled kind and a fixed
+    0/1 array for a frozen skilled model and for the private, shared and
+    expert baselines;
   * hypernetwork generation: low-rank adapters are generated from a task
     embedding and applied around the base map.
 
@@ -31,6 +35,7 @@ from .allocation import (
 from .autodiff import (
     Tensor,
     add,
+    kaiming_uniform,
     matmul,
     narrow,
     reshape,
@@ -39,10 +44,16 @@ from .autodiff import (
     transpose,
     zeros,
 )
-from .baselines import FixedAllocation, HyperNet, hypernet_generate, new_hypernet
+from .baselines import (
+    FixedAllocation,
+    HyperNet,
+    allocation_private,
+    allocation_shared,
+    hypernet_generate,
+    new_hypernet,
+)
+from .config import ALLOCATION_MODES, MODEL_KINDS
 from .errors import ContractError, ShapeError, TaskLookupError
-
-MODEL_KINDS = ("skilled", "private", "shared", "expert", "hypernet")
 
 
 @dataclass(frozen=True)
@@ -63,14 +74,29 @@ def _affine(x: Tensor, theta: Tensor, shape: LayerShape) -> Tensor:
     return add(matmul(x, transpose(weight)), bias)
 
 
+def _low_rank_affine(x: Tensor, w0: Tensor, a: Tensor, b: Tensor, b0: Tensor) -> Tensor:
+    """x @ W0^T + (x @ B^T) @ A^T + b0: the base map plus one adapter pair."""
+    y = matmul(x, transpose(w0))
+    y = add(y, matmul(matmul(x, transpose(b)), transpose(a)))
+    return add(y, b0)
+
+
 # ---------------------------------------------------------------------------
 # layer stores
 
 
 class DenseLayer:
-    def __init__(self, shape: LayerShape, num_skills: int, rng):
+    """Dense skill rows; given a sparsity, a mask restricts them once frozen."""
+
+    def __init__(self, shape: LayerShape, num_skills: int, rng, sparsity: float | None = None):
         self.shape = shape
-        self.skills = sk.new_dense_skills(num_skills, shape.flat_dim, rng)
+        self.skills = sk.new_dense_skills(num_skills, shape.flat_dim, rng, sparsity)
+        self._phi_init = None if sparsity is None else self.skills.phi.data.copy()
+
+    def freeze(self) -> None:
+        """Select the mask from the change since initialisation (sparse stores only)."""
+        if self._phi_init is not None:
+            sk.freeze_mask(self.skills, self._phi_init)
 
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
         return _affine(x, sk.compose_dense(self.skills, w), self.shape)
@@ -80,36 +106,6 @@ class DenseLayer:
 
     def new_fresh_skill(self, rng) -> list[Tensor]:
         # A fresh skill starts at zero so the composed map starts at the base.
-        return [zeros((self.shape.flat_dim,), requires_grad=True)]
-
-    def phi_parameters(self) -> list[Tensor]:
-        return [self.skills.phi]
-
-    def base_parameters(self) -> list[Tensor]:
-        return [self.skills.base]
-
-
-class SparseLayer:
-    """Dense during warm-up; composition is mask-restricted once frozen."""
-
-    def __init__(self, shape: LayerShape, num_skills: int, sparsity: float, rng):
-        self.shape = shape
-        self.skills = sk.new_sparse_skills(num_skills, shape.flat_dim, sparsity, rng)
-        self._phi_init = self.skills.phi.data.copy()
-
-    def freeze(self) -> None:
-        sk.freeze_mask(self.skills, self._phi_init)
-
-    def forward(self, x: Tensor, w: Tensor) -> Tensor:
-        if self.skills.mask is None:
-            dense_view = sk.DenseSkills(self.skills.phi, self.skills.base)
-            return _affine(x, sk.compose_dense(dense_view, w), self.shape)
-        return _affine(x, sk.compose_sparse(self.skills, w), self.shape)
-
-    def forward_fresh(self, x: Tensor, fresh: list[Tensor]) -> Tensor:
-        return _affine(x, add(self.skills.base, fresh[0]), self.shape)
-
-    def new_fresh_skill(self, rng) -> list[Tensor]:
         return [zeros((self.shape.flat_dim,), requires_grad=True)]
 
     def phi_parameters(self) -> list[Tensor]:
@@ -133,13 +129,9 @@ class LowRankLayer:
 
     def forward_fresh(self, x: Tensor, fresh: list[Tensor]) -> Tensor:
         a, b = fresh
-        y = matmul(x, transpose(self.skills.W0))
-        y = add(y, matmul(matmul(x, transpose(b)), transpose(a)))
-        return add(y, self.skills.b0)
+        return _low_rank_affine(x, self.skills.W0, a, b, self.skills.b0)
 
     def new_fresh_skill(self, rng) -> list[Tensor]:
-        from .autodiff import kaiming_uniform
-
         a = zeros((self.shape.out_dim, self.skills.rank), requires_grad=True)
         b = kaiming_uniform((self.skills.rank, self.shape.in_dim), rng, requires_grad=True)
         return [a, b]
@@ -153,8 +145,6 @@ class LowRankLayer:
 
 class HypernetLayer:
     def __init__(self, shape: LayerShape, embeddings: Tensor, rank: int, rng):
-        from .autodiff import kaiming_uniform
-
         self.shape = shape
         rank = min(rank, shape.in_dim, shape.out_dim)
         self.hypernet: HyperNet = new_hypernet(
@@ -171,9 +161,7 @@ class HypernetLayer:
 
     def forward(self, x: Tensor, task: int) -> Tensor:
         a, b = hypernet_generate(task, self.hypernet)
-        y = matmul(x, transpose(self.W0))
-        y = add(y, matmul(matmul(x, transpose(b)), transpose(a)))
-        return add(y, self.b0)
+        return _low_rank_affine(x, self.W0, a, b, self.b0)
 
     def phi_parameters(self) -> list[Tensor]:
         return self.hypernet.generator_parameters()
@@ -186,174 +174,145 @@ class HypernetLayer:
 # allocation state
 
 
-class LearnedAllocationState:
-    """Per-layer (or one global) logits matrices plus rows added for new tasks."""
+def _learnable(block) -> bool:
+    return isinstance(block, AllocationLogits)
 
-    def __init__(
-        self,
-        num_tasks: int,
-        num_layers: int,
-        num_skills: int,
-        tau: float = 1.0,
-        mode: str = "per_layer",
-        frozen: np.ndarray | None = None,
-        init_value: float = 0.0,
-    ):
-        if mode not in ("per_layer", "global"):
-            raise ContractError(f"unknown allocation mode '{mode}'")
-        self.mode = mode
-        self.tau = float(tau)
+
+class AllocationState:
+    """One allocation matrix per layer (`per_layer`) or one for all layers (`global`).
+
+    Each matrix is learnable logits (`AllocationLogits`) or a fixed 0/1
+    array. A new task appends one [1, S] row per matrix, learnable or fixed
+    independently of the matrix, so a frozen skilled model adapts a learned
+    row over its fixed inventory.
+    """
+
+    def __init__(self, matrices: list, num_layers: int, tau: float = 1.0):
+        self.matrices = matrices
         self.num_layers = num_layers
-        self.num_base_tasks = num_tasks
-        self.frozen = None
-        self.matrices: list[AllocationLogits] = []
-        self.extra_rows: list[list[Tensor]] = []  # one [1, S] tensor per matrix per new task
-        self._extra_bits: list[np.ndarray] = []
-        if frozen is not None:
-            frozen = np.asarray(frozen)
-            if frozen.shape[0] != num_tasks or frozen.shape[1] != num_skills:
-                raise ShapeError("frozen allocation shape disagrees with tasks/skills")
-            self.frozen = frozen.astype(np.float64)
-        else:
-            count = num_layers if mode == "per_layer" else 1
-            self.matrices = [
-                init_logits(num_tasks, num_skills, init_value, layer_id=l) for l in range(count)
-            ]
-        self.num_skills = num_skills
+        self.tau = float(tau)
+        first = matrices[0].z.data if _learnable(matrices[0]) else matrices[0]
+        self.num_base_tasks, self.num_skills = first.shape
+        self.extra_rows: list[list] = []  # per new task, one [1, S] row per matrix
 
     @property
     def num_tasks(self) -> int:
-        return self.num_base_tasks + len(self.extra_rows) + len(self._extra_bits)
+        return self.num_base_tasks + len(self.extra_rows)
 
     def _matrix_index(self, layer: int) -> int:
-        return layer if self.mode == "per_layer" else 0
+        return layer if len(self.matrices) > 1 else 0
 
-    def add_task(self, init_value: float = 0.0) -> int:
-        """Fresh learnable logits row(s) for a new task, initialised at init_value."""
-        if self.frozen is not None:
-            raise ContractError("cannot add a learnable row to a frozen allocation")
-        rows = [
-            tensor(np.full((1, self.num_skills), float(init_value)), requires_grad=True)
-            for _ in self.matrices
-        ]
+    def add_task(self, bits=None) -> int:
+        """A new task: learnable rows initialised at 0 when `bits` is None, else the fixed row."""
+        if bits is None:
+            rows = [
+                AllocationLogits(zeros((1, self.num_skills), requires_grad=True))
+                for _ in self.matrices
+            ]
+        else:
+            row = np.asarray(bits, dtype=np.float64).reshape(1, -1)
+            if row.shape[1] != self.num_skills:
+                raise ShapeError(f"allocation row needs {self.num_skills} entries")
+            if row.sum() < 1:
+                raise ContractError("a task must activate at least one skill")
+            rows = [row] * len(self.matrices)
         self.extra_rows.append(rows)
         return self.num_tasks - 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
-        return self.extra_rows[task - self.num_base_tasks]
+        return [row.z for row in self.extra_rows[task - self.num_base_tasks] if _learnable(row)]
 
     def rows_for_step(self, task: int, train: bool, rng, tau: float | None = None):
-        """Per-layer simplex weight rows plus the sampled relaxed matrices.
+        """Per-layer simplex weight rows plus the relaxed base matrices.
 
-        The relaxed matrices are returned only for base tasks of a learnable
-        allocation (they feed the prior regulariser); one Gumbel draw is made
-        per logits matrix per call.
+        Each learnable block gets one full Gumbel draw per call while
+        training (the expected path otherwise); fixed blocks draw nothing.
+        The relaxed matrices are returned for base tasks only: they feed the
+        prior regulariser.
         """
         tau = self.tau if tau is None else tau
-        if self.frozen is not None:
-            row = self.frozen[task]
-            w = tensor(row / row.sum())
-            return [w] * self.num_layers, []
-        weights, relaxed_mats = [], []
-        if task < self.num_base_tasks:
-            per_matrix = []
-            for logits in self.matrices:
-                relaxed = (
-                    gumbel_sigmoid_sample(logits, tau, rng)
-                    if train
-                    else expected_allocation(logits, tau)
-                )
-                relaxed_mats.append(relaxed)
-                per_matrix.append(take_row(normalize_rows(relaxed), task))
-            for layer in range(self.num_layers):
-                weights.append(per_matrix[self._matrix_index(layer)])
-            return weights, relaxed_mats
-        extra = self.extra_rows[task - self.num_base_tasks]
-        per_matrix = []
-        for row_tensor in extra:
-            logits = AllocationLogits(row_tensor)
-            relaxed = (
-                gumbel_sigmoid_sample(logits, tau, rng)
-                if train
-                else expected_allocation(logits, tau)
-            )
-            per_matrix.append(take_row(normalize_rows(relaxed), 0))
-        for layer in range(self.num_layers):
-            weights.append(per_matrix[self._matrix_index(layer)])
-        return weights, []
-
-    def eval_matrix(self, layer: int) -> np.ndarray:
-        """Deterministic relaxed matrix for this layer, extra rows included."""
-        if self.frozen is not None:
-            return self.frozen.copy()
-        logits = self.matrices[self._matrix_index(layer)]
-        blocks = [expected_allocation(logits, self.tau).z_hat.data]
-        for rows in self.extra_rows:
-            row = rows[self._matrix_index(layer)]
-            blocks.append(
-                expected_allocation(AllocationLogits(row), self.tau).z_hat.data
-            )
-        return np.concatenate(blocks, axis=0)
-
-    def z_parameters(self) -> list[Tensor]:
-        params = [logits.z for logits in self.matrices]
-        for rows in self.extra_rows:
-            params.extend(rows)
-        return params
-
-
-class FixedAllocationState:
-    """Constant binary allocation shared by all layers."""
-
-    def __init__(self, fixed: FixedAllocation, num_layers: int):
-        self.kind = fixed.kind
-        self.num_layers = num_layers
-        self.matrix = fixed.matrix.b.astype(np.float64)
-        self.num_skills = fixed.num_skills
-        self._extra_bits: list[np.ndarray] = []
-
-    @property
-    def num_base_tasks(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_tasks(self) -> int:
-        return self.matrix.shape[0] + len(self._extra_bits)
-
-    def add_task(self, bits) -> int:
-        row = np.asarray(bits, dtype=np.float64).reshape(-1)
-        if row.shape[0] != self.num_skills:
-            raise ShapeError(f"allocation row needs {self.num_skills} entries")
-        if row.sum() < 1:
-            raise ContractError("a task must activate at least one skill")
-        self._extra_bits.append(row)
-        return self.num_tasks - 1
-
-    def rows_for_step(self, task: int, train: bool, rng, tau: float | None = None):
-        if task < self.matrix.shape[0]:
-            row = self.matrix[task]
+        base_task = task < self.num_base_tasks
+        if base_task:
+            blocks, index = self.matrices, task
         else:
-            row = self._extra_bits[task - self.matrix.shape[0]]
-        w = tensor(row / row.sum())
-        return [w] * self.num_layers, []
+            blocks, index = self.extra_rows[task - self.num_base_tasks], 0
+        per_matrix, relaxed_mats = [], []
+        for block in blocks:
+            if not _learnable(block):
+                row = block[index]
+                per_matrix.append(tensor(row / row.sum()))
+                continue
+            relaxed = (
+                gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
+            )
+            if base_task:
+                relaxed_mats.append(relaxed)
+            per_matrix.append(take_row(normalize_rows(relaxed), index))
+        weights = [per_matrix[self._matrix_index(layer)] for layer in range(self.num_layers)]
+        return weights, relaxed_mats
 
     def eval_matrix(self, layer: int) -> np.ndarray:
-        if self._extra_bits:
-            return np.concatenate([self.matrix, np.stack(self._extra_bits)], axis=0)
-        return self.matrix.copy()
+        """Deterministic relaxed matrix for this layer, new-task rows included."""
+        i = self._matrix_index(layer)
+        blocks = [self.matrices[i]] + [rows[i] for rows in self.extra_rows]
+        return np.concatenate(
+            [expected_allocation(b, self.tau).z_hat.data if _learnable(b) else b for b in blocks],
+            axis=0,
+        )
+
+    def logits(self, layer: int) -> np.ndarray | None:
+        """The learnable base logits behind a layer; None for a fixed matrix."""
+        block = self.matrices[self._matrix_index(layer)]
+        return block.z.data if _learnable(block) else None
 
     def z_parameters(self) -> list[Tensor]:
-        return []
+        blocks = self.matrices + [row for rows in self.extra_rows for row in rows]
+        return [block.z for block in blocks if _learnable(block)]
 
 
 # ---------------------------------------------------------------------------
 # models
 
 
-class SkillModel:
+class TaskModel:
+    """Bookkeeping shared by every kind, derived from `named_parameters`."""
+
+    layers: list
+
+    def phi_parameters(self) -> list[Tensor]:
+        return [p for layer in self.layers for p in layer.phi_parameters()]
+
+    def base_parameters(self) -> list[Tensor]:
+        return [p for layer in self.layers for p in layer.base_parameters()]
+
+    def _layer_parameters(self, phi_name: str) -> dict[str, Tensor]:
+        named: dict[str, Tensor] = {}
+        for i, layer in enumerate(self.layers):
+            for j, p in enumerate(layer.phi_parameters()):
+                named[f"layer{i}.{phi_name}.{j}"] = p
+            for j, p in enumerate(layer.base_parameters()):
+                named[f"layer{i}.base.{j}"] = p
+        return named
+
+    def param_count(self) -> int:
+        return int(sum(p.size for p in self.named_parameters().values()))
+
+    def clone(self):
+        return copy.deepcopy(self)
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {name: p.data.copy() for name, p in self.named_parameters().items()}
+
+    def restore(self, snap: dict[str, np.ndarray]) -> None:
+        named = self.named_parameters()
+        for name, data in snap.items():
+            named[name].data[...] = data
+
+
+class SkillModel(TaskModel):
     """Skill-composed network: skilled, private, shared and expert kinds."""
 
-    def __init__(self, kind: str, layers: list, alloc):
+    def __init__(self, kind: str, layers: list, alloc: AllocationState):
         self.kind = kind
         self.layers = layers
         self.alloc = alloc
@@ -377,14 +336,8 @@ class SkillModel:
             h = layer.forward(h, w)
         return h, relaxed_mats
 
-    # -- task registration for few-shot adaptation ------------------------
-    def add_learned_task(self) -> int:
-        return self.alloc.add_task()
-
-    def add_fixed_task(self, bits) -> int:
-        return self.alloc.add_task(bits)
-
     def add_fresh_task(self, rng) -> int:
+        """A new task with its own fresh skill per layer (the private kind's adaptation)."""
         index = self.alloc.add_task(np.ones(self.alloc.num_skills))  # row is unused
         self._fresh[index] = [layer.new_fresh_skill(rng) for layer in self.layers]
         return index
@@ -392,25 +345,15 @@ class SkillModel:
     def fresh_parameters(self, task: int) -> list[Tensor]:
         return [p for group in self._fresh[task] for p in group]
 
-    # -- parameter access --------------------------------------------------
+    def new_task_parameters(self, task: int) -> list[Tensor]:
+        return self.alloc.new_task_parameters(task)
+
     def z_parameters(self) -> list[Tensor]:
         return self.alloc.z_parameters()
 
-    def phi_parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.phi_parameters()]
-
-    def base_parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.base_parameters()]
-
     def named_parameters(self) -> dict[str, Tensor]:
-        named: dict[str, Tensor] = {}
-        for i, p in enumerate(self.z_parameters()):
-            named[f"z.{i}"] = p
-        for i, layer in enumerate(self.layers):
-            for j, p in enumerate(layer.phi_parameters()):
-                named[f"layer{i}.phi.{j}"] = p
-            for j, p in enumerate(layer.base_parameters()):
-                named[f"layer{i}.base.{j}"] = p
+        named = {f"z.{i}": p for i, p in enumerate(self.z_parameters())}
+        named.update(self._layer_parameters("phi"))
         for task, groups in self._fresh.items():
             for li, group in enumerate(groups):
                 for j, p in enumerate(group):
@@ -422,30 +365,14 @@ class SkillModel:
 
     def freeze_sparse_masks(self) -> None:
         for layer in self.layers:
-            if isinstance(layer, SparseLayer):
+            if isinstance(layer, DenseLayer):
                 layer.freeze()
 
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.named_parameters().values()))
 
-    def clone(self) -> "SkillModel":
-        return copy.deepcopy(self)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        named = self.named_parameters()
-        for name, data in snap.items():
-            named[name].data[...] = data
-
-
-class HypernetModel:
+class HypernetModel(TaskModel):
     """Task-embedding-conditioned generation of per-layer low-rank adapters."""
 
     def __init__(self, num_tasks: int, embed_dim: int, shapes: list[LayerShape], rank: int, rng):
-        from .autodiff import kaiming_uniform
-
         self.kind = "hypernet"
         self.embeddings = kaiming_uniform((num_tasks, embed_dim), rng, requires_grad=True)
         self.layers = [HypernetLayer(shape, self.embeddings, rank, rng) for shape in shapes]
@@ -474,29 +401,16 @@ class HypernetModel:
         return index
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
-        base = self._num_base_tasks
-        return [self.layers[0].hypernet.extra_embeddings[task - base]]
+        return [self.layers[0].hypernet.extra_embeddings[task - self._num_base_tasks]]
 
     def z_parameters(self) -> list[Tensor]:
-        params = [self.embeddings]
-        params.extend(self.layers[0].hypernet.extra_embeddings)
-        return params
-
-    def phi_parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.phi_parameters()]
-
-    def base_parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.base_parameters()]
+        return [self.embeddings] + self.layers[0].hypernet.extra_embeddings
 
     def named_parameters(self) -> dict[str, Tensor]:
         named = {"embeddings": self.embeddings}
         for i, p in enumerate(self.layers[0].hypernet.extra_embeddings):
             named[f"embeddings.extra.{i}"] = p
-        for i, layer in enumerate(self.layers):
-            for j, p in enumerate(layer.phi_parameters()):
-                named[f"layer{i}.gen.{j}"] = p
-            for j, p in enumerate(layer.base_parameters()):
-                named[f"layer{i}.base.{j}"] = p
+        named.update(self._layer_parameters("gen"))
         return named
 
     def allocation_eval_matrices(self) -> list[np.ndarray]:
@@ -504,20 +418,6 @@ class HypernetModel:
 
     def freeze_sparse_masks(self) -> None:
         pass
-
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.named_parameters().values()))
-
-    def clone(self) -> "HypernetModel":
-        return copy.deepcopy(self)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        named = self.named_parameters()
-        for name, data in snap.items():
-            named[name].data[...] = data
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +432,25 @@ def _make_store(shape: LayerShape, num_skills: int, parameterisation: str, spars
     if parameterisation == "dense":
         return DenseLayer(shape, num_skills, rng)
     if parameterisation == "sparse":
-        return SparseLayer(shape, num_skills, sparsity, rng)
+        return DenseLayer(shape, num_skills, rng, sparsity)
     if parameterisation == "lowrank":
         return LowRankLayer(shape, num_skills, min(rank, shape.in_dim, shape.out_dim), rng)
     raise ContractError(f"unknown parameterisation '{parameterisation}'")
+
+
+def _fixed_matrix(kind: str, num_tasks: int, num_skills: int, frozen, expert) -> np.ndarray:
+    if kind == "private":
+        return allocation_private(num_tasks).matrix.b.astype(np.float64)
+    if kind == "shared":
+        return allocation_shared(num_tasks).matrix.b.astype(np.float64)
+    if kind == "expert":
+        if expert.num_tasks != num_tasks:
+            raise ContractError("expert allocation row count disagrees with task count")
+        return expert.matrix.b.astype(np.float64)
+    frozen = np.asarray(frozen, dtype=np.float64)
+    if frozen.shape != (num_tasks, num_skills):
+        raise ShapeError("frozen allocation shape disagrees with tasks/skills")
+    return frozen
 
 
 def build_model(
@@ -564,39 +479,18 @@ def build_model(
         raise ContractError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
     if kind == "hypernet":
         return HypernetModel(num_tasks, embed_dim, shapes, rank, rng)
-
-    if kind == "private":
-        inventory = num_tasks
-    elif kind == "shared":
-        inventory = 1
-    elif kind == "expert":
+    inventory = {"private": num_tasks, "shared": 1}.get(kind, num_skills)
+    if kind == "expert":
         if expert is None:
             raise ContractError("expert kind requires a fixed expert allocation")
         inventory = expert.num_skills
-    else:
-        inventory = num_skills
-
     layers = [_make_store(shape, inventory, parameterisation, sparsity, rank, rng) for shape in shapes]
 
-    if kind == "skilled":
-        alloc = LearnedAllocationState(
-            num_tasks,
-            len(shapes),
-            inventory,
-            tau=tau,
-            mode=allocation_mode,
-            frozen=frozen_allocation,
-        )
-    elif kind == "private":
-        from .baselines import allocation_private
-
-        alloc = FixedAllocationState(allocation_private(num_tasks), len(shapes))
-    elif kind == "shared":
-        from .baselines import allocation_shared
-
-        alloc = FixedAllocationState(allocation_shared(num_tasks), len(shapes))
+    if kind == "skilled" and frozen_allocation is None:
+        if allocation_mode not in ALLOCATION_MODES:
+            raise ContractError(f"unknown allocation mode '{allocation_mode}'")
+        count = len(shapes) if allocation_mode == "per_layer" else 1
+        matrices = [init_logits(num_tasks, inventory) for _ in range(count)]
     else:
-        if expert.num_tasks != num_tasks:
-            raise ContractError("expert allocation row count disagrees with task count")
-        alloc = FixedAllocationState(expert, len(shapes))
-    return SkillModel(kind, layers, alloc)
+        matrices = [_fixed_matrix(kind, num_tasks, inventory, frozen_allocation, expert)]
+    return SkillModel(kind, layers, AllocationState(matrices, len(shapes), tau))

@@ -35,7 +35,8 @@ def _harmonic_sum(n: int) -> float:
 def _history_log_term(binary: np.ndarray) -> float:
     """Sum over distinct column bit-patterns h of log(count(h)!)."""
     counts = Counter(tuple(int(v) for v in binary[:, j]) for j in range(binary.shape[1]))
-    return float(sum(gammaln(c + 1.0) for c in counts.values()))
+    # fsum is exactly rounded, so the value does not depend on the column order.
+    return math.fsum(gammaln(c + 1.0) for c in counts.values())
 
 
 def ibp_log_prob(z: BinaryAllocation | np.ndarray, alpha: float) -> float:
@@ -58,9 +59,7 @@ def ibp_log_prob(z: BinaryAllocation | np.ndarray, alpha: float) -> float:
     value -= _history_log_term(binary)
     value -= alpha * _harmonic_sum(num_tasks)
     m = column_sums[active].astype(np.float64)
-    value += float(
-        np.sum(gammaln(num_tasks - m + 1.0) + gammaln(m) - gammaln(num_tasks + 1.0))
-    )
+    value += math.fsum(gammaln(num_tasks - m + 1.0) + gammaln(m) - gammaln(num_tasks + 1.0))
     return value
 
 

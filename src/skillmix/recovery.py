@@ -2,21 +2,19 @@
 
 Learned skills have no canonical order, so the score maximises cell
 agreement over injective assignments of true columns into learned columns.
-The exhaustive search doubles as the oracle for the assignment-solver path.
+Among the optimal assignments the lexicographically first one is reported,
+so the permutation does not depend on the solver's tie-breaking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .allocation import BinaryAllocation
 from .errors import ContractError
-
-EXACT_SEARCH_LIMIT = 8
 
 
 @dataclass
@@ -33,41 +31,39 @@ def _as_binary(z) -> np.ndarray:
 
 def _agreement_matrix(learned: np.ndarray, true: np.ndarray) -> np.ndarray:
     """[true_cols, learned_cols] count of rows on which the columns agree."""
-    num_tasks = learned.shape[0]
-    eq = true.T[:, None, :] == learned.T[None, :, :]
-    return eq.sum(axis=2).astype(np.int64).reshape(true.shape[1], learned.shape[1])
+    return (true[:, :, None] == learned[:, None, :]).sum(axis=0).astype(np.int64)
 
 
-def recovery_exhaustive(learned, true) -> RecoveryScore:
-    learned, true = _as_binary(learned), _as_binary(true)
-    agreement = _agreement_matrix(learned, true)
-    num_true = true.shape[1]
-    best, best_perm = -1, None
-    for perm in permutations(range(learned.shape[1]), num_true):
-        score = int(sum(agreement[j, perm[j]] for j in range(num_true)))
-        if score > best:
-            best, best_perm = score, perm
-    return RecoveryScore(tuple(best_perm), best / (learned.shape[0] * num_true))
-
-
-def recovery_assignment(learned, true) -> RecoveryScore:
-    """Hungarian assignment on the disagreement cost matrix; same optimum."""
-    learned, true = _as_binary(learned), _as_binary(true)
-    agreement = _agreement_matrix(learned, true)
-    cost = learned.shape[0] - agreement  # disagreements
-    rows, cols = linear_sum_assignment(cost)
-    perm = tuple(int(cols[list(rows).index(j)]) for j in range(true.shape[1]))
-    total = int(agreement[rows, cols].sum())
-    return RecoveryScore(perm, total / (learned.shape[0] * true.shape[1]))
+def _best_total(agreement: np.ndarray) -> int:
+    if agreement.shape[0] == 0:
+        return 0
+    rows, cols = linear_sum_assignment(agreement, maximize=True)
+    return int(agreement[rows, cols].sum())
 
 
 def skill_recovery_score(learned, true) -> RecoveryScore:
-    """Best-permutation cell accuracy of a hardened learned matrix vs truth."""
+    """Best-permutation cell accuracy of a hardened learned matrix vs truth.
+
+    True columns are fixed in order, each to the lowest free learned column
+    that still admits an optimal completion; one assignment solve on the
+    remaining rows and columns checks each candidate. The result is the
+    lexicographically first optimal permutation.
+    """
     learned_b, true_b = _as_binary(learned), _as_binary(true)
     if learned_b.shape[0] != true_b.shape[0]:
         raise ContractError("learned and true matrices must cover the same tasks")
     if learned_b.shape[1] < true_b.shape[1]:
         raise ContractError("learned inventory must be at least as large as the true one")
-    if true_b.shape[1] <= EXACT_SEARCH_LIMIT:
-        return recovery_exhaustive(learned_b, true_b)
-    return recovery_assignment(learned_b, true_b)
+    agreement = _agreement_matrix(learned_b, true_b)
+    best = _best_total(agreement)
+    free = list(range(learned_b.shape[1]))
+    perm, gained = [], 0
+    for j in range(true_b.shape[1]):
+        for col in free:
+            rest = [c for c in free if c != col]
+            if gained + agreement[j, col] + _best_total(agreement[j + 1 :, rest]) == best:
+                break
+        perm.append(col)
+        free.remove(col)
+        gained += int(agreement[j, col])
+    return RecoveryScore(tuple(perm), best / (learned_b.shape[0] * true_b.shape[1]))

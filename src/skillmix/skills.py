@@ -1,9 +1,9 @@
 """Skill parameter inventories and their composition into per-task parameters.
 
-Three storage families are supported for the inventory:
-  * dense rows, one flat parameter vector per skill;
-  * sparse-masked rows, where a frozen 0/1 mask limits each skill to the
-    entries whose magnitude changed most during a dense warm-up phase;
+Two storage families are supported for the inventory:
+  * dense rows, one flat parameter vector per skill; a sparse inventory is
+    the same store with a 0/1 mask that, once frozen, limits each skill to
+    the entries whose magnitude changed most during a dense warm-up phase;
   * low-rank adapter pairs (A, B) applied around a base linear map.
 
 Composition is always `base + sum_j w_j * skill_j` with w a simplex weight
@@ -12,10 +12,7 @@ vector obtained from a normalised allocation row.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,41 +30,23 @@ from .autodiff import (
     transpose,
     zeros,
 )
-from .errors import ContractError, ShapeError, StateError
+from .errors import ContractError, ShapeError
 
 
 @dataclass
 class DenseSkills:
     phi: Tensor  # [num_skills, dim]
     base: Tensor  # [dim]
+    sparsity: float | None = None  # target fraction of masked entries per row; None: never masked
+    mask: np.ndarray | None = None  # 0/1 [num_skills, dim]; None until frozen
 
     def __post_init__(self):
         if self.phi.ndim != 2 or self.base.ndim != 1:
             raise ShapeError("dense skills need phi [S, d] and base [d]")
         if self.phi.shape[1] != self.base.shape[0]:
             raise ShapeError(f"phi dim {self.phi.shape[1]} != base dim {self.base.shape[0]}")
-
-    @property
-    def num_skills(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.phi.shape[1]
-
-
-@dataclass
-class SparseSkills:
-    phi: Tensor  # [num_skills, dim]
-    base: Tensor  # [dim]
-    sparsity: float  # target fraction of zeroed entries per skill row
-    mask: np.ndarray | None = None  # 0/1 [num_skills, dim]; None until selected
-
-    def __post_init__(self):
-        if not 0.0 <= self.sparsity < 1.0:
+        if self.sparsity is not None and not 0.0 <= self.sparsity < 1.0:
             raise ContractError(f"sparsity must lie in [0, 1), got {self.sparsity}")
-        if self.phi.shape[1] != self.base.shape[0]:
-            raise ShapeError("phi and base dimensions disagree")
 
     @property
     def num_skills(self) -> int:
@@ -79,7 +58,8 @@ class SparseSkills:
 
     @property
     def keep_per_skill(self) -> int:
-        return int(round((1.0 - self.sparsity) * self.dim))
+        # At least one entry, so a narrow layer under high sparsity still has a skill.
+        return max(1, int(round((1.0 - self.sparsity) * self.dim)))
 
 
 @dataclass
@@ -116,16 +96,11 @@ class LowRankSkills:
         return self.A.shape[2]
 
 
-def new_dense_skills(num_skills: int, dim: int, seed: SeedLike) -> DenseSkills:
+def new_dense_skills(num_skills: int, dim: int, seed: SeedLike, sparsity: float | None = None) -> DenseSkills:
     rng = as_rng(seed)
     phi = kaiming_uniform((num_skills, dim), rng, requires_grad=True)
     base = kaiming_uniform((dim,), rng, requires_grad=True)
-    return DenseSkills(phi, base)
-
-
-def new_sparse_skills(num_skills: int, dim: int, sparsity: float, seed: SeedLike) -> SparseSkills:
-    dense = new_dense_skills(num_skills, dim, seed)
-    return SparseSkills(dense.phi, dense.base, sparsity)
+    return DenseSkills(phi, base, sparsity)
 
 
 def new_lowrank_skills(num_skills: int, out_dim: int, in_dim: int, rank: int, seed: SeedLike) -> LowRankSkills:
@@ -144,9 +119,14 @@ def _check_weights(num_skills: int, w: Tensor) -> None:
 
 
 def compose_dense(skills: DenseSkills, w: Tensor) -> Tensor:
-    """theta = base + sum_j w_j * phi_j, differentiable in all three."""
+    """theta = base + sum_j w_j * phi_j, differentiable in all three.
+
+    Once a mask is frozen, phi is restricted to it and masked entries get
+    exactly zero gradient.
+    """
     _check_weights(skills.num_skills, w)
-    mixed = matmul(reshape(w, (1, skills.num_skills)), skills.phi)
+    phi = skills.phi if skills.mask is None else mul(skills.phi, tensor(skills.mask))
+    mixed = matmul(reshape(w, (1, skills.num_skills)), phi)
     return add(skills.base, reshape(mixed, (skills.dim,)))
 
 
@@ -171,29 +151,9 @@ def select_sparse_mask(phi_before: np.ndarray, phi_after: np.ndarray, k: int) ->
     return mask
 
 
-def freeze_mask(skills: SparseSkills, phi_initial: np.ndarray) -> None:
+def freeze_mask(skills: DenseSkills, phi_initial: np.ndarray) -> None:
     """Select and freeze the mask from the warm-up change |phi - phi_initial|."""
     skills.mask = select_sparse_mask(phi_initial, skills.phi.data, skills.keep_per_skill)
-
-
-def compose_sparse(skills: SparseSkills, w: Tensor) -> Tensor:
-    """Dense composition restricted to the frozen mask; masked entries get zero gradient."""
-    if skills.mask is None:
-        raise StateError("sparse mask not selected yet; run the warm-up freeze first")
-    _check_weights(skills.num_skills, w)
-    masked_phi = mul(skills.phi, tensor(skills.mask))
-    mixed = matmul(reshape(w, (1, skills.num_skills)), masked_phi)
-    return add(skills.base, reshape(mixed, (skills.dim,)))
-
-
-def materialize_lora_delta(skills: LowRankSkills, w: Tensor) -> Tensor:
-    """Explicit weighted delta sum_j w_j * (A_j @ B_j) as an [out, in] matrix."""
-    _check_weights(skills.num_skills, w)
-    delta = None
-    for j in range(skills.num_skills):
-        term = mul(matmul(take_row(skills.A, j), take_row(skills.B, j)), take_row(w, j))
-        delta = term if delta is None else add(delta, term)
-    return delta
 
 
 def lora_forward(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
@@ -221,130 +181,8 @@ def lora_forward(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
     return reshape(y, (skills.out_dim,)) if single else y
 
 
-def lora_forward_materialized(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
-    """Reference path that first builds the full delta matrix."""
-    single = x.ndim == 1
-    if single:
-        x = reshape(x, (1, skills.in_dim))
-    weight = add(skills.W0, materialize_lora_delta(skills, w))
-    y = add(matmul(x, transpose(weight)), skills.b0)
-    return reshape(y, (skills.out_dim,)) if single else y
-
-
 def param_count_lora(layers: int, hidden: int, rank: int, num_tasks: int, num_skills: int) -> int:
     """Parameters added by low-rank skills over `layers` blocks of 4 projections."""
     if min(layers, hidden, rank, num_skills) < 1 or num_tasks < 0:
         raise ContractError("layers, hidden, rank, num_skills must be >= 1 and num_tasks >= 0")
     return 4 * layers * (2 * hidden * rank + num_tasks) * num_skills
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format: binary payload + JSON sidecar
-#
-# layout (little endian):
-#   magic "SKMXCKPT" | u32 version | u32 entry count
-#   per entry: u16 name length | name utf-8 | u8 dtype (0=f64, 1=i64)
-#              | u8 ndim | u64 * ndim dims | row-major payload
-
-_MAGIC = b"SKMXCKPT"
-_VERSION = 1
-_DTYPES = {0: "<f8", 1: "<i8"}
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
-
-
-def write_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            code = _DTYPE_CODES.get(arr.dtype)
-            if code is None:
-                raise ContractError(f"unsupported checkpoint dtype {arr.dtype} for '{name}'")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", code, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.astype(_DTYPES[code]).tobytes(order="C"))
-    sidecar = {
-        "format": "skillmix-checkpoint",
-        "version": _VERSION,
-        "tensors": {name: list(arr.shape) for name, arr in arrays.items()},
-        "meta": meta,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(_MAGIC)] != _MAGIC:
-        raise ContractError(f"{path} is not a skill checkpoint")
-    offset = len(_MAGIC)
-    version, count = struct.unpack_from("<II", raw, offset)
-    if version != _VERSION:
-        raise ContractError(f"unsupported checkpoint version {version}")
-    offset += 8
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        code, ndim = struct.unpack_from("<BB", raw, offset)
-        offset += 2
-        dims = struct.unpack_from(f"<{ndim}Q", raw, offset)
-        offset += 8 * ndim
-        dtype = np.dtype(_DTYPES[code])
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        arrays[name] = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(dims).copy()
-        offset += nbytes
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    meta = json.loads(sidecar_path.read_text())["meta"] if sidecar_path.exists() else {}
-    return arrays, meta
-
-
-def sparse_skills_to_arrays(skills: SparseSkills) -> dict[str, np.ndarray]:
-    """Coordinate export: only the masked-in entries are stored after freezing."""
-    if skills.mask is None:
-        return {"phi": skills.phi.data, "base": skills.base.data}
-    keep = skills.keep_per_skill
-    indices = np.zeros((skills.num_skills, keep), dtype=np.int64)
-    values = np.zeros((skills.num_skills, keep), dtype=np.float64)
-    for row in range(skills.num_skills):
-        cols = np.flatnonzero(skills.mask[row])
-        indices[row] = cols
-        values[row] = skills.phi.data[row, cols]
-    return {
-        "phi_indices": indices,
-        "phi_values": values,
-        "base": skills.base.data,
-        "dim": np.asarray([skills.dim], dtype=np.int64),
-    }
-
-
-def sparse_skills_from_arrays(arrays: dict[str, np.ndarray], sparsity: float) -> SparseSkills:
-    if "phi" in arrays:
-        return SparseSkills(
-            tensor(arrays["phi"], requires_grad=True),
-            tensor(arrays["base"], requires_grad=True),
-            sparsity,
-        )
-    dim = int(arrays["dim"][0])
-    indices = arrays["phi_indices"]
-    values = arrays["phi_values"]
-    phi = np.zeros((indices.shape[0], dim))
-    mask = np.zeros_like(phi)
-    rows = np.arange(indices.shape[0])[:, None]
-    phi[rows, indices] = values
-    mask[rows, indices] = 1.0
-    return SparseSkills(
-        tensor(phi, requires_grad=True),
-        tensor(arrays["base"], requires_grad=True),
-        sparsity,
-        mask,
-    )

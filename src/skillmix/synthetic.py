@@ -21,7 +21,6 @@ STREAM_WORLD = 0
 STREAM_TRAIN = 1
 STREAM_ADAPT = 2
 
-MAX_FEW_SHOT = 32
 _RESAMPLE_LIMIT = 1000
 
 

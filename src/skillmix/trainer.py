@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, add, backward, mul, neg, no_grad, reduce_mean, reset_tape, softplus, sub, tensor
-from .config import ExperimentConfig
+from .config import MAX_FEW_SHOT, ExperimentConfig
 from .errors import ContractError, TrainingDivergedError
-from .model import SkillModel, build_model, make_layer_shapes
+from .model import build_model, make_layer_shapes
 from .optim import Adam, build_two_speed_groups
 from .priors import ibp_regularizer
-from .synthetic import MAX_FEW_SHOT, STREAM_ADAPT, STREAM_TRAIN, SyntheticWorld, TaskSpec
+from .synthetic import STREAM_ADAPT, STREAM_TRAIN, SyntheticWorld, TaskSpec
 
 STREAM_INIT = 3
 
@@ -265,9 +265,9 @@ class AdaptationResult:
 
 def _register_new_task(model, kind: str, task: TaskSpec, rng) -> int:
     if kind == "skilled":
-        return model.add_learned_task()
+        return model.alloc.add_task()
     if kind == "shared":
-        return model.add_fixed_task(np.ones(1))
+        return model.alloc.add_task(np.ones(1))
     if kind == "private":
         return model.add_fresh_task(rng)
     if kind == "expert":
@@ -275,43 +275,33 @@ def _register_new_task(model, kind: str, task: TaskSpec, rng) -> int:
             raise ContractError("expert adaptation needs the task's planted skills")
         bits = np.zeros(model.alloc.num_skills)
         bits[list(task.planted_skills)] = 1.0
-        return model.add_fixed_task(bits)
+        return model.alloc.add_task(bits)
     if kind == "hypernet":
         return model.add_task_embedding()
     raise ContractError(f"unknown model kind '{kind}'")
 
 
 def _adaptation_phases(model, kind: str, task_index: int, config: ExperimentConfig, steps: int):
-    """Yield (num_steps, optimizer) pairs for the adaptation schedule."""
-    lr_z, lr_phi = config.lr_z, config.lr_phi
-    if kind == "skilled":
-        new_rows = model.alloc.new_task_parameters(task_index)
-        if config.adapt_mode == "z_only":
-            return [(steps, build_two_speed_groups(new_rows, [], lr_z, lr_phi))]
-        if config.adapt_mode == "full":
-            return [(steps, build_two_speed_groups(new_rows, model.phi_parameters(), lr_z, lr_phi))]
-        head = min(config.adapt_z_only_steps, steps)
-        phases = [(head, build_two_speed_groups(new_rows, [], lr_z, lr_phi))]
-        if steps > head:
-            phases.append(
-                (steps - head, build_two_speed_groups(new_rows, model.phi_parameters(), lr_z, lr_phi))
-            )
-        return phases
+    """(num_steps, optimizer) pairs: the task's new parameters alone, then with the skills.
+
+    The skilled kind follows `adapt_mode` and the hypernet always runs
+    `z_then_full`; the baselines have no new task parameters and adapt their
+    skills (the private kind its fresh skill) for every step.
+    """
     if kind == "private":
-        params = model.fresh_parameters(task_index)
-        return [(steps, Adam([dict(params=params, lr=lr_phi)]))]
-    if kind in ("shared", "expert"):
-        return [(steps, Adam([dict(params=model.phi_parameters(), lr=lr_phi)]))]
-    if kind == "hypernet":
-        fresh = model.new_task_parameters(task_index)
-        head = min(config.adapt_z_only_steps, steps)
-        phases = [(head, build_two_speed_groups(fresh, [], lr_z, lr_phi))]
-        if steps > head:
-            phases.append(
-                (steps - head, build_two_speed_groups(fresh, model.phi_parameters(), lr_z, lr_phi))
-            )
-        return phases
-    raise ContractError(f"unknown model kind '{kind}'")
+        new, skills, mode = [], model.fresh_parameters(task_index), "full"
+    elif kind in ("shared", "expert"):
+        new, skills, mode = [], model.phi_parameters(), "full"
+    else:
+        new, skills = model.new_task_parameters(task_index), model.phi_parameters()
+        mode = config.adapt_mode if kind == "skilled" else "z_then_full"
+    head = {"z_only": steps, "full": 0}.get(mode, min(config.adapt_z_only_steps, steps))
+    phases = []
+    if head:
+        phases.append((head, build_two_speed_groups(new, [], config.lr_z, config.lr_phi)))
+    if steps > head:
+        phases.append((steps - head, build_two_speed_groups(new, skills, config.lr_z, config.lr_phi)))
+    return phases
 
 
 def few_shot_adapt(

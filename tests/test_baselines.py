@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from skillmix.baselines import (
     allocation_expert,
     allocation_private,
     allocation_shared,
-    expert_table_from_json,
     hypernet_generate,
     new_hypernet,
     param_count_hypernet,
 )
+from skillmix.config import parse_config_dict
 from skillmix.errors import ContractError, TaskLookupError
 from skillmix.model import LayerShape, build_model
 from skillmix.skills import compose_dense, DenseSkills
+from skillmix.trainer import resolve_expert_allocation
 
 
 @pytest.fixture(autouse=True)
@@ -80,8 +82,9 @@ def test_expert_rejects_empty_or_out_of_range():
 
 def test_expert_table_json_ingestion():
     text = json.dumps({"tasks": {"t0": [0, 2], "t1": [1]}, "num_skills": 3})
-    table, num_skills = expert_table_from_json(text)
-    fixed = allocation_expert(table, num_skills, ["t0", "t1"])
+    config = parse_config_dict({"model_kind": "expert", "expert_table": json.loads(text)})
+    tasks = [SimpleNamespace(id="t0"), SimpleNamespace(id="t1")]
+    fixed = resolve_expert_allocation(config, tasks, None)
     assert np.array_equal(fixed.matrix.b, np.array([[1, 0, 1], [0, 1, 0]]))
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from skillmix import autodiff as ad
 from skillmix import skills as sk
-from skillmix.errors import ContractError, ShapeError, StateError
+from skillmix.errors import ContractError, ShapeError
 
 
 @pytest.fixture(autouse=True)
@@ -138,21 +138,15 @@ def test_mask_k_out_of_range():
 
 def make_sparse(sparsity=0.9, num_skills=2, dim=100, seed=0):
     rng = np.random.default_rng(seed)
-    skills = sk.new_sparse_skills(num_skills, dim, sparsity, rng)
+    skills = sk.new_dense_skills(num_skills, dim, rng, sparsity)
     return skills
-
-
-def test_compose_sparse_requires_mask():
-    skills = make_sparse()
-    with pytest.raises(StateError):
-        sk.compose_sparse(skills, ad.tensor(np.ones(2) / 2))
 
 
 def test_full_mask_equals_dense_composition():
     skills = make_sparse(sparsity=0.0)
     skills.mask = np.ones((2, 100))
     w = ad.tensor([0.3, 0.7])
-    sparse_out = sk.compose_sparse(skills, w)
+    sparse_out = sk.compose_dense(skills, w)
     dense_out = sk.compose_dense(sk.DenseSkills(skills.phi, skills.base), w)
     assert np.array_equal(sparse_out.data, dense_out.data)
 
@@ -160,7 +154,7 @@ def test_full_mask_equals_dense_composition():
 def test_empty_mask_returns_base():
     skills = make_sparse()
     skills.mask = np.zeros((2, 100))
-    out = sk.compose_sparse(skills, ad.tensor([0.5, 0.5]))
+    out = sk.compose_dense(skills, ad.tensor([0.5, 0.5]))
     assert np.array_equal(out.data, skills.base.data)
 
 
@@ -176,7 +170,7 @@ def test_ninety_percent_sparsity_keeps_ten_of_hundred():
 def test_masked_entries_get_exactly_zero_gradient():
     skills = make_sparse(sparsity=0.9, dim=100)
     sk.freeze_mask(skills, skills.phi.data + np.random.default_rng(6).standard_normal(skills.phi.shape))
-    out = sk.compose_sparse(skills, ad.tensor([0.5, 0.5]))
+    out = sk.compose_dense(skills, ad.tensor([0.5, 0.5]))
     ad.backward(ad.reduce_sum(ad.mul(out, out)))
     masked = skills.phi.grad[skills.mask == 0]
     unmasked = skills.phi.grad[skills.mask == 1]
@@ -192,14 +186,35 @@ def test_unmasked_gradients_match_finite_differences():
     probe = rng.standard_normal(12)
 
     def f(phi):
-        skills = sk.SparseSkills(phi, ad.tensor(base), 0.5, mask)
-        return ad.reduce_sum(ad.mul(sk.compose_sparse(skills, ad.tensor(w)), ad.tensor(probe)))
+        skills = sk.DenseSkills(phi, ad.tensor(base), 0.5, mask)
+        return ad.reduce_sum(ad.mul(sk.compose_dense(skills, ad.tensor(w)), ad.tensor(probe)))
 
     assert ad.grad_check(f, ad.tensor(rng.standard_normal((2, 12)))) < 1e-4
 
 
+def test_keep_per_skill_never_rounds_to_zero():
+    skills = make_sparse(sparsity=0.9, dim=4)
+    assert skills.keep_per_skill == 1
+    sk.freeze_mask(skills, np.zeros_like(skills.phi.data))
+    assert np.array_equal(skills.mask.sum(axis=1), [1, 1])
+
+
 # ---------------------------------------------------------------------------
 # low-rank path
+
+
+def lora_forward_materialized(x, skills, w):
+    """Reference path: build the delta sum_j w_j * (A_j @ B_j) first, then apply it."""
+    single = x.ndim == 1
+    if single:
+        x = ad.reshape(x, (1, skills.in_dim))
+    delta = None
+    for j in range(skills.num_skills):
+        term = ad.mul(ad.matmul(ad.take_row(skills.A, j), ad.take_row(skills.B, j)), ad.take_row(w, j))
+        delta = term if delta is None else ad.add(delta, term)
+    weight = ad.add(skills.W0, delta)
+    y = ad.add(ad.matmul(x, ad.transpose(weight)), skills.b0)
+    return ad.reshape(y, (skills.out_dim,)) if single else y
 
 
 def test_lora_zero_adapters_reduce_to_base_map():
@@ -230,7 +245,7 @@ def test_lora_factored_equals_materialized_on_random_instances():
         w = ad.tensor(rng.dirichlet(np.ones(int(s))))
         x = ad.tensor(rng.standard_normal((3, int(i))))
         fast = sk.lora_forward(x, skills, w)
-        slow = sk.lora_forward_materialized(x, skills, w)
+        slow = lora_forward_materialized(x, skills, w)
         assert np.max(np.abs(fast.data - slow.data)) < 1e-12
 
 
@@ -249,8 +264,12 @@ def test_lora_gradients_match_finite_differences():
         s = sk.LowRankSkills(skills.A, b, skills.W0, skills.b0)
         return ad.reduce_sum(sk.lora_forward(ad.tensor(x0), s, ad.tensor(w0)))
 
+    def through_w(w):
+        return ad.reduce_sum(sk.lora_forward(ad.tensor(x0), skills, w))
+
     assert ad.grad_check(through_a, ad.tensor(skills.A.data)) < 1e-5
     assert ad.grad_check(through_b, ad.tensor(skills.B.data)) < 1e-5
+    assert ad.grad_check(through_w, ad.tensor(w0)) < 1e-5
 
 
 def test_lowrank_rank_bound_enforced():
@@ -281,42 +300,3 @@ def test_param_count_unit_case_and_linearity():
 def test_param_count_rejects_nonpositive():
     with pytest.raises(ContractError):
         sk.param_count_lora(0, 1, 1, 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    arrays = {
-        "phi": rng.standard_normal((3, 7)),
-        "mask_indices": rng.integers(0, 7, size=(3, 2)).astype(np.int64),
-    }
-    path = tmp_path / "skills.bin"
-    sk.write_checkpoint(path, arrays, {"kind": "dense", "note": 1})
-    loaded, meta = sk.read_checkpoint(path)
-    assert meta == {"kind": "dense", "note": 1}
-    assert set(loaded) == set(arrays)
-    for name in arrays:
-        assert np.array_equal(loaded[name], arrays[name])
-        assert loaded[name].dtype == arrays[name].dtype
-
-
-def test_sparse_coordinate_round_trip(tmp_path):
-    skills = make_sparse(sparsity=0.8, dim=20, seed=9)
-    sk.freeze_mask(skills, np.zeros_like(skills.phi.data))
-    path = tmp_path / "sparse.bin"
-    sk.write_checkpoint(path, sk.sparse_skills_to_arrays(skills), {"sparsity": 0.8})
-    arrays, meta = sk.read_checkpoint(path)
-    rebuilt = sk.sparse_skills_from_arrays(arrays, meta["sparsity"])
-    assert np.array_equal(rebuilt.mask, skills.mask)
-    assert np.array_equal(rebuilt.phi.data * rebuilt.mask, skills.phi.data * skills.mask)
-    assert np.array_equal(rebuilt.base.data, skills.base.data)
-
-
-def test_checkpoint_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(ContractError):
-        sk.read_checkpoint(path)

@@ -7,7 +7,7 @@ from skillmix import autodiff as ad
 from skillmix.allocation import BinaryAllocation, harden
 from skillmix.config import ExperimentConfig, WorldConfig
 from skillmix.errors import ContractError, GenerationError, TrainingDivergedError
-from skillmix.recovery import recovery_assignment, recovery_exhaustive, skill_recovery_score
+from skillmix.recovery import RecoveryScore, skill_recovery_score
 from skillmix.synthetic import generate_synthetic_benchmark, oracle_mse
 from skillmix.trainer import (
     evaluate,
@@ -159,7 +159,7 @@ def test_expert_kind_trains_with_planted_table():
     cfg = small_config(model_kind="expert", expert_table="planted")
     trained = multitask_train(cfg, train_tasks, world=world)
     assert np.array_equal(
-        trained.model.alloc.matrix.astype(int), world.true_z[: len(train_tasks)]
+        trained.model.alloc.matrices[0].astype(int), world.true_z[: len(train_tasks)]
     )
     first = np.median([r.loss for r in trained.history[:40]])
     last = np.median([r.loss for r in trained.history[-40:]])
@@ -171,7 +171,7 @@ def test_expert_allocation_never_modified_by_training():
     train_tasks = [t for t in tasks if t.split == "train"]
     cfg = small_config(model_kind="expert", expert_table="planted", steps=120)
     trained = multitask_train(cfg, train_tasks, world=world)
-    assert np.array_equal(trained.model.alloc.matrix.astype(int), world.true_z[:6])
+    assert np.array_equal(trained.model.alloc.matrices[0].astype(int), world.true_z[:6])
     assert trained.model.z_parameters() == []
 
 
@@ -344,7 +344,7 @@ def test_adaptation_improves_loss(kind):
 def test_expert_adaptation_uses_planted_row():
     trained, holdout = trained_small(kind="expert", expert_table="planted")
     res = few_shot_adapt(trained, holdout[0], steps=60, k_shot=8)
-    new_row = trained.model.alloc.matrix.shape[0]
+    new_row = trained.model.alloc.matrices[0].shape[0]
     adapted_matrix = res.model.alloc.eval_matrix(0)
     assert np.array_equal(
         adapted_matrix[res.task_index].astype(int),
@@ -364,6 +364,18 @@ def test_z_row_only_adaptation_freezes_everything_else():
     # the new allocation row did move
     new_rows = res.model.alloc.new_task_parameters(res.task_index)
     assert any(np.any(row.data != 0.0) for row in new_rows)
+
+
+@pytest.mark.parametrize("frozen", ["identity", "ones"])
+def test_frozen_allocation_adapts_a_learned_row(frozen):
+    trained, holdout = trained_small(freeze_allocation=frozen, steps=60)
+    assert trained.model.z_parameters() == []
+    res = few_shot_adapt(trained, holdout[0], steps=40, k_shot=8)
+    new_rows = res.model.alloc.new_task_parameters(res.task_index)
+    assert [row.shape for row in new_rows] == [(1, trained.model.alloc.num_skills)]
+    assert res.model.alloc.eval_matrix(0).shape[0] == res.task_index + 1
+    if frozen == "identity":  # over a single skill the normalised row is constant
+        assert np.any(new_rows[0].data != 0.0)
 
 
 def test_z_row_only_adaptation_still_learns_on_recombinable_task():
@@ -419,14 +431,50 @@ def test_recovery_requires_enough_learned_columns():
         skill_recovery_score(np.ones((4, 2)), np.ones((5, 2)))
 
 
+def recovery_exhaustive(learned, true) -> RecoveryScore:
+    """Reference: every injective assignment in lexicographic order, first best kept."""
+    learned, true = np.asarray(learned), np.asarray(true)
+    agreement = (true[:, :, None] == learned[:, None, :]).sum(axis=0)
+    num_true = true.shape[1]
+    best, best_perm = -1, None
+    for perm in itertools.permutations(range(learned.shape[1]), num_true):
+        score = int(sum(agreement[j, perm[j]] for j in range(num_true)))
+        if score > best:
+            best, best_perm = score, perm
+    return RecoveryScore(tuple(best_perm), best / (learned.shape[0] * num_true))
+
+
 def test_hungarian_equals_exhaustive_on_random_instances():
     rng = np.random.default_rng(1)
     for _ in range(25):
         true = rng.integers(0, 2, size=(6, 4))
         learned = rng.integers(0, 2, size=(6, 4))
         exact = recovery_exhaustive(learned, true)
-        assigned = recovery_assignment(learned, true)
+        assigned = skill_recovery_score(learned, true)
         assert assigned.cell_accuracy == pytest.approx(exact.cell_accuracy, abs=1e-12)
+
+
+@pytest.mark.parametrize("num_learned", [3, 5, 7])
+def test_recovery_picks_the_exhaustive_search_permutation(num_learned):
+    # Few rows and a biased coin make ties between assignments common.
+    rng = np.random.default_rng(num_learned)
+    for _ in range(150):
+        rows = int(rng.integers(1, 6))
+        true = (rng.uniform(size=(rows, 3)) < 0.7).astype(int)
+        learned = (rng.uniform(size=(rows, num_learned)) < 0.7).astype(int)
+        exact = recovery_exhaustive(learned, true)
+        score = skill_recovery_score(learned, true)
+        assert score.best_permutation == exact.best_permutation
+        assert score.cell_accuracy == exact.cell_accuracy
+
+
+def test_recovery_of_sixteen_learned_columns_is_the_lexicographic_optimum():
+    rng = np.random.default_rng(4)
+    true = rng.integers(0, 2, size=(8, 4))
+    learned = np.concatenate([rng.integers(0, 2, size=(8, 12)), true], axis=1)
+    score = skill_recovery_score(learned, true)
+    assert score == recovery_exhaustive(learned, true)
+    assert score.cell_accuracy == 1.0
 
 
 def test_recovery_invariances():
