@@ -17,10 +17,6 @@ class ContractError(ValueError):
     """A caller-facing precondition was violated."""
 
 
-class StateError(RuntimeError):
-    """Operation invoked before required state exists (e.g. unselected mask)."""
-
-
 class DegenerateMatrixError(ValueError):
     """Matrix has a zero row/column where a positive one is required."""
 
