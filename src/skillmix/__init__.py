@@ -22,11 +22,8 @@ from .allocation import (
 )
 from .autodiff import Tensor, backward, grad_check, no_grad, reset_tape
 from .baselines import (
-    FixedAllocation,
     HyperNet,
     allocation_expert,
-    allocation_private,
-    allocation_shared,
     hypernet_generate,
     param_count_hypernet,
 )

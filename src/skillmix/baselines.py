@@ -1,65 +1,26 @@
-"""Fixed-allocation baselines and the task-conditioned hypernetwork.
+"""Expert allocations and the task-conditioned hypernetwork generators.
 
 Private, shared and expert models are special cases of skill composition:
-the allocation matrix is fixed a priori instead of learned. The
-hypernetwork baseline drops the discrete allocation entirely and generates
-per-task low-rank adapters from a learned task embedding through two
-two-layer generators (one for each adapter factor).
+the allocation matrix is fixed a priori instead of learned (identity, one
+ones column, or an expert table; `trainer.resolve_fixed_allocation` picks
+it). The hypernetwork baseline drops the discrete allocation entirely and
+generates per-task low-rank adapters from a learned task embedding (owned
+by `model.HypernetModel`) through two two-layer generators, one for each
+adapter factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import BinaryAllocation
-from .autodiff import (
-    SeedLike,
-    Tensor,
-    as_rng,
-    kaiming_uniform,
-    matmul,
-    relu,
-    reshape,
-    take_row,
-    zeros,
-)
-from .errors import ContractError, ShapeError, TaskLookupError
+from .autodiff import SeedLike, Tensor, as_rng, kaiming_uniform, matmul, relu, reshape, zeros
+from .errors import ContractError
 
 
-@dataclass
-class FixedAllocation:
-    """A non-learnable binary allocation with its construction kind."""
-
-    kind: str  # private | shared | expert
-    matrix: BinaryAllocation
-
-    @property
-    def num_tasks(self) -> int:
-        return self.matrix.b.shape[0]
-
-    @property
-    def num_skills(self) -> int:
-        return self.matrix.b.shape[1]
-
-
-def allocation_private(num_tasks: int) -> FixedAllocation:
-    """Identity allocation: one exclusive skill per task, no transfer."""
-    if num_tasks < 1:
-        raise ShapeError("need at least one task")
-    return FixedAllocation("private", BinaryAllocation(np.eye(num_tasks, dtype=np.int64)))
-
-
-def allocation_shared(num_tasks: int) -> FixedAllocation:
-    """Single always-on skill shared by every task."""
-    if num_tasks < 1:
-        raise ShapeError("need at least one task")
-    return FixedAllocation("shared", BinaryAllocation(np.ones((num_tasks, 1), dtype=np.int64)))
-
-
-def allocation_expert(table: dict[str, list[int]], num_skills: int, task_order: list[str]) -> FixedAllocation:
-    """Fixed a-priori allocation from a task -> skill-subset table."""
+def allocation_expert(table: dict[str, list[int]], num_skills: int, task_order: list[str]) -> np.ndarray:
+    """Fixed a-priori 0/1 allocation [tasks, num_skills] from a task -> skill-subset table."""
     matrix = np.zeros((len(task_order), num_skills), dtype=np.int64)
     for row, name in enumerate(task_order):
         if name not in table:
@@ -71,7 +32,7 @@ def allocation_expert(table: dict[str, list[int]], num_skills: int, task_order: 
             if not 0 <= int(skill) < num_skills:
                 raise ContractError(f"task '{name}' references skill {skill} outside [0, {num_skills})")
             matrix[row, int(skill)] = 1
-    return FixedAllocation("expert", BinaryAllocation(matrix))
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +41,13 @@ def allocation_expert(table: dict[str, list[int]], num_skills: int, task_order: 
 
 @dataclass
 class HyperNet:
-    """Per-projection generators producing a low-rank adapter pair per task.
+    """Per-projection generators producing a low-rank adapter pair from an embedding.
 
     Each factor is generated as W2 @ relu(W1 @ embedding) and reshaped
     row-major. The A-side W2 starts at zero so generated adapters are
     initially a no-op. The generator hidden size equals the embedding size.
     """
 
-    task_embeddings: Tensor  # [num_tasks, embed_dim]
     w1_a: Tensor  # [embed_dim, embed_dim]
     w2_a: Tensor  # [out_dim * rank, embed_dim], zero-initialised
     w1_b: Tensor  # [embed_dim, embed_dim]
@@ -95,44 +55,15 @@ class HyperNet:
     out_dim: int
     in_dim: int
     rank: int
-    extra_embeddings: list[Tensor] = field(default_factory=list)
-
-    @property
-    def num_tasks(self) -> int:
-        return self.task_embeddings.shape[0] + len(self.extra_embeddings)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.task_embeddings.shape[1]
 
     def generator_parameters(self) -> list[Tensor]:
         return [self.w1_a, self.w2_a, self.w1_b, self.w2_b]
 
-    def add_task_embedding(self, embedding: Tensor) -> int:
-        if embedding.shape != (1, self.embed_dim):
-            raise ShapeError(f"fresh embedding must have shape (1, {self.embed_dim})")
-        self.extra_embeddings.append(embedding)
-        return self.num_tasks - 1
 
-
-def new_hypernet(
-    num_tasks: int,
-    embed_dim: int,
-    out_dim: int,
-    in_dim: int,
-    rank: int,
-    seed: SeedLike,
-    shared_embeddings: Tensor | None = None,
-) -> HyperNet:
-    """Build generators for one projection; embeddings may be shared across layers."""
+def new_hypernet(embed_dim: int, out_dim: int, in_dim: int, rank: int, seed: SeedLike) -> HyperNet:
+    """Build the generators for one projection."""
     rng = as_rng(seed)
-    embeddings = (
-        shared_embeddings
-        if shared_embeddings is not None
-        else kaiming_uniform((num_tasks, embed_dim), rng, requires_grad=True)
-    )
     return HyperNet(
-        task_embeddings=embeddings,
         w1_a=kaiming_uniform((embed_dim, embed_dim), rng, requires_grad=True),
         w2_a=zeros((out_dim * rank, embed_dim), requires_grad=True),
         w1_b=kaiming_uniform((embed_dim, embed_dim), rng, requires_grad=True),
@@ -143,22 +74,8 @@ def new_hypernet(
     )
 
 
-def _embedding_column(hypernet: HyperNet, task_id: int) -> Tensor:
-    base_count = hypernet.task_embeddings.shape[0]
-    if 0 <= task_id < base_count:
-        row = take_row(hypernet.task_embeddings, task_id)
-    elif base_count <= task_id < hypernet.num_tasks:
-        row = reshape(hypernet.extra_embeddings[task_id - base_count], (hypernet.embed_dim,))
-    else:
-        raise TaskLookupError(
-            f"task {task_id} has no embedding; register a fresh one before adapting"
-        )
-    return reshape(row, (hypernet.embed_dim, 1))
-
-
-def hypernet_generate(task_id: int, hypernet: HyperNet) -> tuple[Tensor, Tensor]:
-    """Generate the (A, B) adapter pair for a task, differentiably."""
-    column = _embedding_column(hypernet, task_id)
+def hypernet_generate(column: Tensor, hypernet: HyperNet) -> tuple[Tensor, Tensor]:
+    """Generate the (A, B) adapter pair from an [embed_dim, 1] embedding column, differentiably."""
     hidden_a = relu(matmul(hypernet.w1_a, column))
     hidden_b = relu(matmul(hypernet.w1_b, column))
     a = reshape(matmul(hypernet.w2_a, hidden_a), (hypernet.out_dim, hypernet.rank))

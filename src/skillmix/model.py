@@ -8,9 +8,12 @@ in one of two ways:
     inventory on top of a shared base. One `AllocationState` covers every
     kind: its matrix is learnable logits for the skilled kind and a fixed
     0/1 array for a frozen skilled model and for the private, shared and
-    expert baselines;
+    expert baselines. A new task is one more allocation row; the private
+    kind also adds one more skill to every layer and gives the task a
+    one-hot row on it, so every kind adapts through the same forward path;
   * hypernetwork generation: low-rank adapters are generated from a task
-    embedding and applied around the base map.
+    embedding and applied around the base map. The model owns the
+    embeddings, new tasks' rows included; each layer owns its generators.
 
 The layers are linear on purpose: the synthetic benchmark's targets are
 linear, so a realisable world admits exactly zero loss while the two-layer
@@ -44,14 +47,7 @@ from .autodiff import (
     transpose,
     zeros,
 )
-from .baselines import (
-    FixedAllocation,
-    HyperNet,
-    allocation_private,
-    allocation_shared,
-    hypernet_generate,
-    new_hypernet,
-)
+from .baselines import HyperNet, hypernet_generate, new_hypernet
 from .config import ALLOCATION_MODES, MODEL_KINDS
 from .errors import ContractError, ShapeError, TaskLookupError
 
@@ -74,13 +70,6 @@ def _affine(x: Tensor, theta: Tensor, shape: LayerShape) -> Tensor:
     return add(matmul(x, transpose(weight)), bias)
 
 
-def _low_rank_affine(x: Tensor, w0: Tensor, a: Tensor, b: Tensor, b0: Tensor) -> Tensor:
-    """x @ W0^T + (x @ B^T) @ A^T + b0: the base map plus one adapter pair."""
-    y = matmul(x, transpose(w0))
-    y = add(y, matmul(matmul(x, transpose(b)), transpose(a)))
-    return add(y, b0)
-
-
 # ---------------------------------------------------------------------------
 # layer stores
 
@@ -101,12 +90,12 @@ class DenseLayer:
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
         return _affine(x, sk.compose_dense(self.skills, w), self.shape)
 
-    def forward_fresh(self, x: Tensor, fresh: list[Tensor]) -> Tensor:
-        return _affine(x, add(self.skills.base, fresh[0]), self.shape)
-
-    def new_fresh_skill(self, rng) -> list[Tensor]:
-        # A fresh skill starts at zero so the composed map starts at the base.
-        return [zeros((self.shape.flat_dim,), requires_grad=True)]
+    def add_skill(self, rng) -> None:
+        """Append a zero skill row, so a task on it starts at the base map; a frozen mask keeps it dense."""
+        s = self.skills
+        s.phi.data = np.concatenate([s.phi.data, np.zeros((1, s.dim))])
+        if s.mask is not None:
+            s.mask = np.concatenate([s.mask, np.ones((1, s.dim))])
 
     def phi_parameters(self) -> list[Tensor]:
         return [self.skills.phi]
@@ -127,14 +116,12 @@ class LowRankLayer:
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
         return sk.lora_forward(x, self.skills, w)
 
-    def forward_fresh(self, x: Tensor, fresh: list[Tensor]) -> Tensor:
-        a, b = fresh
-        return _low_rank_affine(x, self.skills.W0, a, b, self.skills.b0)
-
-    def new_fresh_skill(self, rng) -> list[Tensor]:
-        a = zeros((self.shape.out_dim, self.skills.rank), requires_grad=True)
-        b = kaiming_uniform((self.skills.rank, self.shape.in_dim), rng, requires_grad=True)
-        return [a, b]
+    def add_skill(self, rng) -> None:
+        """Append an adapter pair with A = 0, so a task on it starts at the base map, and a kaiming B."""
+        s = self.skills
+        b = kaiming_uniform((s.rank, s.in_dim), rng)
+        s.A.data = np.concatenate([s.A.data, np.zeros((1, s.out_dim, s.rank))])
+        s.B.data = np.concatenate([s.B.data, b.data[None]])
 
     def phi_parameters(self) -> list[Tensor]:
         return [self.skills.A, self.skills.B]
@@ -144,24 +131,19 @@ class LowRankLayer:
 
 
 class HypernetLayer:
-    def __init__(self, shape: LayerShape, embeddings: Tensor, rank: int, rng):
+    def __init__(self, shape: LayerShape, embed_dim: int, rank: int, rng):
         self.shape = shape
         rank = min(rank, shape.in_dim, shape.out_dim)
-        self.hypernet: HyperNet = new_hypernet(
-            embeddings.shape[0],
-            embeddings.shape[1],
-            shape.out_dim,
-            shape.in_dim,
-            rank,
-            rng,
-            shared_embeddings=embeddings,
-        )
+        self.hypernet: HyperNet = new_hypernet(embed_dim, shape.out_dim, shape.in_dim, rank, rng)
         self.W0 = kaiming_uniform((shape.out_dim, shape.in_dim), rng, requires_grad=True)
         self.b0 = kaiming_uniform((shape.out_dim,), rng, requires_grad=True)
 
-    def forward(self, x: Tensor, task: int) -> Tensor:
-        a, b = hypernet_generate(task, self.hypernet)
-        return _low_rank_affine(x, self.W0, a, b, self.b0)
+    def forward(self, x: Tensor, column: Tensor) -> Tensor:
+        """x @ W0^T + (x @ B^T) @ A^T + b0, with (A, B) generated from the task's embedding column."""
+        a, b = hypernet_generate(column, self.hypernet)
+        y = matmul(x, transpose(self.W0))
+        y = add(y, matmul(matmul(x, transpose(b)), transpose(a)))
+        return add(y, self.b0)
 
     def phi_parameters(self) -> list[Tensor]:
         return self.hypernet.generator_parameters()
@@ -218,6 +200,15 @@ class AllocationState:
             rows = [row] * len(self.matrices)
         self.extra_rows.append(rows)
         return self.num_tasks - 1
+
+    def add_skill(self) -> None:
+        """One more inventory column, zero in every existing row (fixed allocations only)."""
+        blocks = self.matrices + [row for rows in self.extra_rows for row in rows]
+        if any(_learnable(block) for block in blocks):
+            raise ContractError("only a fixed allocation can add a skill")
+        self.matrices = [np.pad(m, ((0, 0), (0, 1))) for m in self.matrices]
+        self.extra_rows = [[np.pad(row, ((0, 0), (0, 1))) for row in rows] for rows in self.extra_rows]
+        self.num_skills += 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
         return [row.z for row in self.extra_rows[task - self.num_base_tasks] if _learnable(row)]
@@ -312,11 +303,9 @@ class TaskModel:
 class SkillModel(TaskModel):
     """Skill-composed network: skilled, private, shared and expert kinds."""
 
-    def __init__(self, kind: str, layers: list, alloc: AllocationState):
-        self.kind = kind
+    def __init__(self, layers: list, alloc: AllocationState):
         self.layers = layers
         self.alloc = alloc
-        self._fresh: dict[int, list[list[Tensor]]] = {}  # task -> per-layer fresh params
 
     @property
     def num_tasks(self) -> int:
@@ -325,25 +314,17 @@ class SkillModel(TaskModel):
     def forward(self, task: int, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
         if not 0 <= task < self.num_tasks:
             raise TaskLookupError(f"unknown task index {task}")
-        if task in self._fresh:
-            h = x
-            for layer, fresh in zip(self.layers, self._fresh[task]):
-                h = layer.forward_fresh(h, fresh)
-            return h, []
         rows, relaxed_mats = self.alloc.rows_for_step(task, train, rng, tau)
         h = x
         for layer, w in zip(self.layers, rows):
             h = layer.forward(h, w)
         return h, relaxed_mats
 
-    def add_fresh_task(self, rng) -> int:
-        """A new task with its own fresh skill per layer (the private kind's adaptation)."""
-        index = self.alloc.add_task(np.ones(self.alloc.num_skills))  # row is unused
-        self._fresh[index] = [layer.new_fresh_skill(rng) for layer in self.layers]
-        return index
-
-    def fresh_parameters(self, task: int) -> list[Tensor]:
-        return [p for group in self._fresh[task] for p in group]
+    def add_skill(self, rng) -> None:
+        """One more skill in every layer, unused by every existing task (the private kind's new task)."""
+        for layer in self.layers:
+            layer.add_skill(rng)
+        self.alloc.add_skill()
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
         return self.alloc.new_task_parameters(task)
@@ -354,10 +335,6 @@ class SkillModel(TaskModel):
     def named_parameters(self) -> dict[str, Tensor]:
         named = {f"z.{i}": p for i, p in enumerate(self.z_parameters())}
         named.update(self._layer_parameters("phi"))
-        for task, groups in self._fresh.items():
-            for li, group in enumerate(groups):
-                for j, p in enumerate(group):
-                    named[f"fresh{task}.layer{li}.{j}"] = p
         return named
 
     def allocation_eval_matrices(self) -> list[np.ndarray]:
@@ -373,42 +350,45 @@ class HypernetModel(TaskModel):
     """Task-embedding-conditioned generation of per-layer low-rank adapters."""
 
     def __init__(self, num_tasks: int, embed_dim: int, shapes: list[LayerShape], rank: int, rng):
-        self.kind = "hypernet"
         self.embeddings = kaiming_uniform((num_tasks, embed_dim), rng, requires_grad=True)
-        self.layers = [HypernetLayer(shape, self.embeddings, rank, rng) for shape in shapes]
-        self._num_base_tasks = num_tasks
+        self.extra_embeddings: list[Tensor] = []  # one [1, embed_dim] row per new task
+        self.layers = [HypernetLayer(shape, embed_dim, rank, rng) for shape in shapes]
 
     @property
     def num_tasks(self) -> int:
-        return self.layers[0].hypernet.num_tasks
+        return self.embeddings.shape[0] + len(self.extra_embeddings)
 
     def forward(self, task: int, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
         if not 0 <= task < self.num_tasks:
             raise TaskLookupError(f"unknown task index {task}")
+        base_count, embed_dim = self.embeddings.shape
         h = x
         for layer in self.layers:
-            h = layer.forward(h, task)
+            # One column per layer: a column shared by the layers would sum
+            # the embedding gradient in another order.
+            if task < base_count:
+                row = take_row(self.embeddings, task)
+            else:
+                row = self.extra_embeddings[task - base_count]
+            h = layer.forward(h, reshape(row, (embed_dim, 1)))
         return h, []
 
     def add_task_embedding(self) -> int:
-        # Fresh tasks start from the mean trained embedding: a neutral point
+        # New tasks start from the mean trained embedding: a neutral point
         # that transfers and gives non-zero relu gradients.
         mean = self.embeddings.data.mean(axis=0, keepdims=True)
-        fresh = tensor(mean.copy(), requires_grad=True)
-        index = None
-        for layer in self.layers:
-            index = layer.hypernet.add_task_embedding(fresh)
-        return index
+        self.extra_embeddings.append(tensor(mean.copy(), requires_grad=True))
+        return self.num_tasks - 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
-        return [self.layers[0].hypernet.extra_embeddings[task - self._num_base_tasks]]
+        return [self.extra_embeddings[task - self.embeddings.shape[0]]]
 
     def z_parameters(self) -> list[Tensor]:
-        return [self.embeddings] + self.layers[0].hypernet.extra_embeddings
+        return [self.embeddings] + self.extra_embeddings
 
     def named_parameters(self) -> dict[str, Tensor]:
         named = {"embeddings": self.embeddings}
-        for i, p in enumerate(self.layers[0].hypernet.extra_embeddings):
+        for i, p in enumerate(self.extra_embeddings):
             named[f"embeddings.extra.{i}"] = p
         named.update(self._layer_parameters("gen"))
         return named
@@ -438,21 +418,6 @@ def _make_store(shape: LayerShape, num_skills: int, parameterisation: str, spars
     raise ContractError(f"unknown parameterisation '{parameterisation}'")
 
 
-def _fixed_matrix(kind: str, num_tasks: int, num_skills: int, frozen, expert) -> np.ndarray:
-    if kind == "private":
-        return allocation_private(num_tasks).matrix.b.astype(np.float64)
-    if kind == "shared":
-        return allocation_shared(num_tasks).matrix.b.astype(np.float64)
-    if kind == "expert":
-        if expert.num_tasks != num_tasks:
-            raise ContractError("expert allocation row count disagrees with task count")
-        return expert.matrix.b.astype(np.float64)
-    frozen = np.asarray(frozen, dtype=np.float64)
-    if frozen.shape != (num_tasks, num_skills):
-        raise ShapeError("frozen allocation shape disagrees with tasks/skills")
-    return frozen
-
-
 def build_model(
     kind: str,
     num_tasks: int,
@@ -464,33 +429,33 @@ def build_model(
     rank: int = 4,
     tau: float = 1.0,
     allocation_mode: str = "per_layer",
-    frozen_allocation: np.ndarray | None = None,
+    fixed: np.ndarray | None = None,
     embed_dim: int = 8,
-    expert: FixedAllocation | None = None,
 ):
     """Construct a model of the requested kind with a fixed rng draw order.
 
-    The skill inventories are created before any allocation state so that two
-    kinds with the same inventory dimensions (e.g. private and a
-    frozen-identity skilled model) consume the construction rng identically
-    and start bit-identical.
+    `fixed` is the kind's fixed 0/1 allocation [num_tasks, inventory] (see
+    `trainer.resolve_fixed_allocation`); its column count is the inventory
+    size. Without it the skilled kind learns logits over `num_skills`.
+    The skill inventories depend only on their dimensions, so two kinds with
+    the same inventory (e.g. private and a frozen-identity skilled model)
+    consume the construction rng identically and start bit-identical.
     """
     if kind not in MODEL_KINDS:
         raise ContractError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
     if kind == "hypernet":
         return HypernetModel(num_tasks, embed_dim, shapes, rank, rng)
-    inventory = {"private": num_tasks, "shared": 1}.get(kind, num_skills)
-    if kind == "expert":
-        if expert is None:
-            raise ContractError("expert kind requires a fixed expert allocation")
-        inventory = expert.num_skills
-    layers = [_make_store(shape, inventory, parameterisation, sparsity, rank, rng) for shape in shapes]
-
-    if kind == "skilled" and frozen_allocation is None:
-        if allocation_mode not in ALLOCATION_MODES:
-            raise ContractError(f"unknown allocation mode '{allocation_mode}'")
-        count = len(shapes) if allocation_mode == "per_layer" else 1
-        matrices = [init_logits(num_tasks, inventory) for _ in range(count)]
+    if fixed is not None:
+        fixed = np.asarray(fixed, dtype=np.float64)
+        if fixed.ndim != 2 or fixed.shape[0] != num_tasks:
+            raise ShapeError("fixed allocation shape disagrees with the task count")
+        matrices, num_skills = [fixed], fixed.shape[1]
+    elif kind != "skilled":
+        raise ContractError(f"the {kind} kind needs a fixed allocation matrix")
+    elif allocation_mode not in ALLOCATION_MODES:
+        raise ContractError(f"unknown allocation mode '{allocation_mode}'")
     else:
-        matrices = [_fixed_matrix(kind, num_tasks, inventory, frozen_allocation, expert)]
-    return SkillModel(kind, layers, AllocationState(matrices, len(shapes), tau))
+        count = len(shapes) if allocation_mode == "per_layer" else 1
+        matrices = [init_logits(num_tasks, num_skills) for _ in range(count)]
+    layers = [_make_store(shape, num_skills, parameterisation, sparsity, rank, rng) for shape in shapes]
+    return SkillModel(layers, AllocationState(matrices, len(shapes), tau))

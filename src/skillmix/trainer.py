@@ -1,11 +1,14 @@
 """Multitask training loop, evaluation and few-shot adaptation.
 
-One training step: pick a task uniformly, draw a batch, sample a relaxed
+One step (`_step`, shared by training and adaptation): sample a relaxed
 allocation row, compose the per-task network, minimise the task likelihood
 loss (squared error for regression, logistic for classification) plus the
-optional allocation prior, and take one two-speed Adam step. Everything is
-driven by a single seed through separate derived rng streams, so runs are
-bit-reproducible.
+optional allocation prior on the base tasks, and take one two-speed Adam
+step. Training picks a task uniformly and draws a batch per step;
+adaptation registers the held-out task on a clone of the trained model
+(one more allocation row, or an embedding for the hypernet) and steps on
+k-shot batches. Everything is driven by a single seed through separate
+derived rng streams, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, add, backward, mul, neg, no_grad, reduce_mean, reset_tape, softplus, sub, tensor
+from .baselines import allocation_expert
 from .config import MAX_FEW_SHOT, ExperimentConfig
 from .errors import ContractError, TrainingDivergedError
 from .model import build_model, make_layer_shapes
-from .optim import Adam, build_two_speed_groups
+from .optim import build_two_speed_groups
 from .priors import ibp_regularizer
 from .synthetic import STREAM_ADAPT, STREAM_TRAIN, SyntheticWorld, TaskSpec
 
@@ -44,7 +48,6 @@ class EvalRecord:
 @dataclass
 class TrainedModel:
     model: object
-    optimizer: Adam
     kind: str
     history: list[StepRecord]
     evals: list[EvalRecord]
@@ -95,59 +98,79 @@ def _anneal_tau(config: ExperimentConfig, step: int) -> float:
 
 
 def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None):
-    """Resolve config into a concrete model; see `resolve_frozen_allocation`."""
-    num_tasks = len(tasks)
-    shapes = make_layer_shapes(tasks[0].input_dim, config.hidden_dim)
-    rng = np.random.default_rng([config.seed, STREAM_INIT])
-    frozen = resolve_frozen_allocation(config, num_tasks)
-    num_skills = config.num_skills
-    if frozen is not None:
-        num_skills = frozen.shape[1]
-    expert = None
-    if config.model_kind == "expert":
-        expert = resolve_expert_allocation(config, tasks, world)
+    """Resolve config into a concrete model; see `resolve_fixed_allocation`."""
     return build_model(
         config.model_kind,
-        num_tasks,
-        num_skills,
-        shapes,
-        rng,
+        len(tasks),
+        config.num_skills,
+        make_layer_shapes(tasks[0].input_dim, config.hidden_dim),
+        np.random.default_rng([config.seed, STREAM_INIT]),
         parameterisation=config.parameterisation,
         sparsity=config.sparsity,
         rank=config.rank,
         tau=config.tau,
         allocation_mode=config.allocation_mode,
-        frozen_allocation=frozen,
+        fixed=resolve_fixed_allocation(config, tasks, world),
         embed_dim=config.embedding_dim,
-        expert=expert,
     )
 
 
-def resolve_frozen_allocation(config: ExperimentConfig, num_tasks: int) -> np.ndarray | None:
-    if config.freeze_allocation is None or config.model_kind != "skilled":
+def resolve_fixed_allocation(
+    config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None
+) -> np.ndarray | None:
+    """The kind's fixed 0/1 allocation over `tasks`; None when the allocation is learned.
+
+    Private is the identity and shared a single ones column; a frozen
+    skilled model takes `freeze_allocation` ("identity", "ones" or the
+    matrix as given); expert takes the planted rows or the inline table.
+    """
+    n, kind = len(tasks), config.model_kind
+    frozen = config.freeze_allocation if kind == "skilled" else None
+    if kind == "private" or frozen == "identity":
+        return np.eye(n)
+    if kind == "shared" or frozen == "ones":
+        return np.ones((n, 1))
+    if frozen is not None:
+        return np.asarray(frozen, dtype=np.float64)
+    if kind != "expert":
         return None
-    if config.freeze_allocation == "identity":
-        return np.eye(num_tasks)
-    if config.freeze_allocation == "ones":
-        return np.ones((num_tasks, 1))
-    return np.asarray(config.freeze_allocation, dtype=np.float64)
-
-
-def resolve_expert_allocation(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None):
-    from .baselines import FixedAllocation, allocation_expert
-
     if config.expert_table == "planted":
         if world is None:
             raise ContractError("planted expert table requires a synthetic world")
-        from .allocation import BinaryAllocation
-
-        rows = world.true_z[: len(tasks)]
-        return FixedAllocation("expert", BinaryAllocation(rows))
+        return world.true_z[:n].astype(np.float64)
     if isinstance(config.expert_table, dict):
         table = {k: [int(v) for v in vals] for k, vals in config.expert_table["tasks"].items()}
         num_skills = int(config.expert_table["num_skills"])
-        return allocation_expert(table, num_skills, [t.id for t in tasks])
+        return allocation_expert(table, num_skills, [t.id for t in tasks]).astype(np.float64)
     raise ContractError("expert kind requires expert_table ('planted' or an inline table)")
+
+
+def _step(model, optimizer, config: ExperimentConfig, task_index: int, task: TaskSpec, x, y, rng, tau, step: int):
+    """One step on a batch; returns (task loss, prior) values.
+
+    Only base tasks return relaxed allocation matrices, so a new task's
+    step carries no prior.
+    """
+    reset_tape()
+    pred, relaxed_mats = model.forward(task_index, tensor(x), train=True, rng=rng, tau=tau)
+    loss = task_loss(pred, y, task.kind)
+    loss_value = loss.item()
+
+    reg_value = 0.0
+    total = loss
+    if config.ibp_strength > 0.0:
+        for relaxed in relaxed_mats:
+            reg = ibp_regularizer(relaxed, config.ibp_alpha, config.ibp_strength)
+            reg_value += reg.item()
+            total = add(total, reg)
+
+    if not np.isfinite(loss_value) or not np.isfinite(reg_value):
+        raise TrainingDivergedError(step, task.id, {"loss": loss_value, "reg_loss": reg_value})
+
+    backward(total)
+    optimizer.step()
+    optimizer.zero_grad()
+    return loss_value, reg_value
 
 
 def multitask_train(
@@ -177,33 +200,13 @@ def multitask_train(
     best_loss, best_snap = evals[0].dev_loss, None
 
     for step in range(config.steps):
-        tau_t = _anneal_tau(config, step)
-        reset_tape()
         task_index = int(rng.integers(len(train_tasks)))
         task = train_tasks[task_index]
         batch = rng.integers(task.x_train.shape[0], size=config.batch_size)
-        x = tensor(task.x_train[batch])
-
-        pred, relaxed_mats = model.forward(task_index, x, train=True, rng=rng, tau=tau_t)
-        loss = task_loss(pred, task.y_train[batch], task.kind)
-        loss_value = loss.item()
-
-        reg_value = 0.0
-        total = loss
-        if config.ibp_strength > 0.0 and relaxed_mats:
-            for relaxed in relaxed_mats:
-                reg = ibp_regularizer(relaxed, config.ibp_alpha, config.ibp_strength)
-                reg_value += reg.item()
-                total = add(total, reg)
-
-        if not np.isfinite(loss_value) or not np.isfinite(reg_value):
-            raise TrainingDivergedError(
-                step, task.id, {"loss": loss_value, "reg_loss": reg_value}
-            )
-
-        backward(total)
-        optimizer.step()
-        optimizer.zero_grad()
+        loss_value, reg_value = _step(
+            model, optimizer, config, task_index, task,
+            task.x_train[batch], task.y_train[batch], rng, _anneal_tau(config, step), step,
+        )
         history.append(
             StepRecord(step, task.id, loss_value, reg_value, config.lr_z, config.lr_phi)
         )
@@ -225,7 +228,6 @@ def multitask_train(
 
     return TrainedModel(
         model=model,
-        optimizer=optimizer,
         kind=config.model_kind,
         history=history,
         evals=evals,
@@ -260,42 +262,46 @@ class AdaptationResult:
     model: object
     metrics_before: dict
     metrics_after: dict
-    history: list[StepRecord]
 
 
 def _register_new_task(model, kind: str, task: TaskSpec, rng) -> int:
-    if kind == "skilled":
-        return model.alloc.add_task()
-    if kind == "shared":
-        return model.alloc.add_task(np.ones(1))
-    if kind == "private":
-        return model.add_fresh_task(rng)
-    if kind == "expert":
-        if task.planted_skills is None:
-            raise ContractError("expert adaptation needs the task's planted skills")
-        bits = np.zeros(model.alloc.num_skills)
-        bits[list(task.planted_skills)] = 1.0
-        return model.alloc.add_task(bits)
+    """A new allocation row for every skill-composed kind; an embedding for the hypernet.
+
+    The skilled kind learns its row. The others get a fixed one: ones for
+    shared, the planted skills for expert, and for private a one-hot row on
+    a new skill added to every layer.
+    """
     if kind == "hypernet":
         return model.add_task_embedding()
-    raise ContractError(f"unknown model kind '{kind}'")
-
-
-def _adaptation_phases(model, kind: str, task_index: int, config: ExperimentConfig, steps: int):
-    """(num_steps, optimizer) pairs: the task's new parameters alone, then with the skills.
-
-    The skilled kind follows `adapt_mode` and the hypernet always runs
-    `z_then_full`; the baselines have no new task parameters and adapt their
-    skills (the private kind its fresh skill) for every step.
-    """
+    if kind == "skilled":
+        return model.alloc.add_task()
     if kind == "private":
-        new, skills, mode = [], model.fresh_parameters(task_index), "full"
-    elif kind in ("shared", "expert"):
-        new, skills, mode = [], model.phi_parameters(), "full"
+        model.add_skill(rng)
+    bits = np.zeros(model.alloc.num_skills)
+    if kind == "private":
+        bits[-1] = 1.0
+    elif kind == "shared":
+        bits[:] = 1.0
+    elif kind == "expert":
+        if task.planted_skills is None:
+            raise ContractError("expert adaptation needs the task's planted skills")
+        bits[list(task.planted_skills)] = 1.0
     else:
-        new, skills = model.new_task_parameters(task_index), model.phi_parameters()
-        mode = config.adapt_mode if kind == "skilled" else "z_then_full"
-    head = {"z_only": steps, "full": 0}.get(mode, min(config.adapt_z_only_steps, steps))
+        raise ContractError(f"unknown model kind '{kind}'")
+    return model.alloc.add_task(bits)
+
+
+def _adaptation_phases(model, task_index: int, config: ExperimentConfig, steps: int):
+    """(num_steps, optimizer) pairs: the new task's own parameters alone, then with the skills.
+
+    The head follows `adapt_mode` (`z_only`: every step, `full`: none,
+    `z_then_full`: `adapt_z_only_steps`). A new task with a fixed row has
+    no parameters of its own, so it adapts the skills for every step.
+    """
+    new, skills = model.new_task_parameters(task_index), model.phi_parameters()
+    head = 0
+    if new:
+        head = {"z_only": steps, "full": 0}.get(config.adapt_mode, min(config.adapt_z_only_steps, steps))
     phases = []
     if head:
         phases.append((head, build_two_speed_groups(new, [], config.lr_z, config.lr_phi)))
@@ -314,11 +320,11 @@ def few_shot_adapt(
 ) -> AdaptationResult:
     """Adapt a trained model to an unseen task from k labelled examples.
 
-    The base model is cloned, a fresh task slot is registered (a learnable
-    allocation row, a fixed row, a fresh skill, or a fresh embedding,
-    depending on the kind), and only the scheduled parameter groups are
-    trained. `resample` indexes independent k-shot subsets of the task's
-    training pool.
+    The base model is cloned and the task registered on the clone (a
+    learnable allocation row, a fixed row, a new skill with a one-hot row,
+    or an embedding, depending on the kind); only the scheduled parameter
+    groups are trained. `resample` indexes independent k-shot subsets of the
+    task's training pool.
     """
     config = trained.config
     steps = config.adaptation_steps if steps is None else steps
@@ -332,30 +338,19 @@ def few_shot_adapt(
     model = trained.model.clone()
     task_index = _register_new_task(model, trained.kind, task, rng)
     metrics_before = evaluate(model, task_index, task)
-
-    history: list[StepRecord] = []
     if steps == 0 or k_shot == 0:
-        return AdaptationResult(task.id, task_index, model, metrics_before, dict(metrics_before), history)
+        return AdaptationResult(task.id, task_index, model, metrics_before, dict(metrics_before))
 
     pool = rng.choice(task.x_train.shape[0], size=min(k_shot, task.x_train.shape[0]), replace=False)
     x_pool, y_pool = task.x_train[pool], task.y_train[pool]
     batch_size = min(config.adaptation_batch_size, len(pool))
 
     step = 0
-    for phase_steps, optimizer in _adaptation_phases(model, trained.kind, task_index, config, steps):
+    for phase_steps, optimizer in _adaptation_phases(model, task_index, config, steps):
         for _ in range(phase_steps):
-            reset_tape()
             batch = rng.integers(len(pool), size=batch_size)
-            pred, _ = model.forward(task_index, tensor(x_pool[batch]), train=True, rng=rng)
-            loss = task_loss(pred, y_pool[batch], task.kind)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(step, task.id, {"loss": loss_value})
-            backward(loss)
-            optimizer.step()
-            optimizer.zero_grad()
-            history.append(StepRecord(step, task.id, loss_value, 0.0, config.lr_z, config.lr_phi))
+            _step(model, optimizer, config, task_index, task, x_pool[batch], y_pool[batch], rng, None, step)
             step += 1
 
     metrics_after = evaluate(model, task_index, task)
-    return AdaptationResult(task.id, task_index, model, metrics_before, metrics_after, history)
+    return AdaptationResult(task.id, task_index, model, metrics_before, metrics_after)

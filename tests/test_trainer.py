@@ -5,7 +5,7 @@ import pytest
 
 from skillmix import autodiff as ad
 from skillmix.allocation import BinaryAllocation, harden
-from skillmix.config import ExperimentConfig, WorldConfig
+from skillmix.config import MODEL_KINDS, ExperimentConfig, WorldConfig
 from skillmix.errors import ContractError, GenerationError, TrainingDivergedError
 from skillmix.recovery import RecoveryScore, skill_recovery_score
 from skillmix.synthetic import generate_synthetic_benchmark, oracle_mse
@@ -384,13 +384,66 @@ def test_z_row_only_adaptation_still_learns_on_recombinable_task():
     assert res.metrics_after["loss"] < res.metrics_before["loss"]
 
 
-def test_adaptation_does_not_mutate_the_base_model():
-    trained, holdout = trained_small(steps=60)
+KIND_OVERRIDES = {"expert": {"expert_table": "planted"}}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_adaptation_does_not_mutate_the_base_model(kind):
+    trained, holdout = trained_small(kind, steps=60, **KIND_OVERRIDES.get(kind, {}))
     before = trained.model.snapshot()
     few_shot_adapt(trained, holdout[0], steps=40, k_shot=8)
     after = trained.model.snapshot()
     for name in before:
         assert np.array_equal(before[name], after[name])
+
+
+def _base_map(model, x):
+    """The layers' base maps alone, in numpy: what a task on an all-zero skill computes."""
+    for layer in model.layers:
+        if hasattr(layer.skills, "W0"):
+            weight, bias = layer.skills.W0.data, layer.skills.b0.data
+        else:
+            o, i = layer.shape.out_dim, layer.shape.in_dim
+            base = layer.skills.base.data
+            weight, bias = base[: o * i].reshape(o, i), base[o * i :]
+        x = x @ weight.T + bias
+    return x
+
+
+@pytest.mark.parametrize("param", ["dense", "sparse", "lowrank"])
+def test_private_adaptation_trains_only_a_new_skill(param):
+    trained, holdout = trained_small("private", steps=60, parameterisation=param, warmup_mask_steps=30)
+    before = trained.model.snapshot()
+    start = few_shot_adapt(trained, holdout[0], steps=0)
+    x = holdout[0].x_eval[:5]
+    pred, _ = start.model.forward(start.task_index, ad.tensor(x))
+    assert np.allclose(pred.data, _base_map(start.model, x), rtol=0, atol=1e-12)
+    assert np.array_equal(start.model.alloc.eval_matrix(0)[start.task_index], np.eye(7)[6])
+
+    res = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8)
+    after = res.model.snapshot()
+    assert set(after) == set(before)
+    for name, old in before.items():
+        new = after[name]
+        if ".phi." in name:
+            assert new.shape == (old.shape[0] + 1,) + old.shape[1:], name
+            assert np.array_equal(new[:-1], old), name
+        else:
+            assert np.array_equal(new, old), name
+    assert np.any(after["layer0.phi.0"][-1] != 0.0)
+    if param == "sparse":
+        assert np.all(res.model.layers[0].skills.mask[-1] == 1.0)
+
+
+def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
+    trained, holdout = trained_small("hypernet", steps=60, adapt_mode="z_only", adapt_z_only_steps=10)
+    before = trained.model.snapshot()
+    res = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8)
+    after = res.model.snapshot()
+    for name, old in before.items():
+        assert np.array_equal(after[name], old), name
+    mean = trained.model.embeddings.data.mean(axis=0, keepdims=True)
+    assert np.any(after["embeddings.extra.0"] != mean)
 
 
 def test_resamples_differ_but_are_reproducible():
