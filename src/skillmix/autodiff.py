@@ -65,12 +65,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> Array:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -208,11 +202,6 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def full(shape, value: float, requires_grad: bool = False) -> Tensor:
     return Tensor(np.full(_checked_dims(shape), float(value)), requires_grad)
-
-
-def uniform(shape, low: float, high: float, seed: SeedLike, requires_grad: bool = False) -> Tensor:
-    dims = _checked_dims(shape)
-    return Tensor(as_rng(seed).uniform(low, high, size=dims), requires_grad)
 
 
 def kaiming_uniform(shape, seed: SeedLike, requires_grad: bool = False) -> Tensor:
@@ -385,28 +374,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def vjp(g: Array):
         return (g * out * (1.0 - out),)
-
-    return _apply((x,), out, vjp)
-
-
-def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    xd = x.data
-
-    def vjp(g: Array):
-        return (g / xd,)
-
-    return _apply((x,), np.log(xd), vjp)
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-
-    def vjp(g: Array):
-        return (g * out,)
 
     return _apply((x,), out, vjp)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .synthetic import task_id
 
 SWEEP_GRID_DEFAULT = (2, 4, 8, 16, 32)
 MODEL_KINDS = ("skilled", "private", "shared", "expert", "hypernet")
@@ -212,12 +213,51 @@ def _validate(c: ExperimentConfig) -> None:
     if c.freeze_allocation is not None:
         if c.freeze_allocation not in ("identity", "ones") and not isinstance(c.freeze_allocation, list):
             raise ConfigError("freeze_allocation", "must be null, 'identity', 'ones' or a 0/1 matrix")
+        if isinstance(c.freeze_allocation, list):
+            _validate_frozen_matrix(c.freeze_allocation, c.world.num_tasks)
     if c.expert_table is not None:
         if c.expert_table != "planted":
             if not isinstance(c.expert_table, dict) or "tasks" not in c.expert_table or "num_skills" not in c.expert_table:
                 raise ConfigError("expert_table", "must be null, 'planted' or {tasks, num_skills}")
+            _validate_expert_table(c.expert_table, c.world)
     if c.model_kind == "expert" and c.expert_table is None:
         raise ConfigError("expert_table", "required when model_kind is 'expert'")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_frozen_matrix(rows: list, num_tasks: int) -> None:
+    """A rectangular 0/1 integer matrix, one row per training task, no empty row."""
+    if len(rows) != num_tasks or not all(isinstance(row, list) for row in rows):
+        raise ConfigError("freeze_allocation", f"must have one row per training task ({num_tasks})")
+    if len({len(row) for row in rows}) != 1:
+        raise ConfigError("freeze_allocation", "rows must all have the same length")
+    if not all(_is_int(v) and v in (0, 1) for row in rows for v in row):
+        raise ConfigError("freeze_allocation", "entries must be the integers 0 or 1")
+    if not all(1 in row for row in rows):
+        raise ConfigError("freeze_allocation", "every row must activate at least one skill")
+
+
+def _validate_expert_table(table: dict, world: WorldConfig) -> None:
+    """Integer skill subsets in [0, num_skills), one non-empty subset per training task."""
+    num_skills, tasks = table["num_skills"], table["tasks"]
+    if not _is_int(num_skills) or num_skills < 1:
+        raise ConfigError("expert_table", "num_skills must be an integer >= 1")
+    if world.holdout_tasks > 0 and num_skills < world.num_true_skills:
+        # A held-out task adapts on its planted skills, indexed over the world's skills.
+        raise ConfigError("expert_table", "num_skills must be >= world.num_true_skills when tasks are held out")
+    if not isinstance(tasks, dict):
+        raise ConfigError("expert_table", "tasks must map task ids to skill lists")
+    for name, subset in tasks.items():
+        if not isinstance(subset, list) or not subset:
+            raise ConfigError("expert_table", f"task '{name}' needs a non-empty list of skills")
+        if not all(_is_int(j) and 0 <= j < num_skills for j in subset):
+            raise ConfigError("expert_table", f"task '{name}' has a skill outside [0, {num_skills})")
+    for row in range(world.num_tasks):
+        if task_id("train", row) not in tasks:
+            raise ConfigError("expert_table", f"no entry for training task '{task_id('train', row)}'")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -234,5 +274,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    """Content address of the experiment; where it is written (`output_dir`) is not part of it."""
+    canonical = json.dumps(config.replace(output_dir=None).to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]

@@ -24,6 +24,11 @@ STREAM_ADAPT = 2
 _RESAMPLE_LIMIT = 1000
 
 
+def task_id(split: str, row: int) -> str:
+    """The id of the task on `row` of the planted allocation, e.g. `train_task_03`."""
+    return f"{split}_task_{row:02d}"
+
+
 @dataclass
 class TaskSpec:
     """One synthetic task with disjoint example splits."""
@@ -147,7 +152,7 @@ def generate_synthetic_benchmark(
         a, b = examples_per_task, examples_per_task + n_dev
         tasks.append(
             TaskSpec(
-                id=f"{split}_task_{row:02d}",
+                id=task_id(split, row),
                 kind=kind,
                 split=split,
                 x_train=x[:a],

