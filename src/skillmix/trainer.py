@@ -347,6 +347,11 @@ def few_shot_adapt(
 
     step = 0
     for phase_steps, optimizer in _adaptation_phases(model, task_index, config, steps):
+        # Only the phase's own parameters take gradients: any other would keep
+        # one that a later phase's first step would apply.
+        trained_ids = {id(p) for p in optimizer.parameters}
+        for p in model.named_parameters().values():
+            p.requires_grad = id(p) in trained_ids
         for _ in range(phase_steps):
             batch = rng.integers(len(pool), size=batch_size)
             _step(model, optimizer, config, task_index, task, x_pool[batch], y_pool[batch], rng, None, step)

@@ -397,6 +397,13 @@ def test_adaptation_does_not_mutate_the_base_model(kind):
         assert np.array_equal(before[name], after[name])
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_adaptation_leaves_no_gradient_behind(kind):
+    trained, holdout = trained_small(kind, steps=30, adapt_z_only_steps=10, **KIND_OVERRIDES.get(kind, {}))
+    res = few_shot_adapt(trained, holdout[0], steps=20, k_shot=8)
+    assert [name for name, p in res.model.named_parameters().items() if p.grad is not None] == []
+
+
 def _base_map(model, x):
     """The layers' base maps alone, in numpy: what a task on an all-zero skill computes."""
     for layer in model.layers:
