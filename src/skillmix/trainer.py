@@ -139,8 +139,7 @@ def resolve_fixed_allocation(
             raise ContractError("planted expert table requires a synthetic world")
         return world.true_z[:n].astype(np.float64)
     if isinstance(config.expert_table, dict):
-        table = {k: [int(v) for v in vals] for k, vals in config.expert_table["tasks"].items()}
-        num_skills = int(config.expert_table["num_skills"])
+        table, num_skills = config.expert_table["tasks"], int(config.expert_table["num_skills"])
         return allocation_expert(table, num_skills, [t.id for t in tasks]).astype(np.float64)
     raise ContractError("expert kind requires expert_table ('planted' or an inline table)")
 
@@ -277,17 +276,17 @@ def _register_new_task(model, kind: str, task: TaskSpec, rng) -> int:
         return model.alloc.add_task()
     if kind == "private":
         model.add_skill(rng)
-    bits = np.zeros(model.alloc.num_skills)
-    if kind == "private":
-        bits[-1] = 1.0
+        active = [model.alloc.num_skills - 1]
     elif kind == "shared":
-        bits[:] = 1.0
+        active = [0]
     elif kind == "expert":
         if task.planted_skills is None:
             raise ContractError("expert adaptation needs the task's planted skills")
-        bits[list(task.planted_skills)] = 1.0
+        active = list(task.planted_skills)
     else:
         raise ContractError(f"unknown model kind '{kind}'")
+    bits = np.zeros(model.alloc.num_skills)
+    bits[active] = 1.0
     return model.alloc.add_task(bits)
 
 
