@@ -203,9 +203,6 @@ class AllocationState:
 
     def add_skill(self) -> None:
         """One more inventory column, zero in every existing row (fixed allocations only)."""
-        blocks = self.matrices + [row for rows in self.extra_rows for row in rows]
-        if any(_learnable(block) for block in blocks):
-            raise ContractError("only a fixed allocation can add a skill")
         self.matrices = [np.pad(m, ((0, 0), (0, 1))) for m in self.matrices]
         self.extra_rows = [[np.pad(row, ((0, 0), (0, 1))) for row in rows] for rows in self.extra_rows]
         self.num_skills += 1

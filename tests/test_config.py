@@ -16,6 +16,7 @@ from skillmix.config import (
     parse_config_dict,
 )
 from skillmix.errors import ConfigError
+from skillmix.synthetic import task_id
 
 
 def rejected(doc: dict) -> str:
@@ -111,10 +112,10 @@ def test_freeze_allocation_rejects_other_forms(value):
     assert rejected({"freeze_allocation": value, "world": FOUR_TASKS}) == "freeze_allocation"
 
 
-PLANTED_IDS = [f"train_task_{row:02d}" for row in range(4)]
+PLANTED_IDS = [task_id("train", row) for row in range(4)]
 
 
-@pytest.mark.parametrize("value", ["planted", {"tasks": {"train_task_00": [0]}, "num_skills": 1}])
+@pytest.mark.parametrize("value", ["planted", {"tasks": {task_id("train", 0): [0]}, "num_skills": 1}])
 def test_expert_table_forms(value):
     world = {"num_tasks": 1, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 0}
     config = parse_config_dict({"model_kind": "expert", "expert_table": value, "world": world})
@@ -139,13 +140,6 @@ def test_expert_table_forms(value):
 )
 def test_expert_table_rejects_other_forms(value):
     assert rejected({"expert_table": value, "world": FOUR_TASKS}) == "expert_table"
-
-
-def test_task_ids_are_the_generated_ones():
-    from skillmix.synthetic import generate_synthetic_benchmark
-
-    _, tasks = generate_synthetic_benchmark(0, 4, 2, 3, 8, 0.0, (1, 2))
-    assert [t.id for t in tasks] == PLANTED_IDS
 
 
 def test_expert_kind_needs_a_table():
