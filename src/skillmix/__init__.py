@@ -34,8 +34,6 @@ from .recovery import skill_recovery_score
 from .skills import (
     DenseSkills,
     LowRankSkills,
-    compose_dense,
-    lora_forward,
     param_count_lora,
     select_sparse_mask,
 )

@@ -5,7 +5,8 @@ each cell is sampled from a relaxed Bernoulli (Gumbel-sigmoid) so the binary
 choice stays differentiable; at evaluation time the deterministic u=0.5 path
 is used, which collapses to sigmoid(z / tau). Rows are normalised before
 composition so the number of active skills does not change the norm of the
-composed parameters.
+composed parameters. A training draw and the task's normalised row are one
+tape node each, with VJPs that replay the unfused chains' numpy operations.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import expit, xlogy
 
-from .autodiff import SeedLike, Tensor, as_rng, div, full, reduce_sum, sigmoid, tensor
+from .autodiff import SeedLike, Tensor, apply_op, as_rng, full, sigmoid, tensor
 from .errors import DegenerateMatrixError, DomainError, ShapeError
 
 # Uniform draws are clamped away from {0,1} so logit(u) stays finite.
@@ -80,15 +81,21 @@ def gumbel_sigmoid_sample(logits: AllocationLogits, tau: float, seed: SeedLike) 
 
     Reparameterised, so gradients flow to the logits with u held fixed. The
     hardened sample exceeds 0.5 exactly when z + logit(u) > 0, hence
-    P(sample > 0.5) = sigmoid(z) for every tau.
+    P(sample > 0.5) = sigmoid(z) for every tau. One tape node; one uniform
+    draw per cell, as the unfused add -> scale -> sigmoid chain drew.
     """
     if tau <= 0:
         raise DomainError("temperature must be positive")
     u = as_rng(seed).uniform(size=logits.z.shape)
     u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     noise = np.log(u) - np.log1p(-u)
-    z_hat = sigmoid((logits.z + tensor(noise)) * (1.0 / tau))
-    return RelaxedAllocation(z_hat, float(tau), u)
+    inv_tau = 1.0 / tau
+    out = expit((logits.z.data + noise) * inv_tau)
+
+    def vjp(g):
+        return (g * out * (1.0 - out) * inv_tau,)
+
+    return RelaxedAllocation(apply_op((logits.z,), out, vjp), float(tau), u)
 
 
 def expected_allocation(logits: AllocationLogits, tau: float) -> RelaxedAllocation:
@@ -100,17 +107,35 @@ def expected_allocation(logits: AllocationLogits, tau: float) -> RelaxedAllocati
     return RelaxedAllocation(z_hat, float(tau), draws)
 
 
-def normalize_rows(alloc: RelaxedAllocation | Tensor | np.ndarray) -> Tensor:
-    """Scale every row to sum to one; invariant under positive row scaling."""
+def normalize_rows(alloc: RelaxedAllocation | Tensor | np.ndarray, index: int) -> Tensor:
+    """Row `index` of the matrix scaled to sum to one; invariant under positive row scaling.
+
+    One tape node that lists the matrix twice: once for the division and
+    once for the row sum it divides by. Their VJP parts are accumulated
+    separately, in the order the unfused reduce_sum -> div -> take_row
+    chain accumulated them, so a gradient the matrix also gets from a prior
+    sums in the same order.
+    """
     t = alloc.z_hat if isinstance(alloc, RelaxedAllocation) else alloc
     if not isinstance(t, Tensor):
         t = tensor(t)
     if t.ndim != 2:
         raise ShapeError(f"row normalisation needs a 2-D matrix, got shape {t.shape}")
-    sums = reduce_sum(t, axis=1, keepdims=True)
-    if np.any(sums.data < 1e-12):
+    if not 0 <= index < t.shape[0]:
+        raise ShapeError(f"row {index} out of range for shape {t.shape}")
+    data = t.data
+    total = data[index].sum()
+    if total < 1e-12:
         raise DegenerateMatrixError("row sum below 1e-12; cannot normalise")
-    return div(t, sums)
+    row = data[index] / total
+
+    def vjp(g):
+        quotient, row_sum = np.zeros_like(data), np.zeros_like(data)
+        quotient[index] = g / total
+        row_sum[index] = (-g * row / total).sum()
+        return quotient, row_sum
+
+    return apply_op((t, t), row, vjp)
 
 
 def _round_half_up(values: np.ndarray) -> np.ndarray:

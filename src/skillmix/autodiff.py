@@ -6,6 +6,14 @@ execution order, so the record is already topologically sorted and
 Training code resets the tape once per step (``reset_tape``); ``fresh_tape``
 scopes a private tape for things like gradient checks.
 
+``apply_op`` is the one way to record a node. Besides the small generic ops
+below, the model's hot chains record through it as fused ops with
+hand-written VJPs: a skill-composed layer (``skills.mixed_affine``,
+``skills.mixed_lowrank``), a Gumbel draw and a normalised allocation row
+(``allocation``) and the task loss (``trainer.task_loss``). A VJP returns
+one part per input, or None for an input that needs no gradient; an input
+may be listed more than once, and its parts are then accumulated in order.
+
 Semantics worth knowing:
   * repeated ``backward`` calls accumulate into ``.grad`` (a loss and a
     regulariser can be back-propagated separately);
@@ -173,7 +181,8 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = prev
 
 
-def _apply(inputs: tuple[Tensor, ...], out_data: Array, vjp: VjpFn) -> Tensor:
+def apply_op(inputs: tuple[Tensor, ...], out_data: Array, vjp: VjpFn) -> Tensor:
+    """Wrap `out_data` as a tensor and record one node when any input requires a gradient."""
     out = Tensor(out_data)
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -254,7 +263,7 @@ def add(a, b) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _apply((a, b), a.data + b.data, vjp)
+    return apply_op((a, b), a.data + b.data, vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -264,7 +273,7 @@ def sub(a, b) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _apply((a, b), a.data - b.data, vjp)
+    return apply_op((a, b), a.data - b.data, vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -275,7 +284,7 @@ def mul(a, b) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    return _apply((a, b), ad * bd, vjp)
+    return apply_op((a, b), ad * bd, vjp)
 
 
 def div(a, b) -> Tensor:
@@ -287,7 +296,7 @@ def div(a, b) -> Tensor:
     def vjp(g: Array):
         return _unbroadcast(g / bd, a.shape), _unbroadcast(-g * out / bd, b.shape)
 
-    return _apply((a, b), out, vjp)
+    return apply_op((a, b), out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: Array):
         return g @ bd.T, ad.T @ g
 
-    return _apply((a, b), ad @ bd, vjp)
+    return apply_op((a, b), ad @ bd, vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -316,7 +325,7 @@ def transpose(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g.T,)
 
-    return _apply((x,), x.data.T.copy(), vjp)
+    return apply_op((x,), x.data.T.copy(), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -329,7 +338,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def vjp(g: Array):
         return (g.reshape(old_shape),)
 
-    return _apply((x,), x.data.reshape(new_shape), vjp)
+    return apply_op((x,), x.data.reshape(new_shape), vjp)
 
 
 def take_row(x: Tensor, index: int) -> Tensor:
@@ -345,23 +354,7 @@ def take_row(x: Tensor, index: int) -> Tensor:
         full_grad[index] = g
         return (full_grad,)
 
-    return _apply((x,), x.data[index].copy(), vjp)
-
-
-def narrow(x: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous slice x[start:start+length] along axis 0."""
-    x = _as_tensor(x)
-    if x.ndim < 1:
-        raise ShapeError("narrow needs at least one dimension")
-    if start < 0 or length < 1 or start + length > x.shape[0]:
-        raise ShapeError(f"narrow [{start}:{start + length}] out of range for shape {x.shape}")
-
-    def vjp(g: Array):
-        full_grad = np.zeros_like(x.data)
-        full_grad[start : start + length] = g
-        return (full_grad,)
-
-    return _apply((x,), x.data[start : start + length].copy(), vjp)
+    return apply_op((x,), x.data[index].copy(), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +368,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g * out * (1.0 - out),)
 
-    return _apply((x,), out, vjp)
+    return apply_op((x,), out, vjp)
 
 
 def neg(x: Tensor) -> Tensor:
@@ -384,7 +377,7 @@ def neg(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (-g,)
 
-    return _apply((x,), -x.data, vjp)
+    return apply_op((x,), -x.data, vjp)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -394,7 +387,7 @@ def relu(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g * gate,)
 
-    return _apply((x,), x.data * gate, vjp)
+    return apply_op((x,), x.data * gate, vjp)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -407,7 +400,7 @@ def softplus(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g * s,)
 
-    return _apply((x,), out, vjp)
+    return apply_op((x,), out, vjp)
 
 
 def lgamma(x: Tensor) -> Tensor:
@@ -420,7 +413,7 @@ def lgamma(x: Tensor) -> Tensor:
     def vjp(g: Array):
         return (g * digamma(xd),)
 
-    return _apply((x,), gammaln(xd), vjp)
+    return apply_op((x,), gammaln(xd), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,7 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     def vjp(g: Array):
         return (_spread(g, shape, axis, keepdims),)
 
-    return _apply((x,), x.data.sum(axis=axis, keepdims=keepdims), vjp)
+    return apply_op((x,), x.data.sum(axis=axis, keepdims=keepdims), vjp)
 
 
 def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -461,7 +454,7 @@ def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> T
     def vjp(g: Array):
         return (_spread(g, shape, axis, keepdims) / count,)
 
-    return _apply((x,), x.data.mean(axis=axis, keepdims=keepdims), vjp)
+    return apply_op((x,), x.data.mean(axis=axis, keepdims=keepdims), vjp)
 
 
 # ---------------------------------------------------------------------------

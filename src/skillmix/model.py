@@ -10,7 +10,10 @@ in one of two ways:
     0/1 array for a frozen skilled model and for the private, shared and
     expert baselines. A new task is one more allocation row; the private
     kind also adds one more skill to every layer and gives the task a
-    one-hot row on it, so every kind adapts through the same forward path;
+    one-hot row on it, so every kind adapts through the same forward path.
+    A training step records two tape nodes per learnable matrix (the Gumbel
+    draw and the task's normalised row) and one per layer (the fused
+    `skills.mixed_affine` or `skills.mixed_lowrank`);
   * hypernetwork generation: low-rank adapters are generated from a task
     embedding and applied around the base map. The model owns the
     embeddings, new tasks' rows included; each layer owns its generators.
@@ -23,7 +26,6 @@ stack still exercises per-layer allocation.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,39 +37,11 @@ from .allocation import (
     init_logits,
     normalize_rows,
 )
-from .autodiff import (
-    Tensor,
-    add,
-    kaiming_uniform,
-    matmul,
-    narrow,
-    reshape,
-    take_row,
-    tensor,
-    transpose,
-    zeros,
-)
+from .autodiff import Tensor, add, kaiming_uniform, matmul, reshape, take_row, tensor, transpose, zeros
 from .baselines import HyperNet, hypernet_generate, new_hypernet
 from .config import ALLOCATION_MODES, MODEL_KINDS
 from .errors import ContractError, ShapeError, TaskLookupError
-
-
-@dataclass(frozen=True)
-class LayerShape:
-    in_dim: int
-    out_dim: int
-
-    @property
-    def flat_dim(self) -> int:
-        return self.out_dim * self.in_dim + self.out_dim
-
-
-def _affine(x: Tensor, theta: Tensor, shape: LayerShape) -> Tensor:
-    """Unflatten theta into (weight, bias) and apply x @ W^T + b."""
-    o, i = shape.out_dim, shape.in_dim
-    weight = reshape(narrow(theta, 0, o * i), (o, i))
-    bias = narrow(theta, o * i, o)
-    return add(matmul(x, transpose(weight)), bias)
+from .skills import LayerShape
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +62,7 @@ class DenseLayer:
             sk.freeze_mask(self.skills, self._phi_init)
 
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
-        return _affine(x, sk.compose_dense(self.skills, w), self.shape)
+        return sk.mixed_affine(x, self.skills, w, self.shape)
 
     def add_skill(self, rng) -> None:
         """Append a zero skill row, so a task on it starts at the base map; a frozen mask keeps it dense."""
@@ -114,7 +88,7 @@ class LowRankLayer:
         self.skills = sk.new_lowrank_skills(num_skills, shape.out_dim, shape.in_dim, rank, rng)
 
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
-        return sk.lora_forward(x, self.skills, w)
+        return sk.mixed_lowrank(x, self.skills, w)
 
     def add_skill(self, rng) -> None:
         """Append an adapter pair with A = 0, so a task on it starts at the base map, and a kaiming B."""
@@ -235,7 +209,7 @@ class AllocationState:
             )
             if base_task:
                 relaxed_mats.append(relaxed)
-            per_matrix.append(take_row(normalize_rows(relaxed), index))
+            per_matrix.append(normalize_rows(relaxed, index))
         weights = [per_matrix[self._matrix_index(layer)] for layer in range(self.num_layers)]
         return weights, relaxed_mats
 

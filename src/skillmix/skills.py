@@ -7,7 +7,13 @@ Two storage families are supported for the inventory:
   * low-rank adapter pairs (A, B) applied around a base linear map.
 
 Composition is always `base + sum_j w_j * skill_j` with w a simplex weight
-vector obtained from a normalised allocation row.
+vector obtained from a normalised allocation row. It is never a tape chain
+of its own: each family has one fused op that mixes the skills and applies
+the resulting linear layer as a single tape node with a hand-written VJP,
+`mixed_affine` for dense rows (theta = base + w @ (phi * mask), unflattened
+into the layer's weight and bias) and `mixed_lowrank` for adapter pairs
+(W0 + sum_j w_j A_j B_j, evaluated batched over the skill axis without
+materialising the delta).
 """
 
 from __future__ import annotations
@@ -16,21 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    SeedLike,
-    Tensor,
-    add,
-    as_rng,
-    kaiming_uniform,
-    matmul,
-    mul,
-    reshape,
-    take_row,
-    tensor,
-    transpose,
-    zeros,
-)
+from .autodiff import SeedLike, Tensor, apply_op, as_rng, kaiming_uniform, zeros
 from .errors import ContractError, ShapeError
+
+
+@dataclass(frozen=True)
+class LayerShape:
+    in_dim: int
+    out_dim: int
+
+    @property
+    def flat_dim(self) -> int:
+        return self.out_dim * self.in_dim + self.out_dim
 
 
 @dataclass
@@ -118,16 +121,85 @@ def _check_weights(num_skills: int, w: Tensor) -> None:
         raise ShapeError(f"weights must be a [{num_skills}] vector, got shape {w.shape}")
 
 
-def compose_dense(skills: DenseSkills, w: Tensor) -> Tensor:
-    """theta = base + sum_j w_j * phi_j, differentiable in all three.
+def _check_input(x: Tensor, in_dim: int) -> None:
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ShapeError(f"input shape {x.shape} incompatible with in_dim {in_dim}")
 
-    Once a mask is frozen, phi is restricted to it and masked entries get
-    exactly zero gradient.
+
+def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape) -> Tensor:
+    """x @ W^T + b, with (W, b) the flat theta = base + w @ (phi * mask) unflattened; one tape node.
+
+    Differentiable in x, phi, base and w; once a mask is frozen, masked
+    entries of phi get exactly zero gradient. The forward pass and the VJP
+    replay, in the same order, the numpy operations of the unfused chain
+    (mask, mix, slice, reshape, transpose, matmul, add), so values and
+    gradients are bit-identical to it. Only inputs that require a gradient
+    get one: the first layer's input is a constant.
     """
     _check_weights(skills.num_skills, w)
-    phi = skills.phi if skills.mask is None else mul(skills.phi, tensor(skills.mask))
-    mixed = matmul(reshape(w, (1, skills.num_skills)), phi)
-    return add(skills.base, reshape(mixed, (skills.dim,)))
+    _check_input(x, shape.in_dim)
+    if skills.dim != shape.flat_dim:
+        raise ShapeError(f"skill dim {skills.dim} != layer size {shape.flat_dim}")
+    o, i = shape.out_dim, shape.in_dim
+    phi, base, mask = skills.phi, skills.base, skills.mask
+    phi_m = phi.data if mask is None else phi.data * mask
+    w_row = w.data.reshape(1, -1)
+    theta = base.data + (w_row @ phi_m).reshape(-1)
+    weight_t = theta[: o * i].reshape(o, i).T.copy()
+    xd = x.data
+    need_x, need_phi, need_base, need_w = (t.requires_grad for t in (x, phi, base, w))
+
+    def vjp(g):
+        g_theta = np.concatenate([(xd.T @ g).T.reshape(-1), g.sum(axis=0)]).reshape(1, -1)
+        g_phi = w_row.T @ g_theta if need_phi else None
+        if need_phi and mask is not None:
+            g_phi *= mask
+        return (
+            g @ weight_t.T if need_x else None,
+            g_phi,
+            g_theta.reshape(-1) if need_base else None,
+            (g_theta @ phi_m.T).reshape(-1) if need_w else None,
+        )
+
+    return apply_op((x, phi, base, w), xd @ weight_t + theta[o * i :], vjp)
+
+
+def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
+    """x @ (W0 + sum_j w_j A_j B_j)^T + b0 without materialising the delta; one tape node.
+
+    Evaluates H_j = B_j x^T and C_j = A_j H_j for every skill in one batched
+    matmul each (no Python loop over the skills), then y = x W0^T + sum_j w_j C_j^T + b0. Equal to the
+    materialised product up to rounding. Only inputs that require a
+    gradient get one.
+    """
+    _check_weights(skills.num_skills, w)
+    _check_input(x, skills.in_dim)
+    a, b, w0 = skills.A.data, skills.B.data, skills.W0.data
+    xd, wd = x.data, w.data
+    hidden = b @ xd.T  # [S, r, n]
+    mixed = (a @ hidden).reshape(len(wd), -1)  # [S, o * n]
+    out = xd @ w0.T + (wd @ mixed).reshape(-1, len(xd)).T + skills.b0.data
+    inputs = (x, skills.A, skills.B, skills.W0, skills.b0, w)
+    need_x, need_a, need_b, need_w0, need_b0, need_w = (t.requires_grad for t in inputs)
+    scale = wd[:, None, None]
+
+    def vjp(g):
+        g_t = g.T  # [o, n]
+        g_hidden = scale * (a.transpose(0, 2, 1) @ g_t) if (need_x or need_b) else None
+        g_x = None
+        if need_x:
+            s, r, n = g_hidden.shape
+            g_x = g @ w0 + g_hidden.transpose(2, 0, 1).reshape(n, s * r) @ b.reshape(s * r, -1)
+        return (
+            g_x,
+            scale * (g_t @ hidden.transpose(0, 2, 1)) if need_a else None,
+            g_hidden @ xd if need_b else None,
+            g_t @ xd if need_w0 else None,
+            g.sum(axis=0) if need_b0 else None,
+            mixed @ g_t.reshape(-1) if need_w else None,
+        )
+
+    return apply_op(inputs, out, vjp)
 
 
 def select_sparse_mask(phi_before: np.ndarray, phi_after: np.ndarray, k: int) -> np.ndarray:
@@ -154,31 +226,6 @@ def select_sparse_mask(phi_before: np.ndarray, phi_after: np.ndarray, k: int) ->
 def freeze_mask(skills: DenseSkills, phi_initial: np.ndarray) -> None:
     """Select and freeze the mask from the warm-up change |phi - phi_initial|."""
     skills.mask = select_sparse_mask(phi_initial, skills.phi.data, skills.keep_per_skill)
-
-
-def lora_forward(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
-    """y = (W0 + sum_j w_j A_j B_j) x + b0 without materialising the delta.
-
-    Accepts a single input vector [in] or a batch [n, in]; the factored path
-    evaluates sum_j w_j * A_j (B_j x), which is mathematically identical to
-    the materialised product whenever the shapes agree.
-    """
-    _check_weights(skills.num_skills, w)
-    single = x.ndim == 1
-    if single:
-        if x.shape[0] != skills.in_dim:
-            raise ShapeError(f"input dim {x.shape[0]} != expected {skills.in_dim}")
-        x = reshape(x, (1, skills.in_dim))
-    elif x.ndim != 2 or x.shape[1] != skills.in_dim:
-        raise ShapeError(f"input shape {x.shape} incompatible with in_dim {skills.in_dim}")
-
-    y = matmul(x, transpose(skills.W0))
-    for j in range(skills.num_skills):
-        hidden = matmul(x, transpose(take_row(skills.B, j)))
-        contribution = matmul(hidden, transpose(take_row(skills.A, j)))
-        y = add(y, mul(contribution, take_row(w, j)))
-    y = add(y, skills.b0)
-    return reshape(y, (skills.out_dim,)) if single else y
 
 
 def param_count_lora(layers: int, hidden: int, rank: int, num_tasks: int, num_skills: int) -> int:

@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
-from .autodiff import Tensor, add, backward, mul, neg, no_grad, reduce_mean, reset_tape, softplus, sub, tensor
+from .autodiff import Tensor, add, apply_op, backward, no_grad, reset_tape, tensor
 from .baselines import allocation_expert
 from .config import MAX_FEW_SHOT, ExperimentConfig
-from .errors import ContractError, TrainingDivergedError
+from .errors import ContractError, ShapeError, TrainingDivergedError
 from .model import build_model, make_layer_shapes
 from .optim import build_two_speed_groups
 from .priors import ibp_regularizer
@@ -57,14 +58,34 @@ class TrainedModel:
 
 
 def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
-    """Negative log-likelihood up to constants: MSE or logistic loss."""
-    y = tensor(targets)
+    """Negative log-likelihood up to constants, as one tape node: MSE or logistic loss.
+
+    Values and gradients replay the numpy operations of the unfused chains
+    (sub -> mul -> mean, and mul -> neg -> softplus -> mean) in order.
+    """
+    if kind not in ("regression", "classification"):
+        raise ContractError(f"unknown task kind '{kind}'")
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != pred.shape:
+        raise ShapeError(f"targets shape {y.shape} != predictions shape {pred.shape}")
+    count = y.size
     if kind == "regression":
-        err = sub(pred, y)
-        return reduce_mean(mul(err, err))
-    if kind == "classification":
-        return reduce_mean(softplus(neg(mul(y, pred))))
-    raise ContractError(f"unknown task kind '{kind}'")
+        err = pred.data - y
+
+        def vjp(g):
+            part = np.broadcast_to(g, err.shape) / count * err
+            return (part + part,)
+
+        return apply_op((pred,), (err * err).mean(), vjp)
+
+    margin = -(y * pred.data)
+    slope = expit(margin)
+
+    def vjp(g):
+        return (-(np.broadcast_to(g, margin.shape) / count * slope) * y,)
+
+    softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
+    return apply_op((pred,), softplus.mean(), vjp)
 
 
 def evaluate(model, task_index: int, task: TaskSpec, split: str = "eval") -> dict:
@@ -266,18 +287,20 @@ class AdaptationResult:
 def _register_new_task(model, kind: str, task: TaskSpec, rng) -> int:
     """A new allocation row for every skill-composed kind; an embedding for the hypernet.
 
-    The skilled kind learns its row. The others get a fixed one: ones for
-    shared, the planted skills for expert, and for private a one-hot row on
-    a new skill added to every layer.
+    The skilled kind learns its row, unless the inventory has one skill:
+    that row normalises to [1.0] whatever its logits, so it is fixed. The
+    others get a fixed row too: ones for shared, the planted skills for
+    expert, and for private a one-hot row on a new skill added to every
+    layer.
     """
     if kind == "hypernet":
         return model.add_task_embedding()
-    if kind == "skilled":
+    if kind == "skilled" and model.alloc.num_skills > 1:
         return model.alloc.add_task()
     if kind == "private":
         model.add_skill(rng)
         active = [model.alloc.num_skills - 1]
-    elif kind == "shared":
+    elif kind in ("shared", "skilled"):
         active = [0]
     elif kind == "expert":
         if task.planted_skills is None:

@@ -24,6 +24,8 @@ from skillmix.allocation import (
 )
 from skillmix.errors import DegenerateMatrixError, DomainError, ShapeError
 
+import unfused
+
 unit_matrices = arrays(
     np.float64,
     st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -135,21 +137,28 @@ def test_sampled_gradient_matches_finite_differences_with_fixed_draw():
 # normalisation and hardening
 
 
+def normalized(matrix):
+    """Every row of the matrix through normalize_rows."""
+    return np.array([normalize_rows(ad.tensor(matrix), i).data for i in range(len(matrix))])
+
+
 def test_normalize_rows_examples():
-    out = normalize_rows(ad.tensor([[0.5, 0.5], [0.9, 0.1]]))
-    assert np.allclose(out.data, [[0.5, 0.5], [0.9, 0.1]])
-    out = normalize_rows(ad.tensor([[0.2, 0.2, 0.6]]))
-    assert np.allclose(out.data, [[0.2, 0.2, 0.6]])
+    out = normalized([[0.5, 0.5], [0.9, 0.1]])
+    assert np.allclose(out, [[0.5, 0.5], [0.9, 0.1]])
+    out = normalized([[0.2, 0.2, 0.6]])
+    assert np.allclose(out, [[0.2, 0.2, 0.6]])
 
 
 def test_normalize_rows_scale_invariance():
     base = np.array([[0.2, 0.2, 0.6]])
-    assert np.allclose(normalize_rows(ad.tensor(base * 10)).data, normalize_rows(ad.tensor(base)).data)
+    assert np.allclose(normalized(base * 10), normalized(base))
 
 
 def test_normalize_rows_degenerate_row():
     with pytest.raises(DegenerateMatrixError):
-        normalize_rows(ad.tensor([[0.0, 0.0]]))
+        normalize_rows(ad.tensor([[0.0, 0.0]]), 0)
+    # Only the selected row is normalised, so only its sum matters.
+    assert normalize_rows(ad.tensor([[0.0, 0.0], [1.0, 3.0]]), 1).data.tolist() == [0.25, 0.75]
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,10 +168,34 @@ def test_normalize_rows_degenerate_row():
 )
 def test_normalize_rows_sums_to_one_and_scales(matrix, scale):
     ad.reset_tape()
-    out = normalize_rows(ad.tensor(matrix))
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-    scaled = normalize_rows(ad.tensor(matrix * scale))
-    assert np.allclose(out.data, scaled.data, atol=1e-9)
+    out = normalized(matrix)
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+    scaled = normalized(matrix * scale)
+    assert np.allclose(out, scaled, atol=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.floats(0.5, 3.0), st.integers(0, 10_000))
+def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, tau, seed):
+    rng = np.random.default_rng(seed)
+    logits = AllocationLogits(ad.tensor(rng.standard_normal((num_tasks, num_skills)), requires_grad=True))
+    task = int(rng.integers(num_tasks))
+    probe = rng.standard_normal(num_skills)
+    results = []
+    for draw, row_of in [
+        (gumbel_sigmoid_sample, normalize_rows),
+        (unfused.gumbel_sigmoid_sample, lambda t, i: ad.take_row(unfused.normalize_rows(t), i)),
+    ]:
+        ad.reset_tape()
+        logits.z.grad = None
+        relaxed = draw(logits, tau, np.random.default_rng(seed))
+        row = row_of(relaxed.z_hat, task)
+        # A second consumer of the matrix, as the prior is, recorded after the row.
+        loss = ad.add(ad.reduce_sum(ad.mul(row, ad.tensor(probe))), ad.reduce_sum(ad.lgamma(relaxed.z_hat)))
+        ad.backward(loss)
+        results.append((relaxed.z_hat.data, row.data, logits.z.grad))
+    for got, expected in zip(*results):
+        assert np.array_equal(got, expected)
 
 
 def test_harden_rounds_half_up():

@@ -15,7 +15,7 @@ from skillmix.baselines import (
 from skillmix.config import ExperimentConfig, parse_config_dict
 from skillmix.errors import ContractError, TaskLookupError
 from skillmix.model import HypernetModel, LayerShape, build_model
-from skillmix.skills import compose_dense, DenseSkills
+from skillmix.skills import DenseSkills, mixed_affine
 from skillmix.trainer import resolve_fixed_allocation
 
 
@@ -48,8 +48,10 @@ def test_private_composes_base_plus_own_skill():
         ad.tensor(rng.standard_normal(4), requires_grad=True),
     )
     row = _fixed("private", 3)[1]
-    out = compose_dense(skills, ad.tensor(row / row.sum()))
-    assert np.allclose(out.data, skills.base.data + skills.phi.data[1])
+    x = rng.standard_normal((2, 3))
+    out = mixed_affine(ad.tensor(x), skills, ad.tensor(row / row.sum()), LayerShape(3, 1))
+    theta = skills.base.data + skills.phi.data[1]
+    assert np.allclose(out.data, x @ theta[:3, None] + theta[3])
 
 
 def test_private_usage_metric_is_uniform():

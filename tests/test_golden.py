@@ -64,6 +64,8 @@ CONFIGS = {
     "expert_planted": _with(model_kind="expert", expert_table="planted"),
     "hypernet": _with(model_kind="hypernet"),
     "skilled_frozen_identity": _with(freeze_allocation="identity", world={"holdout_tasks": 0}),
+    "skilled_lowrank": _with(parameterisation="lowrank"),
+    "private_lowrank": _with(model_kind="private", parameterisation="lowrank"),
 }
 
 

@@ -7,6 +7,8 @@ from skillmix import autodiff as ad
 from skillmix import skills as sk
 from skillmix.errors import ContractError, ShapeError
 
+import unfused
+
 
 @pytest.fixture(autouse=True)
 def clean_tape():
@@ -19,32 +21,64 @@ def dense(phi, base):
     return sk.DenseSkills(ad.tensor(phi, requires_grad=True), ad.tensor(base, requires_grad=True))
 
 
+def layer_shape(skills):
+    """The [dim - 1 -> 1] layer whose flat parameters are the skills' dim entries."""
+    return sk.LayerShape(skills.dim - 1, 1)
+
+
+def composed(skills, w):
+    """theta = base + w @ phi, read back through mixed_affine.
+
+    The probe inputs are 0 (giving the bias, exactly) and the unit vectors
+    (giving weight + bias), so the read-back is exact for small integers.
+    """
+    d = skills.dim
+    probe = np.vstack([np.zeros(d - 1), np.eye(d - 1)])
+    y = sk.mixed_affine(ad.tensor(probe), skills, w, layer_shape(skills)).data[:, 0]
+    return np.append(y[1:] - y[0], y[0])
+
+
+def probe_objective(out, seed=0):
+    """A scalar that depends on every output entry."""
+    probe = np.random.default_rng(seed).standard_normal(out.shape)
+    return ad.reduce_sum(ad.mul(out, ad.tensor(probe)))
+
+
+def grads_of(loss, tensors):
+    for t in tensors:
+        t.grad = None
+    ad.backward(loss)
+    return [t.grad for t in tensors]
+
+
 # ---------------------------------------------------------------------------
-# dense composition
+# dense composition (mixed_affine)
 
 
 def test_compose_dense_one_hot_selects_single_skill():
     skills = dense([[1.0, 2.0], [3.0, 4.0]], [10.0, 10.0])
-    out = sk.compose_dense(skills, ad.tensor([0.0, 1.0]))
-    assert out.data.tolist() == [13.0, 14.0]
+    assert composed(skills, ad.tensor([0.0, 1.0])).tolist() == [13.0, 14.0]
 
 
 def test_compose_dense_zero_skills_is_base():
     skills = dense(np.zeros((3, 4)), np.arange(4.0))
-    out = sk.compose_dense(skills, ad.tensor([0.2, 0.3, 0.5]))
-    assert np.array_equal(out.data, np.arange(4.0))
+    assert np.array_equal(composed(skills, ad.tensor([0.2, 0.3, 0.5])), np.arange(4.0))
 
 
 def test_compose_dense_hand_value():
     skills = dense([[2.0, 0.0], [0.0, 4.0]], [0.0, 0.0])
-    out = sk.compose_dense(skills, ad.tensor([0.5, 0.5]))
-    assert out.data.tolist() == [1.0, 2.0]
+    assert composed(skills, ad.tensor([0.5, 0.5])).tolist() == [1.0, 2.0]
 
 
 def test_compose_dense_dimension_mismatch():
     skills = dense(np.zeros((2, 3)), np.zeros(3))
+    x = ad.tensor(np.zeros((1, 2)))
     with pytest.raises(ShapeError):
-        sk.compose_dense(skills, ad.tensor([1.0, 0.0, 0.0]))
+        sk.mixed_affine(x, skills, ad.tensor([1.0, 0.0, 0.0]), layer_shape(skills))
+    with pytest.raises(ShapeError):
+        sk.mixed_affine(ad.tensor(np.zeros((1, 3))), skills, ad.tensor([1.0, 0.0]), layer_shape(skills))
+    with pytest.raises(ShapeError):
+        sk.mixed_affine(x, skills, ad.tensor([1.0, 0.0]), sk.LayerShape(1, 1))
 
 
 def test_compose_dense_gradients_match_finite_differences():
@@ -52,17 +86,29 @@ def test_compose_dense_gradients_match_finite_differences():
     phi0 = rng.standard_normal((3, 5))
     base0 = rng.standard_normal(5)
     w0 = rng.dirichlet(np.ones(3))
+    x0 = rng.standard_normal((2, 4))
+    shape = sk.LayerShape(4, 1)
 
     def through_phi(phi):
         skills = sk.DenseSkills(phi, ad.tensor(base0))
-        return ad.reduce_sum(ad.mul(sk.compose_dense(skills, ad.tensor(w0)), ad.tensor(np.arange(5.0))))
+        return probe_objective(sk.mixed_affine(ad.tensor(x0), skills, ad.tensor(w0), shape))
 
     def through_w(w):
         skills = sk.DenseSkills(ad.tensor(phi0), ad.tensor(base0))
-        return ad.reduce_sum(ad.mul(sk.compose_dense(skills, w), ad.tensor(np.arange(5.0))))
+        return probe_objective(sk.mixed_affine(ad.tensor(x0), skills, w, shape))
+
+    def through_base(base):
+        skills = sk.DenseSkills(ad.tensor(phi0), base)
+        return probe_objective(sk.mixed_affine(ad.tensor(x0), skills, ad.tensor(w0), shape))
+
+    def through_x(x):
+        skills = sk.DenseSkills(ad.tensor(phi0), ad.tensor(base0))
+        return probe_objective(sk.mixed_affine(x, skills, ad.tensor(w0), shape))
 
     assert ad.grad_check(through_phi, ad.tensor(phi0)) < 1e-6
     assert ad.grad_check(through_w, ad.tensor(w0)) < 1e-6
+    assert ad.grad_check(through_base, ad.tensor(base0)) < 1e-6
+    assert ad.grad_check(through_x, ad.tensor(x0)) < 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,10 +119,10 @@ def test_compose_linear_in_weights(seed):
     skills = dense(rng.standard_normal((4, 6)), rng.standard_normal(6))
     w1, w2 = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
     alpha, beta = rng.uniform(-2, 2, size=2)
-    mixed = sk.compose_dense(skills, ad.tensor(alpha * w1 + beta * w2)).data
+    mixed = composed(skills, ad.tensor(alpha * w1 + beta * w2))
     separate = (
-        alpha * sk.compose_dense(skills, ad.tensor(w1)).data
-        + beta * sk.compose_dense(skills, ad.tensor(w2)).data
+        alpha * composed(skills, ad.tensor(w1))
+        + beta * composed(skills, ad.tensor(w2))
         - (alpha + beta - 1) * skills.base.data
     )
     assert np.allclose(mixed, separate, atol=1e-10)
@@ -91,9 +137,41 @@ def test_norm_control_under_simplex_weights(seed):
     rng = np.random.default_rng(seed)
     skills = dense(rng.standard_normal((5, 8)), rng.standard_normal(8))
     w = rng.dirichlet(np.ones(5) * rng.uniform(0.2, 3.0))
-    theta = sk.compose_dense(skills, ad.tensor(w)).data
+    theta = composed(skills, ad.tensor(w))
     delta = np.linalg.norm(theta - skills.base.data)
     assert delta <= max(np.linalg.norm(row) for row in skills.phi.data) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    in_dim=st.integers(1, 5),
+    out_dim=st.integers(1, 4),
+    num_skills=st.integers(1, 5),
+    masked=st.booleans(),
+    x_needs_grad=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_mixed_affine_equals_unfused_chain(batch, in_dim, out_dim, num_skills, masked, x_needs_grad, seed):
+    rng = np.random.default_rng(seed)
+    shape = sk.LayerShape(in_dim, out_dim)
+    skills = dense(rng.standard_normal((num_skills, shape.flat_dim)), rng.standard_normal(shape.flat_dim))
+    if masked:
+        skills.mask = (rng.uniform(size=skills.phi.shape) < 0.5).astype(np.float64)
+    w = ad.tensor(rng.dirichlet(np.ones(num_skills)), requires_grad=True)
+    x = ad.tensor(rng.standard_normal((batch, in_dim)), requires_grad=x_needs_grad)
+    inputs = [skills.phi, skills.base, w] + ([x] if x_needs_grad else [])
+    results = []
+    for op in (sk.mixed_affine, unfused.mixed_affine):
+        ad.reset_tape()
+        out = op(x, skills, w, shape)
+        results.append([out.data] + grads_of(probe_objective(out, seed), inputs))
+    fused, reference = results
+    if not x_needs_grad:
+        assert x.grad is None
+    for got, expected in zip(fused, reference):
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +220,27 @@ def make_sparse(sparsity=0.9, num_skills=2, dim=100, seed=0):
     return skills
 
 
+def probe_input(skills, batch=3, seed=0):
+    return ad.tensor(np.random.default_rng(seed).standard_normal((batch, skills.dim - 1)))
+
+
 def test_full_mask_equals_dense_composition():
     skills = make_sparse(sparsity=0.0)
     skills.mask = np.ones((2, 100))
     w = ad.tensor([0.3, 0.7])
-    sparse_out = sk.compose_dense(skills, w)
-    dense_out = sk.compose_dense(sk.DenseSkills(skills.phi, skills.base), w)
+    x = probe_input(skills)
+    sparse_out = sk.mixed_affine(x, skills, w, layer_shape(skills))
+    dense_out = sk.mixed_affine(x, sk.DenseSkills(skills.phi, skills.base), w, layer_shape(skills))
     assert np.array_equal(sparse_out.data, dense_out.data)
 
 
 def test_empty_mask_returns_base():
     skills = make_sparse()
     skills.mask = np.zeros((2, 100))
-    out = sk.compose_dense(skills, ad.tensor([0.5, 0.5]))
-    assert np.array_equal(out.data, skills.base.data)
+    x = probe_input(skills)
+    out = sk.mixed_affine(x, skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
+    base_only = sk.DenseSkills(ad.tensor(np.zeros((2, 100))), skills.base)
+    assert np.array_equal(out.data, sk.mixed_affine(x, base_only, ad.tensor([0.5, 0.5]), layer_shape(skills)).data)
 
 
 def test_ninety_percent_sparsity_keeps_ten_of_hundred():
@@ -170,7 +255,7 @@ def test_ninety_percent_sparsity_keeps_ten_of_hundred():
 def test_masked_entries_get_exactly_zero_gradient():
     skills = make_sparse(sparsity=0.9, dim=100)
     sk.freeze_mask(skills, skills.phi.data + np.random.default_rng(6).standard_normal(skills.phi.shape))
-    out = sk.compose_dense(skills, ad.tensor([0.5, 0.5]))
+    out = sk.mixed_affine(probe_input(skills), skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
     ad.backward(ad.reduce_sum(ad.mul(out, out)))
     masked = skills.phi.grad[skills.mask == 0]
     unmasked = skills.phi.grad[skills.mask == 1]
@@ -183,11 +268,11 @@ def test_unmasked_gradients_match_finite_differences():
     mask = (rng.uniform(size=(2, 12)) < 0.4).astype(np.float64)
     base = rng.standard_normal(12)
     w = rng.dirichlet(np.ones(2))
-    probe = rng.standard_normal(12)
+    x = rng.standard_normal((3, 11))
 
     def f(phi):
         skills = sk.DenseSkills(phi, ad.tensor(base), 0.5, mask)
-        return ad.reduce_sum(ad.mul(sk.compose_dense(skills, ad.tensor(w)), ad.tensor(probe)))
+        return probe_objective(sk.mixed_affine(ad.tensor(x), skills, ad.tensor(w), layer_shape(skills)))
 
     assert ad.grad_check(f, ad.tensor(rng.standard_normal((2, 12)))) < 1e-4
 
@@ -205,23 +290,25 @@ def test_keep_per_skill_never_rounds_to_zero():
 
 def lora_forward_materialized(x, skills, w):
     """Reference path: build the delta sum_j w_j * (A_j @ B_j) first, then apply it."""
-    single = x.ndim == 1
-    if single:
-        x = ad.reshape(x, (1, skills.in_dim))
     delta = None
     for j in range(skills.num_skills):
         term = ad.mul(ad.matmul(ad.take_row(skills.A, j), ad.take_row(skills.B, j)), ad.take_row(w, j))
         delta = term if delta is None else ad.add(delta, term)
     weight = ad.add(skills.W0, delta)
-    y = ad.add(ad.matmul(x, ad.transpose(weight)), skills.b0)
-    return ad.reshape(y, (skills.out_dim,)) if single else y
+    return ad.add(ad.matmul(x, ad.transpose(weight)), skills.b0)
+
+
+def random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed):
+    skills = sk.new_lowrank_skills(num_skills, out_dim, in_dim, rank, seed=seed)
+    skills.A.data[:] = rng.standard_normal(skills.A.shape)
+    return skills
 
 
 def test_lora_zero_adapters_reduce_to_base_map():
     skills = sk.new_lowrank_skills(3, 4, 5, 2, seed=0)
-    x = ad.tensor(np.random.default_rng(1).standard_normal(5))
-    out = sk.lora_forward(x, skills, ad.tensor(np.ones(3) / 3))
-    expected = skills.W0.data @ x.data + skills.b0.data
+    x = ad.tensor(np.random.default_rng(1).standard_normal((1, 5)))
+    out = sk.mixed_lowrank(x, skills, ad.tensor(np.ones(3) / 3))
+    expected = x.data @ skills.W0.data.T + skills.b0.data
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -231,8 +318,8 @@ def test_lora_scalar_hand_value():
     skills.A.data[:] = [[[2.0]]]
     skills.B.data[:] = [[[3.0]]]
     skills.b0.data[:] = [0.0]
-    out = sk.lora_forward(ad.tensor([1.0]), skills, ad.tensor([1.0]))
-    assert out.data.tolist() == [7.0]
+    out = sk.mixed_lowrank(ad.tensor([[1.0]]), skills, ad.tensor([1.0]))
+    assert out.data.tolist() == [[7.0]]
 
 
 def test_lora_factored_equals_materialized_on_random_instances():
@@ -240,36 +327,62 @@ def test_lora_factored_equals_materialized_on_random_instances():
     for trial in range(100):
         s, o, i = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 7)
         r = int(rng.integers(1, min(o, i) + 1))
-        skills = sk.new_lowrank_skills(int(s), int(o), int(i), r, seed=trial)
-        skills.A.data[:] = rng.standard_normal(skills.A.shape)
+        skills = random_lowrank(rng, int(s), int(o), int(i), r, seed=trial)
         w = ad.tensor(rng.dirichlet(np.ones(int(s))))
         x = ad.tensor(rng.standard_normal((3, int(i))))
-        fast = sk.lora_forward(x, skills, w)
+        fast = sk.mixed_lowrank(x, skills, w)
         slow = lora_forward_materialized(x, skills, w)
         assert np.max(np.abs(fast.data - slow.data)) < 1e-12
 
 
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected)) / max(np.max(np.abs(expected)), 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    in_dim=st.integers(1, 6),
+    out_dim=st.integers(1, 6),
+    num_skills=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+)
+def test_mixed_lowrank_matches_materialized_reference(batch, in_dim, out_dim, num_skills, seed):
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, min(in_dim, out_dim) + 1))
+    skills = random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed)
+    w = ad.tensor(rng.dirichlet(np.ones(num_skills)), requires_grad=True)
+    x = ad.tensor(rng.standard_normal((batch, in_dim)), requires_grad=True)
+    inputs = [x, skills.A, skills.B, skills.W0, skills.b0, w]
+    results = []
+    for op in (sk.mixed_lowrank, lora_forward_materialized):
+        ad.reset_tape()
+        out = op(x, skills, w)
+        results.append([out.data] + grads_of(probe_objective(out, seed), inputs))
+    for got, expected in zip(*results):
+        assert got.shape == expected.shape
+        assert relative_error(got, expected) <= 1e-12
+
+
 def test_lora_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
-    skills = sk.new_lowrank_skills(2, 3, 4, 2, seed=3)
-    skills.A.data[:] = rng.standard_normal(skills.A.shape)
+    skills = random_lowrank(rng, 2, 3, 4, 2, seed=3)
     w0 = rng.dirichlet(np.ones(2))
-    x0 = rng.standard_normal(4)
+    x0 = rng.standard_normal((2, 4))
 
-    def through_a(a):
-        s = sk.LowRankSkills(a, skills.B, skills.W0, skills.b0)
-        return ad.reduce_sum(sk.lora_forward(ad.tensor(x0), s, ad.tensor(w0)))
+    def through(name):
+        def f(t):
+            parts = {"A": skills.A, "B": skills.B, "W0": skills.W0, "b0": skills.b0}
+            parts.update(x=ad.tensor(x0), w=ad.tensor(w0))
+            parts[name] = t
+            x, w = parts.pop("x"), parts.pop("w")
+            return probe_objective(sk.mixed_lowrank(x, sk.LowRankSkills(**parts), w))
 
-    def through_b(b):
-        s = sk.LowRankSkills(skills.A, b, skills.W0, skills.b0)
-        return ad.reduce_sum(sk.lora_forward(ad.tensor(x0), s, ad.tensor(w0)))
+        return f
 
-    def through_w(w):
-        return ad.reduce_sum(sk.lora_forward(ad.tensor(x0), skills, w))
-
-    assert ad.grad_check(through_a, ad.tensor(skills.A.data)) < 1e-5
-    assert ad.grad_check(through_b, ad.tensor(skills.B.data)) < 1e-5
-    assert ad.grad_check(through_w, ad.tensor(w0)) < 1e-5
+    starts = {"A": skills.A.data, "B": skills.B.data, "W0": skills.W0.data, "b0": skills.b0.data, "w": w0, "x": x0}
+    for name, start in starts.items():
+        assert ad.grad_check(through(name), ad.tensor(start)) < 1e-5, name
 
 
 def test_lowrank_rank_bound_enforced():
@@ -280,7 +393,9 @@ def test_lowrank_rank_bound_enforced():
 def test_lora_input_shape_checks():
     skills = sk.new_lowrank_skills(1, 2, 3, 1, seed=0)
     with pytest.raises(ShapeError):
-        sk.lora_forward(ad.tensor(np.ones(4)), skills, ad.tensor([1.0]))
+        sk.mixed_lowrank(ad.tensor(np.ones((1, 4))), skills, ad.tensor([1.0]))
+    with pytest.raises(ShapeError):
+        sk.mixed_lowrank(ad.tensor(np.ones(3)), skills, ad.tensor([1.0]))
 
 
 # ---------------------------------------------------------------------------

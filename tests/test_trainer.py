@@ -7,15 +7,20 @@ from skillmix import autodiff as ad
 from skillmix.allocation import BinaryAllocation, harden
 from skillmix.config import MODEL_KINDS, ExperimentConfig, WorldConfig
 from skillmix.errors import ContractError, GenerationError, TrainingDivergedError
+from skillmix.priors import ibp_regularizer
 from skillmix.recovery import RecoveryScore, skill_recovery_score
 from skillmix.synthetic import generate_synthetic_benchmark, oracle_mse
 from skillmix.trainer import (
+    _adaptation_phases,
+    build_model_from_config,
     evaluate,
     few_shot_adapt,
     multitask_train,
     steps_to_threshold,
     task_loss,
 )
+
+import unfused
 
 SMALL_WORLD = WorldConfig(
     num_tasks=6,
@@ -372,10 +377,69 @@ def test_frozen_allocation_adapts_a_learned_row(frozen):
     assert trained.model.z_parameters() == []
     res = few_shot_adapt(trained, holdout[0], steps=40, k_shot=8)
     new_rows = res.model.alloc.new_task_parameters(res.task_index)
-    assert [row.shape for row in new_rows] == [(1, trained.model.alloc.num_skills)]
     assert res.model.alloc.eval_matrix(0).shape[0] == res.task_index + 1
-    if frozen == "identity":  # over a single skill the normalised row is constant
+    phases = _adaptation_phases(res.model, res.task_index, trained.config, 40)
+    assert [steps for steps, _ in phases] == [40]
+    trains = {id(p) for p in phases[0][1].parameters}
+    if frozen == "identity":
+        assert [row.shape for row in new_rows] == [(1, trained.model.alloc.num_skills)]
         assert np.any(new_rows[0].data != 0.0)
+        assert trains == {id(row) for row in new_rows}
+    else:  # over a single skill the normalised row is [1.0] whatever its logits: a fixed row
+        assert new_rows == []
+        assert res.model.alloc.eval_matrix(0)[-1].tolist() == [1.0]
+        assert trains == {id(p) for p in res.model.phi_parameters()}
+
+
+def test_one_skill_inventory_adapts_the_skills_under_a_fixed_row():
+    trained, holdout = trained_small(num_skills=1, steps=40)
+    assert trained.model.z_parameters() != []
+    res = few_shot_adapt(trained, holdout[0], steps=20, k_shot=8)
+    assert res.model.alloc.new_task_parameters(res.task_index) == []
+    phases = _adaptation_phases(res.model, res.task_index, trained.config, 20)
+    assert [steps for steps, _ in phases] == [20]
+    assert {id(p) for p in phases[0][1].parameters} == {id(p) for p in res.model.phi_parameters()}
+    assert res.metrics_after != res.metrics_before
+
+
+def test_skilled_dense_training_step_records_seven_tape_nodes():
+    # Per matrix a Gumbel draw and a normalised row, per layer one fused op, one loss node.
+    world, tasks = make_world()
+    train_tasks = [t for t in tasks if t.split == "train"]
+    multitask_train(small_config(steps=1), train_tasks, world=world)
+    assert len(ad.active_tape()) == 7
+
+
+@pytest.mark.parametrize("allocation_mode", ["per_layer", "global"])
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, kind):
+    world, tasks = make_world()
+    train_tasks = [t for t in tasks if t.split == "train"]
+    config = small_config(allocation_mode=allocation_mode, ibp_strength=0.1)
+    model = build_model_from_config(config, train_tasks, world)
+    named = model.named_parameters()
+    task = train_tasks[2]
+    x, y = task.x_train[:16], task.y_train[:16]
+    if kind == "classification":
+        y = np.where(y >= 0.0, 1.0, -1.0)
+    grads = []
+    for forward, loss_of in [
+        (lambda: model.forward(2, ad.tensor(x), train=True, rng=np.random.default_rng(5), tau=0.7), task_loss),
+        (lambda: unfused.skill_forward(model, 2, ad.tensor(x), np.random.default_rng(5), 0.7), unfused.task_loss),
+    ]:
+        ad.reset_tape()
+        for p in named.values():
+            p.grad = None
+        pred, relaxed_mats = forward()
+        total = loss_of(pred, y, kind)
+        for relaxed in relaxed_mats:
+            total = ad.add(total, ibp_regularizer(relaxed, config.ibp_alpha, config.ibp_strength))
+        ad.backward(total)
+        grads.append({name: p.grad for name, p in named.items()})
+    fused, reference = grads
+    assert sorted(fused) == sorted(reference)
+    for name in fused:
+        assert np.array_equal(fused[name], reference[name]), name
 
 
 def test_z_row_only_adaptation_still_learns_on_recombinable_task():
