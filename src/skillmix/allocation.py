@@ -1,12 +1,15 @@
 """Task-skill allocation: logits, relaxed Bernoulli sampling, diagnostics.
 
-A task selects skills through one logits matrix per layer. During training
-each cell is sampled from a relaxed Bernoulli (Gumbel-sigmoid) so the binary
-choice stays differentiable; at evaluation time the deterministic u=0.5 path
-is used, which collapses to sigmoid(z / tau). Rows are normalised before
-composition so the number of active skills does not change the norm of the
-composed parameters. A training draw and the task's normalised row are one
-tape node each, with VJPs that replay the unfused chains' numpy operations.
+An allocation matrix [num_tasks, num_skills] is a plain value: learnable
+logits and relaxed draws are `Tensor`s, a fixed or hardened 0/1 matrix is
+an int64 array. A task selects skills through one logits matrix per layer.
+During training each cell is sampled from a relaxed Bernoulli
+(Gumbel-sigmoid) so the binary choice stays differentiable; at evaluation
+time the deterministic u=0.5 path is used, which collapses to
+sigmoid(z / tau). Rows are normalised before composition so the number of
+active skills does not change the norm of the composed parameters. A
+training draw and the task's normalised row are one tape node each, with
+VJPs that replay the unfused chains' numpy operations.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, xlogy
@@ -26,57 +28,14 @@ from .errors import DegenerateMatrixError, DomainError, ShapeError
 UNIFORM_EPS = 1e-7
 
 
-@dataclass
-class AllocationLogits:
-    """Unconstrained real matrix [num_tasks, num_skills]."""
-
-    z: Tensor
-
-    def __post_init__(self):
-        if self.z.ndim != 2:
-            raise ShapeError(f"allocation logits must be 2-D, got shape {self.z.shape}")
-        if not np.all(np.isfinite(self.z.data)):
-            raise DomainError("allocation logits must be finite")
-
-    @property
-    def num_tasks(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def num_skills(self) -> int:
-        return self.z.shape[1]
-
-
-@dataclass
-class RelaxedAllocation:
-    """Sampled relaxed matrix with entries strictly inside (0, 1)."""
-
-    z_hat: Tensor
-    tau: float
-    draws: np.ndarray = field(repr=False)
-
-
-@dataclass
-class BinaryAllocation:
-    """Hardened 0/1 matrix."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.b = np.asarray(self.b)
-        if not np.isin(self.b, (0, 1)).all():
-            raise DomainError("binary allocation entries must be 0 or 1")
-        self.b = self.b.astype(np.int64)
-
-
-def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0) -> AllocationLogits:
-    """Constant-filled logits; the 0.0 default puts every cell at probability 0.5."""
+def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0) -> Tensor:
+    """Constant-filled learnable logits; the 0.0 default puts every cell at probability 0.5."""
     if num_tasks < 1 or num_skills < 1:
         raise ShapeError("task and skill counts must be >= 1")
-    return AllocationLogits(full((num_tasks, num_skills), init_value, requires_grad=True))
+    return full((num_tasks, num_skills), init_value, requires_grad=True)
 
 
-def gumbel_sigmoid_sample(logits: AllocationLogits, tau: float, seed: SeedLike) -> RelaxedAllocation:
+def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike) -> Tensor:
     """Relaxed Bernoulli sample: sigmoid((z + logit(u)) / tau), u ~ Uniform(0,1).
 
     Reparameterised, so gradients flow to the logits with u held fixed. The
@@ -86,28 +45,26 @@ def gumbel_sigmoid_sample(logits: AllocationLogits, tau: float, seed: SeedLike) 
     """
     if tau <= 0:
         raise DomainError("temperature must be positive")
-    u = as_rng(seed).uniform(size=logits.z.shape)
+    u = as_rng(seed).uniform(size=logits.shape)
     u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     noise = np.log(u) - np.log1p(-u)
     inv_tau = 1.0 / tau
-    out = expit((logits.z.data + noise) * inv_tau)
+    out = expit((logits.data + noise) * inv_tau)
 
     def vjp(g):
         return (g * out * (1.0 - out) * inv_tau,)
 
-    return RelaxedAllocation(apply_op((logits.z,), out, vjp), float(tau), u)
+    return apply_op((logits,), out, vjp)
 
 
-def expected_allocation(logits: AllocationLogits, tau: float) -> RelaxedAllocation:
+def expected_allocation(logits: Tensor, tau: float) -> Tensor:
     """Deterministic u=0.5 path, sigmoid(z / tau); used at evaluation time."""
     if tau <= 0:
         raise DomainError("temperature must be positive")
-    z_hat = sigmoid(logits.z * (1.0 / tau))
-    draws = np.full(logits.z.shape, 0.5)
-    return RelaxedAllocation(z_hat, float(tau), draws)
+    return sigmoid(logits * (1.0 / tau))
 
 
-def normalize_rows(alloc: RelaxedAllocation | Tensor | np.ndarray, index: int) -> Tensor:
+def normalize_rows(t: Tensor | np.ndarray, index: int) -> Tensor:
     """Row `index` of the matrix scaled to sum to one; invariant under positive row scaling.
 
     One tape node that lists the matrix twice: once for the division and
@@ -116,7 +73,6 @@ def normalize_rows(alloc: RelaxedAllocation | Tensor | np.ndarray, index: int) -
     chain accumulated them, so a gradient the matrix also gets from a prior
     sums in the same order.
     """
-    t = alloc.z_hat if isinstance(alloc, RelaxedAllocation) else alloc
     if not isinstance(t, Tensor):
         t = tensor(t)
     if t.ndim != 2:
@@ -142,15 +98,18 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
     return np.floor(values + 0.5)
 
 
-def harden(alloc: RelaxedAllocation | Tensor | np.ndarray) -> BinaryAllocation:
-    """Round every cell at threshold 0.5 (0.5 rounds up)."""
-    if isinstance(alloc, RelaxedAllocation):
-        values = alloc.z_hat.data
-    elif isinstance(alloc, Tensor):
-        values = alloc.data
-    else:
-        values = np.asarray(alloc, dtype=np.float64)
-    return BinaryAllocation(_round_half_up(values).astype(np.int64))
+def harden(values: Tensor | np.ndarray) -> np.ndarray:
+    """Round every cell at threshold 0.5 (0.5 rounds up) into an int64 0/1 array."""
+    data = values.data if isinstance(values, Tensor) else np.asarray(values, dtype=np.float64)
+    return _round_half_up(data).astype(np.int64)
+
+
+def as_binary(z) -> np.ndarray:
+    """A 0/1 matrix from outside the program as an int64 array; any other entry is rejected."""
+    b = np.asarray(z)
+    if not np.isin(b, (0, 1)).all():
+        raise DomainError("binary allocation entries must be 0 or 1")
+    return b.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +156,12 @@ def metric_usage(z_hat) -> float:
 # serialisation
 
 
-def hardened_to_csv(binary: BinaryAllocation, task_names: list[str]) -> str:
-    if len(task_names) != binary.b.shape[0]:
+def hardened_to_csv(binary: np.ndarray, task_names: list[str]) -> str:
+    if len(task_names) != binary.shape[0]:
         raise ShapeError("one task name per row is required")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task"] + [f"skill_{j}" for j in range(binary.b.shape[1])])
-    for name, row in zip(task_names, binary.b):
+    writer.writerow(["task"] + [f"skill_{j}" for j in range(binary.shape[1])])
+    for name, row in zip(task_names, binary):
         writer.writerow([name] + [int(v) for v in row])
     return buf.getvalue()

@@ -3,8 +3,7 @@
 Every differentiable operation appends one node to the active tape in
 execution order, so the record is already topologically sorted and
 ``backward`` is a single reverse sweep that touches each node exactly once.
-Training code resets the tape once per step (``reset_tape``); ``fresh_tape``
-scopes a private tape for things like gradient checks.
+Training code resets the tape once per step (``reset_tape``).
 
 ``apply_op`` is the one way to record a node. Besides the small generic ops
 below, the model's hot chains record through it as fused ops with
@@ -73,9 +72,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # Arithmetic sugar; python scalars are wrapped as constant tensors.
     def __add__(self, other):
         return add(self, other)
@@ -93,12 +89,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
@@ -107,9 +97,6 @@ class Tensor:
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -157,17 +144,6 @@ def active_tape() -> Tape:
 
 def reset_tape() -> None:
     _tape.reset()
-
-
-@contextmanager
-def fresh_tape() -> Iterator[Tape]:
-    """Swap in a private tape; the previous one is restored on exit."""
-    global _tape
-    prev, _tape = _tape, Tape()
-    try:
-        yield _tape
-    finally:
-        _tape = prev
 
 
 @contextmanager
@@ -287,18 +263,6 @@ def mul(a, b) -> Tensor:
     return apply_op((a, b), ad * bd, vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a.shape, b.shape)
-    ad, bd = a.data, b.data
-    out = ad / bd
-
-    def vjp(g: Array):
-        return _unbroadcast(g / bd, a.shape), _unbroadcast(-g * out / bd, b.shape)
-
-    return apply_op((a, b), out, vjp)
-
-
 # ---------------------------------------------------------------------------
 # matmul / structural ops
 
@@ -390,19 +354,6 @@ def relu(x: Tensor) -> Tensor:
     return apply_op((x,), x.data * gate, vjp)
 
 
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) computed without overflow."""
-    x = _as_tensor(x)
-    xd = x.data
-    out = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
-    s = expit(xd)
-
-    def vjp(g: Array):
-        return (g * s,)
-
-    return apply_op((x,), out, vjp)
-
-
 def lgamma(x: Tensor) -> Tensor:
     """log Gamma(x) for x > 0; derivative is the digamma function."""
     x = _as_tensor(x)
@@ -443,18 +394,6 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
         return (_spread(g, shape, axis, keepdims),)
 
     return apply_op((x,), x.data.sum(axis=axis, keepdims=keepdims), vjp)
-
-
-def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    axis = _checked_axis(axis, x.ndim)
-    shape = x.shape
-    count = x.size if axis is None else shape[axis]
-
-    def vjp(g: Array):
-        return (_spread(g, shape, axis, keepdims) / count,)
-
-    return apply_op((x,), x.data.mean(axis=axis, keepdims=keepdims), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -499,36 +438,3 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
             continue
         contribution = np.ascontiguousarray(grad)
         leaf.grad = contribution.copy() if leaf.grad is None else leaf.grad + contribution
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between reverse-mode and central finite differences.
-
-    The relative error per coordinate uses max(|analytic|, |numeric|, 1e-8)
-    as denominator. `f` must map a tensor to a scalar tensor.
-    """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    leaf = Tensor(np.array(x.data, copy=True), requires_grad=True)
-    with fresh_tape() as t:
-        out = f(leaf)
-        if not isinstance(out, Tensor) or out.size != 1:
-            raise ContractError("grad_check requires a scalar-valued function")
-        backward(out, t)
-    analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-
-    numeric = np.zeros_like(analytic)
-    flat_data = leaf.data.reshape(-1)
-    flat_num = numeric.reshape(-1)
-    with no_grad():
-        for k in range(flat_data.size):
-            orig = flat_data[k]
-            flat_data[k] = orig + eps
-            f_plus = f(leaf).item()
-            flat_data[k] = orig - eps
-            f_minus = f(leaf).item()
-            flat_data[k] = orig
-            flat_num[k] = (f_plus - f_minus) / (2.0 * eps)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

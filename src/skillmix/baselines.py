@@ -82,14 +82,3 @@ def hypernet_generate(column: Tensor, hypernet: HyperNet) -> tuple[Tensor, Tenso
     b = reshape(matmul(hypernet.w2_b, hidden_b), (hypernet.rank, hypernet.in_dim))
     return a, b
 
-
-def param_count_hypernet(layers: int, hidden: int, embed_dim: int) -> int:
-    """Parameters added by generators over `layers` blocks of 4 square projections.
-
-    Counts generators producing rank-`embed_dim` adapters for [hidden, hidden]
-    projections: per projection 2 * (embed_dim^2) + 2 * (hidden * embed_dim^2)
-    collapses to (2 * hidden * embed_dim + 2 * embed_dim) * embed_dim.
-    """
-    if min(layers, hidden, embed_dim) < 1:
-        raise ContractError("layers, hidden and embed_dim must be >= 1")
-    return 4 * layers * (2 * hidden * embed_dim + 2 * embed_dim) * embed_dim

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import BinaryAllocation, harden
+from .allocation import harden
 from .config import parse_config
 from .errors import ConfigError
 from .experiment import (
@@ -67,9 +67,12 @@ def _parse_grid(spec: str | None) -> list[int] | None:
         return None
     body = spec.split("=", 1)[1] if "=" in spec else spec
     try:
-        return [int(v) for v in body.split(",") if v]
+        grid = [int(v) for v in body.split(",") if v]
     except ValueError:
         raise ConfigError("--grid", f"could not parse grid '{spec}'") from None
+    if not grid:
+        raise ConfigError("--grid", "needs at least one skill count")
+    return grid
 
 
 def _cmd_run(args) -> int:
@@ -109,7 +112,7 @@ def _cmd_export_hierarchy(args) -> int:
     if doc.get("logits") is not None:
         matrix = harden(1.0 / (1.0 + np.exp(-np.asarray(doc["logits"], dtype=np.float64))))
     else:
-        matrix = BinaryAllocation(np.asarray(doc["matrix"]))
+        matrix = doc["matrix"]
     groups = export_hierarchy(matrix, doc["tasks"])
     text = render_hierarchy_text(groups)
     if args.out:

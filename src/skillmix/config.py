@@ -1,8 +1,10 @@
 """Experiment configuration: strict parsing, typed defaults, hashing.
 
 Unknown keys are rejected rather than ignored; a silently dropped typo is
-the most expensive way to lose an experiment. All defaults are the standard
-training settings used throughout the test suite.
+the most expensive way to lose an experiment. Value checks run where a
+config is built (`__post_init__`), so every point of a sweep or comparison
+is checked before its first run. All defaults are the standard training
+settings used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -36,6 +38,22 @@ class WorldConfig:
     skills_per_task_max: int = 3
     holdout_tasks: int = 4
     task_kind: str = "regression"
+
+    def __post_init__(self):
+        if self.num_tasks < 1:
+            raise ConfigError("world.num_tasks", "must be >= 1")
+        if self.num_true_skills < 1 or self.num_true_skills > self.num_tasks:
+            raise ConfigError("world.num_true_skills", "must lie in [1, num_tasks]")
+        if not 1 <= self.skills_per_task_min <= self.skills_per_task_max <= self.num_true_skills:
+            raise ConfigError("world.skills_per_task_min", "range must satisfy 1 <= min <= max <= num_true_skills")
+        if self.noise_sigma < 0:
+            raise ConfigError("world.noise_sigma", "must be >= 0")
+        if self.holdout_tasks < 0:
+            raise ConfigError("world.holdout_tasks", "must be >= 0")
+        if self.task_kind not in TASK_KINDS:
+            raise ConfigError("world.task_kind", f"must be one of {TASK_KINDS}")
+        if self.examples_per_task < 1:
+            raise ConfigError("world.examples_per_task", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,70 @@ class ExperimentConfig:
     expert_table: object = None  # None | "planted" | {"tasks": {...}, "num_skills": k}
     sweep_grid: tuple[int, ...] = SWEEP_GRID_DEFAULT
     output_dir: str | None = None
+
+    def __post_init__(self):
+        if self.model_kind not in MODEL_KINDS:
+            raise ConfigError("model_kind", f"must be one of {MODEL_KINDS}")
+        if self.parameterisation not in PARAMETERISATIONS:
+            raise ConfigError("parameterisation", f"must be one of {PARAMETERISATIONS}")
+        if self.allocation_mode not in ALLOCATION_MODES:
+            raise ConfigError("allocation_mode", f"must be one of {ALLOCATION_MODES}")
+        if self.adapt_mode not in ADAPT_MODES:
+            raise ConfigError("adapt_mode", f"must be one of {ADAPT_MODES}")
+        if self.num_skills < 1:
+            raise ConfigError("num_skills", "must be >= 1")
+        if not 0.0 <= self.sparsity < 1.0:
+            raise ConfigError("sparsity", "must lie in [0, 1)")
+        if self.rank < 1:
+            raise ConfigError("rank", "must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError("hidden_dim", "must be >= 1")
+        if self.tau <= 0:
+            raise ConfigError("tau", "must be positive")
+        if self.tau_final is not None and self.tau_final <= 0:
+            raise ConfigError("tau_final", "must be positive")
+        if self.lr_z <= 0:
+            raise ConfigError("lr_z", "must be positive")
+        if self.lr_phi <= 0:
+            raise ConfigError("lr_phi", "must be positive")
+        if self.lr_z < self.lr_phi:
+            raise ConfigError("lr_z", "two-speed training requires lr_z >= lr_phi")
+        if self.ibp_alpha <= 0:
+            raise ConfigError("ibp_alpha", "must be positive")
+        if self.ibp_strength < 0:
+            raise ConfigError("ibp_strength", "must be >= 0")
+        if self.steps < 0:
+            raise ConfigError("steps", "must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size", "must be >= 1")
+        if self.eval_every < 1:
+            raise ConfigError("eval_every", "must be >= 1")
+        if not 0.0 < self.loss_threshold_frac <= 1.0:
+            raise ConfigError("loss_threshold_frac", "must lie in (0, 1]")
+        if not 0 <= self.k_shot <= MAX_FEW_SHOT:
+            raise ConfigError("k_shot", f"must lie in [0, {MAX_FEW_SHOT}]")
+        if self.adaptation_steps < 0:
+            raise ConfigError("adaptation_steps", "must be >= 0")
+        if self.adaptation_batch_size < 1:
+            raise ConfigError("adaptation_batch_size", "must be >= 1")
+        if self.adaptation_resamples < 1:
+            raise ConfigError("adaptation_resamples", "must be >= 1")
+        if self.embedding_dim < 1:
+            raise ConfigError("embedding_dim", "must be >= 1")
+        if not self.sweep_grid or any(n < 1 for n in self.sweep_grid):
+            raise ConfigError("sweep_grid", "must be a non-empty list of skill counts >= 1")
+        if self.freeze_allocation is not None:
+            if self.freeze_allocation not in ("identity", "ones") and not isinstance(self.freeze_allocation, list):
+                raise ConfigError("freeze_allocation", "must be null, 'identity', 'ones' or a 0/1 matrix")
+            if isinstance(self.freeze_allocation, list):
+                _validate_frozen_matrix(self.freeze_allocation, self.world.num_tasks)
+        if self.expert_table is not None:
+            if self.expert_table != "planted":
+                if not isinstance(self.expert_table, dict) or "tasks" not in self.expert_table or "num_skills" not in self.expert_table:
+                    raise ConfigError("expert_table", "must be null, 'planted' or {tasks, num_skills}")
+                _validate_expert_table(self.expert_table, self.world)
+        if self.model_kind == "expert" and self.expert_table is None:
+            raise ConfigError("expert_table", "required when model_kind is 'expert'")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
@@ -110,22 +192,7 @@ def _parse_world(doc: dict) -> WorldConfig:
         if key not in known:
             raise ConfigError(f"world.{key}", "unknown key")
     values = {k: _typed(f"world.{k}", doc[k], known[k]) if k in doc else known[k] for k in known}
-    world = WorldConfig(**values)
-    if world.num_tasks < 1:
-        raise ConfigError("world.num_tasks", "must be >= 1")
-    if world.num_true_skills < 1 or world.num_true_skills > world.num_tasks:
-        raise ConfigError("world.num_true_skills", "must lie in [1, num_tasks]")
-    if not 1 <= world.skills_per_task_min <= world.skills_per_task_max <= world.num_true_skills:
-        raise ConfigError("world.skills_per_task_min", "range must satisfy 1 <= min <= max <= num_true_skills")
-    if world.noise_sigma < 0:
-        raise ConfigError("world.noise_sigma", "must be >= 0")
-    if world.holdout_tasks < 0:
-        raise ConfigError("world.holdout_tasks", "must be >= 0")
-    if world.task_kind not in TASK_KINDS:
-        raise ConfigError("world.task_kind", f"must be one of {TASK_KINDS}")
-    if world.examples_per_task < 1:
-        raise ConfigError("world.examples_per_task", "must be >= 1")
-    return world
+    return WorldConfig(**values)
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
@@ -156,72 +223,7 @@ def parse_config_dict(doc: dict) -> ExperimentConfig:
         else:
             values[f.name] = _typed(f.name, raw, getattr(defaults, f.name))
 
-    config = ExperimentConfig(**values)
-    _validate(config)
-    return config
-
-
-def _validate(c: ExperimentConfig) -> None:
-    if c.model_kind not in MODEL_KINDS:
-        raise ConfigError("model_kind", f"must be one of {MODEL_KINDS}")
-    if c.parameterisation not in PARAMETERISATIONS:
-        raise ConfigError("parameterisation", f"must be one of {PARAMETERISATIONS}")
-    if c.allocation_mode not in ALLOCATION_MODES:
-        raise ConfigError("allocation_mode", f"must be one of {ALLOCATION_MODES}")
-    if c.adapt_mode not in ADAPT_MODES:
-        raise ConfigError("adapt_mode", f"must be one of {ADAPT_MODES}")
-    if c.num_skills < 1:
-        raise ConfigError("num_skills", "must be >= 1")
-    if not 0.0 <= c.sparsity < 1.0:
-        raise ConfigError("sparsity", "must lie in [0, 1)")
-    if c.rank < 1:
-        raise ConfigError("rank", "must be >= 1")
-    if c.hidden_dim < 1:
-        raise ConfigError("hidden_dim", "must be >= 1")
-    if c.tau <= 0:
-        raise ConfigError("tau", "must be positive")
-    if c.tau_final is not None and c.tau_final <= 0:
-        raise ConfigError("tau_final", "must be positive")
-    if c.lr_z <= 0:
-        raise ConfigError("lr_z", "must be positive")
-    if c.lr_phi <= 0:
-        raise ConfigError("lr_phi", "must be positive")
-    if c.lr_z < c.lr_phi:
-        raise ConfigError("lr_z", "two-speed training requires lr_z >= lr_phi")
-    if c.ibp_alpha <= 0:
-        raise ConfigError("ibp_alpha", "must be positive")
-    if c.ibp_strength < 0:
-        raise ConfigError("ibp_strength", "must be >= 0")
-    if c.steps < 0:
-        raise ConfigError("steps", "must be >= 0")
-    if c.batch_size < 1:
-        raise ConfigError("batch_size", "must be >= 1")
-    if c.eval_every < 1:
-        raise ConfigError("eval_every", "must be >= 1")
-    if not 0.0 < c.loss_threshold_frac <= 1.0:
-        raise ConfigError("loss_threshold_frac", "must lie in (0, 1]")
-    if not 0 <= c.k_shot <= MAX_FEW_SHOT:
-        raise ConfigError("k_shot", f"must lie in [0, {MAX_FEW_SHOT}]")
-    if c.adaptation_steps < 0:
-        raise ConfigError("adaptation_steps", "must be >= 0")
-    if c.adaptation_batch_size < 1:
-        raise ConfigError("adaptation_batch_size", "must be >= 1")
-    if c.adaptation_resamples < 1:
-        raise ConfigError("adaptation_resamples", "must be >= 1")
-    if c.embedding_dim < 1:
-        raise ConfigError("embedding_dim", "must be >= 1")
-    if c.freeze_allocation is not None:
-        if c.freeze_allocation not in ("identity", "ones") and not isinstance(c.freeze_allocation, list):
-            raise ConfigError("freeze_allocation", "must be null, 'identity', 'ones' or a 0/1 matrix")
-        if isinstance(c.freeze_allocation, list):
-            _validate_frozen_matrix(c.freeze_allocation, c.world.num_tasks)
-    if c.expert_table is not None:
-        if c.expert_table != "planted":
-            if not isinstance(c.expert_table, dict) or "tasks" not in c.expert_table or "num_skills" not in c.expert_table:
-                raise ConfigError("expert_table", "must be null, 'planted' or {tasks, num_skills}")
-            _validate_expert_table(c.expert_table, c.world)
-    if c.model_kind == "expert" and c.expert_table is None:
-        raise ConfigError("expert_table", "required when model_kind is 'expert'")
+    return ExperimentConfig(**values)
 
 
 def _is_int(value) -> bool:

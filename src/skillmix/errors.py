@@ -26,7 +26,7 @@ class GenerationError(RuntimeError):
 
 
 class TaskLookupError(KeyError):
-    """Unknown task id without a fresh-task registration."""
+    """Task index outside the tasks a model was built with or has registered since."""
 
 
 class ConfigError(ValueError):

@@ -1,9 +1,11 @@
 """Experiment orchestration: run, persist, sweep, compare, export.
 
 A run directory is content-addressed by the config hash and contains
-config.json, history.csv, allocation_layer_*.json (+ hardened CSVs),
-summary.json and hierarchy exports. summary.json is byte-reproducible from
-the config alone; wall-clock timing lives in a separate timing.json so the
+config.json, world.json (the planted allocation and task ids),
+history.csv, allocation_layer_*.json (+ hardened CSVs), hierarchy.json
+and hierarchy.txt, summary.json and timing.json. summary.json is
+byte-reproducible from the config alone; wall-clock timing lives in the
+separate timing.json, written only after a run that did not fail, so the
 reproducibility contract stays exact.
 """
 
@@ -14,13 +16,13 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .allocation import (
-    BinaryAllocation,
+    as_binary,
     harden,
     hardened_to_csv,
     metric_discreteness,
@@ -215,9 +217,9 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
 # hierarchy export
 
 
-def export_hierarchy(z: BinaryAllocation | np.ndarray, task_names: list[str]) -> dict[str, list[str]]:
+def export_hierarchy(z: np.ndarray, task_names: list[str]) -> dict[str, list[str]]:
     """Group tasks by identical allocation rows, keyed by the row bitstring."""
-    binary = z.b if isinstance(z, BinaryAllocation) else BinaryAllocation(np.asarray(z)).b
+    binary = as_binary(z)
     groups: dict[str, list[str]] = {}
     for name, row in zip(task_names, binary):
         key = "".join(str(int(v)) for v in row)
@@ -302,18 +304,18 @@ def emit_plot_data(run_dirs: list[str | Path], out_dir: str | Path) -> tuple[Pat
 
 
 def run_sweep(config: ExperimentConfig, grid: list[int] | None = None, overwrite: bool = True) -> list[RunRecord]:
-    grid = list(config.sweep_grid) if grid is None else list(grid)
-    records = []
-    for num_skills in grid:
-        records.append(run_experiment(config.replace(num_skills=num_skills), overwrite=overwrite))
+    """One run per inventory size; every point's config is built, hence checked, before the first run."""
+    grid = config.sweep_grid if grid is None else grid
+    points = [config.replace(num_skills=num_skills) for num_skills in grid]
+    records = [run_experiment(point, overwrite=overwrite) for point in points]
     _write_group_table(config, records, "sweep_metrics.csv")
     return records
 
 
 def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = True) -> list[RunRecord]:
-    records = []
-    for kind in kinds:
-        records.append(run_experiment(config.replace(model_kind=kind), overwrite=overwrite))
+    """One run per model kind on one world; every kind's config is checked before the first run."""
+    points = [config.replace(model_kind=kind) for kind in kinds]
+    records = [run_experiment(point, overwrite=overwrite) for point in points]
     _write_group_table(config, records, "compare_table.csv")
     return records
 

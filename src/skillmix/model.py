@@ -31,7 +31,6 @@ import numpy as np
 
 from . import skills as sk
 from .allocation import (
-    AllocationLogits,
     expected_allocation,
     gumbel_sigmoid_sample,
     init_logits,
@@ -130,15 +129,11 @@ class HypernetLayer:
 # allocation state
 
 
-def _learnable(block) -> bool:
-    return isinstance(block, AllocationLogits)
-
-
 class AllocationState:
     """One allocation matrix per layer (`per_layer`) or one for all layers (`global`).
 
-    Each matrix is learnable logits (`AllocationLogits`) or a fixed 0/1
-    array. A new task appends one [1, S] row per matrix, learnable or fixed
+    Each matrix is learnable logits (a `Tensor`) or a fixed 0/1 array. A
+    new task appends one [1, S] row per matrix, learnable or fixed
     independently of the matrix, so a frozen skilled model adapts a learned
     row over its fixed inventory.
     """
@@ -147,8 +142,7 @@ class AllocationState:
         self.matrices = matrices
         self.num_layers = num_layers
         self.tau = float(tau)
-        first = matrices[0].z.data if _learnable(matrices[0]) else matrices[0]
-        self.num_base_tasks, self.num_skills = first.shape
+        self.num_base_tasks, self.num_skills = matrices[0].shape
         self.extra_rows: list[list] = []  # per new task, one [1, S] row per matrix
 
     @property
@@ -161,10 +155,7 @@ class AllocationState:
     def add_task(self, bits=None) -> int:
         """A new task: learnable rows initialised at 0 when `bits` is None, else the fixed row."""
         if bits is None:
-            rows = [
-                AllocationLogits(zeros((1, self.num_skills), requires_grad=True))
-                for _ in self.matrices
-            ]
+            rows = [zeros((1, self.num_skills), requires_grad=True) for _ in self.matrices]
         else:
             row = np.asarray(bits, dtype=np.float64).reshape(1, -1)
             if row.shape[1] != self.num_skills:
@@ -182,7 +173,7 @@ class AllocationState:
         self.num_skills += 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
-        return [row.z for row in self.extra_rows[task - self.num_base_tasks] if _learnable(row)]
+        return [row for row in self.extra_rows[task - self.num_base_tasks] if isinstance(row, Tensor)]
 
     def rows_for_step(self, task: int, train: bool, rng, tau: float | None = None):
         """Per-layer simplex weight rows plus the relaxed base matrices.
@@ -200,7 +191,7 @@ class AllocationState:
             blocks, index = self.extra_rows[task - self.num_base_tasks], 0
         per_matrix, relaxed_mats = [], []
         for block in blocks:
-            if not _learnable(block):
+            if not isinstance(block, Tensor):
                 row = block[index]
                 per_matrix.append(tensor(row / row.sum()))
                 continue
@@ -218,18 +209,18 @@ class AllocationState:
         i = self._matrix_index(layer)
         blocks = [self.matrices[i]] + [rows[i] for rows in self.extra_rows]
         return np.concatenate(
-            [expected_allocation(b, self.tau).z_hat.data if _learnable(b) else b for b in blocks],
+            [expected_allocation(b, self.tau).data if isinstance(b, Tensor) else b for b in blocks],
             axis=0,
         )
 
     def logits(self, layer: int) -> np.ndarray | None:
         """The learnable base logits behind a layer; None for a fixed matrix."""
         block = self.matrices[self._matrix_index(layer)]
-        return block.z.data if _learnable(block) else None
+        return block.data if isinstance(block, Tensor) else None
 
     def z_parameters(self) -> list[Tensor]:
         blocks = self.matrices + [row for rows in self.extra_rows for row in rows]
-        return [block.z for block in blocks if _learnable(block)]
+        return [block for block in blocks if isinstance(block, Tensor)]
 
 
 # ---------------------------------------------------------------------------

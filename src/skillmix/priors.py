@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 from scipy.special import gammaln
 
-from .allocation import BinaryAllocation, RelaxedAllocation, harden
+from .allocation import as_binary, harden
 from .autodiff import Tensor, add, lgamma, mul, neg, reduce_sum, scalar, sub, tensor
 from .errors import DomainError
 
@@ -39,7 +39,7 @@ def _history_log_term(binary: np.ndarray) -> float:
     return math.fsum(gammaln(c + 1.0) for c in counts.values())
 
 
-def ibp_log_prob(z: BinaryAllocation | np.ndarray, alpha: float) -> float:
+def ibp_log_prob(z: np.ndarray, alpha: float) -> float:
     """Log-density of a binary task-skill matrix under the buffet-process prior.
 
     Columns whose sum is zero denote unused skills; the prior is a
@@ -50,7 +50,7 @@ def ibp_log_prob(z: BinaryAllocation | np.ndarray, alpha: float) -> float:
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    binary = z.b if isinstance(z, BinaryAllocation) else BinaryAllocation(np.asarray(z)).b
+    binary = as_binary(z)
     num_tasks = binary.shape[0]
     column_sums = binary.sum(axis=0)
     active = column_sums > 0
@@ -63,7 +63,7 @@ def ibp_log_prob(z: BinaryAllocation | np.ndarray, alpha: float) -> float:
     return value
 
 
-def relaxed_ibp_log_prob(z_hat: RelaxedAllocation | Tensor, alpha: float) -> Tensor:
+def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
     """Differentiable continuation of the log-density on a relaxed matrix.
 
     Column sums use the continuous values; the factorials become log-gamma.
@@ -73,9 +73,8 @@ def relaxed_ibp_log_prob(z_hat: RelaxedAllocation | Tensor, alpha: float) -> Ten
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    t = z_hat.z_hat if isinstance(z_hat, RelaxedAllocation) else z_hat
-    num_tasks, num_skills = t.shape
-    hardened = harden(t.data).b
+    num_tasks = z_hat.shape[0]
+    hardened = harden(z_hat)
     active = hardened.sum(axis=0) > 0
 
     constant = float(active.sum()) * math.log(alpha)
@@ -84,7 +83,7 @@ def relaxed_ibp_log_prob(z_hat: RelaxedAllocation | Tensor, alpha: float) -> Ten
     constant -= float(active.sum()) * float(gammaln(num_tasks + 1.0))
 
     gate = active.astype(np.float64)
-    column_mass = reduce_sum(t, axis=0)
+    column_mass = reduce_sum(z_hat, axis=0)
     # Inactive columns are gated out below; shift their mass to 1 first so
     # lgamma stays inside its domain when the input is exactly binary.
     safe_mass = add(column_mass, tensor(1.0 - gate))
@@ -96,7 +95,7 @@ def relaxed_ibp_log_prob(z_hat: RelaxedAllocation | Tensor, alpha: float) -> Ten
     return add(reduce_sum(gated), scalar(constant))
 
 
-def ibp_regularizer(z_hat: RelaxedAllocation | Tensor, alpha: float, strength: float) -> Tensor:
+def ibp_regularizer(z_hat: Tensor, alpha: float, strength: float) -> Tensor:
     """Loss term -strength * relaxed log-density; strength 0 contributes nothing."""
     if strength < 0:
         raise DomainError("strength must be non-negative")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .allocation import BinaryAllocation
+from .allocation import as_binary
 from .errors import ContractError
 
 
@@ -21,12 +21,6 @@ from .errors import ContractError
 class RecoveryScore:
     best_permutation: tuple[int, ...]  # learned column index per true column
     cell_accuracy: float
-
-
-def _as_binary(z) -> np.ndarray:
-    if isinstance(z, BinaryAllocation):
-        return z.b
-    return BinaryAllocation(np.asarray(z)).b
 
 
 def _agreement_matrix(learned: np.ndarray, true: np.ndarray) -> np.ndarray:
@@ -49,7 +43,7 @@ def skill_recovery_score(learned, true) -> RecoveryScore:
     remaining rows and columns checks each candidate. The result is the
     lexicographically first optimal permutation.
     """
-    learned_b, true_b = _as_binary(learned), _as_binary(true)
+    learned_b, true_b = as_binary(learned), as_binary(true)
     if learned_b.shape[0] != true_b.shape[0]:
         raise ContractError("learned and true matrices must cover the same tasks")
     if learned_b.shape[1] < true_b.shape[1]:

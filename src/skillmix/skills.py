@@ -227,9 +227,3 @@ def freeze_mask(skills: DenseSkills, phi_initial: np.ndarray) -> None:
     """Select and freeze the mask from the warm-up change |phi - phi_initial|."""
     skills.mask = select_sparse_mask(phi_initial, skills.phi.data, skills.keep_per_skill)
 
-
-def param_count_lora(layers: int, hidden: int, rank: int, num_tasks: int, num_skills: int) -> int:
-    """Parameters added by low-rank skills over `layers` blocks of 4 projections."""
-    if min(layers, hidden, rank, num_skills) < 1 or num_tasks < 0:
-        raise ContractError("layers, hidden, rank, num_skills must be >= 1 and num_tasks >= 0")
-    return 4 * layers * (2 * hidden * rank + num_tasks) * num_skills

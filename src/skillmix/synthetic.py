@@ -87,7 +87,6 @@ def generate_synthetic_benchmark(
     skills_per_task_range: tuple[int, int] = (1, 3),
     holdout_tasks: int = 0,
     task_kind: str = "regression",
-    dev_examples: int | None = None,
     eval_examples: int | None = None,
 ) -> tuple[SyntheticWorld, list[TaskSpec]]:
     """Plant a skill inventory and emit train tasks plus recombinable held-out tasks.
@@ -131,7 +130,7 @@ def generate_synthetic_benchmark(
 
     world = SyntheticWorld(true_z, skills, base, float(noise_sigma), int(seed))
 
-    n_dev = dev_examples if dev_examples is not None else max(16, examples_per_task // 4)
+    n_dev = max(16, examples_per_task // 4)
     n_eval = eval_examples if eval_examples is not None else max(64, examples_per_task)
     total = examples_per_task + n_dev + n_eval
 
@@ -166,10 +165,3 @@ def generate_synthetic_benchmark(
         )
     return world, tasks
 
-
-def oracle_mse(world: SyntheticWorld, task_row: int, task: TaskSpec, split: str = "train") -> float:
-    """Mean squared error of the planted predictor; 0 on noiseless regression."""
-    x = getattr(task, f"x_{split}")
-    y = getattr(task, f"y_{split}")
-    pred = x @ world.oracle_weights(task_row)
-    return float(np.mean((pred - y[:, 0]) ** 2))

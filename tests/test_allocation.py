@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from skillmix import autodiff as ad
 from skillmix.allocation import (
-    AllocationLogits,
-    BinaryAllocation,
+    UNIFORM_EPS,
+    as_binary,
     expected_allocation,
     gumbel_sigmoid_sample,
     harden,
@@ -22,9 +23,14 @@ from skillmix.allocation import (
     metric_usage,
     normalize_rows,
 )
+from skillmix.cli import EXIT_RUN, main
 from skillmix.errors import DegenerateMatrixError, DomainError, ShapeError
+from skillmix.experiment import export_hierarchy
+from skillmix.priors import ibp_log_prob
+from skillmix.recovery import skill_recovery_score
 
 import unfused
+from gradcheck import grad_check
 
 unit_matrices = arrays(
     np.float64,
@@ -46,12 +52,13 @@ def clean_tape():
 
 def test_init_logits_constant_fill():
     logits = init_logits(2, 3, 0.0)
-    assert logits.z.data.tolist() == [[0.0] * 3] * 2
-    assert init_logits(1, 1, 2.0).z.data.tolist() == [[2.0]]
+    assert logits.data.tolist() == [[0.0] * 3] * 2
+    assert logits.requires_grad
+    assert init_logits(1, 1, 2.0).data.tolist() == [[2.0]]
 
 
 def test_init_zero_means_half_probability():
-    probs = expected_allocation(init_logits(3, 4), tau=1.0).z_hat.data
+    probs = expected_allocation(init_logits(3, 4), tau=1.0).data
     assert np.all(probs == 0.5)
 
 
@@ -62,11 +69,6 @@ def test_init_logits_rejects_zero_counts():
         init_logits(3, 0)
 
 
-def test_logits_must_be_finite():
-    with pytest.raises(DomainError):
-        AllocationLogits(ad.tensor([[np.inf]]))
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -75,31 +77,32 @@ def test_sample_zero_logit_unit_tau_reproduces_the_draw():
     # At z = 0 and tau = 1 the relaxed sample equals the uniform draw itself.
     logits = init_logits(4, 5, 0.0)
     sample = gumbel_sigmoid_sample(logits, 1.0, seed=3)
-    assert np.allclose(sample.z_hat.data, sample.draws, atol=1e-12)
+    draws = np.clip(np.random.default_rng(3).uniform(size=(4, 5)), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+    assert np.allclose(sample.data, draws, atol=1e-12)
 
 
 def test_sample_at_half_draw_is_sigmoid_of_scaled_logit():
     logits = init_logits(1, 1, 2.0)
     relaxed = expected_allocation(logits, tau=1.0)
-    assert relaxed.z_hat.data[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
-    assert expected_allocation(init_logits(1, 1, 4.0), tau=2.0).z_hat.data[0, 0] == pytest.approx(
+    assert relaxed.data[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
+    assert expected_allocation(init_logits(1, 1, 4.0), tau=2.0).data[0, 0] == pytest.approx(
         0.8807970779778823, abs=1e-12
     )
 
 
 def test_small_tau_sharpens_expected_allocation():
-    assert expected_allocation(init_logits(1, 1, 1.0), tau=1e-3).z_hat.data[0, 0] > 1.0 - 1e-12
+    assert expected_allocation(init_logits(1, 1, 1.0), tau=1e-3).data[0, 0] > 1.0 - 1e-12
 
 
 def test_sample_entries_strictly_inside_unit_interval():
     sample = gumbel_sigmoid_sample(init_logits(8, 8, 0.0), 0.5, seed=0)
-    assert np.all(sample.z_hat.data > 0.0) and np.all(sample.z_hat.data < 1.0)
+    assert np.all(sample.data > 0.0) and np.all(sample.data < 1.0)
 
 
 def test_sample_reproducible_from_seed():
     a = gumbel_sigmoid_sample(init_logits(3, 3), 1.0, seed=11)
     b = gumbel_sigmoid_sample(init_logits(3, 3), 1.0, seed=11)
-    assert np.array_equal(a.z_hat.data, b.z_hat.data)
+    assert np.array_equal(a.data, b.data)
 
 
 def test_nonpositive_tau_rejected():
@@ -117,7 +120,7 @@ def test_hard_threshold_law(z, tau):
     n = 10_000
     logits = init_logits(1, n, z)
     sample = gumbel_sigmoid_sample(logits, tau, seed=hash((z, tau)) % 2**32)
-    freq = float((sample.z_hat.data > 0.5).mean())
+    freq = float((sample.data > 0.5).mean())
     p = 1.0 / (1.0 + math.exp(-z))
     stderr = math.sqrt(p * (1 - p) / n)
     assert abs(freq - p) <= 3 * stderr
@@ -128,9 +131,9 @@ def test_sampled_gradient_matches_finite_differences_with_fixed_draw():
     start = rng.standard_normal((3, 4))
 
     def f(z):
-        return ad.reduce_sum(gumbel_sigmoid_sample(AllocationLogits(z), 0.7, seed=5).z_hat)
+        return ad.reduce_sum(gumbel_sigmoid_sample(z, 0.7, seed=5))
 
-    assert ad.grad_check(f, ad.tensor(start)) < 1e-4
+    assert grad_check(f, ad.tensor(start)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def test_normalize_rows_sums_to_one_and_scales(matrix, scale):
 @given(st.integers(1, 5), st.integers(1, 5), st.floats(0.5, 3.0), st.integers(0, 10_000))
 def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, tau, seed):
     rng = np.random.default_rng(seed)
-    logits = AllocationLogits(ad.tensor(rng.standard_normal((num_tasks, num_skills)), requires_grad=True))
+    logits = ad.tensor(rng.standard_normal((num_tasks, num_skills)), requires_grad=True)
     task = int(rng.integers(num_tasks))
     probe = rng.standard_normal(num_skills)
     results = []
@@ -187,21 +190,21 @@ def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, 
         (unfused.gumbel_sigmoid_sample, lambda t, i: ad.take_row(unfused.normalize_rows(t), i)),
     ]:
         ad.reset_tape()
-        logits.z.grad = None
+        logits.grad = None
         relaxed = draw(logits, tau, np.random.default_rng(seed))
-        row = row_of(relaxed.z_hat, task)
+        row = row_of(relaxed, task)
         # A second consumer of the matrix, as the prior is, recorded after the row.
-        loss = ad.add(ad.reduce_sum(ad.mul(row, ad.tensor(probe))), ad.reduce_sum(ad.lgamma(relaxed.z_hat)))
+        loss = ad.add(ad.reduce_sum(ad.mul(row, ad.tensor(probe))), ad.reduce_sum(ad.lgamma(relaxed)))
         ad.backward(loss)
-        results.append((relaxed.z_hat.data, row.data, logits.z.grad))
+        results.append((relaxed.data, row.data, logits.grad))
     for got, expected in zip(*results):
         assert np.array_equal(got, expected)
 
 
 def test_harden_rounds_half_up():
-    assert harden(np.array([[0.9, 0.1]])).b.tolist() == [[1, 0]]
-    assert harden(np.array([[0.5]])).b.tolist() == [[1]]
-    assert harden(np.array([[0.4999999]])).b.tolist() == [[0]]
+    assert harden(np.array([[0.9, 0.1]])).tolist() == [[1, 0]]
+    assert harden(np.array([[0.5]])).tolist() == [[1]]
+    assert harden(np.array([[0.4999999]])).tolist() == [[0]]
 
 
 def test_harden_sign_pattern_statistics():
@@ -209,8 +212,7 @@ def test_harden_sign_pattern_statistics():
     # probability sigmoid(3); check the aggregate rate over many cells.
     n = 4000
     logits_data = np.concatenate([np.full((1, n), 3.0), np.full((1, n), -3.0)], axis=0)
-    logits = AllocationLogits(ad.tensor(logits_data))
-    hard = harden(gumbel_sigmoid_sample(logits, 1.0, seed=17)).b
+    hard = harden(gumbel_sigmoid_sample(ad.tensor(logits_data), 1.0, seed=17))
     match = (hard[0] == 1).mean() * 0.5 + (hard[1] == 0).mean() * 0.5
     p = 1.0 / (1.0 + math.exp(-3.0))
     assert abs(match - p) <= 3 * math.sqrt(p * (1 - p) / (2 * n))
@@ -285,11 +287,35 @@ def test_metrics_invariant_under_column_permutation(matrix, rnd):
 
 
 def test_hardened_csv_round_trip():
-    binary = BinaryAllocation(np.array([[1, 0, 1], [0, 1, 1]]))
+    binary = as_binary(np.array([[1, 0, 1], [0, 1, 1]]))
     text = hardened_to_csv(binary, ["t0", "t1"])
     rows = list(csv.reader(io.StringIO(text)))[1:]
     names = [r[0] for r in rows]
-    loaded = BinaryAllocation(np.array([[int(v) for v in r[1:]] for r in rows]))
+    loaded = as_binary(np.array([[int(v) for v in r[1:]] for r in rows]))
     assert names == ["t0", "t1"]
-    assert np.array_equal(loaded.b, binary.b)
+    assert np.array_equal(loaded, binary)
     assert hardened_to_csv(loaded, names) == text
+
+
+# ---------------------------------------------------------------------------
+# the 0/1 check on matrices from outside the program
+
+NON_BINARY = [[1, 0], [2, 1]]
+
+
+@pytest.mark.parametrize("caller", ["ibp_log_prob", "skill_recovery_score", "export_hierarchy", "cli"])
+def test_a_non_binary_matrix_is_rejected(caller, tmp_path, capsys):
+    matrix = np.array(NON_BINARY)
+    if caller == "cli":
+        path = tmp_path / "allocation_layer_0.json"
+        path.write_text(json.dumps({"tasks": ["t0", "t1"], "skills": 2, "layer": 0, "logits": None, "matrix": NON_BINARY}))
+        assert main(["export-hierarchy", str(path)]) == EXIT_RUN
+        assert "0 or 1" in capsys.readouterr().err
+        return
+    call = {
+        "ibp_log_prob": lambda: ibp_log_prob(matrix, 1.0),
+        "skill_recovery_score": lambda: skill_recovery_score(matrix, np.eye(2, dtype=np.int64)),
+        "export_hierarchy": lambda: export_hierarchy(matrix, ["t0", "t1"]),
+    }[caller]
+    with pytest.raises(DomainError, match="0 or 1"):
+        call()

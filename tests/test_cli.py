@@ -55,10 +55,26 @@ def test_existing_run_dir_with_no_overwrite_exits_2(config_file):
     assert main(["run", str(path), "--no-overwrite"]) == EXIT_RUN
 
 
-def test_a_failed_kind_in_compare_exits_2(config_file, capsys):
-    assert main(["compare", str(config_file()), "--kinds", "shared,bogus"]) == EXIT_RUN
-    out = capsys.readouterr().out
-    assert "shared:" in out and "bogus:" in out and "FAILED (multitask_train)" in out
+def test_a_bad_kind_in_compare_exits_1_before_any_run(config_file, tmp_path, capsys):
+    assert main(["compare", str(config_file()), "--kinds", "shared,bogus"]) == EXIT_CONFIG
+    assert "model_kind" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "command,doc,extra",
+    [
+        ("sweep", {**TINY, "sweep_grid": [0, 2]}, []),
+        ("sweep", {**TINY, "sweep_grid": []}, []),
+        ("sweep", TINY, ["--grid", "S=-1"]),
+        ("sweep", TINY, ["--grid", "S="]),
+        ("compare", TINY, ["--kinds", "skilled,expert,bogus"]),
+    ],
+    ids=["grid_has_0", "grid_empty", "flag_grid_negative", "flag_grid_empty", "expert_without_table"],
+)
+def test_a_bad_point_exits_1_before_any_run(config_file, tmp_path, command, doc, extra):
+    assert main([command, str(config_file(doc)), *extra]) == EXIT_CONFIG
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_and_exports_succeed(config_file, tmp_path, capsys):

@@ -165,6 +165,8 @@ def test_k_shot_bound():
         ({"world": {"num_true_skills": 20}}, "world.num_true_skills"),
         ({"world": {"skills_per_task_min": 3, "skills_per_task_max": 2}}, "world.skills_per_task_min"),
         ({"world": {"holdout_tasks": -1}}, "world.holdout_tasks"),
+        ({"sweep_grid": []}, "sweep_grid"),
+        ({"sweep_grid": [0, 2]}, "sweep_grid"),
     ],
 )
 def test_out_of_range_values_are_rejected(doc, key):
@@ -176,6 +178,22 @@ def test_sweep_grid_and_nullable_fields():
     assert config.sweep_grid == (2, 8)
     assert config.tau_final is None and config.output_dir is None
     assert rejected({"sweep_grid": "2,8"}) == "sweep_grid"
+
+
+@pytest.mark.parametrize(
+    "build,key",
+    [
+        (lambda: ExperimentConfig(num_skills=0), "num_skills"),
+        (lambda: ExperimentConfig().replace(model_kind="bogus"), "model_kind"),
+        (lambda: ExperimentConfig().replace(model_kind="expert"), "expert_table"),
+        (lambda: WorldConfig(num_true_skills=2), "world.skills_per_task_min"),
+    ],
+    ids=["constructor", "replace", "replace_needs_table", "world"],
+)
+def test_a_config_is_checked_where_it_is_built(build, key):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert err.value.key == key
 
 
 def test_parse_config_file_errors(tmp_path):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from skillmix import autodiff as ad
-from skillmix.allocation import BinaryAllocation, harden
+from skillmix.allocation import as_binary, harden
 from skillmix.config import MODEL_KINDS, ExperimentConfig, WorldConfig
 from skillmix.errors import ContractError, GenerationError, TrainingDivergedError
 from skillmix.priors import ibp_regularizer
 from skillmix.recovery import RecoveryScore, skill_recovery_score
-from skillmix.synthetic import generate_synthetic_benchmark, oracle_mse
+from skillmix.synthetic import generate_synthetic_benchmark
 from skillmix.trainer import (
     _adaptation_phases,
     build_model_from_config,
@@ -79,16 +79,22 @@ def test_world_satisfies_validity_checker():
             assert a != b
 
 
+def planted_mse(world, task_row, task, split="train"):
+    """Mean squared error of the planted predictor on one split."""
+    x, y = getattr(task, f"x_{split}"), getattr(task, f"y_{split}")
+    return float(np.mean((x @ world.oracle_weights(task_row) - y[:, 0]) ** 2))
+
+
 def test_noiseless_world_is_exactly_realisable():
     world, tasks = make_world()
     for row, task in enumerate(tasks):
-        assert oracle_mse(world, row, task) == 0.0
-        assert oracle_mse(world, row, task, split="eval") == 0.0
+        assert planted_mse(world, row, task) == 0.0
+        assert planted_mse(world, row, task, split="eval") == 0.0
 
 
 def test_noise_breaks_exact_realisability():
     world, tasks = generate_synthetic_benchmark(0, 4, 2, 6, 64, 0.5, (1, 2))
-    assert oracle_mse(world, 0, tasks[0]) > 0.01
+    assert planted_mse(world, 0, tasks[0]) > 0.01
 
 
 def test_single_true_skill_makes_all_tasks_identical():
@@ -226,7 +232,8 @@ def test_nan_loss_aborts_with_diagnostics():
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
     train_tasks[0].x_train[0, 0] = np.inf
-    with pytest.raises(TrainingDivergedError) as err:
+    # The inf input makes a NaN in the first layer's matmul before the loss check sees it.
+    with pytest.raises(TrainingDivergedError) as err, np.errstate(invalid="ignore"):
         multitask_train(small_config(steps=400), train_tasks, world=world)
     assert err.value.task_id == train_tasks[0].id
     assert "loss" in err.value.components
@@ -297,7 +304,7 @@ def test_random_classifier_near_chance():
     )
     cfg = small_config(steps=0, world=WorldConfig(num_tasks=4, num_true_skills=2, input_dim=8,
                                                   examples_per_task=64, holdout_tasks=0,
-                                                  task_kind="classification"))
+                                                  skills_per_task_max=2, task_kind="classification"))
     trained = multitask_train(cfg, tasks[:4], world=world)
     metrics = evaluate(trained.model, 0, tasks[0])
     n = tasks[0].y_eval.shape[0]
@@ -613,6 +620,6 @@ def test_recovery_invariances():
 
 
 def test_recovery_accepts_binary_allocation_objects():
-    true = BinaryAllocation(np.array([[1, 0], [0, 1]]))
+    true = as_binary(np.array([[1, 0], [0, 1]]))
     learned = harden(np.array([[0.9, 0.2], [0.1, 0.8]]))
     assert skill_recovery_score(learned, true).cell_accuracy == 1.0

@@ -3,14 +3,53 @@
 Each function records the op-by-op chain the model used before its hot
 paths became single tape nodes: the dense/sparse composition and affine map,
 the Gumbel draw, the normalised row and the task loss. The equivalence tests
-compare the fused ops against these bit for bit.
+compare the fused ops against these bit for bit. The generic ops only these
+chains need (division, softplus, mean) live here too.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from skillmix import autodiff as ad
-from skillmix.allocation import UNIFORM_EPS, RelaxedAllocation
+from skillmix.allocation import UNIFORM_EPS
 from skillmix.errors import DegenerateMatrixError, ShapeError
+
+
+def div(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._broadcast_check(a.shape, b.shape)
+    num, den = a.data, b.data
+    out = num / den
+
+    def vjp(g):
+        return ad._unbroadcast(g / den, a.shape), ad._unbroadcast(-g * out / den, b.shape)
+
+    return ad.apply_op((a, b), out, vjp)
+
+
+def softplus(x):
+    """log(1 + exp(x)) computed without overflow."""
+    x = ad._as_tensor(x)
+    xd = x.data
+    out = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
+    s = expit(xd)
+
+    def vjp(g):
+        return (g * s,)
+
+    return ad.apply_op((x,), out, vjp)
+
+
+def reduce_mean(x, axis=None, keepdims=False):
+    x = ad._as_tensor(x)
+    axis = ad._checked_axis(axis, x.ndim)
+    shape = x.shape
+    count = x.size if axis is None else shape[axis]
+
+    def vjp(g):
+        return (ad._spread(g, shape, axis, keepdims) / count,)
+
+    return ad.apply_op((x,), x.data.mean(axis=axis, keepdims=keepdims), vjp)
 
 
 def narrow(x, start, length):
@@ -48,11 +87,10 @@ def mixed_affine(x, skills, w, shape):
 
 
 def gumbel_sigmoid_sample(logits, tau, rng):
-    u = rng.uniform(size=logits.z.shape)
+    u = rng.uniform(size=logits.shape)
     u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     noise = np.log(u) - np.log1p(-u)
-    z_hat = ad.sigmoid((logits.z + ad.tensor(noise)) * (1.0 / tau))
-    return RelaxedAllocation(z_hat, float(tau), u)
+    return ad.sigmoid((logits + ad.tensor(noise)) * (1.0 / tau))
 
 
 def normalize_rows(t):
@@ -60,15 +98,15 @@ def normalize_rows(t):
     sums = ad.reduce_sum(t, axis=1, keepdims=True)
     if np.any(sums.data < 1e-12):
         raise DegenerateMatrixError("row sum below 1e-12; cannot normalise")
-    return ad.div(t, sums)
+    return div(t, sums)
 
 
 def task_loss(pred, targets, kind):
     y = ad.tensor(targets)
     if kind == "regression":
         err = ad.sub(pred, y)
-        return ad.reduce_mean(ad.mul(err, err))
-    return ad.reduce_mean(ad.softplus(ad.neg(ad.mul(y, pred))))
+        return reduce_mean(ad.mul(err, err))
+    return reduce_mean(softplus(ad.neg(ad.mul(y, pred))))
 
 
 def skill_forward(model, task, x, rng, tau):
@@ -78,7 +116,7 @@ def skill_forward(model, task, x, rng, tau):
     for block in alloc.matrices:
         relaxed = gumbel_sigmoid_sample(block, tau, rng)
         relaxed_mats.append(relaxed)
-        per_matrix.append(ad.take_row(normalize_rows(relaxed.z_hat), task))
+        per_matrix.append(ad.take_row(normalize_rows(relaxed), task))
     h = x
     for layer_index, layer in enumerate(model.layers):
         w = per_matrix[layer_index if len(per_matrix) > 1 else 0]
