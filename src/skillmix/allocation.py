@@ -35,17 +35,27 @@ def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0) -> Ten
     return full((num_tasks, num_skills), init_value, requires_grad=True)
 
 
-def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike) -> Tensor:
+def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.random.Generator]) -> Tensor:
     """Relaxed Bernoulli sample: sigmoid((z + logit(u)) / tau), u ~ Uniform(0,1).
 
     Reparameterised, so gradients flow to the logits with u held fixed. The
     hardened sample exceeds 0.5 exactly when z + logit(u) > 0, hence
     P(sample > 0.5) = sigmoid(z) for every tau. One tape node; one uniform
-    draw per cell, as the unfused add -> scale -> sigmoid chain drew.
+    draw per cell, as the unfused add -> scale -> sigmoid chain drew
+    (`random` returns the same doubles as `uniform(0, 1)`, faster).
+
+    A stack of replicas' logits [R, ..., S] takes a list of R generators:
+    replica r's cells are drawn from generator r alone, as a draw on its
+    slice would draw them.
     """
     if tau <= 0:
         raise DomainError("temperature must be positive")
-    u = as_rng(seed).uniform(size=logits.shape)
+    if isinstance(seed, list) and seed and isinstance(seed[0], np.random.Generator):
+        if len(seed) != logits.shape[0]:
+            raise ShapeError(f"{len(seed)} generators for a stack of {logits.shape[0]} replicas")
+        u = np.stack([rng.random(logits.shape[1:]) for rng in seed])
+    else:
+        u = as_rng(seed).random(logits.shape)
     u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     noise = np.log(u) - np.log1p(-u)
     inv_tau = 1.0 / tau
@@ -71,24 +81,25 @@ def normalize_rows(t: Tensor | np.ndarray, index: int) -> Tensor:
     once for the row sum it divides by. Their VJP parts are accumulated
     separately, in the order the unfused reduce_sum -> div -> take_row
     chain accumulated them, so a gradient the matrix also gets from a prior
-    sums in the same order.
+    sums in the same order. A stack of matrices [..., T, S] gives the
+    stack of their rows [..., S].
     """
     if not isinstance(t, Tensor):
         t = tensor(t)
-    if t.ndim != 2:
-        raise ShapeError(f"row normalisation needs a 2-D matrix, got shape {t.shape}")
-    if not 0 <= index < t.shape[0]:
+    if t.ndim < 2:
+        raise ShapeError(f"row normalisation needs a matrix, got shape {t.shape}")
+    if not 0 <= index < t.shape[-2]:
         raise ShapeError(f"row {index} out of range for shape {t.shape}")
     data = t.data
-    total = data[index].sum()
-    if total < 1e-12:
+    total = data[..., index, :].sum(axis=-1, keepdims=True)
+    if (total < 1e-12).any():
         raise DegenerateMatrixError("row sum below 1e-12; cannot normalise")
-    row = data[index] / total
+    row = data[..., index, :] / total
 
     def vjp(g):
         quotient, row_sum = np.zeros_like(data), np.zeros_like(data)
-        quotient[index] = g / total
-        row_sum[index] = (-g * row / total).sum()
+        quotient[..., index, :] = g / total
+        row_sum[..., index, :] = (-g * row / total).sum(axis=-1, keepdims=True)
         return quotient, row_sum
 
     return apply_op((t, t), row, vjp)

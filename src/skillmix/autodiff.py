@@ -78,28 +78,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -267,29 +249,37 @@ def mul(a, b) -> Tensor:
 # matmul / structural ops
 
 
+def matrix_t(x: Array) -> Array:
+    """Each matrix of a stack transposed; a plain `.T` for a 2-D array."""
+    return x.swapaxes(-1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of the last two axes; leading (stack) axes broadcast."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    _broadcast_check(a.shape[:-2], b.shape[:-2])
     ad, bd = a.data, b.data
 
     def vjp(g: Array):
-        return g @ bd.T, ad.T @ g
+        return _unbroadcast(g @ matrix_t(bd), a.shape), _unbroadcast(matrix_t(ad) @ g, b.shape)
 
     return apply_op((a, b), ad @ bd, vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes."""
     x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"transpose expects a tensor of rank >= 2, got shape {x.shape}")
 
     def vjp(g: Array):
-        return (g.T,)
+        return (matrix_t(g),)
 
-    return apply_op((x,), x.data.T.copy(), vjp)
+    return apply_op((x,), matrix_t(x.data).copy(), vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -75,10 +75,15 @@ def new_hypernet(embed_dim: int, out_dim: int, in_dim: int, rank: int, seed: See
 
 
 def hypernet_generate(column: Tensor, hypernet: HyperNet) -> tuple[Tensor, Tensor]:
-    """Generate the (A, B) adapter pair from an [embed_dim, 1] embedding column, differentiably."""
+    """Generate the (A, B) adapter pair from an [embed_dim, 1] embedding column, differentiably.
+
+    A stack of columns [..., embed_dim, 1], with generators stacked alike,
+    gives a stack of pairs.
+    """
+    lead = column.shape[:-2]
     hidden_a = relu(matmul(hypernet.w1_a, column))
     hidden_b = relu(matmul(hypernet.w1_b, column))
-    a = reshape(matmul(hypernet.w2_a, hidden_a), (hypernet.out_dim, hypernet.rank))
-    b = reshape(matmul(hypernet.w2_b, hidden_b), (hypernet.rank, hypernet.in_dim))
+    a = reshape(matmul(hypernet.w2_a, hidden_a), lead + (hypernet.out_dim, hypernet.rank))
+    b = reshape(matmul(hypernet.w2_b, hidden_b), lead + (hypernet.rank, hypernet.in_dim))
     return a, b
 

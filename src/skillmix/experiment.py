@@ -5,8 +5,14 @@ config.json, world.json (the planted allocation and task ids),
 history.csv, allocation_layer_*.json (+ hardened CSVs), hierarchy.json
 and hierarchy.txt, summary.json and timing.json. summary.json is
 byte-reproducible from the config alone; wall-clock timing lives in the
-separate timing.json, written only after a run that did not fail, so the
-reproducibility contract stays exact.
+separate timing.json (the run's seconds and each pipeline stage's),
+written only after a run that did not fail, so the reproducibility
+contract stays exact.
+
+Few-shot adaptation runs every held-out task and resample side by side
+on one replicated copy of the trained model (`trainer.few_shot_adapt`),
+one stack per task kind and training split size, so a mixed world adapts
+its regression and classification tasks in two stacks.
 """
 
 from __future__ import annotations
@@ -108,6 +114,22 @@ def _allocation_metrics(matrix: np.ndarray) -> dict:
     }
 
 
+class _StageClock:
+    """The pipeline stage a run is in, and the seconds each finished stage took."""
+
+    def __init__(self):
+        self.name: str | None = None
+        self.seconds: dict[str, float] = {}
+        self._started = 0.0
+
+    def enter(self, name: str | None) -> None:
+        """Finish the current stage, if any, and start `name` (None: none)."""
+        now = time.monotonic()
+        if self.name is not None:
+            self.seconds[self.name] = now - self._started
+        self.name, self._started = name, now
+
+
 def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecord:
     """Full pipeline: world -> train -> evaluate -> adapt -> score -> persist.
 
@@ -123,7 +145,8 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
 
     started = time.monotonic()
     summary: dict = {"config_hash": config_hash(config), "model_kind": config.model_kind}
-    stage = "generate_world"
+    stage = _StageClock()
+    stage.enter("generate_world")
     try:
         w = config.world
         world, tasks = generate_synthetic_benchmark(
@@ -149,19 +172,19 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
             },
         )
 
-        stage = "multitask_train"
+        stage.enter("multitask_train")
         trained = multitask_train(config, train_tasks, world=world)
         (run_dir / "history.csv").write_text(_history_csv(trained))
         summary["param_count"] = trained.model.param_count()
         summary["steps_to_threshold"] = steps_to_threshold(trained)
         summary["dev_evals"] = [[e.step, e.dev_loss] for e in trained.evals]
 
-        stage = "evaluate_train_tasks"
+        stage.enter("evaluate_train_tasks")
         summary["train_tasks"] = {
             t.id: evaluate(trained.model, i, t) for i, t in enumerate(train_tasks)
         }
 
-        stage = "allocation_analysis"
+        stage.enter("allocation_analysis")
         alloc_docs = _allocation_documents(trained, [t.id for t in train_tasks])
         summary["allocation_metrics"] = {}
         for layer, (doc, csv_text, matrix) in enumerate(alloc_docs):
@@ -180,36 +203,37 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
                     }
             summary["recovery"] = recovery
 
-        stage = "hierarchy_export"
+        stage.enter("hierarchy_export")
         if alloc_docs:
             groups = export_hierarchy(harden(alloc_docs[0][2]), [t.id for t in train_tasks])
             _dump_json(run_dir / "hierarchy.json", groups)
             (run_dir / "hierarchy.txt").write_text(render_hierarchy_text(groups))
 
-        stage = "few_shot_adaptation"
-        few_shot: dict = {}
+        stage.enter("few_shot_adaptation")
+        stacks: dict[tuple, list[int]] = {}
         for ordinal, task in enumerate(holdout):
-            resamples = []
-            for resample in range(config.adaptation_resamples):
-                result = few_shot_adapt(trained, task, resample=resample, task_ordinal=ordinal)
-                resamples.append(
-                    {"before": result.metrics_before, "after": result.metrics_after}
+            stacks.setdefault((task.kind, task.x_train.shape[0]), []).append(ordinal)
+        few_shot: dict = {}
+        for ordinals in stacks.values():
+            result = few_shot_adapt(
+                trained, [holdout[o] for o in ordinals], ordinals, range(config.adaptation_resamples)
+            )
+            for task_id, before, after in zip(result.task_ids, result.metrics_before, result.metrics_after):
+                few_shot.setdefault(task_id, {"resamples": []})["resamples"].append(
+                    {"before": before, "after": after}
                 )
-            few_shot[task.id] = {
-                "resamples": resamples,
-                "median_after_loss": float(
-                    np.median([r["after"]["loss"] for r in resamples])
-                ),
-            }
+        for record in few_shot.values():
+            record["median_after_loss"] = float(np.median([r["after"]["loss"] for r in record["resamples"]]))
         summary["few_shot"] = few_shot
     except Exception as exc:  # partial record with failure marker
-        summary["failure"] = {"stage": stage, "error": f"{type(exc).__name__}: {exc}"}
+        summary["failure"] = {"stage": stage.name, "error": f"{type(exc).__name__}: {exc}"}
         _dump_json(run_dir / "summary.json", summary)
         return RunRecord(config, run_dir, summary, failure=summary["failure"])
 
+    stage.enter(None)
     _dump_json(run_dir / "summary.json", summary)
     wall = time.monotonic() - started
-    _dump_json(run_dir / "timing.json", {"wall_clock_seconds": wall})
+    _dump_json(run_dir / "timing.json", {"wall_clock_seconds": wall, "stage_seconds": stage.seconds})
     return RunRecord(config, run_dir, summary, wall_clock=wall)
 
 

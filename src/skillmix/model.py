@@ -18,6 +18,13 @@ in one of two ways:
     embedding and applied around the base map. The model owns the
     embeddings, new tasks' rows included; each layer owns its generators.
 
+Few-shot adaptation runs on `TaskModel.replicate(R)`, a copy whose skill
+parameters (the trainable ones besides a new task's own) carry a leading
+axis of R independent replicas. A new task then has one row or embedding
+per replica, stacked the same way, the forward pass takes inputs [R, n,
+in] and every op broadcasts the shared base parameters over the replicas.
+The trained model itself keeps its shapes and is never written to.
+
 The layers are linear on purpose: the synthetic benchmark's targets are
 linear, so a realisable world admits exactly zero loss while the two-layer
 stack still exercises per-layer allocation.
@@ -36,7 +43,7 @@ from .allocation import (
     init_logits,
     normalize_rows,
 )
-from .autodiff import Tensor, add, kaiming_uniform, matmul, reshape, take_row, tensor, transpose, zeros
+from .autodiff import Tensor, add, kaiming_uniform, matmul, reshape, take_row, tensor, transpose
 from .baselines import HyperNet, hypernet_generate, new_hypernet
 from .config import ALLOCATION_MODES, MODEL_KINDS
 from .errors import ContractError, ShapeError, TaskLookupError
@@ -63,10 +70,11 @@ class DenseLayer:
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
         return sk.mixed_affine(x, self.skills, w, self.shape)
 
-    def add_skill(self, rng) -> None:
-        """Append a zero skill row, so a task on it starts at the base map; a frozen mask keeps it dense."""
+    def add_skill(self, rngs) -> None:
+        """Append a zero skill row to every replica, so a task on it starts at the base map; a frozen mask keeps it dense."""
         s = self.skills
-        s.phi.data = np.concatenate([s.phi.data, np.zeros((1, s.dim))])
+        phi = s.phi.data
+        s.phi.data = np.concatenate([phi, np.zeros(phi.shape[:-2] + (1, s.dim))], axis=-2)
         if s.mask is not None:
             s.mask = np.concatenate([s.mask, np.ones((1, s.dim))])
 
@@ -89,12 +97,12 @@ class LowRankLayer:
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
         return sk.mixed_lowrank(x, self.skills, w)
 
-    def add_skill(self, rng) -> None:
-        """Append an adapter pair with A = 0, so a task on it starts at the base map, and a kaiming B."""
+    def add_skill(self, rngs) -> None:
+        """Append an adapter pair to every replica: A = 0, so a task on it starts at the base map, and a kaiming B from the replica's generator."""
         s = self.skills
-        b = kaiming_uniform((s.rank, s.in_dim), rng)
-        s.A.data = np.concatenate([s.A.data, np.zeros((1, s.out_dim, s.rank))])
-        s.B.data = np.concatenate([s.B.data, b.data[None]])
+        b = np.stack([kaiming_uniform((s.rank, s.in_dim), rng).data for rng in rngs])
+        s.A.data = np.concatenate([s.A.data, np.zeros((len(rngs), 1, s.out_dim, s.rank))], axis=-3)
+        s.B.data = np.concatenate([s.B.data, b[:, None]], axis=-3)
 
     def phi_parameters(self) -> list[Tensor]:
         return [self.skills.A, self.skills.B]
@@ -133,9 +141,10 @@ class AllocationState:
     """One allocation matrix per layer (`per_layer`) or one for all layers (`global`).
 
     Each matrix is learnable logits (a `Tensor`) or a fixed 0/1 array. A
-    new task appends one [1, S] row per matrix, learnable or fixed
-    independently of the matrix, so a frozen skilled model adapts a learned
-    row over its fixed inventory.
+    new task appends one [R, 1, S] block per matrix, one row for each of
+    the R replicas that adapt it side by side (see `TaskModel.replicate`),
+    learnable or fixed independently of the matrix, so a frozen skilled
+    model adapts a learned row over its fixed inventory.
     """
 
     def __init__(self, matrices: list, num_layers: int, tau: float = 1.0):
@@ -143,7 +152,7 @@ class AllocationState:
         self.num_layers = num_layers
         self.tau = float(tau)
         self.num_base_tasks, self.num_skills = matrices[0].shape
-        self.extra_rows: list[list] = []  # per new task, one [1, S] row per matrix
+        self.extra_rows: list[list] = []  # per new task, one [R, 1, S] block per matrix
 
     @property
     def num_tasks(self) -> int:
@@ -152,24 +161,23 @@ class AllocationState:
     def _matrix_index(self, layer: int) -> int:
         return layer if len(self.matrices) > 1 else 0
 
-    def add_task(self, bits=None) -> int:
-        """A new task: learnable rows initialised at 0 when `bits` is None, else the fixed row."""
-        if bits is None:
-            rows = [zeros((1, self.num_skills), requires_grad=True) for _ in self.matrices]
+    def add_task(self, rows, learnable: bool) -> int:
+        """A new task from its [R, S] rows, one per replica: learnable logits starting at `rows`, or fixed 0/1 rows."""
+        block = np.asarray(rows, dtype=np.float64)[:, None, :]
+        if block.shape[-1] != self.num_skills:
+            raise ShapeError(f"allocation row needs {self.num_skills} entries")
+        if learnable:
+            blocks = [tensor(block.copy(), requires_grad=True) for _ in self.matrices]
         else:
-            row = np.asarray(bits, dtype=np.float64).reshape(1, -1)
-            if row.shape[1] != self.num_skills:
-                raise ShapeError(f"allocation row needs {self.num_skills} entries")
-            if row.sum() < 1:
+            if (block.sum(axis=-1) < 1).any():
                 raise ContractError("a task must activate at least one skill")
-            rows = [row] * len(self.matrices)
-        self.extra_rows.append(rows)
+            blocks = [block] * len(self.matrices)
+        self.extra_rows.append(blocks)
         return self.num_tasks - 1
 
     def add_skill(self) -> None:
-        """One more inventory column, zero in every existing row (fixed allocations only)."""
+        """One more inventory column, zero in every base row (fixed allocations, before any new task)."""
         self.matrices = [np.pad(m, ((0, 0), (0, 1))) for m in self.matrices]
-        self.extra_rows = [[np.pad(row, ((0, 0), (0, 1))) for row in rows] for rows in self.extra_rows]
         self.num_skills += 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
@@ -179,7 +187,8 @@ class AllocationState:
         """Per-layer simplex weight rows plus the relaxed base matrices.
 
         Each learnable block gets one full Gumbel draw per call while
-        training (the expected path otherwise); fixed blocks draw nothing.
+        training (the expected path otherwise), from each replica's own
+        generator when `rng` is a list of them; fixed blocks draw nothing.
         The relaxed matrices are returned for base tasks only: they feed the
         prior regulariser.
         """
@@ -192,8 +201,8 @@ class AllocationState:
         per_matrix, relaxed_mats = [], []
         for block in blocks:
             if not isinstance(block, Tensor):
-                row = block[index]
-                per_matrix.append(tensor(row / row.sum()))
+                row = block[..., index, :]
+                per_matrix.append(tensor(row / row.sum(axis=-1, keepdims=True)))
                 continue
             relaxed = (
                 gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
@@ -205,13 +214,12 @@ class AllocationState:
         return weights, relaxed_mats
 
     def eval_matrix(self, layer: int) -> np.ndarray:
-        """Deterministic relaxed matrix for this layer, new-task rows included."""
+        """Deterministic relaxed matrix for this layer, new-task rows included: [R, T, S] with R replicas."""
         i = self._matrix_index(layer)
         blocks = [self.matrices[i]] + [rows[i] for rows in self.extra_rows]
-        return np.concatenate(
-            [expected_allocation(b, self.tau).data if isinstance(b, Tensor) else b for b in blocks],
-            axis=0,
-        )
+        values = [expected_allocation(b, self.tau).data if isinstance(b, Tensor) else b for b in blocks]
+        lead = values[-1].shape[:-2]
+        return np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in values], axis=-2)
 
     def logits(self, layer: int) -> np.ndarray | None:
         """The learnable base logits behind a layer; None for a fixed matrix."""
@@ -250,8 +258,19 @@ class TaskModel:
     def param_count(self) -> int:
         return int(sum(p.size for p in self.named_parameters().values()))
 
-    def clone(self):
-        return copy.deepcopy(self)
+    def replicate(self, replicas: int):
+        """A copy on which `replicas` adaptations run side by side, one new task each.
+
+        Every skill parameter (`phi_parameters`) gets a leading [replicas]
+        axis of real copies, so replica r's skills are slice r and train
+        apart from the others. The base parameters and the base tasks'
+        allocation or embeddings, which adaptation never trains, stay
+        unreplicated. The copy shares no array with this model.
+        """
+        model = copy.deepcopy(self)
+        for p in model.phi_parameters():
+            p.data = np.repeat(p.data[None], replicas, axis=0)
+        return model
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters().items()}
@@ -282,10 +301,10 @@ class SkillModel(TaskModel):
             h = layer.forward(h, w)
         return h, relaxed_mats
 
-    def add_skill(self, rng) -> None:
-        """One more skill in every layer, unused by every existing task (the private kind's new task)."""
+    def add_skill(self, rngs) -> None:
+        """One more skill in every layer and replica, unused by every base task (the private kind's new task)."""
         for layer in self.layers:
-            layer.add_skill(rng)
+            layer.add_skill(rngs)
         self.alloc.add_skill()
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
@@ -313,7 +332,7 @@ class HypernetModel(TaskModel):
 
     def __init__(self, num_tasks: int, embed_dim: int, shapes: list[LayerShape], rank: int, rng):
         self.embeddings = kaiming_uniform((num_tasks, embed_dim), rng, requires_grad=True)
-        self.extra_embeddings: list[Tensor] = []  # one [1, embed_dim] row per new task
+        self.extra_embeddings: list[Tensor] = []  # one [R, 1, embed_dim] block per new task
         self.layers = [HypernetLayer(shape, embed_dim, rank, rng) for shape in shapes]
 
     @property
@@ -332,14 +351,14 @@ class HypernetModel(TaskModel):
                 row = take_row(self.embeddings, task)
             else:
                 row = self.extra_embeddings[task - base_count]
-            h = layer.forward(h, reshape(row, (embed_dim, 1)))
+            h = layer.forward(h, reshape(row, row.shape[:-2] + (embed_dim, 1)))
         return h, []
 
-    def add_task_embedding(self) -> int:
+    def add_task_embedding(self, replicas: int) -> int:
         # New tasks start from the mean trained embedding: a neutral point
         # that transfers and gives non-zero relu gradients.
         mean = self.embeddings.data.mean(axis=0, keepdims=True)
-        self.extra_embeddings.append(tensor(mean.copy(), requires_grad=True))
+        self.extra_embeddings.append(tensor(np.repeat(mean[None], replicas, axis=0), requires_grad=True))
         return self.num_tasks - 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:

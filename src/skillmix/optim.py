@@ -17,7 +17,14 @@ from .errors import ContractError
 
 
 class Adam:
-    """Standard Adam over parameter groups; state is kept per tensor."""
+    """Standard Adam over parameter groups; state is kept per tensor.
+
+    Every update is elementwise, so one step over parameters stacked on a
+    leading replica axis equals one step of a separate optimiser per
+    replica. A step allocates nothing: each tensor keeps its two moments
+    and two scratch arrays, and the update runs in place in the textbook
+    operation order.
+    """
 
     def __init__(
         self,
@@ -37,7 +44,7 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step = 0
-        self._state: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._state: dict[int, tuple[np.ndarray, ...]] = {}
 
     def step(self) -> None:
         self._step += 1
@@ -51,14 +58,25 @@ class Adam:
                     continue
                 state = self._state.get(id(p))
                 if state is None:
-                    state = (np.zeros_like(p.data), np.zeros_like(p.data))
+                    state = tuple(np.zeros_like(p.data) for _ in range(4))
                     self._state[id(p)] = state
-                m, v = state
+                m, v, update, denom = state
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
                 m *= self.beta1
-                m += (1.0 - self.beta1) * p.grad
+                np.multiply(p.grad, 1.0 - self.beta1, out=update)
+                m += update
                 v *= self.beta2
-                v += (1.0 - self.beta2) * p.grad**2
-                p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+                np.square(p.grad, out=update)
+                update *= 1.0 - self.beta2
+                v += update
+                # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+                np.divide(m, bias1, out=update)
+                update *= lr
+                np.divide(v, bias2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                update /= denom
+                p.data -= update
 
     def zero_grad(self) -> None:
         for group in self.groups:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SeedLike, Tensor, apply_op, as_rng, kaiming_uniform, zeros
+from .autodiff import SeedLike, Tensor, apply_op, as_rng, kaiming_uniform, matrix_t, zeros
 from .errors import ContractError, ShapeError
 
 
@@ -53,11 +53,11 @@ class DenseSkills:
 
     @property
     def num_skills(self) -> int:
-        return self.phi.shape[0]
+        return self.phi.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.phi.shape[1]
+        return self.phi.shape[-1]
 
     @property
     def keep_per_skill(self) -> int:
@@ -84,19 +84,19 @@ class LowRankSkills:
 
     @property
     def num_skills(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-3]
 
     @property
     def out_dim(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.B.shape[2]
+        return self.B.shape[-1]
 
     @property
     def rank(self) -> int:
-        return self.A.shape[2]
+        return self.A.shape[-1]
 
 
 def new_dense_skills(num_skills: int, dim: int, seed: SeedLike, sparsity: float | None = None) -> DenseSkills:
@@ -117,13 +117,13 @@ def new_lowrank_skills(num_skills: int, out_dim: int, in_dim: int, rank: int, se
 
 
 def _check_weights(num_skills: int, w: Tensor) -> None:
-    if w.ndim != 1 or w.shape[0] != num_skills:
-        raise ShapeError(f"weights must be a [{num_skills}] vector, got shape {w.shape}")
+    if w.ndim < 1 or w.shape[-1] != num_skills:
+        raise ShapeError(f"weights must be [..., {num_skills}] vectors, got shape {w.shape}")
 
 
-def _check_input(x: Tensor, in_dim: int) -> None:
-    if x.ndim != 2 or x.shape[1] != in_dim:
-        raise ShapeError(f"input shape {x.shape} incompatible with in_dim {in_dim}")
+def _check_input(x: Tensor, in_dim: int, lead: tuple) -> None:
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != in_dim:
+        raise ShapeError(f"input shape {x.shape} incompatible with stack {lead} and in_dim {in_dim}")
 
 
 def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape) -> Tensor:
@@ -135,33 +135,42 @@ def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape) -
     (mask, mix, slice, reshape, transpose, matmul, add), so values and
     gradients are bit-identical to it. Only inputs that require a gradient
     get one: the first layer's input is a constant.
+
+    Leading axes of `w` stack replicas: `w` [..., S] holds one weight row
+    per replica, and `x` [..., n, in] and `phi` [..., S, d] carry the same
+    leading axes, while `base` and the mask are shared (their gradient
+    then has the leading axes too, so only stacked `phi` may train). A
+    stacked numpy matmul runs the 2-D product per slice, so each replica's
+    output and gradients equal the unstacked op's on its slice, bit for bit.
     """
     _check_weights(skills.num_skills, w)
-    _check_input(x, shape.in_dim)
+    lead = w.shape[:-1]
+    _check_input(x, shape.in_dim, lead)
     if skills.dim != shape.flat_dim:
         raise ShapeError(f"skill dim {skills.dim} != layer size {shape.flat_dim}")
     o, i = shape.out_dim, shape.in_dim
     phi, base, mask = skills.phi, skills.base, skills.mask
     phi_m = phi.data if mask is None else phi.data * mask
-    w_row = w.data.reshape(1, -1)
-    theta = base.data + (w_row @ phi_m).reshape(-1)
-    weight_t = theta[: o * i].reshape(o, i).T.copy()
+    w_row = w.data[..., None, :]
+    theta = base.data + (w_row @ phi_m)[..., 0, :]
+    weight_t = matrix_t(theta[..., : o * i].reshape(lead + (o, i))).copy()
     xd = x.data
     need_x, need_phi, need_base, need_w = (t.requires_grad for t in (x, phi, base, w))
 
     def vjp(g):
-        g_theta = np.concatenate([(xd.T @ g).T.reshape(-1), g.sum(axis=0)]).reshape(1, -1)
-        g_phi = w_row.T @ g_theta if need_phi else None
+        g_weight = matrix_t(matrix_t(xd) @ g).reshape(lead + (-1,))
+        g_theta = np.concatenate([g_weight, g.sum(axis=-2)], axis=-1)[..., None, :]
+        g_phi = matrix_t(w_row) @ g_theta if need_phi else None
         if need_phi and mask is not None:
             g_phi *= mask
         return (
-            g @ weight_t.T if need_x else None,
+            g @ matrix_t(weight_t) if need_x else None,
             g_phi,
-            g_theta.reshape(-1) if need_base else None,
-            (g_theta @ phi_m.T).reshape(-1) if need_w else None,
+            g_theta[..., 0, :] if need_base else None,
+            (g_theta @ matrix_t(phi_m))[..., 0, :] if need_w else None,
         )
 
-    return apply_op((x, phi, base, w), xd @ weight_t + theta[o * i :], vjp)
+    return apply_op((x, phi, base, w), xd @ weight_t + theta[..., None, o * i :], vjp)
 
 
 def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
@@ -170,33 +179,38 @@ def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
     Evaluates H_j = B_j x^T and C_j = A_j H_j for every skill in one batched
     matmul each (no Python loop over the skills), then y = x W0^T + sum_j w_j C_j^T + b0. Equal to the
     materialised product up to rounding. Only inputs that require a
-    gradient get one.
+    gradient get one. Leading axes stack replicas as in `mixed_affine`:
+    `x`, `w`, `A` and `B` carry them, `W0` and `b0` are shared.
     """
     _check_weights(skills.num_skills, w)
-    _check_input(x, skills.in_dim)
+    lead = w.shape[:-1]
+    _check_input(x, skills.in_dim, lead)
     a, b, w0 = skills.A.data, skills.B.data, skills.W0.data
     xd, wd = x.data, w.data
-    hidden = b @ xd.T  # [S, r, n]
-    mixed = (a @ hidden).reshape(len(wd), -1)  # [S, o * n]
-    out = xd @ w0.T + (wd @ mixed).reshape(-1, len(xd)).T + skills.b0.data
+    n = xd.shape[-2]
+    x_skills = xd[..., None, :, :]  # broadcast over the skill axis
+    hidden = b @ matrix_t(x_skills)  # [..., S, r, n]
+    mixed = (a @ hidden).reshape(lead + (wd.shape[-1], -1))  # [..., S, o * n]
+    out = xd @ w0.T + matrix_t((wd[..., None, :] @ mixed).reshape(lead + (-1, n))) + skills.b0.data
     inputs = (x, skills.A, skills.B, skills.W0, skills.b0, w)
     need_x, need_a, need_b, need_w0, need_b0, need_w = (t.requires_grad for t in inputs)
-    scale = wd[:, None, None]
+    scale = wd[..., None, None]
 
     def vjp(g):
-        g_t = g.T  # [o, n]
-        g_hidden = scale * (a.transpose(0, 2, 1) @ g_t) if (need_x or need_b) else None
+        g_t = matrix_t(g)  # [..., o, n]
+        g_t_skills = g_t[..., None, :, :]
+        g_hidden = scale * (matrix_t(a) @ g_t_skills) if (need_x or need_b) else None
         g_x = None
         if need_x:
-            s, r, n = g_hidden.shape
-            g_x = g @ w0 + g_hidden.transpose(2, 0, 1).reshape(n, s * r) @ b.reshape(s * r, -1)
+            s, r = g_hidden.shape[-3:-1]
+            g_x = g @ w0 + np.moveaxis(g_hidden, -1, -3).reshape(lead + (n, s * r)) @ b.reshape(lead + (s * r, -1))
         return (
             g_x,
-            scale * (g_t @ hidden.transpose(0, 2, 1)) if need_a else None,
-            g_hidden @ xd if need_b else None,
+            scale * (g_t_skills @ matrix_t(hidden)) if need_a else None,
+            g_hidden @ x_skills if need_b else None,
             g_t @ xd if need_w0 else None,
-            g.sum(axis=0) if need_b0 else None,
-            mixed @ g_t.reshape(-1) if need_w else None,
+            g.sum(axis=-2) if need_b0 else None,
+            (mixed @ g_t.reshape(lead + (-1, 1)))[..., 0] if need_w else None,
         )
 
     return apply_op(inputs, out, vjp)

@@ -4,16 +4,24 @@ One step (`_step`, shared by training and adaptation): sample a relaxed
 allocation row, compose the per-task network, minimise the task likelihood
 loss (squared error for regression, logistic for classification) plus the
 optional allocation prior on the base tasks, and take one two-speed Adam
-step. Training picks a task uniformly and draws a batch per step;
-adaptation registers the held-out task on a clone of the trained model
-(one more allocation row, or an embedding for the hypernet) and steps on
-k-shot batches. Everything is driven by a single seed through separate
-derived rng streams, so runs are bit-reproducible.
+step. Training picks a task uniformly and draws a batch per step.
+
+Adaptation runs every (held-out task, resample) pair side by side as one
+replica of a stack: the trained model is copied with a leading replica
+axis on its skill parameters (`TaskModel.replicate`), each replica's new
+task is registered on the copy (one more allocation row, or an
+embedding for the hypernet), and every step records one tape for all
+replicas and takes one elementwise Adam step. The loss is the sum of the
+replicas' mean losses, so each replica's gradient is its own, and each
+replica keeps its own rng stream and draw order, so it ends bit for bit
+where an adaptation on its own would. Everything is driven by a single
+seed through separate derived rng streams, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -61,14 +69,16 @@ def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
     """Negative log-likelihood up to constants, as one tape node: MSE or logistic loss.
 
     Values and gradients replay the numpy operations of the unfused chains
-    (sub -> mul -> mean, and mul -> neg -> softplus -> mean) in order.
+    (sub -> mul -> mean, and mul -> neg -> softplus -> mean) in order. A
+    stack of replicas' predictions [..., n, 1] gives the sum of the
+    replicas' mean losses, so each replica's gradient is its own loss's.
     """
     if kind not in ("regression", "classification"):
         raise ContractError(f"unknown task kind '{kind}'")
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != pred.shape:
         raise ShapeError(f"targets shape {y.shape} != predictions shape {pred.shape}")
-    count = y.size
+    count = y.shape[-2] * y.shape[-1]
     if kind == "regression":
         err = pred.data - y
 
@@ -76,7 +86,7 @@ def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
             part = np.broadcast_to(g, err.shape) / count * err
             return (part + part,)
 
-        return apply_op((pred,), (err * err).mean(), vjp)
+        return apply_op((pred,), (err * err).mean(axis=(-2, -1)).sum(), vjp)
 
     margin = -(y * pred.data)
     slope = expit(margin)
@@ -85,25 +95,40 @@ def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
         return (-(np.broadcast_to(g, margin.shape) / count * slope) * y,)
 
     softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    return apply_op((pred,), softplus.mean(), vjp)
+    return apply_op((pred,), softplus.mean(axis=(-2, -1)).sum(), vjp)
+
+
+def _split(task: TaskSpec, split: str) -> tuple[np.ndarray, np.ndarray]:
+    x = getattr(task, f"x_{split}")
+    if x.shape[0] == 0:
+        raise ContractError(f"task '{task.id}' has an empty {split} split")
+    return x, getattr(task, f"y_{split}")
+
+
+def _metrics(pred: np.ndarray, y: np.ndarray, kind: str) -> dict:
+    metrics = {"loss": task_loss(tensor(pred), y, kind).item()}
+    if kind == "regression":
+        metrics["mse"] = float(np.mean((pred - y) ** 2))
+    else:
+        signs = np.where(pred >= 0.0, 1.0, -1.0)
+        metrics["accuracy"] = float(np.mean(signs == y))
+    return metrics
 
 
 def evaluate(model, task_index: int, task: TaskSpec, split: str = "eval") -> dict:
     """Deterministic metrics on a split; uses the expected allocation path."""
-    x = getattr(task, f"x_{split}")
-    y = getattr(task, f"y_{split}")
-    if x.shape[0] == 0:
-        raise ContractError(f"task '{task.id}' has an empty {split} split")
+    x, y = _split(task, split)
     with no_grad():
         pred, _ = model.forward(task_index, tensor(x), train=False)
-        loss = task_loss(pred, y, task.kind).item()
-    metrics = {"loss": loss}
-    if task.kind == "regression":
-        metrics["mse"] = float(np.mean((pred.data - y) ** 2))
-    else:
-        signs = np.where(pred.data >= 0.0, 1.0, -1.0)
-        metrics["accuracy"] = float(np.mean(signs == y))
-    return metrics
+    return _metrics(pred.data, y, task.kind)
+
+
+def _evaluate_replicas(model, task_index: int, tasks: list[TaskSpec]) -> list[dict]:
+    """`evaluate` on the eval split of tasks[r] for each replica r of a replicated model, in one forward pass."""
+    splits = [_split(task, "eval") for task in tasks]
+    with no_grad():
+        pred, _ = model.forward(task_index, tensor(np.stack([x for x, _ in splits])), train=False)
+    return [_metrics(p, y, task.kind) for p, (_, y), task in zip(pred.data, splits, tasks)]
 
 
 def _mean_dev_loss(model, tasks: list[TaskSpec]) -> float:
@@ -165,15 +190,17 @@ def resolve_fixed_allocation(
     raise ContractError("expert kind requires expert_table ('planted' or an inline table)")
 
 
-def _step(model, optimizer, config: ExperimentConfig, task_index: int, task: TaskSpec, x, y, rng, tau, step: int):
-    """One step on a batch; returns (task loss, prior) values.
+def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str, name: str, x, y, rng, tau, step: int):
+    """One step on a batch of task `name`; returns (task loss, prior) values.
 
-    Only base tasks return relaxed allocation matrices, so a new task's
-    step carries no prior.
+    A replicated model steps every replica at once: `x` and `y` carry the
+    replica axis, `rng` is one generator per replica and the loss is the
+    sum of the replicas' losses. Only base tasks return relaxed allocation
+    matrices, so a new task's step carries no prior.
     """
     reset_tape()
     pred, relaxed_mats = model.forward(task_index, tensor(x), train=True, rng=rng, tau=tau)
-    loss = task_loss(pred, y, task.kind)
+    loss = task_loss(pred, y, kind)
     loss_value = loss.item()
 
     reg_value = 0.0
@@ -185,7 +212,7 @@ def _step(model, optimizer, config: ExperimentConfig, task_index: int, task: Tas
             total = add(total, reg)
 
     if not np.isfinite(loss_value) or not np.isfinite(reg_value):
-        raise TrainingDivergedError(step, task.id, {"loss": loss_value, "reg_loss": reg_value})
+        raise TrainingDivergedError(step, name, {"loss": loss_value, "reg_loss": reg_value})
 
     backward(total)
     optimizer.step()
@@ -224,7 +251,7 @@ def multitask_train(
         task = train_tasks[task_index]
         batch = rng.integers(task.x_train.shape[0], size=config.batch_size)
         loss_value, reg_value = _step(
-            model, optimizer, config, task_index, task,
+            model, optimizer, config, task_index, task.kind, task.id,
             task.x_train[batch], task.y_train[batch], rng, _anneal_tau(config, step), step,
         )
         history.append(
@@ -277,40 +304,48 @@ def steps_to_threshold(trained: TrainedModel, frac: float | None = None) -> int:
 
 @dataclass
 class AdaptationResult:
-    task_id: str
-    task_index: int
+    """Adaptations run side by side, one replica per (task, resample), in `few_shot_adapt`'s order.
+
+    `model` is the trained model's replicated copy with the new task
+    registered at `task_index`: replica r's skills and new-task parameters
+    are slice r of their stacked arrays.
+    """
+
     model: object
-    metrics_before: dict
-    metrics_after: dict
+    task_index: int
+    task_ids: list[str]
+    metrics_before: list[dict]
+    metrics_after: list[dict]
 
 
-def _register_new_task(model, kind: str, task: TaskSpec, rng) -> int:
-    """A new allocation row for every skill-composed kind; an embedding for the hypernet.
+def _register_new_task(model, kind: str, tasks: list[TaskSpec], rngs: list) -> int:
+    """A new allocation row for every skill-composed kind; an embedding for the hypernet; one per replica.
 
-    The skilled kind learns its row, unless the inventory has one skill:
-    that row normalises to [1.0] whatever its logits, so it is fixed. The
-    others get a fixed row too: ones for shared, the planted skills for
-    expert, and for private a one-hot row on a new skill added to every
-    layer.
+    Replica r adapts tasks[r] and draws from rngs[r]. The skilled kind
+    learns its row, unless the inventory has one skill: that row normalises
+    to [1.0] whatever its logits, so it is fixed. The others get a fixed
+    row too: ones for shared, the planted skills for expert, and for
+    private a one-hot row on a new skill added to every layer.
     """
     if kind == "hypernet":
-        return model.add_task_embedding()
+        return model.add_task_embedding(len(tasks))
     if kind == "skilled" and model.alloc.num_skills > 1:
-        return model.alloc.add_task()
+        return model.alloc.add_task(np.zeros((len(tasks), model.alloc.num_skills)), learnable=True)
     if kind == "private":
-        model.add_skill(rng)
-        active = [model.alloc.num_skills - 1]
+        model.add_skill(rngs)
+        active = [[model.alloc.num_skills - 1]] * len(tasks)
     elif kind in ("shared", "skilled"):
-        active = [0]
+        active = [[0]] * len(tasks)
     elif kind == "expert":
-        if task.planted_skills is None:
+        if any(task.planted_skills is None for task in tasks):
             raise ContractError("expert adaptation needs the task's planted skills")
-        active = list(task.planted_skills)
+        active = [list(task.planted_skills) for task in tasks]
     else:
         raise ContractError(f"unknown model kind '{kind}'")
-    bits = np.zeros(model.alloc.num_skills)
-    bits[active] = 1.0
-    return model.alloc.add_task(bits)
+    bits = np.zeros((len(tasks), model.alloc.num_skills))
+    for row, skills in zip(bits, active):
+        row[skills] = 1.0
+    return model.alloc.add_task(bits, learnable=False)
 
 
 def _adaptation_phases(model, task_index: int, config: ExperimentConfig, steps: int):
@@ -334,38 +369,59 @@ def _adaptation_phases(model, task_index: int, config: ExperimentConfig, steps: 
 
 def few_shot_adapt(
     trained: TrainedModel,
-    task: TaskSpec,
+    tasks: list[TaskSpec],
+    ordinals: Sequence[int] | None = None,
+    resamples: Sequence[int] = (0,),
     steps: int | None = None,
     k_shot: int | None = None,
-    resample: int = 0,
-    task_ordinal: int = 0,
 ) -> AdaptationResult:
-    """Adapt a trained model to an unseen task from k labelled examples.
+    """Adapt a trained model to unseen tasks from k labelled examples, every (task, resample) at once.
 
-    The base model is cloned and the task registered on the clone (a
-    learnable allocation row, a fixed row, a new skill with a one-hot row,
-    or an embedding, depending on the kind); only the scheduled parameter
-    groups are trained. `resample` indexes independent k-shot subsets of the
-    task's training pool.
+    One replica per task and resample, task-major. The trained model is
+    replicated (`TaskModel.replicate`) and the new task registered on the
+    copy: a learnable allocation row, a fixed row, a new skill with a
+    one-hot row, or an embedding, depending on the kind. Only the scheduled
+    parameter groups are trained. A resample is an independent k-shot
+    subset of the task's training pool; `ordinals` (default 0, 1, ...) are
+    the tasks' positions among the held-out tasks.
+
+    Replica (task, resample) draws from its own rng stream `[seed,
+    STREAM_ADAPT, ordinal, resample]`, in the order an adaptation on its own
+    would: the private kind's new skill, the k-shot pool, then per step
+    the batch and one Gumbel draw per learnable block. Each step records
+    one tape whose loss sums the replicas' losses and takes one elementwise
+    Adam step, so every replica ends bit for bit where it would alone. The
+    tasks must share a task kind and a training split size.
     """
     config = trained.config
     steps = config.adaptation_steps if steps is None else steps
     k_shot = config.k_shot if k_shot is None else k_shot
-    if task.id in trained.task_ids:
-        raise ContractError(f"task id '{task.id}' collides with a training task")
+    ordinals = range(len(tasks)) if ordinals is None else ordinals
+    for task in tasks:
+        if task.id in trained.task_ids:
+            raise ContractError(f"task id '{task.id}' collides with a training task")
     if k_shot > MAX_FEW_SHOT:
         raise ContractError(f"k_shot must be <= {MAX_FEW_SHOT}")
+    if len(ordinals) != len(tasks) or len({(t.kind, t.x_train.shape[0]) for t in tasks}) != 1:
+        raise ContractError("adapt one or more tasks of one kind and training split size, one ordinal each")
 
-    rng = np.random.default_rng([config.seed, STREAM_ADAPT, task_ordinal, resample])
-    model = trained.model.clone()
-    task_index = _register_new_task(model, trained.kind, task, rng)
-    metrics_before = evaluate(model, task_index, task)
+    stack = [task for task in tasks for _ in resamples]
+    rngs = [np.random.default_rng([config.seed, STREAM_ADAPT, o, r]) for o in ordinals for r in resamples]
+    model = trained.model.replicate(len(stack))
+    task_index = _register_new_task(model, trained.kind, stack, rngs)
+    before = _evaluate_replicas(model, task_index, stack)
+    result = AdaptationResult(model, task_index, [t.id for t in stack], before, [dict(m) for m in before])
     if steps == 0 or k_shot == 0:
-        return AdaptationResult(task.id, task_index, model, metrics_before, dict(metrics_before))
+        return result
 
-    pool = rng.choice(task.x_train.shape[0], size=min(k_shot, task.x_train.shape[0]), replace=False)
-    x_pool, y_pool = task.x_train[pool], task.y_train[pool]
-    batch_size = min(config.adaptation_batch_size, len(pool))
+    train_size = tasks[0].x_train.shape[0]
+    pools = [rng.choice(train_size, size=min(k_shot, train_size), replace=False) for rng in rngs]
+    x_pool = np.stack([t.x_train[pool] for t, pool in zip(stack, pools)])
+    y_pool = np.stack([t.y_train[pool] for t, pool in zip(stack, pools)])
+    pool_size = x_pool.shape[1]
+    batch_size = min(config.adaptation_batch_size, pool_size)
+    replica = np.arange(len(stack))[:, None]
+    kind, name = tasks[0].kind, ",".join(t.id for t in tasks)
 
     step = 0
     for phase_steps, optimizer in _adaptation_phases(model, task_index, config, steps):
@@ -375,9 +431,12 @@ def few_shot_adapt(
         for p in model.named_parameters().values():
             p.requires_grad = id(p) in trained_ids
         for _ in range(phase_steps):
-            batch = rng.integers(len(pool), size=batch_size)
-            _step(model, optimizer, config, task_index, task, x_pool[batch], y_pool[batch], rng, None, step)
+            batch = np.stack([rng.integers(pool_size, size=batch_size) for rng in rngs])
+            _step(model, optimizer, config, task_index, kind, name,
+                  x_pool[replica, batch], y_pool[replica, batch], rngs, None, step)
             step += 1
-
-    metrics_after = evaluate(model, task_index, task)
-    return AdaptationResult(task.id, task_index, model, metrics_before, metrics_after)
+    # Free the last phase's Adam moments first: the evaluation's stacked
+    # activations on top of them would set the run's peak memory.
+    del optimizer
+    result.metrics_after = _evaluate_replicas(model, task_index, stack)
+    return result

@@ -106,7 +106,7 @@ def test_unary_gradients(f):
 
 def test_binary_hand_values():
     assert (ad.tensor([1.0, 2.0]) + ad.tensor([0.0, 0.0])).data.tolist() == [1.0, 2.0]
-    assert (ad.tensor([3.0]) - 1.0).data.tolist() == [2.0]
+    assert ad.sub(ad.tensor([3.0]), 1.0).data.tolist() == [2.0]
     assert (2.0 * ad.tensor([3.0])).data.tolist() == [6.0]
 
 

@@ -130,10 +130,10 @@ def test_unknown_task_raises_lookup_error():
 
 
 def test_fresh_embedding_registration_extends_tasks():
-    model = HypernetModel(2, 4, [LayerShape(3, 3)], 1, np.random.default_rng(0))
-    index = model.add_task_embedding()
+    model = HypernetModel(2, 4, [LayerShape(3, 3)], 1, np.random.default_rng(0)).replicate(1)
+    index = model.add_task_embedding(1)
     assert index == 2
-    model.forward(2, ad.tensor(np.ones((1, 3))))  # no longer raises
+    model.forward(2, ad.tensor(np.ones((1, 1, 3))))  # no longer raises
 
 
 def test_generated_gradient_wrt_embedding_matches_finite_differences():

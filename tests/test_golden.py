@@ -3,7 +3,9 @@
 Each config below runs the whole pipeline (`run_experiment`) and its
 summary.json must equal the stored file in tests/golden/ byte for byte. The
 files were recorded before the model/skills/allocation refactor, so a change
-that is meant to keep behaviour can prove it did. A change that is meant to
+that is meant to keep behaviour can prove it did. The same configs check
+that adapting every held-out task and resample side by side gives each
+replica exactly what adapting it alone gives. A change that is meant to
 move results re-records them with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -17,8 +19,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from skillmix.config import parse_config_dict
 from skillmix.experiment import OUTPUT_ROOT_ENV, run_experiment
+from skillmix.synthetic import generate_synthetic_benchmark
+from skillmix.trainer import few_shot_adapt, multitask_train
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -78,11 +84,67 @@ def run_summary(doc: dict, output_root: Path) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_summary_matches_golden_bytes(name, tmp_path, monkeypatch):
-    # The output root goes through the environment: output_dir enters the
-    # config hash and so the summary.
+    # The output root goes through the environment, so that the run
+    # directory lands under tmp_path without a config change.
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     expected = (GOLDEN / f"{name}.json").read_bytes()
     assert run_summary(CONFIGS[name], tmp_path) == expected
+
+
+def _replica(result, trained_model, r) -> dict:
+    """Replica r's metrics and parameters; a parameter with the replica axis gives its slice r."""
+    base = trained_model.named_parameters()
+    params = {
+        name: p.data[r] if name not in base or p.ndim > base[name].ndim else p.data
+        for name, p in result.model.named_parameters().items()
+    }
+    return {"before": result.metrics_before[r], "after": result.metrics_after[r]}, params
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_stacked_adaptation_equals_one_adaptation_per_replica(name):
+    """All held-out tasks x 2 resamples in one call against one call per replica, bit for bit.
+
+    Each replica's metrics must also equal the golden summary's, recorded
+    when every adaptation ran on its own, so a stack that shares an rng
+    or reorders the draws fails even when the one-replica calls agree
+    with it.
+    """
+    doc = json.loads(json.dumps(CONFIGS[name]))
+    doc["world"]["holdout_tasks"] = max(doc["world"]["holdout_tasks"], 2)
+    config = parse_config_dict(doc)
+    w = config.world
+    world, tasks = generate_synthetic_benchmark(
+        config.seed, w.num_tasks, w.num_true_skills, w.input_dim, w.examples_per_task, w.noise_sigma,
+        (w.skills_per_task_min, w.skills_per_task_max), holdout_tasks=w.holdout_tasks, task_kind=w.task_kind,
+    )
+    trained = multitask_train(config, [t for t in tasks if t.split == "train"], world=world)
+    holdout = [t for t in tasks if t.split == "eval"]
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())["few_shot"]
+    resamples = (0, 1)
+    checked = 0
+    for kind in ("regression", "classification"):
+        ordinals = [o for o, t in enumerate(holdout) if t.kind == kind]
+        if not ordinals:
+            continue
+        stacked = few_shot_adapt(trained, [holdout[o] for o in ordinals], ordinals, resamples)
+        replicas = [(o, s) for o in ordinals for s in resamples]
+        assert len(stacked.task_ids) == len(replicas)
+        for r, (ordinal, resample) in enumerate(replicas):
+            task = holdout[ordinal]
+            alone = few_shot_adapt(trained, [task], [ordinal], (resample,))
+            metrics, params = _replica(stacked, trained.model, r)
+            metrics_alone, params_alone = _replica(alone, trained.model, 0)
+            assert stacked.task_ids[r] == task.id
+            assert metrics == metrics_alone
+            if golden:
+                assert metrics == golden[task.id]["resamples"][resample]
+            assert sorted(params) == sorted(params_alone)
+            for key in params:
+                assert params[key].shape == params_alone[key].shape, key
+                assert np.array_equal(params[key], params_alone[key]), key
+            checked += 1
+    assert checked == 2 * len(holdout)
 
 
 def _record(out_root: Path) -> None:

@@ -65,3 +65,27 @@ def test_config_runs_end_to_end(name, tmp_path, monkeypatch):
     summary = json.loads((record.run_dir / "summary.json").read_text())
     assert "failure" not in summary
     assert len(summary["few_shot"]) == TINY["world"]["holdout_tasks"]
+
+
+STAGES = {
+    "generate_world",
+    "multitask_train",
+    "evaluate_train_tasks",
+    "allocation_analysis",
+    "hierarchy_export",
+    "few_shot_adaptation",
+}
+
+
+def test_timing_json_has_per_stage_seconds_and_summary_has_none(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    record = run_experiment(parse_config_dict(TINY))
+    assert record.failure is None, record.failure
+    timing = json.loads((record.run_dir / "timing.json").read_text())
+    assert sorted(timing) == ["stage_seconds", "wall_clock_seconds"]
+    stages = timing["stage_seconds"]
+    assert set(stages) == STAGES
+    assert all(seconds >= 0.0 for seconds in stages.values())
+    assert sum(stages.values()) <= timing["wall_clock_seconds"] == record.wall_clock
+    summary = (record.run_dir / "summary.json").read_text()
+    assert "seconds" not in summary and "wall" not in summary

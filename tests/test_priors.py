@@ -179,3 +179,23 @@ def test_adam_skips_parameters_without_gradients():
     ad.backward(ad.reduce_sum(ad.mul(x, x)))
     opt.step()
     assert y.data[0] == 1.0 and x.data[0] != 1.0
+
+
+def test_adam_in_place_step_equals_the_textbook_expressions():
+    # The in-place update must round exactly like the plain numpy expressions.
+    rng = np.random.default_rng(0)
+    params = [ad.tensor(rng.standard_normal(shape), requires_grad=True) for shape in [(3, 1, 4), (5,)]]
+    reference = [p.data.copy() for p in params]
+    moments = [(np.zeros_like(r), np.zeros_like(r)) for r in reference]
+    opt = Adam([dict(params=params[:1], lr=0.1), dict(params=params[1:], lr=1e-3)])
+    for t in range(1, 6):
+        for p, r, (m, v), lr in zip(params, reference, moments, (0.1, 1e-3)):
+            p.grad = rng.standard_normal(p.shape)
+            m *= 0.9
+            m += (1.0 - 0.9) * p.grad
+            v *= 0.999
+            v += (1.0 - 0.999) * p.grad**2
+            r -= lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        opt.step()
+        for p, r in zip(params, reference):
+            assert np.array_equal(p.data, r)

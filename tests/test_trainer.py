@@ -326,38 +326,50 @@ def trained_small(kind="skilled", **overrides):
     return trained, holdout
 
 
+def replica_parameters(model, trained_model, r=0) -> dict:
+    """Replica r's parameters on a replicated model: slice r of each one that carries the replica axis.
+
+    Those are the new task's and every parameter with one more axis than
+    in the trained model; the others are shared by the replicas.
+    """
+    base = trained_model.named_parameters()
+    return {
+        name: p.data[r] if name not in base or p.ndim > base[name].ndim else p.data
+        for name, p in model.named_parameters().items()
+    }
+
+
 def test_zero_shot_or_zero_steps_is_noop():
     trained, holdout = trained_small(steps=80)
-    res = few_shot_adapt(trained, holdout[0], steps=0, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]], steps=0, k_shot=8)
     assert res.metrics_before == res.metrics_after
-    res = few_shot_adapt(trained, holdout[0], steps=50, k_shot=0)
+    res = few_shot_adapt(trained, [holdout[0]], steps=50, k_shot=0)
     assert res.metrics_before == res.metrics_after
 
 
 def test_task_id_collision_rejected():
     trained, _ = trained_small(steps=30)
     with pytest.raises(ContractError):
-        few_shot_adapt(trained, trained.tasks[0])
+        few_shot_adapt(trained, [trained.tasks[0]])
 
 
 def test_k_shot_cap_enforced():
     trained, holdout = trained_small(steps=30)
     with pytest.raises(ContractError):
-        few_shot_adapt(trained, holdout[0], k_shot=64)
+        few_shot_adapt(trained, [holdout[0]], k_shot=64)
 
 
 @pytest.mark.parametrize("kind", ["skilled", "private", "shared", "hypernet"])
 def test_adaptation_improves_loss(kind):
     trained, holdout = trained_small(kind=kind)
-    res = few_shot_adapt(trained, holdout[0], steps=150, k_shot=16)
-    assert res.metrics_after["loss"] < res.metrics_before["loss"]
+    res = few_shot_adapt(trained, [holdout[0]], steps=150, k_shot=16)
+    assert res.metrics_after[0]["loss"] < res.metrics_before[0]["loss"]
 
 
 def test_expert_adaptation_uses_planted_row():
     trained, holdout = trained_small(kind="expert", expert_table="planted")
-    res = few_shot_adapt(trained, holdout[0], steps=60, k_shot=8)
-    new_row = trained.model.alloc.matrices[0].shape[0]
-    adapted_matrix = res.model.alloc.eval_matrix(0)
+    res = few_shot_adapt(trained, [holdout[0]], steps=60, k_shot=8)
+    adapted_matrix = res.model.alloc.eval_matrix(0)[0]
     assert np.array_equal(
         adapted_matrix[res.task_index].astype(int),
         np.asarray([1 if j in holdout[0].planted_skills else 0 for j in range(3)]),
@@ -367,8 +379,9 @@ def test_expert_adaptation_uses_planted_row():
 def test_z_row_only_adaptation_freezes_everything_else():
     trained, holdout = trained_small(adapt_mode="z_only")
     before = trained.model.snapshot()
-    res = few_shot_adapt(trained, holdout[0], steps=80, k_shot=8)
-    after_base = {k: v for k, v in res.model.snapshot().items() if not k.startswith("z.")}
+    res = few_shot_adapt(trained, [holdout[0]], steps=80, k_shot=8)
+    after = replica_parameters(res.model, trained.model)
+    after_base = {k: v for k, v in after.items() if not k.startswith("z.")}
     before_base = {k: v for k, v in before.items() if not k.startswith("z.")}
     assert set(after_base) == set(before_base)
     for name in before_base:
@@ -382,26 +395,26 @@ def test_z_row_only_adaptation_freezes_everything_else():
 def test_frozen_allocation_adapts_a_learned_row(frozen):
     trained, holdout = trained_small(freeze_allocation=frozen, steps=60)
     assert trained.model.z_parameters() == []
-    res = few_shot_adapt(trained, holdout[0], steps=40, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]], steps=40, k_shot=8)
     new_rows = res.model.alloc.new_task_parameters(res.task_index)
-    assert res.model.alloc.eval_matrix(0).shape[0] == res.task_index + 1
+    assert res.model.alloc.eval_matrix(0).shape[-2] == res.task_index + 1
     phases = _adaptation_phases(res.model, res.task_index, trained.config, 40)
     assert [steps for steps, _ in phases] == [40]
     trains = {id(p) for p in phases[0][1].parameters}
     if frozen == "identity":
-        assert [row.shape for row in new_rows] == [(1, trained.model.alloc.num_skills)]
+        assert [row.shape for row in new_rows] == [(1, 1, trained.model.alloc.num_skills)]
         assert np.any(new_rows[0].data != 0.0)
         assert trains == {id(row) for row in new_rows}
     else:  # over a single skill the normalised row is [1.0] whatever its logits: a fixed row
         assert new_rows == []
-        assert res.model.alloc.eval_matrix(0)[-1].tolist() == [1.0]
+        assert res.model.alloc.eval_matrix(0)[0, -1].tolist() == [1.0]
         assert trains == {id(p) for p in res.model.phi_parameters()}
 
 
 def test_one_skill_inventory_adapts_the_skills_under_a_fixed_row():
     trained, holdout = trained_small(num_skills=1, steps=40)
     assert trained.model.z_parameters() != []
-    res = few_shot_adapt(trained, holdout[0], steps=20, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]], steps=20, k_shot=8)
     assert res.model.alloc.new_task_parameters(res.task_index) == []
     phases = _adaptation_phases(res.model, res.task_index, trained.config, 20)
     assert [steps for steps, _ in phases] == [20]
@@ -451,27 +464,40 @@ def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, 
 
 def test_z_row_only_adaptation_still_learns_on_recombinable_task():
     trained, holdout = trained_small(adapt_mode="z_only", steps=600)
-    res = few_shot_adapt(trained, holdout[0], steps=150, k_shot=16)
-    assert res.metrics_after["loss"] < res.metrics_before["loss"]
+    res = few_shot_adapt(trained, [holdout[0]], steps=150, k_shot=16)
+    assert res.metrics_after[0]["loss"] < res.metrics_before[0]["loss"]
 
 
 KIND_OVERRIDES = {"expert": {"expert_table": "planted"}}
 
 
+def _model_state(model) -> dict:
+    """Everything of a trained model that adaptation must leave alone, as bytes and shapes."""
+    state = {name: (p.shape, p.data.tobytes()) for name, p in model.named_parameters().items()}
+    for i, layer in enumerate(model.layers):
+        mask = getattr(getattr(layer, "skills", None), "mask", None)
+        state[f"layer{i}.mask"] = None if mask is None else (mask.shape, mask.tobytes())
+    if hasattr(model, "alloc"):
+        state["alloc"] = (model.alloc.num_tasks, model.alloc.num_skills)
+    return state
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_adaptation_does_not_mutate_the_base_model(kind):
-    trained, holdout = trained_small(kind, steps=60, **KIND_OVERRIDES.get(kind, {}))
-    before = trained.model.snapshot()
-    few_shot_adapt(trained, holdout[0], steps=40, k_shot=8)
-    after = trained.model.snapshot()
-    for name in before:
-        assert np.array_equal(before[name], after[name])
+    for param in ("dense", "sparse", "lowrank"):
+        trained, holdout = trained_small(
+            kind, steps=60, parameterisation=param, warmup_mask_steps=30, **KIND_OVERRIDES.get(kind, {})
+        )
+        assert len(holdout) >= 2
+        before = _model_state(trained.model)
+        few_shot_adapt(trained, holdout, resamples=(0, 1), steps=40, k_shot=8)
+        assert _model_state(trained.model) == before, param
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_adaptation_leaves_no_gradient_behind(kind):
     trained, holdout = trained_small(kind, steps=30, adapt_z_only_steps=10, **KIND_OVERRIDES.get(kind, {}))
-    res = few_shot_adapt(trained, holdout[0], steps=20, k_shot=8)
+    res = few_shot_adapt(trained, holdout, resamples=(0, 1), steps=20, k_shot=8)
     assert [name for name, p in res.model.named_parameters().items() if p.grad is not None] == []
 
 
@@ -492,14 +518,14 @@ def _base_map(model, x):
 def test_private_adaptation_trains_only_a_new_skill(param):
     trained, holdout = trained_small("private", steps=60, parameterisation=param, warmup_mask_steps=30)
     before = trained.model.snapshot()
-    start = few_shot_adapt(trained, holdout[0], steps=0)
+    start = few_shot_adapt(trained, [holdout[0]], steps=0)
     x = holdout[0].x_eval[:5]
-    pred, _ = start.model.forward(start.task_index, ad.tensor(x))
-    assert np.allclose(pred.data, _base_map(start.model, x), rtol=0, atol=1e-12)
-    assert np.array_equal(start.model.alloc.eval_matrix(0)[start.task_index], np.eye(7)[6])
+    pred, _ = start.model.forward(start.task_index, ad.tensor(x[None]))
+    assert np.allclose(pred.data[0], _base_map(start.model, x), rtol=0, atol=1e-12)
+    assert np.array_equal(start.model.alloc.eval_matrix(0)[0, start.task_index], np.eye(7)[6])
 
-    res = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8)
-    after = res.model.snapshot()
+    res = few_shot_adapt(trained, [holdout[0]], steps=30, k_shot=8)
+    after = replica_parameters(res.model, trained.model)
     assert set(after) == set(before)
     for name, old in before.items():
         new = after[name]
@@ -516,8 +542,8 @@ def test_private_adaptation_trains_only_a_new_skill(param):
 def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
     trained, holdout = trained_small("hypernet", steps=60, adapt_mode="z_only", adapt_z_only_steps=10)
     before = trained.model.snapshot()
-    res = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8)
-    after = res.model.snapshot()
+    res = few_shot_adapt(trained, [holdout[0]], steps=30, k_shot=8)
+    after = replica_parameters(res.model, trained.model)
     for name, old in before.items():
         assert np.array_equal(after[name], old), name
     mean = trained.model.embeddings.data.mean(axis=0, keepdims=True)
@@ -526,9 +552,9 @@ def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
 
 def test_resamples_differ_but_are_reproducible():
     trained, holdout = trained_small(steps=80)
-    r0 = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8, resample=0)
-    r1 = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8, resample=1)
-    r0_again = few_shot_adapt(trained, holdout[0], steps=30, k_shot=8, resample=0)
+    r0 = few_shot_adapt(trained, [holdout[0]], resamples=(0,), steps=30, k_shot=8)
+    r1 = few_shot_adapt(trained, [holdout[0]], resamples=(1,), steps=30, k_shot=8)
+    r0_again = few_shot_adapt(trained, [holdout[0]], resamples=(0,), steps=30, k_shot=8)
     assert r0.metrics_after == r0_again.metrics_after
     assert r0.metrics_after != r1.metrics_after
 
