@@ -63,6 +63,7 @@ CONFIGS = {
     "skilled_global_ibp_anneal": _with(
         allocation_mode="global", ibp_strength=0.1, tau_final=0.5, num_skills=4
     ),
+    "skilled_per_layer_ibp": _with(ibp_strength=0.1),
     "skilled_sparse_mask_freeze": _with(parameterisation="sparse", sparsity=0.8, warmup_mask_steps=30),
     "skilled_mixed_tasks": _with(world={"task_kind": "mixed"}),
     "private": _with(model_kind="private"),
