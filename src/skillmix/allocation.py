@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .autodiff import SeedLike, Tensor, apply_op, as_rng, full, sigmoid, tensor
+from .autodiff import SeedLike, Tensor, apply_op, as_rng, full, tensor
 from .errors import DegenerateMatrixError, DomainError, ShapeError
 
 # Uniform draws are clamped away from {0,1} so logit(u) stays finite.
@@ -67,11 +67,11 @@ def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.r
     return apply_op((logits,), out, vjp)
 
 
-def expected_allocation(logits: Tensor, tau: float) -> Tensor:
-    """Deterministic u=0.5 path, sigmoid(z / tau); used at evaluation time."""
+def expected_allocation(logits: Tensor, tau: float) -> np.ndarray:
+    """Deterministic u=0.5 path, sigmoid(z / tau); evaluation only, so a plain array with no node."""
     if tau <= 0:
         raise DomainError("temperature must be positive")
-    return sigmoid(logits * (1.0 / tau))
+    return expit(logits.data * (1.0 / tau))
 
 
 def normalize_rows(t: Tensor | np.ndarray, index: int) -> Tensor:

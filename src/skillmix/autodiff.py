@@ -5,13 +5,16 @@ execution order, so the record is already topologically sorted and
 ``backward`` is a single reverse sweep that touches each node exactly once.
 Training code resets the tape once per step (``reset_tape``).
 
-``apply_op`` is the one way to record a node. Besides the small generic ops
-below, the model's hot chains record through it as fused ops with
-hand-written VJPs: a skill-composed layer (``skills.mixed_affine``,
-``skills.mixed_lowrank``), a Gumbel draw and a normalised allocation row
-(``allocation``) and the task loss (``trainer.task_loss``). A VJP returns
-one part per input, or None for an input that needs no gradient; an input
-may be listed more than once, and its parts are then accumulated in order.
+``apply_op`` is the one way to record a node. The model's hot chains record
+through it as fused ops with hand-written VJPs: a skill-composed layer
+(``skills.mixed_affine``, ``skills.mixed_lowrank``), a Gumbel draw and a
+normalised allocation row (``allocation``), the task loss
+(``trainer.task_loss``) and the IBP prior (``priors.ibp_regularizer``).
+The generic ops left here are the ones the hypernetwork and the loss sum
+still use: ``add``, ``matmul``, ``transpose``, ``reshape``, ``take_row``
+and ``relu``. A VJP returns one part per input, or None for an input that
+needs no gradient; an input may be listed more than once, and its parts
+are then accumulated in order.
 
 Semantics worth knowing:
   * repeated ``backward`` calls accumulate into ``.grad`` (a loss and a
@@ -29,9 +32,8 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 Array = np.ndarray
 SeedLike = Union[int, Sequence[int], np.random.Generator]
@@ -71,17 +73,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    # Arithmetic sugar; python scalars are wrapped as constant tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -224,27 +215,6 @@ def add(a, b) -> Tensor:
     return apply_op((a, b), a.data + b.data, vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a.shape, b.shape)
-
-    def vjp(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return apply_op((a, b), a.data - b.data, vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _broadcast_check(a.shape, b.shape)
-    ad, bd = a.data, b.data
-
-    def vjp(g: Array):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
-
-    return apply_op((a, b), ad * bd, vjp)
-
-
 # ---------------------------------------------------------------------------
 # matmul / structural ops
 
@@ -315,25 +285,6 @@ def take_row(x: Tensor, index: int) -> Tensor:
 # elementwise unary ops
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = expit(x.data)
-
-    def vjp(g: Array):
-        return (g * out * (1.0 - out),)
-
-    return apply_op((x,), out, vjp)
-
-
-def neg(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-
-    def vjp(g: Array):
-        return (-g,)
-
-    return apply_op((x,), -x.data, vjp)
-
-
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     gate = (x.data > 0.0).astype(np.float64)
@@ -342,48 +293,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * gate,)
 
     return apply_op((x,), x.data * gate, vjp)
-
-
-def lgamma(x: Tensor) -> Tensor:
-    """log Gamma(x) for x > 0; derivative is the digamma function."""
-    x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("lgamma requires strictly positive inputs")
-    xd = x.data
-
-    def vjp(g: Array):
-        return (g * digamma(xd),)
-
-    return apply_op((x,), gammaln(xd), vjp)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def _checked_axis(axis: int | None, ndim: int) -> int | None:
-    if axis is None:
-        return None
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"axis {axis} out of range for rank {ndim}")
-    return axis % ndim
-
-
-def _spread(g: Array, shape: tuple, axis: int | None, keepdims: bool) -> Array:
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    axis = _checked_axis(axis, x.ndim)
-    shape = x.shape
-
-    def vjp(g: Array):
-        return (_spread(g, shape, axis, keepdims),)
-
-    return apply_op((x,), x.data.sum(axis=axis, keepdims=keepdims), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from .trainer import TrainedModel, evaluate, few_shot_adapt, multitask_train, st
 
 OUTPUT_ROOT_ENV = "SKILLMIX_OUTPUT_ROOT"
 
-HISTORY_FIELDS = ("step", "task_id", "loss", "reg_loss", "lr_z", "lr_phi")
-CURVE_METRICS = ("loss", "reg_loss")
+HISTORY_FIELDS = ("step", "task_id", "loss", "reg_loss", "tau")
+CURVE_METRICS = ("loss", "reg_loss", "tau")
 
 
 class RunFailure(RuntimeError):
@@ -79,7 +79,7 @@ def _history_csv(trained: TrainedModel) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HISTORY_FIELDS)
     for r in trained.history:
-        writer.writerow([r.step, r.task_id, repr(r.loss), repr(r.reg_loss), repr(r.lr_z), repr(r.lr_phi)])
+        writer.writerow([r.step, r.task_id, repr(r.loss), repr(r.reg_loss), repr(r.tau)])
     return buf.getvalue()
 
 

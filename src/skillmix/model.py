@@ -217,7 +217,7 @@ class AllocationState:
         """Deterministic relaxed matrix for this layer, new-task rows included: [R, T, S] with R replicas."""
         i = self._matrix_index(layer)
         blocks = [self.matrices[i]] + [rows[i] for rows in self.extra_rows]
-        values = [expected_allocation(b, self.tau).data if isinstance(b, Tensor) else b for b in blocks]
+        values = [expected_allocation(b, self.tau) if isinstance(b, Tensor) else b for b in blocks]
         lead = values[-1].shape[:-2]
         return np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in values], axis=-2)
 

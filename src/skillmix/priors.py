@@ -7,21 +7,28 @@ relaxed variant continues the factorial terms through log-gamma on the
 continuous column sums so gradients can flow to the logits, while the
 column-history multiplicity term is evaluated on the hardened matrix and
 treated as a constant per step.
+
+The relaxed density and the regulariser each record one tape node whose
+hand-written VJP (digamma of the column masses) replays, in order, the
+numpy operations of the generic-op chain they replace, so values and
+gradients are bit for bit those of that chain.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from .allocation import as_binary, harden
-from .autodiff import Tensor, add, lgamma, mul, neg, reduce_sum, scalar, sub, tensor
+from .autodiff import Tensor, apply_op, scalar
 from .errors import DomainError
 
 
+@lru_cache(maxsize=64)
 def _harmonic_sum(n: int) -> float:
     """Sum of the first n harmonic numbers: H_1 + H_2 + ... + H_n."""
     total = 0.0
@@ -32,11 +39,16 @@ def _harmonic_sum(n: int) -> float:
     return total
 
 
+@lru_cache(maxsize=64)
+def _log_factorial(n: int) -> float:
+    return float(gammaln(n + 1.0))
+
+
 def _history_log_term(binary: np.ndarray) -> float:
     """Sum over distinct column bit-patterns h of log(count(h)!)."""
-    counts = Counter(tuple(int(v) for v in binary[:, j]) for j in range(binary.shape[1]))
+    counts = Counter(column.tobytes() for column in np.ascontiguousarray(binary.T))
     # fsum is exactly rounded, so the value does not depend on the column order.
-    return math.fsum(gammaln(c + 1.0) for c in counts.values())
+    return math.fsum(gammaln(np.fromiter(counts.values(), np.float64) + 1.0))
 
 
 def ibp_log_prob(z: np.ndarray, alpha: float) -> float:
@@ -59,17 +71,15 @@ def ibp_log_prob(z: np.ndarray, alpha: float) -> float:
     value -= _history_log_term(binary)
     value -= alpha * _harmonic_sum(num_tasks)
     m = column_sums[active].astype(np.float64)
-    value += math.fsum(gammaln(num_tasks - m + 1.0) + gammaln(m) - gammaln(num_tasks + 1.0))
+    value += math.fsum(gammaln(num_tasks - m + 1.0) + gammaln(m) - _log_factorial(num_tasks))
     return value
 
 
-def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
-    """Differentiable continuation of the log-density on a relaxed matrix.
+def _relaxed_terms(z_hat: Tensor, alpha: float):
+    """The relaxed log-density's value and a map from its gradient to the matrix's.
 
-    Column sums use the continuous values; the factorials become log-gamma.
-    The history term and the active-column count come from the hardened
-    matrix and contribute no gradient. On a binary input this equals
-    `ibp_log_prob` exactly.
+    The constant comes from the hardened matrix. The per-column part is
+    lgamma(N + 1 - m) + lgamma(m) on each active column's mass m.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
@@ -80,25 +90,42 @@ def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
     constant = float(active.sum()) * math.log(alpha)
     constant -= _history_log_term(hardened)
     constant -= alpha * _harmonic_sum(num_tasks)
-    constant -= float(active.sum()) * float(gammaln(num_tasks + 1.0))
+    constant -= float(active.sum()) * _log_factorial(num_tasks)
 
     gate = active.astype(np.float64)
-    column_mass = reduce_sum(z_hat, axis=0)
     # Inactive columns are gated out below; shift their mass to 1 first so
     # lgamma stays inside its domain when the input is exactly binary.
-    safe_mass = add(column_mass, tensor(1.0 - gate))
-    per_column = add(
-        lgamma(sub(float(num_tasks) + 1.0, safe_mass)),
-        lgamma(safe_mass),
-    )
-    gated = mul(per_column, tensor(gate))
-    return add(reduce_sum(gated), scalar(constant))
+    safe_mass = z_hat.data.sum(axis=0) + (1.0 - gate)
+    rest = (num_tasks + 1.0) - safe_mass
+    if (rest <= 0.0).any() or (safe_mass <= 0.0).any():
+        raise DomainError("lgamma requires strictly positive inputs")
+    value = ((gammaln(rest) + gammaln(safe_mass)) * gate).sum() + constant
+
+    def matrix_grad(g):
+        gated = g * gate
+        return np.broadcast_to(gated * digamma(safe_mass) - gated * digamma(rest), z_hat.shape)
+
+    return value, matrix_grad
+
+
+def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
+    """Differentiable continuation of the log-density on a relaxed matrix.
+
+    Column sums use the continuous values; the factorials become log-gamma.
+    The history term and the active-column count come from the hardened
+    matrix and contribute no gradient. On a binary input this equals
+    `ibp_log_prob` up to rounding: the per-column terms are summed in
+    column order here and exactly rounded (`math.fsum`) there.
+    """
+    value, matrix_grad = _relaxed_terms(z_hat, alpha)
+    return apply_op((z_hat,), value, lambda g: (matrix_grad(g),))
 
 
 def ibp_regularizer(z_hat: Tensor, alpha: float, strength: float) -> Tensor:
-    """Loss term -strength * relaxed log-density; strength 0 contributes nothing."""
+    """Loss term -strength * relaxed log-density, one tape node; strength 0 records none."""
     if strength < 0:
         raise DomainError("strength must be non-negative")
     if strength == 0.0:
         return scalar(0.0)
-    return mul(neg(relaxed_ibp_log_prob(z_hat, alpha)), strength)
+    value, matrix_grad = _relaxed_terms(z_hat, alpha)
+    return apply_op((z_hat,), -value * strength, lambda g: (matrix_grad(-(g * strength)),))

@@ -44,8 +44,7 @@ class StepRecord:
     task_id: str
     loss: float
     reg_loss: float
-    lr_z: float
-    lr_phi: float
+    tau: float
 
 
 @dataclass
@@ -250,13 +249,12 @@ def multitask_train(
         task_index = int(rng.integers(len(train_tasks)))
         task = train_tasks[task_index]
         batch = rng.integers(task.x_train.shape[0], size=config.batch_size)
+        tau = _anneal_tau(config, step)
         loss_value, reg_value = _step(
             model, optimizer, config, task_index, task.kind, task.id,
-            task.x_train[batch], task.y_train[batch], rng, _anneal_tau(config, step), step,
+            task.x_train[batch], task.y_train[batch], rng, tau, step,
         )
-        history.append(
-            StepRecord(step, task.id, loss_value, reg_value, config.lr_z, config.lr_phi)
-        )
+        history.append(StepRecord(step, task.id, loss_value, reg_value, tau))
 
         if step + 1 == config.warmup_mask_steps and config.parameterisation == "sparse":
             model.freeze_sparse_masks()

@@ -58,7 +58,7 @@ def test_init_logits_constant_fill():
 
 
 def test_init_zero_means_half_probability():
-    probs = expected_allocation(init_logits(3, 4), tau=1.0).data
+    probs = expected_allocation(init_logits(3, 4), tau=1.0)
     assert np.all(probs == 0.5)
 
 
@@ -84,14 +84,25 @@ def test_sample_zero_logit_unit_tau_reproduces_the_draw():
 def test_sample_at_half_draw_is_sigmoid_of_scaled_logit():
     logits = init_logits(1, 1, 2.0)
     relaxed = expected_allocation(logits, tau=1.0)
-    assert relaxed.data[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
-    assert expected_allocation(init_logits(1, 1, 4.0), tau=2.0).data[0, 0] == pytest.approx(
+    assert relaxed[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
+    assert expected_allocation(init_logits(1, 1, 4.0), tau=2.0)[0, 0] == pytest.approx(
         0.8807970779778823, abs=1e-12
     )
 
 
 def test_small_tau_sharpens_expected_allocation():
-    assert expected_allocation(init_logits(1, 1, 1.0), tau=1e-3).data[0, 0] > 1.0 - 1e-12
+    assert expected_allocation(init_logits(1, 1, 1.0), tau=1e-3)[0, 0] > 1.0 - 1e-12
+
+
+def test_expected_allocation_is_the_unfused_chain_and_records_no_node():
+    logits = ad.tensor(np.random.default_rng(0).standard_normal((5, 4)) * 3.0, requires_grad=True)
+    for tau in (0.3, 1.0, 2.5):
+        ad.reset_tape()
+        got = expected_allocation(logits, tau)
+        assert len(ad.active_tape()) == 0
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, unfused.sigmoid(unfused.mul(logits, 1.0 / tau)).data)
+    ad.reset_tape()
 
 
 def test_sample_entries_strictly_inside_unit_interval():
@@ -131,7 +142,7 @@ def test_sampled_gradient_matches_finite_differences_with_fixed_draw():
     start = rng.standard_normal((3, 4))
 
     def f(z):
-        return ad.reduce_sum(gumbel_sigmoid_sample(z, 0.7, seed=5))
+        return unfused.reduce_sum(gumbel_sigmoid_sample(z, 0.7, seed=5))
 
     assert grad_check(f, ad.tensor(start)) < 1e-4
 
@@ -194,7 +205,7 @@ def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, 
         relaxed = draw(logits, tau, np.random.default_rng(seed))
         row = row_of(relaxed, task)
         # A second consumer of the matrix, as the prior is, recorded after the row.
-        loss = ad.add(ad.reduce_sum(ad.mul(row, ad.tensor(probe))), ad.reduce_sum(ad.lgamma(relaxed)))
+        loss = ad.add(unfused.reduce_sum(unfused.mul(row, ad.tensor(probe))), unfused.reduce_sum(unfused.lgamma(relaxed)))
         ad.backward(loss)
         results.append((relaxed.data, row.data, logits.grad))
     for got, expected in zip(*results):

@@ -62,7 +62,7 @@ def test_matmul_shape_mismatch():
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     b = ad.tensor(rng.standard_normal((4, 2)))
-    err = grad_check(lambda a: ad.reduce_sum(ad.matmul(a, b)), ad.tensor(rng.standard_normal((3, 4))))
+    err = grad_check(lambda a: unfused.reduce_sum(ad.matmul(a, b)), ad.tensor(rng.standard_normal((3, 4))))
     assert err < 1e-5
 
 
@@ -71,18 +71,18 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_sigmoid_values():
-    assert ad.sigmoid(ad.tensor([0.0])).data[0] == 0.5
-    assert ad.sigmoid(ad.tensor([2.0])).data[0] == pytest.approx(0.8807970779778823, abs=1e-12)
+    assert unfused.sigmoid(ad.tensor([0.0])).data[0] == 0.5
+    assert unfused.sigmoid(ad.tensor([2.0])).data[0] == pytest.approx(0.8807970779778823, abs=1e-12)
 
 
 def test_lgamma_domain():
     with pytest.raises(DomainError):
-        ad.lgamma(ad.tensor([-1.0]))
+        unfused.lgamma(ad.tensor([-1.0]))
 
 
 def test_exp_neg_abs_relu_softplus_values():
     x = ad.tensor([-2.0, 0.0, 3.0])
-    assert np.allclose(ad.neg(x).data, [2.0, 0.0, -3.0])
+    assert np.allclose(unfused.neg(x).data, [2.0, 0.0, -3.0])
     assert np.allclose(ad.relu(x).data, [0.0, 0.0, 3.0])
     assert np.allclose(unfused.softplus(x).data, np.log1p(np.exp(x.data)))
 
@@ -93,10 +93,10 @@ def test_softplus_stable_for_large_inputs():
     assert out.data[1] == 0.0
 
 
-@pytest.mark.parametrize("f", [ad.sigmoid, ad.neg, ad.relu, unfused.softplus])
+@pytest.mark.parametrize("f", [unfused.sigmoid, unfused.neg, ad.relu, unfused.softplus])
 def test_unary_gradients(f):
     rng = np.random.default_rng(42)
-    err = grad_check(lambda t: ad.reduce_sum(f(t)), ad.tensor(rng.standard_normal(6) + 0.1))
+    err = grad_check(lambda t: unfused.reduce_sum(f(t)), ad.tensor(rng.standard_normal(6) + 0.1))
     assert err < 1e-6
 
 
@@ -105,9 +105,9 @@ def test_unary_gradients(f):
 
 
 def test_binary_hand_values():
-    assert (ad.tensor([1.0, 2.0]) + ad.tensor([0.0, 0.0])).data.tolist() == [1.0, 2.0]
-    assert ad.sub(ad.tensor([3.0]), 1.0).data.tolist() == [2.0]
-    assert (2.0 * ad.tensor([3.0])).data.tolist() == [6.0]
+    assert ad.add(ad.tensor([1.0, 2.0]), ad.tensor([0.0, 0.0])).data.tolist() == [1.0, 2.0]
+    assert unfused.sub(ad.tensor([3.0]), 1.0).data.tolist() == [2.0]
+    assert unfused.mul(2.0, ad.tensor([3.0])).data.tolist() == [6.0]
 
 
 def test_incompatible_shapes_rejected():
@@ -118,21 +118,21 @@ def test_incompatible_shapes_rejected():
 def test_broadcast_vector_gradient_is_column_sum():
     matrix = ad.tensor(np.arange(6.0).reshape(2, 3))
     vec = ad.tensor(np.zeros(3), requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.sub(matrix, vec)))
+    ad.backward(unfused.reduce_sum(unfused.sub(matrix, vec)))
     assert np.array_equal(vec.grad, [-2.0, -2.0, -2.0])
 
 
 def test_broadcast_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     m = ad.tensor(rng.standard_normal((2, 3)))
-    err = grad_check(lambda v: ad.reduce_sum(ad.mul(ad.add(m, v), ad.add(m, v))), ad.tensor(rng.standard_normal(3)))
+    err = grad_check(lambda v: unfused.reduce_sum(unfused.mul(ad.add(m, v), ad.add(m, v))), ad.tensor(rng.standard_normal(3)))
     assert err < 1e-6
 
 
 def test_div_gradients():
     rng = np.random.default_rng(5)
     a = ad.tensor(rng.standard_normal((2, 2)))
-    err = grad_check(lambda b: ad.reduce_sum(unfused.div(a, b)), ad.tensor(rng.uniform(1.0, 2.0, (2, 2))))
+    err = grad_check(lambda b: unfused.reduce_sum(unfused.div(a, b)), ad.tensor(rng.uniform(1.0, 2.0, (2, 2))))
     assert err < 1e-6
 
 
@@ -141,14 +141,14 @@ def test_div_gradients():
 
 
 def test_reduce_values():
-    assert ad.reduce_sum(ad.tensor([1.0, 2.0, 3.0])).item() == 6.0
+    assert unfused.reduce_sum(ad.tensor([1.0, 2.0, 3.0])).item() == 6.0
     out = unfused.reduce_mean(ad.tensor([[1.0, 3.0], [5.0, 7.0]]), axis=0)
     assert out.data.tolist() == [3.0, 5.0]
 
 
 def test_reduce_axis_out_of_range():
     with pytest.raises(ShapeError):
-        ad.reduce_sum(ad.tensor([[1.0]]), axis=2)
+        unfused.reduce_sum(ad.tensor([[1.0]]), axis=2)
 
 
 def test_mean_gradient_is_one_over_n():
@@ -170,7 +170,7 @@ def test_reshape_transpose_take_row():
 
 def test_take_row_gradient_scatters():
     x = ad.tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.take_row(x, 0)))
+    ad.backward(unfused.reduce_sum(ad.take_row(x, 0)))
     assert np.array_equal(x.grad, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
 
 
@@ -184,7 +184,7 @@ def test_an_input_listed_twice_accumulates_its_parts_in_order():
 
     out = ad.apply_op((x, x), x.data * 5.0, vjp)
     assert len(ad.active_tape()) == 1
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(unfused.reduce_sum(out))
     assert np.array_equal(x.grad, [5.0, 5.0])
     assert len(parts) == 1
 
@@ -195,19 +195,19 @@ def test_an_input_listed_twice_accumulates_its_parts_in_order():
 
 def test_backward_sum_gives_ones():
     x = ad.tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(unfused.reduce_sum(x))
     assert np.array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_quadratic_gives_2x():
     x = ad.tensor([1.0, -2.0, 3.0], requires_grad=True)
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(unfused.reduce_sum(unfused.mul(x, x)))
     assert np.allclose(x.grad, 2.0 * x.data)
 
 
 def test_backward_requires_scalar_and_nonempty_tape():
     x = ad.tensor([1.0, 2.0], requires_grad=True)
-    y = ad.mul(x, x)
+    y = unfused.mul(x, x)
     with pytest.raises(ContractError):
         ad.backward(y)
     ad.reset_tape()
@@ -217,7 +217,7 @@ def test_backward_requires_scalar_and_nonempty_tape():
 
 def test_repeated_backward_accumulates():
     x = ad.tensor([1.0, 1.0], requires_grad=True)
-    loss = ad.reduce_sum(ad.mul(x, x))
+    loss = unfused.reduce_sum(unfused.mul(x, x))
     ad.backward(loss)
     first = x.grad.copy()
     ad.backward(loss)
@@ -235,12 +235,12 @@ def test_backward_is_linear_in_the_loss():
             ad.backward(fn(x), t)
         return x.grad
 
-    gf = grads_of(lambda x: ad.reduce_sum(ad.sigmoid(x)))
-    gg = grads_of(lambda x: ad.reduce_sum(ad.mul(x, x)))
+    gf = grads_of(lambda x: unfused.reduce_sum(unfused.sigmoid(x)))
+    gg = grads_of(lambda x: unfused.reduce_sum(unfused.mul(x, x)))
     combined = grads_of(
         lambda x: ad.add(
-            ad.mul(ad.reduce_sum(ad.sigmoid(x)), alpha),
-            ad.mul(ad.reduce_sum(ad.mul(x, x)), beta),
+            unfused.mul(unfused.reduce_sum(unfused.sigmoid(x)), alpha),
+            unfused.mul(unfused.reduce_sum(unfused.mul(x, x)), beta),
         )
     )
     assert np.max(np.abs(combined - (alpha * gf + beta * gg))) < 1e-10
@@ -250,7 +250,7 @@ def test_composite_sigmoid_matmul_gradient():
     rng = np.random.default_rng(21)
     w = ad.tensor(rng.standard_normal((4, 3)))
     err = grad_check(
-        lambda x: ad.reduce_sum(ad.sigmoid(ad.matmul(x, w))),
+        lambda x: unfused.reduce_sum(unfused.sigmoid(ad.matmul(x, w))),
         ad.tensor(rng.standard_normal((2, 4))),
     )
     assert err < 1e-4
@@ -260,7 +260,7 @@ def test_deterministic_gradients_across_runs():
     def run():
         x = ad.tensor(ad.kaiming_uniform((3, 5), seed=99).data, requires_grad=True)
         with fresh_tape() as t:
-            loss = ad.reduce_sum(ad.sigmoid(ad.mul(x, x)))
+            loss = unfused.reduce_sum(unfused.sigmoid(unfused.mul(x, x)))
             ad.backward(loss, t)
         return x.data.copy(), x.grad.copy()
 
@@ -274,35 +274,35 @@ def test_deterministic_gradients_across_runs():
 
 
 def test_grad_check_on_sum_is_machine_precision():
-    assert grad_check(ad.reduce_sum, ad.tensor(np.arange(4.0))) < 1e-10
+    assert grad_check(unfused.reduce_sum, ad.tensor(np.arange(4.0))) < 1e-10
 
 
 def test_grad_check_sigmoid_at_zero():
     x = ad.tensor(np.zeros(5))
     with fresh_tape() as t:
         leaf = ad.tensor(np.zeros(5), requires_grad=True)
-        ad.backward(ad.reduce_sum(ad.sigmoid(leaf)), t)
+        ad.backward(unfused.reduce_sum(unfused.sigmoid(leaf)), t)
         assert np.allclose(leaf.grad, 0.25)
-    assert grad_check(lambda v: ad.reduce_sum(ad.sigmoid(v)), x) < 1e-6
+    assert grad_check(lambda v: unfused.reduce_sum(unfused.sigmoid(v)), x) < 1e-6
 
 
 def test_grad_check_rejects_nonscalar_and_bad_eps():
     with pytest.raises(ContractError):
-        grad_check(lambda v: ad.mul(v, v), ad.tensor([1.0, 2.0]))
+        grad_check(lambda v: unfused.mul(v, v), ad.tensor([1.0, 2.0]))
     with pytest.raises(DomainError):
-        grad_check(ad.reduce_sum, ad.tensor([1.0]), eps=0.0)
+        grad_check(unfused.reduce_sum, ad.tensor([1.0]), eps=0.0)
 
 
 def test_grad_check_flags_eps_sensitivity_near_zero_denominator():
     # 1/x near x ~ 1e-4 with eps 1e-5: central differences are badly off.
     x = ad.tensor([1e-4])
-    err = grad_check(lambda v: ad.reduce_sum(unfused.div(ad.tensor([1.0]), v)), x, eps=1e-5)
+    err = grad_check(lambda v: unfused.reduce_sum(unfused.div(ad.tensor([1.0]), v)), x, eps=1e-5)
     assert err > 1e-2
 
 
 def test_no_grad_blocks_recording():
     x = ad.tensor([1.0], requires_grad=True)
     with ad.no_grad():
-        y = ad.mul(x, x)
+        y = unfused.mul(x, x)
     assert not y.requires_grad
     assert len(ad.active_tape()) == 0

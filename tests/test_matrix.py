@@ -6,13 +6,14 @@ the skilled model, and the frozen skilled allocations with held-out tasks
 (which adapt a learnable row over the fixed inventory).
 """
 
+import csv
 import itertools
 import json
 
 import pytest
 
 from skillmix.config import MODEL_KINDS, PARAMETERISATIONS, TASK_KINDS, parse_config_dict
-from skillmix.experiment import OUTPUT_ROOT_ENV, run_experiment
+from skillmix.experiment import CURVE_METRICS, HISTORY_FIELDS, OUTPUT_ROOT_ENV, emit_plot_data, run_experiment
 
 TINY = {
     "seed": 1,
@@ -89,3 +90,21 @@ def test_timing_json_has_per_stage_seconds_and_summary_has_none(tmp_path, monkey
     assert sum(stages.values()) <= timing["wall_clock_seconds"] == record.wall_clock
     summary = (record.run_dir / "summary.json").read_text()
     assert "seconds" not in summary and "wall" not in summary
+
+
+def test_history_csv_logs_each_steps_annealed_tau(tmp_path, monkeypatch):
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    doc = dict(TINY, tau=1.0, tau_final=0.5)
+    record = run_experiment(parse_config_dict(doc))
+    assert record.failure is None, record.failure
+    with open(record.run_dir / "history.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == HISTORY_FIELDS == ("step", "task_id", "loss", "reg_loss", "tau")
+    taus = [float(row[-1]) for row in rows[1:]]
+    assert len(taus) == doc["steps"]
+    assert taus[0] == 1.0 and taus[-1] == 0.5
+    assert all(a > b for a, b in zip(taus, taus[1:]))
+    curves, _ = emit_plot_data([record.run_dir], tmp_path / "plots")
+    with open(curves, newline="") as fh:
+        metrics = {row["metric"] for row in csv.DictReader(fh)}
+    assert metrics == set(CURVE_METRICS) == {"loss", "reg_loss", "tau"}

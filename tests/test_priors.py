@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from skillmix import autodiff as ad
 from skillmix.errors import ContractError, DomainError
 from skillmix.optim import Adam, build_two_speed_groups
-from skillmix.priors import ibp_log_prob, ibp_regularizer, relaxed_ibp_log_prob
+from skillmix.priors import _history_log_term, ibp_log_prob, ibp_regularizer, relaxed_ibp_log_prob
 
+import unfused
 from gradcheck import grad_check
 
 binary_matrices = arrays(
@@ -93,6 +94,83 @@ def test_relaxed_equals_exact_on_binary_inputs():
         assert relaxed == pytest.approx(ibp_log_prob(binary.astype(int), alpha), abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(binary_matrices)
+def test_history_term_by_column_bytes_equals_the_cell_by_cell_count(matrix):
+    assert _history_log_term(matrix) == unfused.history_log_term(matrix)
+
+
+def _relaxed(rng, shape):
+    return rng.uniform(0.02, 0.98, size=shape)
+
+
+def _binary(rng, shape):
+    # Exactly 0/1, with an all-ones and an all-zeros column: both gate ends.
+    m = rng.integers(0, 2, size=shape).astype(np.float64)
+    m[:, 0], m[:, -1] = 1.0, 0.0
+    return m
+
+
+def _inactive_column(rng, shape):
+    m = _relaxed(rng, shape)
+    m[:, 1] = rng.uniform(0.0, 0.49, size=shape[0])
+    return m
+
+
+def _one_row(rng, shape):
+    return _relaxed(rng, (1, shape[1]))
+
+
+@pytest.mark.parametrize("make", [_relaxed, _binary, _inactive_column, _one_row])
+@pytest.mark.parametrize("shape", [(2, 3), (6, 5), (24, 8)])
+@pytest.mark.parametrize("strength", [None, 0.1, 0.37])
+def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
+    """Value and gradient bit for bit; `None` is the relaxed log-density itself.
+
+    The matrix has a consumer recorded before the prior, as the normalised
+    row is in a step, so the accumulation order of its gradient is checked
+    too.
+    """
+    rng = np.random.default_rng(sum(shape))
+    data = make(rng, shape)
+    probe = rng.standard_normal(data.shape)
+    alpha = float(rng.uniform(0.2, 8.0))
+    fused = relaxed_ibp_log_prob if strength is None else lambda z, a: ibp_regularizer(z, a, strength)
+    reference = (
+        unfused.relaxed_ibp_log_prob if strength is None else lambda z, a: unfused.ibp_regularizer(z, a, strength)
+    )
+    results = []
+    for prior in (fused, reference):
+        ad.reset_tape()
+        z = ad.tensor(data, requires_grad=True)
+        other = unfused.reduce_sum(unfused.mul(z, ad.tensor(probe)))
+        value = prior(z, alpha)
+        ad.backward(ad.add(other, value))
+        results.append((value.data, z.grad))
+    (value, grad), (ref_value, ref_grad) = results
+    assert value.shape == ref_value.shape == ()
+    assert np.array_equal(value, ref_value)
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_fused_prior_records_one_node():
+    z = ad.tensor(np.random.default_rng(1).uniform(size=(5, 4)), requires_grad=True)
+    ibp_regularizer(z, 2.0, 0.1)
+    assert len(ad.active_tape()) == 1
+    ad.reset_tape()
+    relaxed_ibp_log_prob(z, 2.0)
+    assert len(ad.active_tape()) == 1
+
+
+def test_fused_prior_keeps_the_domain_checks():
+    # Column mass 3 on one task leaves lgamma(N + 1 - m) at lgamma(-1).
+    for prior in (ibp_regularizer, unfused.ibp_regularizer):
+        with pytest.raises(DomainError):
+            prior(ad.tensor([[3.0]]), 1.0, 0.1)
+        with pytest.raises(DomainError):
+            prior(ad.tensor([[0.5]]), 0.0, 0.1)
+
+
 def test_regularizer_zero_strength_contributes_nothing():
     z = ad.tensor(np.full((3, 2), 0.4), requires_grad=True)
     reg = ibp_regularizer(z, 5.0, 0.0)
@@ -129,7 +207,7 @@ def test_adam_first_step_magnitude_equals_lr():
     # On f(x) = x the first Adam step moves by exactly lr (up to eps).
     x = ad.tensor([0.0], requires_grad=True)
     opt = Adam([dict(params=[x], lr=0.01)])
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(unfused.reduce_sum(x))
     opt.step()
     assert x.data[0] == pytest.approx(-0.01, rel=1e-6)
 
@@ -166,7 +244,7 @@ def test_adam_converges_on_quadratic():
     opt = Adam([dict(params=[x], lr=0.1)])
     for _ in range(400):
         ad.reset_tape()
-        ad.backward(ad.reduce_sum(ad.mul(x, x)))
+        ad.backward(unfused.reduce_sum(unfused.mul(x, x)))
         opt.step()
         opt.zero_grad()
     assert abs(x.data[0]) < 1e-3
@@ -176,7 +254,7 @@ def test_adam_skips_parameters_without_gradients():
     x = ad.tensor([1.0], requires_grad=True)
     y = ad.tensor([1.0], requires_grad=True)
     opt = Adam([dict(params=[x, y], lr=0.1)])
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(unfused.reduce_sum(unfused.mul(x, x)))
     opt.step()
     assert y.data[0] == 1.0 and x.data[0] != 1.0
 

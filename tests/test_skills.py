@@ -42,7 +42,7 @@ def composed(skills, w):
 def probe_objective(out, seed=0):
     """A scalar that depends on every output entry."""
     probe = np.random.default_rng(seed).standard_normal(out.shape)
-    return ad.reduce_sum(ad.mul(out, ad.tensor(probe)))
+    return unfused.reduce_sum(unfused.mul(out, ad.tensor(probe)))
 
 
 def grads_of(loss, tensors):
@@ -257,7 +257,7 @@ def test_masked_entries_get_exactly_zero_gradient():
     skills = make_sparse(sparsity=0.9, dim=100)
     sk.freeze_mask(skills, skills.phi.data + np.random.default_rng(6).standard_normal(skills.phi.shape))
     out = sk.mixed_affine(probe_input(skills), skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
-    ad.backward(ad.reduce_sum(ad.mul(out, out)))
+    ad.backward(unfused.reduce_sum(unfused.mul(out, out)))
     masked = skills.phi.grad[skills.mask == 0]
     unmasked = skills.phi.grad[skills.mask == 1]
     assert np.all(masked == 0.0)
@@ -293,7 +293,7 @@ def lora_forward_materialized(x, skills, w):
     """Reference path: build the delta sum_j w_j * (A_j @ B_j) first, then apply it."""
     delta = None
     for j in range(skills.num_skills):
-        term = ad.mul(ad.matmul(ad.take_row(skills.A, j), ad.take_row(skills.B, j)), ad.take_row(w, j))
+        term = unfused.mul(ad.matmul(ad.take_row(skills.A, j), ad.take_row(skills.B, j)), ad.take_row(w, j))
         delta = term if delta is None else ad.add(delta, term)
     weight = ad.add(skills.W0, delta)
     return ad.add(ad.matmul(x, ad.transpose(weight)), skills.b0)

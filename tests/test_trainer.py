@@ -430,6 +430,13 @@ def test_skilled_dense_training_step_records_seven_tape_nodes():
     assert len(ad.active_tape()) == 7
 
 
+def test_the_prior_adds_one_node_and_one_sum_per_relaxed_matrix():
+    world, tasks = make_world()
+    train_tasks = [t for t in tasks if t.split == "train"]
+    multitask_train(small_config(steps=1, ibp_strength=0.1), train_tasks, world=world)
+    assert len(ad.active_tape()) == 7 + 2 * 2
+
+
 @pytest.mark.parametrize("allocation_mode", ["per_layer", "global"])
 @pytest.mark.parametrize("kind", ["regression", "classification"])
 def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, kind):
@@ -443,9 +450,17 @@ def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, 
     if kind == "classification":
         y = np.where(y >= 0.0, 1.0, -1.0)
     grads = []
-    for forward, loss_of in [
-        (lambda: model.forward(2, ad.tensor(x), train=True, rng=np.random.default_rng(5), tau=0.7), task_loss),
-        (lambda: unfused.skill_forward(model, 2, ad.tensor(x), np.random.default_rng(5), 0.7), unfused.task_loss),
+    for forward, loss_of, prior in [
+        (
+            lambda: model.forward(2, ad.tensor(x), train=True, rng=np.random.default_rng(5), tau=0.7),
+            task_loss,
+            ibp_regularizer,
+        ),
+        (
+            lambda: unfused.skill_forward(model, 2, ad.tensor(x), np.random.default_rng(5), 0.7),
+            unfused.task_loss,
+            unfused.ibp_regularizer,
+        ),
     ]:
         ad.reset_tape()
         for p in named.values():
@@ -453,7 +468,7 @@ def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, 
         pred, relaxed_mats = forward()
         total = loss_of(pred, y, kind)
         for relaxed in relaxed_mats:
-            total = ad.add(total, ibp_regularizer(relaxed, config.ibp_alpha, config.ibp_strength))
+            total = ad.add(total, prior(relaxed, config.ibp_alpha, config.ibp_strength))
         ad.backward(total)
         grads.append({name: p.grad for name, p in named.items()})
     fused, reference = grads

@@ -2,17 +2,43 @@
 
 Each function records the op-by-op chain the model used before its hot
 paths became single tape nodes: the dense/sparse composition and affine map,
-the Gumbel draw, the normalised row and the task loss. The equivalence tests
-compare the fused ops against these bit for bit. The generic ops only these
-chains need (division, softplus, mean) live here too.
+the Gumbel draw, the normalised row, the task loss and the IBP prior. The
+equivalence tests compare the fused ops against these bit for bit. The
+generic ops only these chains need (subtraction, product, negation,
+division, sigmoid, softplus, log-gamma, sum and mean) live here too.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
-from scipy.special import expit
+from scipy.special import digamma, expit, gammaln
 
 from skillmix import autodiff as ad
-from skillmix.allocation import UNIFORM_EPS
-from skillmix.errors import DegenerateMatrixError, ShapeError
+from skillmix.allocation import UNIFORM_EPS, harden
+from skillmix.errors import DegenerateMatrixError, DomainError, ShapeError
+from skillmix.priors import _harmonic_sum
+
+
+def sub(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._broadcast_check(a.shape, b.shape)
+
+    def vjp(g):
+        return ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape)
+
+    return ad.apply_op((a, b), a.data - b.data, vjp)
+
+
+def mul(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._broadcast_check(a.shape, b.shape)
+    adata, bdata = a.data, b.data
+
+    def vjp(g):
+        return ad._unbroadcast(g * bdata, a.shape), ad._unbroadcast(g * adata, b.shape)
+
+    return ad.apply_op((a, b), adata * bdata, vjp)
 
 
 def div(a, b):
@@ -25,6 +51,38 @@ def div(a, b):
         return ad._unbroadcast(g / den, a.shape), ad._unbroadcast(-g * out / den, b.shape)
 
     return ad.apply_op((a, b), out, vjp)
+
+
+def neg(x):
+    x = ad._as_tensor(x)
+
+    def vjp(g):
+        return (-g,)
+
+    return ad.apply_op((x,), -x.data, vjp)
+
+
+def sigmoid(x):
+    x = ad._as_tensor(x)
+    out = expit(x.data)
+
+    def vjp(g):
+        return (g * out * (1.0 - out),)
+
+    return ad.apply_op((x,), out, vjp)
+
+
+def lgamma(x):
+    """log Gamma(x) for x > 0; derivative is the digamma function."""
+    x = ad._as_tensor(x)
+    if np.any(x.data <= 0.0):
+        raise DomainError("lgamma requires strictly positive inputs")
+    xd = x.data
+
+    def vjp(g):
+        return (g * digamma(xd),)
+
+    return ad.apply_op((x,), gammaln(xd), vjp)
 
 
 def softplus(x):
@@ -40,14 +98,39 @@ def softplus(x):
     return ad.apply_op((x,), out, vjp)
 
 
+def _checked_axis(axis, ndim):
+    if axis is None:
+        return None
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} out of range for rank {ndim}")
+    return axis % ndim
+
+
+def _spread(g, shape, axis, keepdims):
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
+def reduce_sum(x, axis=None, keepdims=False):
+    x = ad._as_tensor(x)
+    axis = _checked_axis(axis, x.ndim)
+    shape = x.shape
+
+    def vjp(g):
+        return (_spread(g, shape, axis, keepdims),)
+
+    return ad.apply_op((x,), x.data.sum(axis=axis, keepdims=keepdims), vjp)
+
+
 def reduce_mean(x, axis=None, keepdims=False):
     x = ad._as_tensor(x)
-    axis = ad._checked_axis(axis, x.ndim)
+    axis = _checked_axis(axis, x.ndim)
     shape = x.shape
     count = x.size if axis is None else shape[axis]
 
     def vjp(g):
-        return (ad._spread(g, shape, axis, keepdims) / count,)
+        return (_spread(g, shape, axis, keepdims) / count,)
 
     return ad.apply_op((x,), x.data.mean(axis=axis, keepdims=keepdims), vjp)
 
@@ -69,7 +152,7 @@ def compose_dense(skills, w):
     """theta = base + sum_j w_j * (phi * mask)_j."""
     if w.ndim != 1 or w.shape[0] != skills.num_skills:
         raise ShapeError(f"weights must be a [{skills.num_skills}] vector, got shape {w.shape}")
-    phi = skills.phi if skills.mask is None else ad.mul(skills.phi, ad.tensor(skills.mask))
+    phi = skills.phi if skills.mask is None else mul(skills.phi, ad.tensor(skills.mask))
     mixed = ad.matmul(ad.reshape(w, (1, skills.num_skills)), phi)
     return ad.add(skills.base, ad.reshape(mixed, (skills.dim,)))
 
@@ -90,12 +173,12 @@ def gumbel_sigmoid_sample(logits, tau, rng):
     u = rng.uniform(size=logits.shape)
     u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     noise = np.log(u) - np.log1p(-u)
-    return ad.sigmoid((logits + ad.tensor(noise)) * (1.0 / tau))
+    return sigmoid(mul(ad.add(logits, ad.tensor(noise)), 1.0 / tau))
 
 
 def normalize_rows(t):
     """Every row scaled to sum to one."""
-    sums = ad.reduce_sum(t, axis=1, keepdims=True)
+    sums = reduce_sum(t, axis=1, keepdims=True)
     if np.any(sums.data < 1e-12):
         raise DegenerateMatrixError("row sum below 1e-12; cannot normalise")
     return div(t, sums)
@@ -104,9 +187,43 @@ def normalize_rows(t):
 def task_loss(pred, targets, kind):
     y = ad.tensor(targets)
     if kind == "regression":
-        err = ad.sub(pred, y)
-        return reduce_mean(ad.mul(err, err))
-    return reduce_mean(softplus(ad.neg(ad.mul(y, pred))))
+        err = sub(pred, y)
+        return reduce_mean(mul(err, err))
+    return reduce_mean(softplus(neg(mul(y, pred))))
+
+
+def history_log_term(binary):
+    """Sum over distinct column bit-patterns h of log(count(h)!), read one cell at a time."""
+    counts = Counter(tuple(int(v) for v in binary[:, j]) for j in range(binary.shape[1]))
+    return math.fsum(gammaln(c + 1.0) for c in counts.values())
+
+
+def relaxed_ibp_log_prob(z_hat, alpha):
+    """The relaxed IBP log-density as the lgamma chain it was before it became one node."""
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    num_tasks = z_hat.shape[0]
+    hardened = harden(z_hat)
+    active = hardened.sum(axis=0) > 0
+
+    constant = float(active.sum()) * math.log(alpha)
+    constant -= history_log_term(hardened)
+    constant -= alpha * _harmonic_sum(num_tasks)
+    constant -= float(active.sum()) * float(gammaln(num_tasks + 1.0))
+
+    gate = active.astype(np.float64)
+    column_mass = reduce_sum(z_hat, axis=0)
+    safe_mass = ad.add(column_mass, ad.tensor(1.0 - gate))
+    per_column = ad.add(
+        lgamma(sub(float(num_tasks) + 1.0, safe_mass)),
+        lgamma(safe_mass),
+    )
+    gated = mul(per_column, ad.tensor(gate))
+    return ad.add(reduce_sum(gated), ad.scalar(constant))
+
+
+def ibp_regularizer(z_hat, alpha, strength):
+    return mul(neg(relaxed_ibp_log_prob(z_hat, alpha)), strength)
 
 
 def skill_forward(model, task, x, rng, tau):
