@@ -53,7 +53,9 @@ def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.r
     if isinstance(seed, list) and seed and isinstance(seed[0], np.random.Generator):
         if len(seed) != logits.shape[0]:
             raise ShapeError(f"{len(seed)} generators for a stack of {logits.shape[0]} replicas")
-        u = np.stack([rng.random(logits.shape[1:]) for rng in seed])
+        u = np.empty(logits.shape)
+        for row, rng in zip(u, seed):
+            rng.random(out=row)
     else:
         u = as_rng(seed).random(logits.shape)
     u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)

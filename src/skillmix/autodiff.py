@@ -5,20 +5,22 @@ execution order, so the record is already topologically sorted and
 ``backward`` is a single reverse sweep that touches each node exactly once.
 Training code resets the tape once per step (``reset_tape``).
 
-``apply_op`` is the one way to record a node. The model's hot chains record
-through it as fused ops with hand-written VJPs: a skill-composed layer
-(``skills.mixed_affine``, ``skills.mixed_lowrank``), a Gumbel draw and a
-normalised allocation row (``allocation``), the task loss
-(``trainer.task_loss``) and the IBP prior (``priors.ibp_regularizer``).
-The generic ops left here are the ones the hypernetwork and the loss sum
-still use: ``add``, ``matmul``, ``transpose``, ``reshape``, ``take_row``
-and ``relu``. A VJP returns one part per input, or None for an input that
-needs no gradient; an input may be listed more than once, and its parts
-are then accumulated in order.
+``apply_op`` is the one way to record a node. The model records through it
+as fused ops with hand-written VJPs: a skill-composed layer
+(``skills.mixed_affine``, ``skills.mixed_lowrank``), a hypernetwork layer
+(``model.HypernetLayer.forward``), a Gumbel draw and a normalised
+allocation row (``allocation``), the task loss (``trainer.task_loss``) and
+the IBP prior (``priors.ibp_regularizer``). The one generic op left is
+``add``, which sums the loss and the prior. A VJP returns one part per
+input, or None for an input that needs no gradient; an input may be listed
+more than once, and its parts are then accumulated in order.
 
 Semantics worth knowing:
   * repeated ``backward`` calls accumulate into ``.grad`` (a loss and a
-    regulariser can be back-propagated separately);
+    regulariser can be back-propagated separately); each call sets a new
+    array, never writes into the old one;
+  * a leaf's ``.grad`` is the array the sweep produced, not a copy, and may
+    share memory with another leaf's: read it, never write into it;
   * tensors are treated as immutable after creation except for ``.grad`` and
     in-place optimiser updates, which must only happen after ``backward``
     and before the next forward pass on a reset tape;
@@ -178,7 +180,7 @@ def scalar(value: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers
+# array helpers for VJPs
 
 
 def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
@@ -188,7 +190,7 @@ def _broadcast_check(a_shape: tuple, b_shape: tuple) -> None:
         raise ShapeError(f"shapes {a_shape} and {b_shape} are not broadcast-compatible") from None
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
+def unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum gradient over axes that broadcasting expanded, back to `shape`."""
     if grad.shape == shape:
         return grad
@@ -201,6 +203,11 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
+def matrix_t(x: Array) -> Array:
+    """Each matrix of a stack transposed; a plain `.T` for a 2-D array."""
+    return x.swapaxes(-1, -2)
+
+
 # ---------------------------------------------------------------------------
 # elementwise binary ops
 
@@ -210,89 +217,9 @@ def add(a, b) -> Tensor:
     _broadcast_check(a.shape, b.shape)
 
     def vjp(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return unbroadcast(g, a.shape), unbroadcast(g, b.shape)
 
     return apply_op((a, b), a.data + b.data, vjp)
-
-
-# ---------------------------------------------------------------------------
-# matmul / structural ops
-
-
-def matrix_t(x: Array) -> Array:
-    """Each matrix of a stack transposed; a plain `.T` for a 2-D array."""
-    return x.swapaxes(-1, -2)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of the last two axes; leading (stack) axes broadcast."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    _broadcast_check(a.shape[:-2], b.shape[:-2])
-    ad, bd = a.data, b.data
-
-    def vjp(g: Array):
-        return _unbroadcast(g @ matrix_t(bd), a.shape), _unbroadcast(matrix_t(ad) @ g, b.shape)
-
-    return apply_op((a, b), ad @ bd, vjp)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeError(f"transpose expects a tensor of rank >= 2, got shape {x.shape}")
-
-    def vjp(g: Array):
-        return (matrix_t(g),)
-
-    return apply_op((x,), matrix_t(x.data).copy(), vjp)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
-    new_shape = tuple(int(d) for d in shape)
-    if int(np.prod(new_shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} (size {x.size}) into {new_shape}")
-    old_shape = x.shape
-
-    def vjp(g: Array):
-        return (g.reshape(old_shape),)
-
-    return apply_op((x,), x.data.reshape(new_shape), vjp)
-
-
-def take_row(x: Tensor, index: int) -> Tensor:
-    """Select x[index] along axis 0; 1-D input yields a 0-D scalar."""
-    x = _as_tensor(x)
-    if x.ndim < 1:
-        raise ShapeError("take_row needs at least one dimension")
-    if not 0 <= index < x.shape[0]:
-        raise ShapeError(f"row {index} out of range for shape {x.shape}")
-
-    def vjp(g: Array):
-        full_grad = np.zeros_like(x.data)
-        full_grad[index] = g
-        return (full_grad,)
-
-    return apply_op((x,), x.data[index].copy(), vjp)
-
-
-# ---------------------------------------------------------------------------
-# elementwise unary ops
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    gate = (x.data > 0.0).astype(np.float64)
-
-    def vjp(g: Array):
-        return (g * gate,)
-
-    return apply_op((x,), x.data * gate, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -336,4 +263,4 @@ def backward(loss: Tensor, tape: Tape | None = None) -> None:
         if not leaf.requires_grad:
             continue
         contribution = np.ascontiguousarray(grad)
-        leaf.grad = contribution.copy() if leaf.grad is None else leaf.grad + contribution
+        leaf.grad = contribution if leaf.grad is None else leaf.grad + contribution

@@ -16,7 +16,8 @@ in one of two ways:
     `skills.mixed_affine` or `skills.mixed_lowrank`);
   * hypernetwork generation: low-rank adapters are generated from a task
     embedding and applied around the base map. The model owns the
-    embeddings, new tasks' rows included; each layer owns its generators.
+    embeddings, new tasks' rows included; each layer owns its generators
+    and records one tape node (`HypernetLayer.forward`).
 
 Few-shot adaptation runs on `TaskModel.replicate(R)`, a copy whose skill
 parameters (the trainable ones besides a new task's own) carry a leading
@@ -43,7 +44,7 @@ from .allocation import (
     init_logits,
     normalize_rows,
 )
-from .autodiff import Tensor, add, kaiming_uniform, matmul, reshape, take_row, tensor, transpose
+from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, tensor, unbroadcast
 from .baselines import HyperNet, hypernet_generate, new_hypernet
 from .config import ALLOCATION_MODES, MODEL_KINDS
 from .errors import ContractError, ShapeError, TaskLookupError
@@ -119,12 +120,60 @@ class HypernetLayer:
         self.W0 = kaiming_uniform((shape.out_dim, shape.in_dim), rng, requires_grad=True)
         self.b0 = kaiming_uniform((shape.out_dim,), rng, requires_grad=True)
 
-    def forward(self, x: Tensor, column: Tensor) -> Tensor:
-        """x @ W0^T + (x @ B^T) @ A^T + b0, with (A, B) generated from the task's embedding column."""
-        a, b = hypernet_generate(column, self.hypernet)
-        y = matmul(x, transpose(self.W0))
-        y = add(y, matmul(matmul(x, transpose(b)), transpose(a)))
-        return add(y, self.b0)
+    def forward(self, x: Tensor, embedding: Tensor, row: int | None = None) -> Tensor:
+        """x @ W0^T + (x @ B^T) @ A^T + b0, with (A, B) generated from the task's embedding; one tape node.
+
+        `embedding` is the base tasks' matrix [T, embed_dim] and `row` the
+        task's, or a new task's block [..., 1, embed_dim] with `row` None.
+        The forward pass and the VJP replay, in order, the numpy operations
+        of the unfused chain (take_row/reshape of the embedding, the two
+        generators, three matmuls of transposed copies, two adds; see
+        `tests/unfused.py`), so values and gradients are bit-identical to
+        it. Leading axes of `x` and a new task's block stack replicas,
+        with the generators stacked alike; W0 and b0 are shared.
+        """
+        if x.shape[-1] != self.shape.in_dim:
+            raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.shape.in_dim}")
+        e = embedding.data
+        if row is None:
+            column = e.reshape(e.shape[:-2] + (e.shape[-1], 1))
+        else:
+            column = e[row].reshape((e.shape[-1], 1))
+        a, b, generated_vjp = hypernet_generate(column, self.hypernet)
+        xd, w0, b0 = x.data, self.W0, self.b0
+        w0_t, b_t, a_t = matrix_t(w0.data).copy(), matrix_t(b).copy(), matrix_t(a).copy()
+        y1 = xd @ w0_t
+        xb = xd @ b_t
+        xba = xb @ a_t
+        generators = self.hypernet.generator_parameters()
+        need_x, need_e, need_w0, need_b0 = (t.requires_grad for t in (x, embedding, w0, b0))
+        need_generated = need_e or any(p.requires_grad for p in generators)
+
+        def vjp(g):
+            g_y1, g_xba = unbroadcast(g, y1.shape), unbroadcast(g, xba.shape)
+            g_xb = unbroadcast(g_xba @ matrix_t(a_t), xb.shape)
+            g_x = None
+            if need_x:
+                g_x = unbroadcast(g_xb @ matrix_t(b_t), x.shape) + unbroadcast(g_y1 @ matrix_t(w0_t), x.shape)
+            g_e, g_generators = None, (None,) * 4
+            if need_generated:
+                g_a = matrix_t(unbroadcast(matrix_t(xb) @ g_xba, a_t.shape))
+                g_b = matrix_t(unbroadcast(matrix_t(xd) @ g_xb, b_t.shape))
+                g_column, g_generators = generated_vjp(g_a, g_b)
+                if row is None:
+                    g_e = g_column.reshape(e.shape)
+                else:
+                    g_e = np.zeros_like(e)
+                    g_e[row] = g_column.reshape(e.shape[-1:])
+            return (
+                g_x,
+                g_e,
+                *g_generators,
+                matrix_t(unbroadcast(matrix_t(xd) @ g_y1, w0_t.shape)) if need_w0 else None,
+                unbroadcast(g, b0.shape) if need_b0 else None,
+            )
+
+        return apply_op((x, embedding, *generators, w0, b0), (y1 + xba) + b0.data, vjp)
 
     def phi_parameters(self) -> list[Tensor]:
         return self.hypernet.generator_parameters()
@@ -342,16 +391,15 @@ class HypernetModel(TaskModel):
     def forward(self, task: int, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
         if not 0 <= task < self.num_tasks:
             raise TaskLookupError(f"unknown task index {task}")
-        base_count, embed_dim = self.embeddings.shape
+        base_count = self.embeddings.shape[0]
         h = x
         for layer in self.layers:
-            # One column per layer: a column shared by the layers would sum
-            # the embedding gradient in another order.
+            # Each layer's node returns its own part of the embedding's
+            # gradient, so the parts sum in the unfused chain's order.
             if task < base_count:
-                row = take_row(self.embeddings, task)
+                h = layer.forward(h, self.embeddings, task)
             else:
-                row = self.extra_embeddings[task - base_count]
-            h = layer.forward(h, reshape(row, row.shape[:-2] + (embed_dim, 1)))
+                h = layer.forward(h, self.extra_embeddings[task - base_count])
         return h, []
 
     def add_task_embedding(self, replicas: int) -> int:

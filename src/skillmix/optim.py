@@ -16,14 +16,36 @@ from .autodiff import Tensor
 from .errors import ContractError
 
 
-class Adam:
-    """Standard Adam over parameter groups; state is kept per tensor.
+class _FlatGroup:
+    """One group's parameters packed into one vector, with its moments, scratch and gathered gradient."""
 
-    Every update is elementwise, so one step over parameters stacked on a
-    leading replica axis equals one step of a separate optimiser per
-    replica. A step allocates nothing: each tensor keeps its two moments
-    and two scratch arrays, and the update runs in place in the textbook
-    operation order.
+    def __init__(self, params: list[Tensor]):
+        sizes = [p.size for p in params]
+        self.data = np.zeros(sum(sizes))
+        self.slices = []
+        start = 0
+        for p, size in zip(params, sizes):
+            view = self.data[start : start + size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self.slices.append(slice(start, start + size))
+            start += size
+        self.m, self.v, self.update, self.denom, self.grad = (np.zeros_like(self.data) for _ in range(5))
+
+
+class Adam:
+    """Standard Adam over parameter groups; state is one flat vector per group.
+
+    Building the optimiser packs each group's parameters into one
+    contiguous float64 vector, and every `p.data` becomes a view into it,
+    so build it after the last change to the parameters' shapes. A step
+    gathers the group's gradients into one vector and runs the update in
+    place on the whole group, in the textbook operation order, with no
+    temporaries. A group where some parameters have no gradient updates
+    the slices of those that have one. Every operation is elementwise, so
+    the result does not depend on the packing, and one step over
+    parameters stacked on a leading replica axis equals one step of a
+    separate optimiser per replica.
     """
 
     def __init__(
@@ -44,39 +66,42 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step = 0
-        self._state: dict[int, tuple[np.ndarray, ...]] = {}
+        self._flat = [_FlatGroup(g["params"]) for g in self.groups]
 
     def step(self) -> None:
         self._step += 1
         t = self._step
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for group in self.groups:
-            lr = group["lr"]
-            for p in group["params"]:
-                if p.grad is None:
-                    continue
-                state = self._state.get(id(p))
-                if state is None:
-                    state = tuple(np.zeros_like(p.data) for _ in range(4))
-                    self._state[id(p)] = state
-                m, v, update, denom = state
-                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-                m *= self.beta1
-                np.multiply(p.grad, 1.0 - self.beta1, out=update)
-                m += update
-                v *= self.beta2
-                np.square(p.grad, out=update)
-                update *= 1.0 - self.beta2
-                v += update
-                # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-                np.divide(m, bias1, out=update)
-                update *= lr
-                np.divide(v, bias2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += self.eps
-                update /= denom
-                p.data -= update
+        for group, flat in zip(self.groups, self._flat):
+            params, lr = group["params"], group["lr"]
+            if params and all(p.grad is not None for p in params):
+                np.concatenate([p.grad.reshape(-1) for p in params], out=flat.grad)
+                self._update(flat, slice(None), lr, bias1, bias2)
+                continue
+            for p, part in zip(params, flat.slices):
+                if p.grad is not None:
+                    flat.grad[part] = p.grad.reshape(-1)
+                    self._update(flat, part, lr, bias1, bias2)
+
+    def _update(self, flat: _FlatGroup, part: slice, lr: float, bias1: float, bias2: float) -> None:
+        m, v, update, denom, grad = (a[part] for a in (flat.m, flat.v, flat.update, flat.denom, flat.grad))
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=update)
+        m += update
+        v *= self.beta2
+        np.square(grad, out=update)
+        update *= 1.0 - self.beta2
+        v += update
+        # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(m, bias1, out=update)
+        update *= lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        flat.data[part] -= update
 
     def zero_grad(self) -> None:
         for group in self.groups:
@@ -86,7 +111,9 @@ class Adam:
     def reset_state(self) -> None:
         """Drop all moment estimates (used when the parameterisation changes)."""
         self._step = 0
-        self._state.clear()
+        for flat in self._flat:
+            flat.m.fill(0.0)
+            flat.v.fill(0.0)
 
     @property
     def parameters(self) -> list[Tensor]:

@@ -347,11 +347,12 @@ def _register_new_task(model, kind: str, tasks: list[TaskSpec], rngs: list) -> i
 
 
 def _adaptation_phases(model, task_index: int, config: ExperimentConfig, steps: int):
-    """(num_steps, optimizer) pairs: the new task's own parameters alone, then with the skills.
+    """(num_steps, fast, slow) triples: the new task's own parameters alone, then with the skills.
 
-    The head follows `adapt_mode` (`z_only`: every step, `full`: none,
-    `z_then_full`: `adapt_z_only_steps`). A new task with a fixed row has
-    no parameters of its own, so it adapts the skills for every step.
+    `fast` trains at `lr_z` and `slow` at `lr_phi`. The head follows
+    `adapt_mode` (`z_only`: every step, `full`: none, `z_then_full`:
+    `adapt_z_only_steps`). A new task with a fixed row has no parameters
+    of its own, so it adapts the skills for every step.
     """
     new, skills = model.new_task_parameters(task_index), model.phi_parameters()
     head = 0
@@ -359,9 +360,9 @@ def _adaptation_phases(model, task_index: int, config: ExperimentConfig, steps: 
         head = {"z_only": steps, "full": 0}.get(config.adapt_mode, min(config.adapt_z_only_steps, steps))
     phases = []
     if head:
-        phases.append((head, build_two_speed_groups(new, [], config.lr_z, config.lr_phi)))
+        phases.append((head, new, []))
     if steps > head:
-        phases.append((steps - head, build_two_speed_groups(new, skills, config.lr_z, config.lr_phi)))
+        phases.append((steps - head, new, skills))
     return phases
 
 
@@ -422,7 +423,10 @@ def few_shot_adapt(
     kind, name = tasks[0].kind, ",".join(t.id for t in tasks)
 
     step = 0
-    for phase_steps, optimizer in _adaptation_phases(model, task_index, config, steps):
+    for phase_steps, fast, slow in _adaptation_phases(model, task_index, config, steps):
+        # Built as its phase starts: building packs the parameters into the
+        # optimiser's buffers, so it must see the previous phase's updates.
+        optimizer = build_two_speed_groups(fast, slow, config.lr_z, config.lr_phi)
         # Only the phase's own parameters take gradients: any other would keep
         # one that a later phase's first step would apply.
         trained_ids = {id(p) for p in optimizer.parameters}

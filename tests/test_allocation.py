@@ -198,7 +198,7 @@ def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, 
     results = []
     for draw, row_of in [
         (gumbel_sigmoid_sample, normalize_rows),
-        (unfused.gumbel_sigmoid_sample, lambda t, i: ad.take_row(unfused.normalize_rows(t), i)),
+        (unfused.gumbel_sigmoid_sample, lambda t, i: unfused.take_row(unfused.normalize_rows(t), i)),
     ]:
         ad.reset_tape()
         logits.grad = None
@@ -210,6 +210,15 @@ def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, 
         results.append((relaxed.data, row.data, logits.grad))
     for got, expected in zip(*results):
         assert np.array_equal(got, expected)
+
+
+def test_stacked_draw_equals_one_draw_per_replica():
+    # Replica r's cells come from generator r alone, as a lone draw on its slice.
+    logits = ad.tensor(np.random.default_rng(1).standard_normal((4, 1, 5)), requires_grad=True)
+    stacked = gumbel_sigmoid_sample(logits, 0.7, [np.random.default_rng([2, r]) for r in range(4)])
+    for r in range(4):
+        alone = gumbel_sigmoid_sample(ad.tensor(logits.data[r]), 0.7, np.random.default_rng([2, r]))
+        assert np.array_equal(stacked.data[r], alone.data)
 
 
 def test_harden_rounds_half_up():

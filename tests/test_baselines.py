@@ -9,7 +9,7 @@ from skillmix.allocation import metric_discreteness, metric_sparsity, metric_usa
 from skillmix.baselines import allocation_expert, hypernet_generate, new_hypernet
 from skillmix.config import ExperimentConfig, parse_config_dict
 from skillmix.errors import ContractError, TaskLookupError
-from skillmix.model import HypernetModel, LayerShape, build_model
+from skillmix.model import HypernetLayer, HypernetModel, LayerShape, build_model
 from skillmix.skills import DenseSkills, mixed_affine
 from skillmix.trainer import resolve_fixed_allocation
 
@@ -102,14 +102,14 @@ def test_expert_passthrough_of_planted_truth():
 # hypernetwork
 
 
-def _column(values) -> ad.Tensor:
-    return ad.tensor(np.asarray(values, dtype=np.float64).reshape(-1, 1))
+def _column(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
 
 
 def test_zero_initialised_generator_gives_zero_adapter():
     hn = new_hypernet(4, out_dim=5, in_dim=6, rank=2, seed=0)
-    a, b = hypernet_generate(_column(np.random.default_rng(0).standard_normal(4)), hn)
-    assert np.all(a.data == 0.0)
+    a, b, _ = hypernet_generate(_column(np.random.default_rng(0).standard_normal(4)), hn)
+    assert np.all(a == 0.0)
     assert a.shape == (5, 2) and b.shape == (2, 6)
 
 
@@ -118,10 +118,10 @@ def test_identical_embeddings_generate_identical_parameters():
     hn = model.layers[0].hypernet
     hn.w2_a.data[:] = np.random.default_rng(2).standard_normal(hn.w2_a.shape)
     model.embeddings.data[1] = model.embeddings.data[0]
-    a0, b0 = hypernet_generate(_column(model.embeddings.data[0]), hn)
-    a1, b1 = hypernet_generate(_column(model.embeddings.data[1]), hn)
-    assert np.array_equal(a0.data, a1.data)
-    assert np.array_equal(b0.data, b1.data)
+    a0, b0, _ = hypernet_generate(_column(model.embeddings.data[0]), hn)
+    a1, b1, _ = hypernet_generate(_column(model.embeddings.data[1]), hn)
+    assert np.array_equal(a0, a1)
+    assert np.array_equal(b0, b1)
 
 
 def test_unknown_task_raises_lookup_error():
@@ -138,19 +138,64 @@ def test_fresh_embedding_registration_extends_tasks():
 
 
 def test_generated_gradient_wrt_embedding_matches_finite_differences():
-    hn = new_hypernet(4, out_dim=3, in_dim=5, rank=2, seed=3)
+    layer = HypernetLayer(LayerShape(5, 3), 4, 2, np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    hn.w2_a.data[:] = rng.standard_normal(hn.w2_a.shape)
-    x = rng.standard_normal(5)
+    layer.hypernet.w2_a.data[:] = rng.standard_normal(layer.hypernet.w2_a.shape)
+    x = ad.tensor(rng.standard_normal((1, 5)))
 
     def f(embedding):
-        a, b = hypernet_generate(ad.reshape(embedding, (4, 1)), hn)
-        y = ad.matmul(a, ad.matmul(b, ad.reshape(ad.tensor(x), (5, 1))))
-        return unfused.reduce_sum(y)
+        return unfused.reduce_sum(layer.forward(x, embedding, 0))
 
     # relu kinks are measure-zero; nudge away from exact zeros
     start = ad.tensor(rng.standard_normal((1, 4)) + 0.05)
     assert grad_check(f, start) < 1e-4
+
+
+def _hypernet_case(case):
+    """A hypernet model with random generators, the task to run and its input: unstacked or stacked over [R]."""
+    model = HypernetModel(3, 4, [LayerShape(5, 4), LayerShape(4, 2)], 2, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    for layer in model.layers:
+        layer.hypernet.w2_a.data[:] = rng.standard_normal(layer.hypernet.w2_a.shape)
+    if case == "base_row":
+        return model, 1, rng.standard_normal((6, 5))
+    replicas = 3 if case == "stacked" else 1
+    if case != "unstacked_new_task":
+        model = model.replicate(replicas)
+    task = model.add_task_embedding(replicas)
+    model.extra_embeddings[0].data += 0.1 * rng.standard_normal(model.extra_embeddings[0].shape)
+    return model, task, rng.standard_normal((replicas, 6, 5))
+
+
+@pytest.mark.parametrize("case", ["base_row", "unstacked_new_task", "stacked", "stacked_one_replica"])
+@pytest.mark.parametrize("input_grad", [False, True])
+def test_fused_hypernet_layers_equal_the_unfused_chain(case, input_grad):
+    # Value and every input's gradient, bit for bit: a base task's embedding
+    # row, and a new task's embedding on generators unstacked or stacked over [R].
+    model, task, x = _hypernet_case(case)
+    named = model.named_parameters()
+    results = []
+    for forward in (model.forward, lambda t, h: unfused.hypernet_forward(model, t, h)):
+        ad.reset_tape()
+        for p in named.values():
+            p.grad = None
+        inp = ad.tensor(x, requires_grad=input_grad)
+        out, _ = forward(task, inp)
+        weights = ad.tensor(np.random.default_rng(10).standard_normal(out.shape))
+        ad.backward(unfused.reduce_sum(unfused.mul(out, weights)))
+        grads = {name: p.grad for name, p in named.items()}
+        results.append((out.data, inp.grad, grads))
+    (fused_out, fused_x, fused), (ref_out, ref_x, reference) = results
+    assert np.array_equal(fused_out, ref_out)
+    assert (fused_x is None) == (ref_x is None)
+    if input_grad:
+        assert np.array_equal(fused_x, ref_x)
+    assert {name for name, g in fused.items() if g is not None} == {
+        name for name, g in reference.items() if g is not None
+    }
+    for name, g in reference.items():
+        if g is not None:
+            assert np.array_equal(fused[name], g), name
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,37 @@ def test_adam_skips_parameters_without_gradients():
     assert y.data[0] == 1.0 and x.data[0] != 1.0
 
 
+def test_adam_packs_each_group_into_one_buffer():
+    params = [ad.tensor(np.arange(6.0).reshape(2, 3), requires_grad=True), ad.tensor([7.0], requires_grad=True)]
+    before = [p.data.copy() for p in params]
+    opt = Adam([dict(params=params, lr=0.1)])
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+    assert params[0].data.base is params[1].data.base is not None
+    assert opt.groups[0]["params"] == params
+
+
+def test_optimisers_built_in_sequence_keep_the_first_ones_updates():
+    # Each adaptation phase builds its optimiser when it starts: the second
+    # packs the tensors again and must start from the first one's updates.
+    x = ad.tensor([1.0, -2.0], requires_grad=True)
+    y = ad.tensor([0.5], requires_grad=True)
+    first = Adam([dict(params=[x], lr=0.1)])
+    for _ in range(3):
+        ad.reset_tape()
+        ad.backward(unfused.reduce_sum(unfused.mul(x, x)))
+        first.step()
+        first.zero_grad()
+    after_first = x.data.copy()
+    assert not np.array_equal(after_first, [1.0, -2.0])
+    second = build_two_speed_groups([x], [y], 0.1, 0.01)
+    assert np.array_equal(x.data, after_first)
+    ad.reset_tape()
+    ad.backward(unfused.reduce_sum(unfused.mul(unfused.mul(x, x), y)))
+    second.step()
+    assert np.all(np.abs(x.data - after_first) > 0.0)
+    assert np.all(np.abs(x.data - after_first) < 0.1 + 1e-12)
+
+
 def test_adam_in_place_step_equals_the_textbook_expressions():
     # The in-place update must round exactly like the plain numpy expressions.
     rng = np.random.default_rng(0)

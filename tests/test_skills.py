@@ -293,10 +293,11 @@ def lora_forward_materialized(x, skills, w):
     """Reference path: build the delta sum_j w_j * (A_j @ B_j) first, then apply it."""
     delta = None
     for j in range(skills.num_skills):
-        term = unfused.mul(ad.matmul(ad.take_row(skills.A, j), ad.take_row(skills.B, j)), ad.take_row(w, j))
+        product = unfused.matmul(unfused.take_row(skills.A, j), unfused.take_row(skills.B, j))
+        term = unfused.mul(product, unfused.take_row(w, j))
         delta = term if delta is None else ad.add(delta, term)
     weight = ad.add(skills.W0, delta)
-    return ad.add(ad.matmul(x, ad.transpose(weight)), skills.b0)
+    return ad.add(unfused.matmul(x, unfused.transpose(weight)), skills.b0)
 
 
 def random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed):

@@ -399,8 +399,8 @@ def test_frozen_allocation_adapts_a_learned_row(frozen):
     new_rows = res.model.alloc.new_task_parameters(res.task_index)
     assert res.model.alloc.eval_matrix(0).shape[-2] == res.task_index + 1
     phases = _adaptation_phases(res.model, res.task_index, trained.config, 40)
-    assert [steps for steps, _ in phases] == [40]
-    trains = {id(p) for p in phases[0][1].parameters}
+    assert [steps for steps, _, _ in phases] == [40]
+    trains = {id(p) for p in phases[0][1] + phases[0][2]}
     if frozen == "identity":
         assert [row.shape for row in new_rows] == [(1, 1, trained.model.alloc.num_skills)]
         assert np.any(new_rows[0].data != 0.0)
@@ -417,8 +417,8 @@ def test_one_skill_inventory_adapts_the_skills_under_a_fixed_row():
     res = few_shot_adapt(trained, [holdout[0]], steps=20, k_shot=8)
     assert res.model.alloc.new_task_parameters(res.task_index) == []
     phases = _adaptation_phases(res.model, res.task_index, trained.config, 20)
-    assert [steps for steps, _ in phases] == [20]
-    assert {id(p) for p in phases[0][1].parameters} == {id(p) for p in res.model.phi_parameters()}
+    assert [steps for steps, _, _ in phases] == [20]
+    assert {id(p) for p in phases[0][1] + phases[0][2]} == {id(p) for p in res.model.phi_parameters()}
     assert res.metrics_after != res.metrics_before
 
 
@@ -428,6 +428,14 @@ def test_skilled_dense_training_step_records_seven_tape_nodes():
     train_tasks = [t for t in tasks if t.split == "train"]
     multitask_train(small_config(steps=1), train_tasks, world=world)
     assert len(ad.active_tape()) == 7
+
+
+def test_hypernet_training_step_records_three_tape_nodes():
+    # One fused node per layer and one loss node; the unfused chain recorded 37.
+    world, tasks = make_world()
+    train_tasks = [t for t in tasks if t.split == "train"]
+    multitask_train(small_config(model_kind="hypernet", steps=1), train_tasks, world=world)
+    assert len(ad.active_tape()) == 3
 
 
 def test_the_prior_adds_one_node_and_one_sum_per_relaxed_matrix():

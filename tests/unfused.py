@@ -2,10 +2,11 @@
 
 Each function records the op-by-op chain the model used before its hot
 paths became single tape nodes: the dense/sparse composition and affine map,
-the Gumbel draw, the normalised row, the task loss and the IBP prior. The
-equivalence tests compare the fused ops against these bit for bit. The
-generic ops only these chains need (subtraction, product, negation,
-division, sigmoid, softplus, log-gamma, sum and mean) live here too.
+the Gumbel draw, the normalised row, the task loss, the IBP prior and the
+hypernetwork layer. The equivalence tests compare the fused ops against
+these bit for bit. The generic ops only these chains need (subtraction,
+product, negation, division, matrix product, transpose, reshape, row
+selection, sigmoid, relu, softplus, log-gamma, sum and mean) live here too.
 """
 
 import math
@@ -25,7 +26,7 @@ def sub(a, b):
     ad._broadcast_check(a.shape, b.shape)
 
     def vjp(g):
-        return ad._unbroadcast(g, a.shape), ad._unbroadcast(-g, b.shape)
+        return ad.unbroadcast(g, a.shape), ad.unbroadcast(-g, b.shape)
 
     return ad.apply_op((a, b), a.data - b.data, vjp)
 
@@ -36,7 +37,7 @@ def mul(a, b):
     adata, bdata = a.data, b.data
 
     def vjp(g):
-        return ad._unbroadcast(g * bdata, a.shape), ad._unbroadcast(g * adata, b.shape)
+        return ad.unbroadcast(g * bdata, a.shape), ad.unbroadcast(g * adata, b.shape)
 
     return ad.apply_op((a, b), adata * bdata, vjp)
 
@@ -48,7 +49,7 @@ def div(a, b):
     out = num / den
 
     def vjp(g):
-        return ad._unbroadcast(g / den, a.shape), ad._unbroadcast(-g * out / den, b.shape)
+        return ad.unbroadcast(g / den, a.shape), ad.unbroadcast(-g * out / den, b.shape)
 
     return ad.apply_op((a, b), out, vjp)
 
@@ -60,6 +61,76 @@ def neg(x):
         return (-g,)
 
     return ad.apply_op((x,), -x.data, vjp)
+
+
+def matmul(a, b):
+    """Matrix product of the last two axes; leading (stack) axes broadcast."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul expects operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    ad._broadcast_check(a.shape[:-2], b.shape[:-2])
+    adata, bdata = a.data, b.data
+
+    def vjp(g):
+        return (
+            ad.unbroadcast(g @ ad.matrix_t(bdata), a.shape),
+            ad.unbroadcast(ad.matrix_t(adata) @ g, b.shape),
+        )
+
+    return ad.apply_op((a, b), adata @ bdata, vjp)
+
+
+def transpose(x):
+    """Swap the last two axes."""
+    x = ad._as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeError(f"transpose expects a tensor of rank >= 2, got shape {x.shape}")
+
+    def vjp(g):
+        return (ad.matrix_t(g),)
+
+    return ad.apply_op((x,), ad.matrix_t(x.data).copy(), vjp)
+
+
+def reshape(x, shape):
+    x = ad._as_tensor(x)
+    new_shape = tuple(int(d) for d in shape)
+    if int(np.prod(new_shape, dtype=np.int64)) != x.size:
+        raise ShapeError(f"cannot reshape {x.shape} (size {x.size}) into {new_shape}")
+    old_shape = x.shape
+
+    def vjp(g):
+        return (g.reshape(old_shape),)
+
+    return ad.apply_op((x,), x.data.reshape(new_shape), vjp)
+
+
+def take_row(x, index):
+    """Select x[index] along axis 0; 1-D input yields a 0-D scalar."""
+    x = ad._as_tensor(x)
+    if x.ndim < 1:
+        raise ShapeError("take_row needs at least one dimension")
+    if not 0 <= index < x.shape[0]:
+        raise ShapeError(f"row {index} out of range for shape {x.shape}")
+
+    def vjp(g):
+        full_grad = np.zeros_like(x.data)
+        full_grad[index] = g
+        return (full_grad,)
+
+    return ad.apply_op((x,), x.data[index].copy(), vjp)
+
+
+def relu(x):
+    x = ad._as_tensor(x)
+    gate = (x.data > 0.0).astype(np.float64)
+
+    def vjp(g):
+        return (g * gate,)
+
+    return ad.apply_op((x,), x.data * gate, vjp)
 
 
 def sigmoid(x):
@@ -153,16 +224,16 @@ def compose_dense(skills, w):
     if w.ndim != 1 or w.shape[0] != skills.num_skills:
         raise ShapeError(f"weights must be a [{skills.num_skills}] vector, got shape {w.shape}")
     phi = skills.phi if skills.mask is None else mul(skills.phi, ad.tensor(skills.mask))
-    mixed = ad.matmul(ad.reshape(w, (1, skills.num_skills)), phi)
-    return ad.add(skills.base, ad.reshape(mixed, (skills.dim,)))
+    mixed = matmul(reshape(w, (1, skills.num_skills)), phi)
+    return ad.add(skills.base, reshape(mixed, (skills.dim,)))
 
 
 def affine(x, theta, shape):
     """Unflatten theta into (weight, bias) and apply x @ W^T + b."""
     o, i = shape.out_dim, shape.in_dim
-    weight = ad.reshape(narrow(theta, 0, o * i), (o, i))
+    weight = reshape(narrow(theta, 0, o * i), (o, i))
     bias = narrow(theta, o * i, o)
-    return ad.add(ad.matmul(x, ad.transpose(weight)), bias)
+    return ad.add(matmul(x, transpose(weight)), bias)
 
 
 def mixed_affine(x, skills, w, shape):
@@ -233,9 +304,40 @@ def skill_forward(model, task, x, rng, tau):
     for block in alloc.matrices:
         relaxed = gumbel_sigmoid_sample(block, tau, rng)
         relaxed_mats.append(relaxed)
-        per_matrix.append(ad.take_row(normalize_rows(relaxed), task))
+        per_matrix.append(take_row(normalize_rows(relaxed), task))
     h = x
     for layer_index, layer in enumerate(model.layers):
         w = per_matrix[layer_index if len(per_matrix) > 1 else 0]
         h = mixed_affine(h, layer.skills, w, layer.shape)
     return h, relaxed_mats
+
+
+def hypernet_generate(column, hypernet):
+    """The (A, B) adapter pair from an [..., embed_dim, 1] column tensor, op by op."""
+    lead = column.shape[:-2]
+    hidden_a = relu(matmul(hypernet.w1_a, column))
+    hidden_b = relu(matmul(hypernet.w1_b, column))
+    a = reshape(matmul(hypernet.w2_a, hidden_a), lead + (hypernet.out_dim, hypernet.rank))
+    b = reshape(matmul(hypernet.w2_b, hidden_b), lead + (hypernet.rank, hypernet.in_dim))
+    return a, b
+
+
+def hypernet_layer(layer, x, column):
+    """x @ W0^T + (x @ B^T) @ A^T + b0, op by op."""
+    a, b = hypernet_generate(column, layer.hypernet)
+    y = matmul(x, transpose(layer.W0))
+    y = ad.add(y, matmul(matmul(x, transpose(b)), transpose(a)))
+    return ad.add(y, layer.b0)
+
+
+def hypernet_forward(model, task, x):
+    """HypernetModel.forward, op by op: one embedding column per layer."""
+    base_count, embed_dim = model.embeddings.shape
+    h = x
+    for layer in model.layers:
+        if task < base_count:
+            row = take_row(model.embeddings, task)
+        else:
+            row = model.extra_embeddings[task - base_count]
+        h = hypernet_layer(layer, h, reshape(row, row.shape[:-2] + (embed_dim, 1)))
+    return h, []
