@@ -62,17 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(spec: str | None) -> list[int] | None:
-    if spec is None:
-        return None
+def _parse_grid(spec: str) -> tuple[int, ...]:
     body = spec.split("=", 1)[1] if "=" in spec else spec
     try:
-        grid = [int(v) for v in body.split(",") if v]
+        return tuple(int(v) for v in body.split(",") if v)
     except ValueError:
         raise ConfigError("--grid", f"could not parse grid '{spec}'") from None
-    if not grid:
-        raise ConfigError("--grid", "needs at least one skill count")
-    return grid
 
 
 def _cmd_run(args) -> int:
@@ -87,8 +82,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    grid = _parse_grid(args.grid)
-    records = run_sweep(config, grid, overwrite=not args.no_overwrite)
+    if args.grid is not None:
+        # The config checks the grid and records it in every run directory.
+        config = config.replace(sweep_grid=_parse_grid(args.grid))
+    records = run_sweep(config, overwrite=not args.no_overwrite)
     failures = [r for r in records if r.failure is not None]
     for r in records:
         status = "ok" if r.failure is None else f"FAILED ({r.failure['stage']})"

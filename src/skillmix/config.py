@@ -50,6 +50,9 @@ class WorldConfig:
             raise ConfigError("world.noise_sigma", "must be >= 0")
         if self.holdout_tasks < 0:
             raise ConfigError("world.holdout_tasks", "must be >= 0")
+        if self.holdout_tasks > 0 and self.num_tasks < 2:
+            # A held-out task is the union of two distinct training tasks' skills.
+            raise ConfigError("world.holdout_tasks", "needs world.num_tasks >= 2")
         if self.task_kind not in TASK_KINDS:
             raise ConfigError("world.task_kind", f"must be one of {TASK_KINDS}")
         if self.examples_per_task < 1:
@@ -126,6 +129,12 @@ class ExperimentConfig:
             raise ConfigError("steps", "must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size", "must be >= 1")
+        # The mask freezes after step warmup_mask_steps; never freezing it
+        # would train a dense model under a sparse config.
+        if self.warmup_mask_steps < 1:
+            raise ConfigError("warmup_mask_steps", "must be >= 1")
+        if self.parameterisation == "sparse" and self.warmup_mask_steps > self.steps:
+            raise ConfigError("warmup_mask_steps", "must be <= steps with the sparse parameterisation")
         if self.eval_every < 1:
             raise ConfigError("eval_every", "must be >= 1")
         if not 0.0 < self.loss_threshold_frac <= 1.0:

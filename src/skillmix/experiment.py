@@ -327,12 +327,11 @@ def emit_plot_data(run_dirs: list[str | Path], out_dir: str | Path) -> tuple[Pat
 # sweeps and comparisons
 
 
-def run_sweep(config: ExperimentConfig, grid: list[int] | None = None, overwrite: bool = True) -> list[RunRecord]:
-    """One run per inventory size; every point's config is built, hence checked, before the first run."""
-    grid = config.sweep_grid if grid is None else grid
-    points = [config.replace(num_skills=num_skills) for num_skills in grid]
+def run_sweep(config: ExperimentConfig, overwrite: bool = True) -> list[RunRecord]:
+    """One run per inventory size of `sweep_grid`; every point's config is built, hence checked, before the first run."""
+    points = [config.replace(num_skills=num_skills) for num_skills in config.sweep_grid]
     records = [run_experiment(point, overwrite=overwrite) for point in points]
-    _write_group_table(config, records, "sweep_metrics.csv")
+    _write_group_table(config, records, "sweep_table.csv")
     return records
 
 
@@ -345,6 +344,7 @@ def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = Tr
 
 
 def _write_group_table(config: ExperimentConfig, records: list[RunRecord], filename: str) -> None:
+    """The plot data of the runs that passed (`emit_plot_data`) and a status table of every run, under the output root."""
     ok_dirs = [r.run_dir for r in records if r.failure is None]
     if ok_dirs:
         emit_plot_data(ok_dirs, resolve_output_root(config))

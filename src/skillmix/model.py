@@ -29,6 +29,9 @@ The trained model itself keeps its shapes and is never written to.
 The layers are linear on purpose: the synthetic benchmark's targets are
 linear, so a realisable world admits exactly zero loss while the two-layer
 stack still exercises per-layer allocation.
+
+A model is built only by `trainer.build_model_from_config`, which reads
+every setting from the config; the classes here take plain values.
 """
 
 from __future__ import annotations
@@ -38,15 +41,9 @@ import copy
 import numpy as np
 
 from . import skills as sk
-from .allocation import (
-    expected_allocation,
-    gumbel_sigmoid_sample,
-    init_logits,
-    normalize_rows,
-)
+from .allocation import expected_allocation, gumbel_sigmoid_sample, normalize_rows
 from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, tensor, unbroadcast
 from .baselines import HyperNet, hypernet_generate, new_hypernet
-from .config import ALLOCATION_MODES, MODEL_KINDS
 from .errors import ContractError, ShapeError, TaskLookupError
 from .skills import LayerShape
 
@@ -88,11 +85,8 @@ class DenseLayer:
 
 class LowRankLayer:
     def __init__(self, shape: LayerShape, num_skills: int, rank: int, rng):
-        if rank > min(shape.in_dim, shape.out_dim):
-            raise ShapeError(
-                f"rank {rank} exceeds layer dims ({shape.out_dim}, {shape.in_dim})"
-            )
         self.shape = shape
+        rank = min(rank, shape.in_dim, shape.out_dim)
         self.skills = sk.new_lowrank_skills(num_skills, shape.out_dim, shape.in_dim, rank, rng)
 
     def forward(self, x: Tensor, w: Tensor) -> Tensor:
@@ -129,8 +123,11 @@ class HypernetLayer:
         of the unfused chain (take_row/reshape of the embedding, the two
         generators, three matmuls of transposed copies, two adds; see
         `tests/unfused.py`), so values and gradients are bit-identical to
-        it. Leading axes of `x` and a new task's block stack replicas,
-        with the generators stacked alike; W0 and b0 are shared.
+        it. The copies are needed: a matmul on the transposed views sums in
+        another order and, at input_dim 16, moves the run's results (the
+        `hypernet_input16` golden pins them). Leading axes of `x` and a new
+        task's block stack replicas, with the generators stacked alike; W0
+        and b0 are shared.
         """
         if x.shape[-1] != self.shape.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.shape.in_dim}")
@@ -196,7 +193,7 @@ class AllocationState:
     model adapts a learned row over its fixed inventory.
     """
 
-    def __init__(self, matrices: list, num_layers: int, tau: float = 1.0):
+    def __init__(self, matrices: list, num_layers: int, tau: float):
         self.matrices = matrices
         self.num_layers = num_layers
         self.tau = float(tau)
@@ -427,64 +424,3 @@ class HypernetModel(TaskModel):
 
     def freeze_sparse_masks(self) -> None:
         pass
-
-
-# ---------------------------------------------------------------------------
-# construction
-
-
-def make_layer_shapes(input_dim: int, hidden_dim: int, output_dim: int = 1) -> list[LayerShape]:
-    return [LayerShape(input_dim, hidden_dim), LayerShape(hidden_dim, output_dim)]
-
-
-def _make_store(shape: LayerShape, num_skills: int, parameterisation: str, sparsity: float, rank: int, rng):
-    if parameterisation == "dense":
-        return DenseLayer(shape, num_skills, rng)
-    if parameterisation == "sparse":
-        return DenseLayer(shape, num_skills, rng, sparsity)
-    if parameterisation == "lowrank":
-        return LowRankLayer(shape, num_skills, min(rank, shape.in_dim, shape.out_dim), rng)
-    raise ContractError(f"unknown parameterisation '{parameterisation}'")
-
-
-def build_model(
-    kind: str,
-    num_tasks: int,
-    num_skills: int,
-    shapes: list[LayerShape],
-    rng,
-    parameterisation: str = "dense",
-    sparsity: float = 0.9,
-    rank: int = 4,
-    tau: float = 1.0,
-    allocation_mode: str = "per_layer",
-    fixed: np.ndarray | None = None,
-    embed_dim: int = 8,
-):
-    """Construct a model of the requested kind with a fixed rng draw order.
-
-    `fixed` is the kind's fixed 0/1 allocation [num_tasks, inventory] (see
-    `trainer.resolve_fixed_allocation`); its column count is the inventory
-    size. Without it the skilled kind learns logits over `num_skills`.
-    The skill inventories depend only on their dimensions, so two kinds with
-    the same inventory (e.g. private and a frozen-identity skilled model)
-    consume the construction rng identically and start bit-identical.
-    """
-    if kind not in MODEL_KINDS:
-        raise ContractError(f"unknown model kind '{kind}'; expected one of {MODEL_KINDS}")
-    if kind == "hypernet":
-        return HypernetModel(num_tasks, embed_dim, shapes, rank, rng)
-    if fixed is not None:
-        fixed = np.asarray(fixed, dtype=np.float64)
-        if fixed.ndim != 2 or fixed.shape[0] != num_tasks:
-            raise ShapeError("fixed allocation shape disagrees with the task count")
-        matrices, num_skills = [fixed], fixed.shape[1]
-    elif kind != "skilled":
-        raise ContractError(f"the {kind} kind needs a fixed allocation matrix")
-    elif allocation_mode not in ALLOCATION_MODES:
-        raise ContractError(f"unknown allocation mode '{allocation_mode}'")
-    else:
-        count = len(shapes) if allocation_mode == "per_layer" else 1
-        matrices = [init_logits(num_tasks, num_skills) for _ in range(count)]
-    layers = [_make_store(shape, num_skills, parameterisation, sparsity, rank, rng) for shape in shapes]
-    return SkillModel(layers, AllocationState(matrices, len(shapes), tau))

@@ -26,13 +26,15 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from .allocation import init_logits
 from .autodiff import Tensor, add, apply_op, backward, no_grad, reset_tape, tensor
 from .baselines import allocation_expert
-from .config import MAX_FEW_SHOT, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import ContractError, ShapeError, TrainingDivergedError
-from .model import build_model, make_layer_shapes
+from .model import AllocationState, DenseLayer, HypernetModel, LowRankLayer, SkillModel
 from .optim import build_two_speed_groups
 from .priors import ibp_regularizer
+from .skills import LayerShape
 from .synthetic import STREAM_ADAPT, STREAM_TRAIN, SyntheticWorld, TaskSpec
 
 STREAM_INIT = 3
@@ -143,21 +145,42 @@ def _anneal_tau(config: ExperimentConfig, step: int) -> float:
 
 
 def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None):
-    """Resolve config into a concrete model; see `resolve_fixed_allocation`."""
-    return build_model(
-        config.model_kind,
-        len(tasks),
-        config.num_skills,
-        make_layer_shapes(tasks[0].input_dim, config.hidden_dim),
-        np.random.default_rng([config.seed, STREAM_INIT]),
-        parameterisation=config.parameterisation,
-        sparsity=config.sparsity,
-        rank=config.rank,
-        tau=config.tau,
-        allocation_mode=config.allocation_mode,
-        fixed=resolve_fixed_allocation(config, tasks, world),
-        embed_dim=config.embedding_dim,
-    )
+    """The model `config` describes over `tasks`: two linear layers, input -> hidden_dim -> 1.
+
+    The only model constructor; every setting comes from the config, which
+    has already checked it. The hypernet kind gets `embedding_dim`-wide task
+    embeddings and adapters of at most `rank`. Every other kind composes
+    skills over an allocation: the kind's fixed 0/1 matrix
+    (`resolve_fixed_allocation`), whose column count is the inventory size,
+    or, for the skilled kind without one, learnable logits over
+    `num_skills`, one matrix per layer or one for all (`allocation_mode`).
+    The layers hold dense, sparse (`sparsity`) or low-rank (`rank`) skills.
+
+    The construction rng `[seed, STREAM_INIT]` is drawn by the hypernet's
+    embeddings and then by each layer in order. The skill inventories depend
+    only on their dimensions, so two kinds with the same inventory (e.g.
+    private and a frozen-identity skilled model) start bit-identical.
+    """
+    rng = np.random.default_rng([config.seed, STREAM_INIT])
+    hidden = config.hidden_dim
+    shapes = [LayerShape(tasks[0].input_dim, hidden), LayerShape(hidden, 1)]
+    if config.model_kind == "hypernet":
+        return HypernetModel(len(tasks), config.embedding_dim, shapes, config.rank, rng)
+    fixed = resolve_fixed_allocation(config, tasks, world)
+    if fixed is None:
+        num_skills = config.num_skills
+        count = len(shapes) if config.allocation_mode == "per_layer" else 1
+        matrices = [init_logits(len(tasks), num_skills) for _ in range(count)]
+    elif fixed.shape[0] != len(tasks):
+        raise ShapeError("fixed allocation shape disagrees with the task count")
+    else:
+        matrices, num_skills = [fixed], fixed.shape[1]
+    if config.parameterisation == "lowrank":
+        layers = [LowRankLayer(shape, num_skills, config.rank, rng) for shape in shapes]
+    else:
+        sparsity = config.sparsity if config.parameterisation == "sparse" else None
+        layers = [DenseLayer(shape, num_skills, rng, sparsity) for shape in shapes]
+    return SkillModel(layers, AllocationState(matrices, len(shapes), config.tau))
 
 
 def resolve_fixed_allocation(
@@ -183,10 +206,8 @@ def resolve_fixed_allocation(
         if world is None:
             raise ContractError("planted expert table requires a synthetic world")
         return world.true_z[:n].astype(np.float64)
-    if isinstance(config.expert_table, dict):
-        table, num_skills = config.expert_table["tasks"], int(config.expert_table["num_skills"])
-        return allocation_expert(table, num_skills, [t.id for t in tasks]).astype(np.float64)
-    raise ContractError("expert kind requires expert_table ('planted' or an inline table)")
+    table, num_skills = config.expert_table["tasks"], int(config.expert_table["num_skills"])
+    return allocation_expert(table, num_skills, [t.id for t in tasks]).astype(np.float64)
 
 
 def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str, name: str, x, y, rng, tau, step: int):
@@ -219,15 +240,8 @@ def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str
     return loss_value, reg_value
 
 
-def multitask_train(
-    config: ExperimentConfig,
-    tasks: list[TaskSpec],
-    model_kind: str | None = None,
-    world: SyntheticWorld | None = None,
-) -> TrainedModel:
-    """Train one model kind on the training tasks; deterministic per seed."""
-    if model_kind is not None and model_kind != config.model_kind:
-        config = config.replace(model_kind=model_kind)
+def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None = None) -> TrainedModel:
+    """Train the config's model kind on the training tasks; deterministic per seed."""
     train_tasks = [t for t in tasks if t.split == "train"]
     if not train_tasks:
         raise ContractError("need at least one training task")
@@ -282,14 +296,13 @@ def multitask_train(
     )
 
 
-def steps_to_threshold(trained: TrainedModel, frac: float | None = None) -> int:
-    """First evaluated step whose dev loss is <= frac * initial dev loss.
+def steps_to_threshold(trained: TrainedModel) -> int:
+    """First evaluated step whose dev loss is <= loss_threshold_frac * initial dev loss.
 
     Returns config.steps + 1 when the threshold is never reached, so the
     value stays comparable across model kinds.
     """
-    frac = trained.config.loss_threshold_frac if frac is None else frac
-    threshold = trained.evals[0].dev_loss * frac
+    threshold = trained.evals[0].dev_loss * trained.config.loss_threshold_frac
     for record in trained.evals[1:]:
         if record.dev_loss <= threshold:
             return record.step
@@ -316,7 +329,7 @@ class AdaptationResult:
     metrics_after: list[dict]
 
 
-def _register_new_task(model, kind: str, tasks: list[TaskSpec], rngs: list) -> int:
+def _register_new_task(model, config: ExperimentConfig, tasks: list[TaskSpec], rngs: list) -> int:
     """A new allocation row for every skill-composed kind; an embedding for the hypernet; one per replica.
 
     Replica r adapts tasks[r] and draws from rngs[r]. The skilled kind
@@ -325,6 +338,7 @@ def _register_new_task(model, kind: str, tasks: list[TaskSpec], rngs: list) -> i
     row too: ones for shared, the planted skills for expert, and for
     private a one-hot row on a new skill added to every layer.
     """
+    kind = config.model_kind
     if kind == "hypernet":
         return model.add_task_embedding(len(tasks))
     if kind == "skilled" and model.alloc.num_skills > 1:
@@ -334,26 +348,26 @@ def _register_new_task(model, kind: str, tasks: list[TaskSpec], rngs: list) -> i
         active = [[model.alloc.num_skills - 1]] * len(tasks)
     elif kind in ("shared", "skilled"):
         active = [[0]] * len(tasks)
-    elif kind == "expert":
+    else:  # expert
         if any(task.planted_skills is None for task in tasks):
             raise ContractError("expert adaptation needs the task's planted skills")
         active = [list(task.planted_skills) for task in tasks]
-    else:
-        raise ContractError(f"unknown model kind '{kind}'")
     bits = np.zeros((len(tasks), model.alloc.num_skills))
     for row, skills in zip(bits, active):
         row[skills] = 1.0
     return model.alloc.add_task(bits, learnable=False)
 
 
-def _adaptation_phases(model, task_index: int, config: ExperimentConfig, steps: int):
+def _adaptation_phases(model, task_index: int, config: ExperimentConfig):
     """(num_steps, fast, slow) triples: the new task's own parameters alone, then with the skills.
 
-    `fast` trains at `lr_z` and `slow` at `lr_phi`. The head follows
-    `adapt_mode` (`z_only`: every step, `full`: none, `z_then_full`:
-    `adapt_z_only_steps`). A new task with a fixed row has no parameters
-    of its own, so it adapts the skills for every step.
+    The steps sum to `adaptation_steps`. `fast` trains at `lr_z` and
+    `slow` at `lr_phi`. The head follows `adapt_mode` (`z_only`: every
+    step, `full`: none, `z_then_full`: `adapt_z_only_steps`). A new task
+    with a fixed row has no parameters of its own, so it adapts the skills
+    for every step.
     """
+    steps = config.adaptation_steps
     new, skills = model.new_task_parameters(task_index), model.phi_parameters()
     head = 0
     if new:
@@ -371,18 +385,17 @@ def few_shot_adapt(
     tasks: list[TaskSpec],
     ordinals: Sequence[int] | None = None,
     resamples: Sequence[int] = (0,),
-    steps: int | None = None,
-    k_shot: int | None = None,
 ) -> AdaptationResult:
-    """Adapt a trained model to unseen tasks from k labelled examples, every (task, resample) at once.
+    """Adapt a trained model to unseen tasks from `k_shot` labelled examples, every (task, resample) at once.
 
     One replica per task and resample, task-major. The trained model is
     replicated (`TaskModel.replicate`) and the new task registered on the
     copy: a learnable allocation row, a fixed row, a new skill with a
     one-hot row, or an embedding, depending on the kind. Only the scheduled
-    parameter groups are trained. A resample is an independent k-shot
-    subset of the task's training pool; `ordinals` (default 0, 1, ...) are
-    the tasks' positions among the held-out tasks.
+    parameter groups are trained, for the config's `adaptation_steps`. A
+    resample is an independent k-shot subset of the task's training pool;
+    `ordinals` (default 0, 1, ...) are the tasks' positions among the
+    held-out tasks.
 
     Replica (task, resample) draws from its own rng stream `[seed,
     STREAM_ADAPT, ordinal, resample]`, in the order an adaptation on its own
@@ -393,28 +406,24 @@ def few_shot_adapt(
     tasks must share a task kind and a training split size.
     """
     config = trained.config
-    steps = config.adaptation_steps if steps is None else steps
-    k_shot = config.k_shot if k_shot is None else k_shot
     ordinals = range(len(tasks)) if ordinals is None else ordinals
     for task in tasks:
         if task.id in trained.task_ids:
             raise ContractError(f"task id '{task.id}' collides with a training task")
-    if k_shot > MAX_FEW_SHOT:
-        raise ContractError(f"k_shot must be <= {MAX_FEW_SHOT}")
     if len(ordinals) != len(tasks) or len({(t.kind, t.x_train.shape[0]) for t in tasks}) != 1:
         raise ContractError("adapt one or more tasks of one kind and training split size, one ordinal each")
 
     stack = [task for task in tasks for _ in resamples]
     rngs = [np.random.default_rng([config.seed, STREAM_ADAPT, o, r]) for o in ordinals for r in resamples]
     model = trained.model.replicate(len(stack))
-    task_index = _register_new_task(model, trained.kind, stack, rngs)
+    task_index = _register_new_task(model, config, stack, rngs)
     before = _evaluate_replicas(model, task_index, stack)
     result = AdaptationResult(model, task_index, [t.id for t in stack], before, [dict(m) for m in before])
-    if steps == 0 or k_shot == 0:
+    if config.adaptation_steps == 0 or config.k_shot == 0:
         return result
 
     train_size = tasks[0].x_train.shape[0]
-    pools = [rng.choice(train_size, size=min(k_shot, train_size), replace=False) for rng in rngs]
+    pools = [rng.choice(train_size, size=min(config.k_shot, train_size), replace=False) for rng in rngs]
     x_pool = np.stack([t.x_train[pool] for t, pool in zip(stack, pools)])
     y_pool = np.stack([t.y_train[pool] for t, pool in zip(stack, pools)])
     pool_size = x_pool.shape[1]
@@ -423,7 +432,7 @@ def few_shot_adapt(
     kind, name = tasks[0].kind, ",".join(t.id for t in tasks)
 
     step = 0
-    for phase_steps, fast, slow in _adaptation_phases(model, task_index, config, steps):
+    for phase_steps, fast, slow in _adaptation_phases(model, task_index, config):
         # Built as its phase starts: building packs the parameters into the
         # optimiser's buffers, so it must see the previous phase's updates.
         optimizer = build_two_speed_groups(fast, slow, config.lr_z, config.lr_phi)

@@ -7,11 +7,11 @@ import pytest
 from skillmix import autodiff as ad
 from skillmix.allocation import metric_discreteness, metric_sparsity, metric_usage
 from skillmix.baselines import allocation_expert, hypernet_generate, new_hypernet
-from skillmix.config import ExperimentConfig, parse_config_dict
+from skillmix.config import ExperimentConfig, WorldConfig, parse_config_dict
 from skillmix.errors import ContractError, TaskLookupError
-from skillmix.model import HypernetLayer, HypernetModel, LayerShape, build_model
+from skillmix.model import HypernetLayer, HypernetModel, LayerShape
 from skillmix.skills import DenseSkills, mixed_affine
-from skillmix.trainer import resolve_fixed_allocation
+from skillmix.trainer import build_model_from_config, resolve_fixed_allocation
 
 import unfused
 from gradcheck import grad_check
@@ -202,11 +202,18 @@ def test_fused_hypernet_layers_equal_the_unfused_chain(case, input_grad):
 # baselines as special cases of composition
 
 
+def _build(num_tasks: int, seed: int, **changes):
+    """A model over `num_tasks` tasks of input size 4, hidden size 3, built from its config."""
+    world = WorldConfig(num_tasks=num_tasks, num_true_skills=1, skills_per_task_max=1, input_dim=4, holdout_tasks=0)
+    config = ExperimentConfig(seed=seed, world=world, hidden_dim=3, **changes)
+    tasks = [SimpleNamespace(id=f"t{i}", input_dim=4) for i in range(num_tasks)]
+    return build_model_from_config(config, tasks, None)
+
+
 def test_private_model_forward_equals_skilled_with_identity():
-    shapes = [LayerShape(4, 3), LayerShape(3, 1)]
     x = ad.tensor(np.random.default_rng(5).standard_normal((6, 4)))
-    private = build_model("private", 3, 3, shapes, np.random.default_rng(42), fixed=_fixed("private", 3))
-    frozen = build_model("skilled", 3, 3, shapes, np.random.default_rng(42), fixed=np.eye(3))
+    private = _build(3, 42, model_kind="private")
+    frozen = _build(3, 42, freeze_allocation="identity")
     for task in range(3):
         y_private, _ = private.forward(task, x)
         y_frozen, _ = frozen.forward(task, x)
@@ -214,10 +221,9 @@ def test_private_model_forward_equals_skilled_with_identity():
 
 
 def test_shared_model_forward_equals_skilled_with_ones():
-    shapes = [LayerShape(4, 3), LayerShape(3, 1)]
     x = ad.tensor(np.random.default_rng(6).standard_normal((5, 4)))
-    shared = build_model("shared", 3, 1, shapes, np.random.default_rng(43), fixed=_fixed("shared", 3))
-    frozen = build_model("skilled", 3, 1, shapes, np.random.default_rng(43), fixed=np.ones((3, 1)))
+    shared = _build(3, 43, model_kind="shared")
+    frozen = _build(3, 43, freeze_allocation="ones")
     for task in range(3):
         y_shared, _ = shared.forward(task, x)
         y_frozen, _ = frozen.forward(task, x)
@@ -225,9 +231,8 @@ def test_shared_model_forward_equals_skilled_with_ones():
 
 
 def test_shared_tasks_all_compose_identical_outputs():
-    shapes = [LayerShape(4, 3), LayerShape(3, 1)]
     x = ad.tensor(np.random.default_rng(7).standard_normal((5, 4)))
-    shared = build_model("shared", 4, 1, shapes, np.random.default_rng(44), fixed=_fixed("shared", 4))
+    shared = _build(4, 44, model_kind="shared")
     outputs = [shared.forward(task, x)[0].data for task in range(4)]
     for other in outputs[1:]:
         assert np.array_equal(outputs[0], other)

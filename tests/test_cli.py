@@ -1,5 +1,6 @@
 """Exit codes of the command line: 0 success, 1 configuration error, 2 run failure."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -81,6 +82,16 @@ def test_sweep_and_exports_succeed(config_file, tmp_path, capsys):
     assert main(["sweep", str(config_file()), "--grid", "S=2,3"]) == EXIT_OK
     runs = sorted((tmp_path / "runs").glob("skilled-S*"))
     assert len(runs) == 2
+    with open(tmp_path / "runs" / "sweep_metrics.csv", newline="") as fh:
+        metrics = list(csv.DictReader(fh))
+    assert list(metrics[0]) == ["model_kind", "seed", "num_skills", "metric", "value"]
+    assert {row["num_skills"] for row in metrics} == {"2", "3"}
+    for num_skills in ("2", "3"):
+        names = {row["metric"] for row in metrics if row["num_skills"] == num_skills}
+        assert {"steps_to_threshold", "few_shot_median_loss", "usage_layer_0"} <= names
+    with open(tmp_path / "runs" / "sweep_table.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [(row["num_skills"], row["status"]) for row in table] == [("2", "ok"), ("3", "ok")]
     out = tmp_path / "hierarchy.json"
     assert main(["export-hierarchy", str(runs[0] / "allocation_layer_0.json"), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())

@@ -167,10 +167,25 @@ def test_k_shot_bound():
         ({"world": {"holdout_tasks": -1}}, "world.holdout_tasks"),
         ({"sweep_grid": []}, "sweep_grid"),
         ({"sweep_grid": [0, 2]}, "sweep_grid"),
+        (
+            {"world": {"num_tasks": 1, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 1}},
+            "world.holdout_tasks",
+        ),
+        ({"warmup_mask_steps": 0}, "warmup_mask_steps"),
+        ({"parameterisation": "sparse", "steps": 50, "warmup_mask_steps": 51}, "warmup_mask_steps"),
     ],
 )
 def test_out_of_range_values_are_rejected(doc, key):
     assert rejected(doc) == key
+
+
+def test_edges_of_the_new_range_checks_are_accepted():
+    two_tasks = {"num_tasks": 2, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 1}
+    assert parse_config_dict({"world": two_tasks}).world.holdout_tasks == 1
+    sparse = parse_config_dict({"parameterisation": "sparse", "steps": 50, "warmup_mask_steps": 50})
+    assert sparse.warmup_mask_steps == 50
+    # Without the sparse parameterisation there is no mask to freeze.
+    assert parse_config_dict({"steps": 10}).warmup_mask_steps == 100
 
 
 def test_sweep_grid_and_nullable_fields():

@@ -70,6 +70,9 @@ CONFIGS = {
     "shared": _with(model_kind="shared"),
     "expert_planted": _with(model_kind="expert", expert_table="planted"),
     "hypernet": _with(model_kind="hypernet"),
+    # Pins `HypernetLayer.forward`'s transposed copies: without them the
+    # sums round differently at input_dim 16, not at the other shapes here.
+    "hypernet_input16": _with(model_kind="hypernet", world={"input_dim": 16}),
     "skilled_frozen_identity": _with(freeze_allocation="identity", world={"holdout_tasks": 0}),
     "skilled_lowrank": _with(parameterisation="lowrank"),
     "private_lowrank": _with(model_kind="private", parameterisation="lowrank"),

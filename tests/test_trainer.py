@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from skillmix import autodiff as ad
 from skillmix.allocation import as_binary, harden
 from skillmix.config import MODEL_KINDS, ExperimentConfig, WorldConfig
-from skillmix.errors import ContractError, GenerationError, TrainingDivergedError
+from skillmix.errors import ConfigError, ContractError, GenerationError, TrainingDivergedError
 from skillmix.priors import ibp_regularizer
 from skillmix.recovery import RecoveryScore, skill_recovery_score
 from skillmix.synthetic import generate_synthetic_benchmark
@@ -261,8 +262,9 @@ def test_ibp_regulariser_feeds_history():
 def test_steps_to_threshold_cap():
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
-    trained = multitask_train(small_config(steps=100, eval_every=50), train_tasks, world=world)
-    assert steps_to_threshold(trained, frac=1e-12) == 101
+    config = small_config(steps=100, eval_every=50, loss_threshold_frac=1e-12)
+    trained = multitask_train(config, train_tasks, world=world)
+    assert steps_to_threshold(trained) == 101
 
 
 def test_task_loss_kinds():
@@ -299,11 +301,10 @@ def test_evaluate_empty_split_rejected():
 
 
 def test_random_classifier_near_chance():
-    world, tasks = generate_synthetic_benchmark(
-        3, 4, 2, 8, 64, 0.0, (1, 2), task_kind="classification", eval_examples=4000
-    )
+    # 4000 examples per task give 4000 eval examples.
+    world, tasks = generate_synthetic_benchmark(3, 4, 2, 8, 4000, 0.0, (1, 2), task_kind="classification")
     cfg = small_config(steps=0, world=WorldConfig(num_tasks=4, num_true_skills=2, input_dim=8,
-                                                  examples_per_task=64, holdout_tasks=0,
+                                                  examples_per_task=4000, holdout_tasks=0,
                                                   skills_per_task_max=2, task_kind="classification"))
     trained = multitask_train(cfg, tasks[:4], world=world)
     metrics = evaluate(trained.model, 0, tasks[0])
@@ -326,6 +327,11 @@ def trained_small(kind="skilled", **overrides):
     return trained, holdout
 
 
+def with_config(trained, **changes):
+    """The trained model under a config with `changes`, e.g. other adaptation settings."""
+    return dataclasses.replace(trained, config=trained.config.replace(**changes))
+
+
 def replica_parameters(model, trained_model, r=0) -> dict:
     """Replica r's parameters on a replicated model: slice r of each one that carries the replica axis.
 
@@ -341,9 +347,9 @@ def replica_parameters(model, trained_model, r=0) -> dict:
 
 def test_zero_shot_or_zero_steps_is_noop():
     trained, holdout = trained_small(steps=80)
-    res = few_shot_adapt(trained, [holdout[0]], steps=0, k_shot=8)
+    res = few_shot_adapt(with_config(trained, adaptation_steps=0), [holdout[0]])
     assert res.metrics_before == res.metrics_after
-    res = few_shot_adapt(trained, [holdout[0]], steps=50, k_shot=0)
+    res = few_shot_adapt(with_config(trained, adaptation_steps=50, k_shot=0), [holdout[0]])
     assert res.metrics_before == res.metrics_after
 
 
@@ -354,21 +360,21 @@ def test_task_id_collision_rejected():
 
 
 def test_k_shot_cap_enforced():
-    trained, holdout = trained_small(steps=30)
-    with pytest.raises(ContractError):
-        few_shot_adapt(trained, [holdout[0]], k_shot=64)
+    trained, _ = trained_small(steps=30)
+    with pytest.raises(ConfigError):
+        with_config(trained, k_shot=64)
 
 
 @pytest.mark.parametrize("kind", ["skilled", "private", "shared", "hypernet"])
 def test_adaptation_improves_loss(kind):
-    trained, holdout = trained_small(kind=kind)
-    res = few_shot_adapt(trained, [holdout[0]], steps=150, k_shot=16)
+    trained, holdout = trained_small(kind=kind, adaptation_steps=150, k_shot=16)
+    res = few_shot_adapt(trained, [holdout[0]])
     assert res.metrics_after[0]["loss"] < res.metrics_before[0]["loss"]
 
 
 def test_expert_adaptation_uses_planted_row():
     trained, holdout = trained_small(kind="expert", expert_table="planted")
-    res = few_shot_adapt(trained, [holdout[0]], steps=60, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]])
     adapted_matrix = res.model.alloc.eval_matrix(0)[0]
     assert np.array_equal(
         adapted_matrix[res.task_index].astype(int),
@@ -377,9 +383,9 @@ def test_expert_adaptation_uses_planted_row():
 
 
 def test_z_row_only_adaptation_freezes_everything_else():
-    trained, holdout = trained_small(adapt_mode="z_only")
+    trained, holdout = trained_small(adapt_mode="z_only", adaptation_steps=80)
     before = trained.model.snapshot()
-    res = few_shot_adapt(trained, [holdout[0]], steps=80, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]])
     after = replica_parameters(res.model, trained.model)
     after_base = {k: v for k, v in after.items() if not k.startswith("z.")}
     before_base = {k: v for k, v in before.items() if not k.startswith("z.")}
@@ -393,12 +399,12 @@ def test_z_row_only_adaptation_freezes_everything_else():
 
 @pytest.mark.parametrize("frozen", ["identity", "ones"])
 def test_frozen_allocation_adapts_a_learned_row(frozen):
-    trained, holdout = trained_small(freeze_allocation=frozen, steps=60)
+    trained, holdout = trained_small(freeze_allocation=frozen, steps=60, adaptation_steps=40)
     assert trained.model.z_parameters() == []
-    res = few_shot_adapt(trained, [holdout[0]], steps=40, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]])
     new_rows = res.model.alloc.new_task_parameters(res.task_index)
     assert res.model.alloc.eval_matrix(0).shape[-2] == res.task_index + 1
-    phases = _adaptation_phases(res.model, res.task_index, trained.config, 40)
+    phases = _adaptation_phases(res.model, res.task_index, trained.config)
     assert [steps for steps, _, _ in phases] == [40]
     trains = {id(p) for p in phases[0][1] + phases[0][2]}
     if frozen == "identity":
@@ -412,11 +418,11 @@ def test_frozen_allocation_adapts_a_learned_row(frozen):
 
 
 def test_one_skill_inventory_adapts_the_skills_under_a_fixed_row():
-    trained, holdout = trained_small(num_skills=1, steps=40)
+    trained, holdout = trained_small(num_skills=1, steps=40, adaptation_steps=20)
     assert trained.model.z_parameters() != []
-    res = few_shot_adapt(trained, [holdout[0]], steps=20, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]])
     assert res.model.alloc.new_task_parameters(res.task_index) == []
-    phases = _adaptation_phases(res.model, res.task_index, trained.config, 20)
+    phases = _adaptation_phases(res.model, res.task_index, trained.config)
     assert [steps for steps, _, _ in phases] == [20]
     assert {id(p) for p in phases[0][1] + phases[0][2]} == {id(p) for p in res.model.phi_parameters()}
     assert res.metrics_after != res.metrics_before
@@ -486,8 +492,8 @@ def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, 
 
 
 def test_z_row_only_adaptation_still_learns_on_recombinable_task():
-    trained, holdout = trained_small(adapt_mode="z_only", steps=600)
-    res = few_shot_adapt(trained, [holdout[0]], steps=150, k_shot=16)
+    trained, holdout = trained_small(adapt_mode="z_only", steps=600, adaptation_steps=150, k_shot=16)
+    res = few_shot_adapt(trained, [holdout[0]])
     assert res.metrics_after[0]["loss"] < res.metrics_before[0]["loss"]
 
 
@@ -509,18 +515,21 @@ def _model_state(model) -> dict:
 def test_adaptation_does_not_mutate_the_base_model(kind):
     for param in ("dense", "sparse", "lowrank"):
         trained, holdout = trained_small(
-            kind, steps=60, parameterisation=param, warmup_mask_steps=30, **KIND_OVERRIDES.get(kind, {})
+            kind, steps=60, parameterisation=param, warmup_mask_steps=30, adaptation_steps=40,
+            **KIND_OVERRIDES.get(kind, {}),
         )
         assert len(holdout) >= 2
         before = _model_state(trained.model)
-        few_shot_adapt(trained, holdout, resamples=(0, 1), steps=40, k_shot=8)
+        few_shot_adapt(trained, holdout, resamples=(0, 1))
         assert _model_state(trained.model) == before, param
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_adaptation_leaves_no_gradient_behind(kind):
-    trained, holdout = trained_small(kind, steps=30, adapt_z_only_steps=10, **KIND_OVERRIDES.get(kind, {}))
-    res = few_shot_adapt(trained, holdout, resamples=(0, 1), steps=20, k_shot=8)
+    trained, holdout = trained_small(
+        kind, steps=30, adaptation_steps=20, adapt_z_only_steps=10, **KIND_OVERRIDES.get(kind, {})
+    )
+    res = few_shot_adapt(trained, holdout, resamples=(0, 1))
     assert [name for name, p in res.model.named_parameters().items() if p.grad is not None] == []
 
 
@@ -539,15 +548,17 @@ def _base_map(model, x):
 
 @pytest.mark.parametrize("param", ["dense", "sparse", "lowrank"])
 def test_private_adaptation_trains_only_a_new_skill(param):
-    trained, holdout = trained_small("private", steps=60, parameterisation=param, warmup_mask_steps=30)
+    trained, holdout = trained_small(
+        "private", steps=60, parameterisation=param, warmup_mask_steps=30, adaptation_steps=30
+    )
     before = trained.model.snapshot()
-    start = few_shot_adapt(trained, [holdout[0]], steps=0)
+    start = few_shot_adapt(with_config(trained, adaptation_steps=0), [holdout[0]])
     x = holdout[0].x_eval[:5]
     pred, _ = start.model.forward(start.task_index, ad.tensor(x[None]))
     assert np.allclose(pred.data[0], _base_map(start.model, x), rtol=0, atol=1e-12)
     assert np.array_equal(start.model.alloc.eval_matrix(0)[0, start.task_index], np.eye(7)[6])
 
-    res = few_shot_adapt(trained, [holdout[0]], steps=30, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]])
     after = replica_parameters(res.model, trained.model)
     assert set(after) == set(before)
     for name, old in before.items():
@@ -563,9 +574,11 @@ def test_private_adaptation_trains_only_a_new_skill(param):
 
 
 def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
-    trained, holdout = trained_small("hypernet", steps=60, adapt_mode="z_only", adapt_z_only_steps=10)
+    trained, holdout = trained_small(
+        "hypernet", steps=60, adapt_mode="z_only", adapt_z_only_steps=10, adaptation_steps=30
+    )
     before = trained.model.snapshot()
-    res = few_shot_adapt(trained, [holdout[0]], steps=30, k_shot=8)
+    res = few_shot_adapt(trained, [holdout[0]])
     after = replica_parameters(res.model, trained.model)
     for name, old in before.items():
         assert np.array_equal(after[name], old), name
@@ -574,10 +587,10 @@ def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
 
 
 def test_resamples_differ_but_are_reproducible():
-    trained, holdout = trained_small(steps=80)
-    r0 = few_shot_adapt(trained, [holdout[0]], resamples=(0,), steps=30, k_shot=8)
-    r1 = few_shot_adapt(trained, [holdout[0]], resamples=(1,), steps=30, k_shot=8)
-    r0_again = few_shot_adapt(trained, [holdout[0]], resamples=(0,), steps=30, k_shot=8)
+    trained, holdout = trained_small(steps=80, adaptation_steps=30)
+    r0 = few_shot_adapt(trained, [holdout[0]], resamples=(0,))
+    r1 = few_shot_adapt(trained, [holdout[0]], resamples=(1,))
+    r0_again = few_shot_adapt(trained, [holdout[0]], resamples=(0,))
     assert r0.metrics_after == r0_again.metrics_after
     assert r0.metrics_after != r1.metrics_after
 
