@@ -1,6 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 configuration error, 2 run failure.
+
+The pipeline modules (and with them numpy and scipy) are imported only
+after the arguments and the config have parsed, so `--help` and a bad
+config answer without loading them.
 """
 
 from __future__ import annotations
@@ -10,19 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .allocation import harden
 from .config import parse_config
 from .errors import ConfigError
-from .experiment import (
-    emit_plot_data,
-    export_hierarchy,
-    render_hierarchy_text,
-    run_compare,
-    run_experiment,
-    run_sweep,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,6 +65,8 @@ def _parse_grid(spec: str) -> tuple[int, ...]:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
+    from .experiment import run_experiment
+
     record = run_experiment(config, overwrite=not args.no_overwrite)
     if record.failure is not None:
         print(f"run failed at stage {record.failure['stage']}: {record.failure['error']}", file=sys.stderr)
@@ -85,6 +80,8 @@ def _cmd_sweep(args) -> int:
     if args.grid is not None:
         # The config checks the grid and records it in every run directory.
         config = config.replace(sweep_grid=_parse_grid(args.grid))
+    from .experiment import run_sweep
+
     records = run_sweep(config, overwrite=not args.no_overwrite)
     failures = [r for r in records if r.failure is not None]
     for r in records:
@@ -96,6 +93,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     config = parse_config(args.config)
     kinds = [k for k in args.kinds.split(",") if k]
+    from .experiment import run_compare
+
     records = run_compare(config, kinds, overwrite=not args.no_overwrite)
     failures = [r for r in records if r.failure is not None]
     for r in records:
@@ -105,6 +104,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export_hierarchy(args) -> int:
+    import numpy as np
+
+    from .allocation import harden
+    from .experiment import export_hierarchy, render_hierarchy_text
+
     doc = json.loads(args.allocation.read_text())
     if doc.get("logits") is not None:
         matrix = harden(1.0 / (1.0 + np.exp(-np.asarray(doc["logits"], dtype=np.float64))))
@@ -125,6 +129,8 @@ def _cmd_emit_plots(args) -> int:
         if not (run / "summary.json").exists():
             print(f"{run} has no summary.json", file=sys.stderr)
             return EXIT_RUN
+    from .experiment import emit_plot_data
+
     curves, sweep = emit_plot_data(args.run_dirs, args.out)
     print(curves)
     print(sweep)

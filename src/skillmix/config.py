@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .synthetic import task_id
 
 SWEEP_GRID_DEFAULT = (2, 4, 8, 16, 32)
 MODEL_KINDS = ("skilled", "private", "shared", "expert", "hypernet")
@@ -25,6 +24,11 @@ ALLOCATION_MODES = ("per_layer", "global")
 ADAPT_MODES = ("z_then_full", "z_only", "full")
 TASK_KINDS = ("regression", "classification", "mixed")
 MAX_FEW_SHOT = 32  # upper bound on k_shot: the k-shot pool is drawn from the training split
+
+
+def task_id(split: str, row: int) -> str:
+    """The id of the task on `row` of the planted allocation, e.g. `train_task_03`."""
+    return f"{split}_task_{row:02d}"
 
 
 @dataclass(frozen=True)

@@ -134,8 +134,10 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
     """Full pipeline: world -> train -> evaluate -> adapt -> score -> persist.
 
     On a stage failure the partial summary carries a failure marker and the
-    returned record's `failure` field is set; nothing is raised here so
-    sweeps can continue past broken points.
+    returned record's `failure` field is set; a failed stage raises nothing,
+    so sweeps can continue past broken points. It does raise `RunFailure`,
+    before any stage runs, when the run directory exists and `overwrite` is
+    false.
     """
     run_dir = run_dir_for(config)
     if run_dir.exists() and not overwrite:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .allocation import as_binary
 from .errors import ContractError
@@ -31,6 +30,10 @@ def _agreement_matrix(learned: np.ndarray, true: np.ndarray) -> np.ndarray:
 def _best_total(agreement: np.ndarray) -> int:
     if agreement.shape[0] == 0:
         return 0
+    # Imported here: scipy.optimize adds about 0.24 s to start-up, and only
+    # runs that score recovery need it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(agreement, maximize=True)
     return int(agreement[rows, cols].sum())
 
