@@ -2,14 +2,15 @@
 
 An allocation matrix [num_tasks, num_skills] is a plain value: learnable
 logits and relaxed draws are `Tensor`s, a fixed or hardened 0/1 matrix is
-an int64 array. A task selects skills through one logits matrix per layer.
-During training each cell is sampled from a relaxed Bernoulli
-(Gumbel-sigmoid) so the binary choice stays differentiable; at evaluation
-time the deterministic u=0.5 path is used, which collapses to
-sigmoid(z / tau). Rows are normalised before composition so the number of
-active skills does not change the norm of the composed parameters. A
-training draw and the task's normalised row are one tape node each, with
-VJPs that replay the unfused chains' numpy operations.
+an int64 array. A task selects skills through one logits matrix per layer;
+a model keeps its matrices stacked [M, T, S]. During training each cell is
+sampled from a relaxed Bernoulli (Gumbel-sigmoid) so the binary choice
+stays differentiable; at evaluation time the deterministic u=0.5 path is
+used, which collapses to sigmoid(z / tau). Rows are normalised before
+composition so the number of active skills does not change the norm of
+the composed parameters. A training draw and the task's normalised rows
+are one tape node each for the whole stack, with VJPs that replay the
+unfused chains' numpy operations.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .errors import DegenerateMatrixError, DomainError, ShapeError
 UNIFORM_EPS = 1e-7
 
 
-def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0) -> Tensor:
-    """Constant-filled learnable logits; the 0.0 default puts every cell at probability 0.5."""
+def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0, num_matrices: int | None = None) -> Tensor:
+    """Constant-filled learnable logits [T, S], or a stack [M, T, S] of `num_matrices`; the 0.0 default puts every cell at probability 0.5."""
     if num_tasks < 1 or num_skills < 1:
         raise ShapeError("task and skill counts must be >= 1")
-    return full((num_tasks, num_skills), init_value, requires_grad=True)
+    lead = () if num_matrices is None else (num_matrices,)
+    return full(lead + (num_tasks, num_skills), init_value, requires_grad=True)
 
 
 def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.random.Generator]) -> Tensor:
@@ -44,9 +46,10 @@ def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.r
     draw per cell, as the unfused add -> scale -> sigmoid chain drew
     (`random` returns the same doubles as `uniform(0, 1)`, faster).
 
-    A stack of replicas' logits [R, ..., S] takes a list of R generators:
-    replica r's cells are drawn from generator r alone, as a draw on its
-    slice would draw them.
+    A stack of matrices [M, T, S] draws the same doubles as M draws of
+    [T, S] in turn. A stack of replicas' logits [R, ..., S] takes a list of
+    R generators: replica r's cells are drawn from generator r alone, in
+    the order a draw on its slice would draw them.
     """
     if tau <= 0:
         raise DomainError("temperature must be positive")
@@ -58,7 +61,7 @@ def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.r
             rng.random(out=row)
     else:
         u = as_rng(seed).random(logits.shape)
-    u = np.clip(u, UNIFORM_EPS, 1.0 - UNIFORM_EPS)
+    np.minimum(np.maximum(u, UNIFORM_EPS, out=u), 1.0 - UNIFORM_EPS, out=u)
     noise = np.log(u) - np.log1p(-u)
     inv_tau = 1.0 / tau
     out = expit((logits.data + noise) * inv_tau)
@@ -83,8 +86,9 @@ def normalize_rows(t: Tensor | np.ndarray, index: int) -> Tensor:
     once for the row sum it divides by. Their VJP parts are accumulated
     separately, in the order the unfused reduce_sum -> div -> take_row
     chain accumulated them, so a gradient the matrix also gets from a prior
-    sums in the same order. A stack of matrices [..., T, S] gives the
-    stack of their rows [..., S].
+    sums in the same order. A stack of matrices [..., T, S] (a model's
+    allocation matrices, replicas' blocks or both) gives the stack of
+    their rows [..., S] in one node, each row equal to its matrix's alone.
     """
     if not isinstance(t, Tensor):
         t = tensor(t)

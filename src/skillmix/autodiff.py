@@ -8,12 +8,14 @@ Training code resets the tape once per step (``reset_tape``).
 ``apply_op`` is the one way to record a node. The model records through it
 as fused ops with hand-written VJPs: a skill-composed layer
 (``skills.mixed_affine``, ``skills.mixed_lowrank``), a hypernetwork layer
-(``model.HypernetLayer.forward``), a Gumbel draw and a normalised
-allocation row (``allocation``), the task loss (``trainer.task_loss``) and
-the IBP prior (``priors.ibp_regularizer``). The one generic op left is
-``add``, which sums the loss and the prior. A VJP returns one part per
-input, or None for an input that needs no gradient; an input may be listed
-more than once, and its parts are then accumulated in order.
+(``model.HypernetLayer.forward``), a Gumbel draw and the normalised
+allocation rows (``allocation``), each one node for all of a model's
+allocation matrices, the task loss (``trainer.task_loss``) and the IBP
+prior (``priors.ibp_regularizer``), one node for all matrices too. The
+one generic op left is ``add``, which sums the loss and the prior. A VJP
+returns one part per input, or None for an input that needs no gradient;
+an input may be listed more than once, and its parts are then
+accumulated in order.
 
 Semantics worth knowing:
   * repeated ``backward`` calls accumulate into ``.grad`` (a loss and a

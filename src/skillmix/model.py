@@ -6,14 +6,15 @@ in one of two ways:
   * skill composition (skilled, private, shared, expert): the task's row of
     the allocation is normalised into simplex weights and mixed over a skill
     inventory on top of a shared base. One `AllocationState` covers every
-    kind: its matrix is learnable logits for the skilled kind and a fixed
-    0/1 array for a frozen skilled model and for the private, shared and
+    kind: its matrices, one per layer or one for all, are stacked into one
+    array [M, T, S], learnable logits for the skilled kind and a fixed 0/1
+    array for a frozen skilled model and for the private, shared and
     expert baselines. A new task is one more allocation row; the private
     kind also adds one more skill to every layer and gives the task a
     one-hot row on it, so every kind adapts through the same forward path.
-    A training step records two tape nodes per learnable matrix (the Gumbel
-    draw and the task's normalised row) and one per layer (the fused
-    `skills.mixed_affine` or `skills.mixed_lowrank`);
+    A training step records one Gumbel draw and one normalised-row node for
+    the whole stack, and one node per layer (the fused `skills.mixed_affine`
+    or `skills.mixed_lowrank`, which reads its own matrix's row);
   * hypernetwork generation: low-rank adapters are generated from a task
     embedding and applied around the base map. The model owns the
     embeddings, new tasks' rows included; each layer owns its generators
@@ -65,8 +66,8 @@ class DenseLayer:
         if self._phi_init is not None:
             sk.freeze_mask(self.skills, self._phi_init)
 
-    def forward(self, x: Tensor, w: Tensor) -> Tensor:
-        return sk.mixed_affine(x, self.skills, w, self.shape)
+    def forward(self, x: Tensor, rows: Tensor, matrix: int) -> Tensor:
+        return sk.mixed_affine(x, self.skills, rows, self.shape, matrix)
 
     def add_skill(self, rngs) -> None:
         """Append a zero skill row to every replica, so a task on it starts at the base map; a frozen mask keeps it dense."""
@@ -89,8 +90,8 @@ class LowRankLayer:
         rank = min(rank, shape.in_dim, shape.out_dim)
         self.skills = sk.new_lowrank_skills(num_skills, shape.out_dim, shape.in_dim, rank, rng)
 
-    def forward(self, x: Tensor, w: Tensor) -> Tensor:
-        return sk.mixed_lowrank(x, self.skills, w)
+    def forward(self, x: Tensor, rows: Tensor, matrix: int) -> Tensor:
+        return sk.mixed_lowrank(x, self.skills, rows, matrix)
 
     def add_skill(self, rngs) -> None:
         """Append an adapter pair to every replica: A = 0, so a task on it starts at the base map, and a kaiming B from the replica's generator."""
@@ -184,97 +185,87 @@ class HypernetLayer:
 
 
 class AllocationState:
-    """One allocation matrix per layer (`per_layer`) or one for all layers (`global`).
+    """Every layer's allocation matrix in one stack [M, T, S]: M = 2 (`per_layer`) or 1 (`global`).
 
-    Each matrix is learnable logits (a `Tensor`) or a fixed 0/1 array. A
-    new task appends one [R, 1, S] block per matrix, one row for each of
-    the R replicas that adapt it side by side (see `TaskModel.replicate`),
-    learnable or fixed independently of the matrix, so a frozen skilled
-    model adapts a learned row over its fixed inventory.
+    The stack is learnable logits (a `Tensor`) or, with M = 1, a fixed 0/1
+    array. Layer l reads matrix l of a `per_layer` stack and matrix 0 of
+    any other. A new task appends one [R, M, 1, S] block, one row per
+    matrix for each of the R replicas that adapt it side by side (see
+    `TaskModel.replicate`), learnable or fixed independently of the stack,
+    so a frozen skilled model adapts a learned row over its fixed inventory.
     """
 
-    def __init__(self, matrices: list, num_layers: int, tau: float):
+    def __init__(self, matrices: Tensor | np.ndarray, tau: float):
         self.matrices = matrices
-        self.num_layers = num_layers
         self.tau = float(tau)
-        self.num_base_tasks, self.num_skills = matrices[0].shape
-        self.extra_rows: list[list] = []  # per new task, one [R, 1, S] block per matrix
+        self.num_matrices, self.num_base_tasks, self.num_skills = matrices.shape
+        self.extra_rows: list = []  # one [R, M, 1, S] block per new task
 
     @property
     def num_tasks(self) -> int:
         return self.num_base_tasks + len(self.extra_rows)
 
-    def _matrix_index(self, layer: int) -> int:
-        return layer if len(self.matrices) > 1 else 0
+    def matrix_index(self, layer: int) -> int:
+        return layer if self.num_matrices > 1 else 0
 
     def add_task(self, rows, learnable: bool) -> int:
         """A new task from its [R, S] rows, one per replica: learnable logits starting at `rows`, or fixed 0/1 rows."""
-        block = np.asarray(rows, dtype=np.float64)[:, None, :]
-        if block.shape[-1] != self.num_skills:
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[-1] != self.num_skills:
             raise ShapeError(f"allocation row needs {self.num_skills} entries")
-        if learnable:
-            blocks = [tensor(block.copy(), requires_grad=True) for _ in self.matrices]
-        else:
-            if (block.sum(axis=-1) < 1).any():
-                raise ContractError("a task must activate at least one skill")
-            blocks = [block] * len(self.matrices)
-        self.extra_rows.append(blocks)
+        if not learnable and (rows.sum(axis=-1) < 1).any():
+            raise ContractError("a task must activate at least one skill")
+        block = np.repeat(rows[:, None, None, :], self.num_matrices, axis=1)
+        self.extra_rows.append(tensor(block, requires_grad=True) if learnable else block)
         return self.num_tasks - 1
 
     def add_skill(self) -> None:
         """One more inventory column, zero in every base row (fixed allocations, before any new task)."""
-        self.matrices = [np.pad(m, ((0, 0), (0, 1))) for m in self.matrices]
+        self.matrices = np.pad(self.matrices, ((0, 0), (0, 0), (0, 1)))
         self.num_skills += 1
 
     def new_task_parameters(self, task: int) -> list[Tensor]:
-        return [row for row in self.extra_rows[task - self.num_base_tasks] if isinstance(row, Tensor)]
+        block = self.extra_rows[task - self.num_base_tasks]
+        return [block] if isinstance(block, Tensor) else []
 
     def rows_for_step(self, task: int, train: bool, rng, tau: float | None = None):
-        """Per-layer simplex weight rows plus the relaxed base matrices.
+        """The task's simplex weight rows [..., M, S], one per matrix, plus what the prior scores.
 
-        Each learnable block gets one full Gumbel draw per call while
+        A learnable stack or block gets one full Gumbel draw per call while
         training (the expected path otherwise), from each replica's own
-        generator when `rng` is a list of them; fixed blocks draw nothing.
-        The relaxed matrices are returned for base tasks only: they feed the
-        prior regulariser.
+        generator when `rng` is a list of them, and one normalised-row node
+        for all its matrices; a fixed one draws nothing. The second value is
+        a list holding the relaxed base stack, for base tasks of a learnable
+        allocation only: it feeds the prior regulariser.
         """
         tau = self.tau if tau is None else tau
         base_task = task < self.num_base_tasks
         if base_task:
-            blocks, index = self.matrices, task
+            block, index = self.matrices, task
         else:
-            blocks, index = self.extra_rows[task - self.num_base_tasks], 0
-        per_matrix, relaxed_mats = [], []
-        for block in blocks:
-            if not isinstance(block, Tensor):
-                row = block[..., index, :]
-                per_matrix.append(tensor(row / row.sum(axis=-1, keepdims=True)))
-                continue
-            relaxed = (
-                gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
-            )
-            if base_task:
-                relaxed_mats.append(relaxed)
-            per_matrix.append(normalize_rows(relaxed, index))
-        weights = [per_matrix[self._matrix_index(layer)] for layer in range(self.num_layers)]
-        return weights, relaxed_mats
+            block, index = self.extra_rows[task - self.num_base_tasks], 0
+        if not isinstance(block, Tensor):
+            row = block[..., index, :]
+            return tensor(row / row.sum(axis=-1, keepdims=True)), []
+        relaxed = gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
+        return normalize_rows(relaxed, index), [relaxed] if base_task else []
 
     def eval_matrix(self, layer: int) -> np.ndarray:
         """Deterministic relaxed matrix for this layer, new-task rows included: [R, T, S] with R replicas."""
-        i = self._matrix_index(layer)
-        blocks = [self.matrices[i]] + [rows[i] for rows in self.extra_rows]
-        values = [expected_allocation(b, self.tau) if isinstance(b, Tensor) else b for b in blocks]
+        i = self.matrix_index(layer)
+        blocks = [self.matrices, *self.extra_rows]
+        values = [(expected_allocation(b, self.tau) if isinstance(b, Tensor) else b)[..., i, :, :] for b in blocks]
         lead = values[-1].shape[:-2]
         return np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in values], axis=-2)
 
     def logits(self, layer: int) -> np.ndarray | None:
         """The learnable base logits behind a layer; None for a fixed matrix."""
-        block = self.matrices[self._matrix_index(layer)]
-        return block.data if isinstance(block, Tensor) else None
+        if not isinstance(self.matrices, Tensor):
+            return None
+        return self.matrices.data[self.matrix_index(layer)]
 
     def z_parameters(self) -> list[Tensor]:
-        blocks = self.matrices + [row for rows in self.extra_rows for row in rows]
-        return [block for block in blocks if isinstance(block, Tensor)]
+        return [block for block in [self.matrices, *self.extra_rows] if isinstance(block, Tensor)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +332,11 @@ class SkillModel(TaskModel):
     def forward(self, task: int, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
         if not 0 <= task < self.num_tasks:
             raise TaskLookupError(f"unknown task index {task}")
-        rows, relaxed_mats = self.alloc.rows_for_step(task, train, rng, tau)
+        rows, relaxed = self.alloc.rows_for_step(task, train, rng, tau)
         h = x
-        for layer, w in zip(self.layers, rows):
-            h = layer.forward(h, w)
-        return h, relaxed_mats
+        for i, layer in enumerate(self.layers):
+            h = layer.forward(h, rows, self.alloc.matrix_index(i))
+        return h, relaxed
 
     def add_skill(self, rngs) -> None:
         """One more skill in every layer and replica, unused by every base task (the private kind's new task)."""

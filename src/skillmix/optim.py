@@ -16,36 +16,21 @@ from .autodiff import Tensor
 from .errors import ContractError
 
 
-class _FlatGroup:
-    """One group's parameters packed into one vector, with its moments, scratch and gathered gradient."""
-
-    def __init__(self, params: list[Tensor]):
-        sizes = [p.size for p in params]
-        self.data = np.zeros(sum(sizes))
-        self.slices = []
-        start = 0
-        for p, size in zip(params, sizes):
-            view = self.data[start : start + size].reshape(p.shape)
-            view[...] = p.data
-            p.data = view
-            self.slices.append(slice(start, start + size))
-            start += size
-        self.m, self.v, self.update, self.denom, self.grad = (np.zeros_like(self.data) for _ in range(5))
-
-
 class Adam:
-    """Standard Adam over parameter groups; state is one flat vector per group.
+    """Standard Adam over parameter groups; its state is one flat vector for every group.
 
-    Building the optimiser packs each group's parameters into one
-    contiguous float64 vector, and every `p.data` becomes a view into it,
-    so build it after the last change to the parameters' shapes. A step
-    gathers the group's gradients into one vector and runs the update in
-    place on the whole group, in the textbook operation order, with no
-    temporaries. A group where some parameters have no gradient updates
-    the slices of those that have one. Every operation is elementwise, so
-    the result does not depend on the packing, and one step over
-    parameters stacked on a leading replica axis equals one step of a
-    separate optimiser per replica.
+    Building the optimiser packs every group's parameters, group after
+    group, into one contiguous float64 vector, and every `p.data` becomes a
+    view into it, so build it after the last change to the parameters'
+    shapes. Each element carries its group's learning rate in a vector of
+    the same size. A step gathers the gradients into one vector and runs
+    the update in place on the whole buffer, in the textbook operation
+    order, with no temporaries. When some parameters have no gradient, it
+    updates the slices of those that have one. Every operation is
+    elementwise, so the result does not depend on the packing: it equals
+    one optimiser per group, and one step over parameters stacked on a
+    leading replica axis equals one step of a separate optimiser per
+    replica.
     """
 
     def __init__(
@@ -66,26 +51,39 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._step = 0
-        self._flat = [_FlatGroup(g["params"]) for g in self.groups]
+        self._params = [p for g in self.groups for p in g["params"]]
+        sizes = [p.size for p in self._params]
+        self._data = np.zeros(sum(sizes))
+        self._lr = np.repeat([g["lr"] for g in self.groups], [sum(p.size for p in g["params"]) for g in self.groups])
+        self._slices = []
+        start = 0
+        for p, size in zip(self._params, sizes):
+            view = self._data[start : start + size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self._slices.append(slice(start, start + size))
+            start += size
+        self._m, self._v, self._update, self._denom, self._grad = (np.zeros_like(self._data) for _ in range(5))
 
     def step(self) -> None:
         self._step += 1
         t = self._step
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for group, flat in zip(self.groups, self._flat):
-            params, lr = group["params"], group["lr"]
-            if params and all(p.grad is not None for p in params):
-                np.concatenate([p.grad.reshape(-1) for p in params], out=flat.grad)
-                self._update(flat, slice(None), lr, bias1, bias2)
-                continue
-            for p, part in zip(params, flat.slices):
-                if p.grad is not None:
-                    flat.grad[part] = p.grad.reshape(-1)
-                    self._update(flat, part, lr, bias1, bias2)
+        params = self._params
+        if params and all(p.grad is not None for p in params):
+            np.concatenate([p.grad.reshape(-1) for p in params], out=self._grad)
+            self._update_part(slice(None), bias1, bias2)
+            return
+        for p, part in zip(params, self._slices):
+            if p.grad is not None:
+                self._grad[part] = p.grad.reshape(-1)
+                self._update_part(part, bias1, bias2)
 
-    def _update(self, flat: _FlatGroup, part: slice, lr: float, bias1: float, bias2: float) -> None:
-        m, v, update, denom, grad = (a[part] for a in (flat.m, flat.v, flat.update, flat.denom, flat.grad))
+    def _update_part(self, part: slice, bias1: float, bias2: float) -> None:
+        m, v, update, denom, grad, lr = (
+            a[part] for a in (self._m, self._v, self._update, self._denom, self._grad, self._lr)
+        )
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=update)
@@ -94,30 +92,32 @@ class Adam:
         np.square(grad, out=update)
         update *= 1.0 - self.beta2
         v += update
-        # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-        np.divide(m, bias1, out=update)
-        update *= lr
+        # p -= lr (m / bias1) / (sqrt(v / bias2) + eps); once 0.9**t is below
+        # half an ulp of 1, bias1 is 1.0 and m / bias1 is m itself.
+        if bias1 == 1.0:
+            np.multiply(m, lr, out=update)
+        else:
+            np.divide(m, bias1, out=update)
+            update *= lr
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
-        flat.data[part] -= update
+        self._data[part] -= update
 
     def zero_grad(self) -> None:
-        for group in self.groups:
-            for p in group["params"]:
-                p.grad = None
+        for p in self._params:
+            p.grad = None
 
     def reset_state(self) -> None:
         """Drop all moment estimates (used when the parameterisation changes)."""
         self._step = 0
-        for flat in self._flat:
-            flat.m.fill(0.0)
-            flat.v.fill(0.0)
+        self._m.fill(0.0)
+        self._v.fill(0.0)
 
     @property
     def parameters(self) -> list[Tensor]:
-        return [p for g in self.groups for p in g["params"]]
+        return list(self._params)
 
 
 def build_two_speed_groups(

@@ -11,7 +11,9 @@ treated as a constant per step.
 The relaxed density and the regulariser each record one tape node whose
 hand-written VJP (digamma of the column masses) replays, in order, the
 numpy operations of the generic-op chain they replace, so values and
-gradients are bit for bit those of that chain.
+gradients are bit for bit those of that chain. Both take a model's stack
+of allocation matrices [M, T, S] as one input: each matrix is scored
+apart, the M values are added in matrix order, and one node covers them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .allocation import as_binary, harden
+from .allocation import as_binary
 from .autodiff import Tensor, apply_op, scalar
 from .errors import DomainError
 
@@ -44,11 +46,24 @@ def _log_factorial(n: int) -> float:
     return float(gammaln(n + 1.0))
 
 
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> list[float]:
+    """log(c!) for c = 0 .. n."""
+    return gammaln(np.arange(n + 1.0) + 1.0).tolist()
+
+
+def _history_log_terms(binary: np.ndarray) -> list[float]:
+    """Per matrix of a 0/1 stack [M, T, S], the sum over distinct column bit-patterns h of log(count(h)!)."""
+    columns = np.ascontiguousarray(binary.swapaxes(-1, -2))
+    patterns = columns.view(np.dtype((np.void, columns.shape[-1] * columns.itemsize)))[..., 0]
+    log_factorials = _log_factorials(binary.shape[-1])
+    # fsum is exactly rounded, so the value does not depend on the column order.
+    return [math.fsum(log_factorials[c] for c in Counter(row).values()) for row in patterns.tolist()]
+
+
 def _history_log_term(binary: np.ndarray) -> float:
     """Sum over distinct column bit-patterns h of log(count(h)!)."""
-    counts = Counter(column.tobytes() for column in np.ascontiguousarray(binary.T))
-    # fsum is exactly rounded, so the value does not depend on the column order.
-    return math.fsum(gammaln(np.fromiter(counts.values(), np.float64) + 1.0))
+    return _history_log_terms(np.asarray(binary)[None])[0]
 
 
 def ibp_log_prob(z: np.ndarray, alpha: float) -> float:
@@ -76,40 +91,53 @@ def ibp_log_prob(z: np.ndarray, alpha: float) -> float:
 
 
 def _relaxed_terms(z_hat: Tensor, alpha: float):
-    """The relaxed log-density's value and a map from its gradient to the matrix's.
+    """Per-matrix log-density values of a stack [M, T, S] and a map from their gradient to the stack's.
 
-    The constant comes from the hardened matrix. The per-column part is
-    lgamma(N + 1 - m) + lgamma(m) on each active column's mass m.
+    A [T, S] matrix is a stack of one. Each matrix's constant comes from
+    its hardened cells (`harden`'s predicate, x + 0.5 >= 1). The
+    per-column part is lgamma(N + 1 - m) + lgamma(m) on each active
+    column's mass m. Every matrix's value gets the same gradient, the
+    output's.
     """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    num_tasks = z_hat.shape[0]
-    hardened = harden(z_hat)
-    active = hardened.sum(axis=0) > 0
-
-    constant = float(active.sum()) * math.log(alpha)
-    constant -= _history_log_term(hardened)
-    constant -= alpha * _harmonic_sum(num_tasks)
-    constant -= float(active.sum()) * _log_factorial(num_tasks)
-
+    stack = z_hat.data.reshape((-1,) + z_hat.shape[-2:])
+    num_tasks = stack.shape[-2]
+    hardened = stack + 0.5 >= 1.0
+    active = hardened.any(axis=-2)
     gate = active.astype(np.float64)
     # Inactive columns are gated out below; shift their mass to 1 first so
     # lgamma stays inside its domain when the input is exactly binary.
-    safe_mass = z_hat.data.sum(axis=0) + (1.0 - gate)
+    safe_mass = stack.sum(axis=-2) + (1.0 - gate)
     rest = (num_tasks + 1.0) - safe_mass
-    if (rest <= 0.0).any() or (safe_mass <= 0.0).any():
+    if np.minimum(rest, safe_mass).min() <= 0.0:
         raise DomainError("lgamma requires strictly positive inputs")
-    value = ((gammaln(rest) + gammaln(safe_mass)) * gate).sum() + constant
+    column_terms = ((gammaln(rest) + gammaln(safe_mass)) * gate).sum(axis=-1).tolist()
+
+    log_alpha, harmonic, log_factorial = math.log(alpha), _harmonic_sum(num_tasks), _log_factorial(num_tasks)
+    values = [
+        terms + (count * log_alpha - history - alpha * harmonic - count * log_factorial)
+        for terms, count, history in zip(column_terms, active.sum(axis=-1).tolist(), _history_log_terms(hardened))
+    ]
 
     def matrix_grad(g):
         gated = g * gate
-        return np.broadcast_to(gated * digamma(safe_mass) - gated * digamma(rest), z_hat.shape)
+        per_column = gated * digamma(safe_mass) - gated * digamma(rest)
+        return np.repeat(per_column.reshape(z_hat.shape[:-2] + (1, -1)), num_tasks, axis=-2)
 
-    return value, matrix_grad
+    return values, matrix_grad
+
+
+def _sum_in_order(values) -> float:
+    """0.0 + v_0 + v_1 + ...: the total that adding the matrices' terms one by one gives."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
-    """Differentiable continuation of the log-density on a relaxed matrix.
+    """Differentiable continuation of the log-density on a relaxed matrix, or the sum over a stack's.
 
     Column sums use the continuous values; the factorials become log-gamma.
     The history term and the active-column count come from the hardened
@@ -117,15 +145,20 @@ def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
     `ibp_log_prob` up to rounding: the per-column terms are summed in
     column order here and exactly rounded (`math.fsum`) there.
     """
-    value, matrix_grad = _relaxed_terms(z_hat, alpha)
-    return apply_op((z_hat,), value, lambda g: (matrix_grad(g),))
+    values, matrix_grad = _relaxed_terms(z_hat, alpha)
+    return apply_op((z_hat,), _sum_in_order(values), lambda g: (matrix_grad(g),))
 
 
 def ibp_regularizer(z_hat: Tensor, alpha: float, strength: float) -> Tensor:
-    """Loss term -strength * relaxed log-density, one tape node; strength 0 records none."""
+    """Loss term -strength * relaxed log-density, one tape node; strength 0 records none.
+
+    A stack [M, T, S] scores each matrix apart and adds the M terms in
+    matrix order, so one node covers every layer's matrix.
+    """
     if strength < 0:
         raise DomainError("strength must be non-negative")
     if strength == 0.0:
         return scalar(0.0)
-    value, matrix_grad = _relaxed_terms(z_hat, alpha)
-    return apply_op((z_hat,), -value * strength, lambda g: (matrix_grad(-(g * strength)),))
+    values, matrix_grad = _relaxed_terms(z_hat, alpha)
+    total = _sum_in_order(-value * strength for value in values)
+    return apply_op((z_hat,), total, lambda g: (matrix_grad(-(g * strength)),))

@@ -116,9 +116,26 @@ def new_lowrank_skills(num_skills: int, out_dim: int, in_dim: int, rank: int, se
     return LowRankSkills(a, b, w0, b0)
 
 
-def _check_weights(num_skills: int, w: Tensor) -> None:
+def _weight_rows(num_skills: int, w: Tensor, matrix: int | None):
+    """The layer's weight rows [..., S] and a map from their gradient to `w`'s.
+
+    `matrix` None: `w` holds the rows. Otherwise `w` [..., M, S] stacks one
+    row per allocation matrix and the layer reads row `matrix`; its
+    gradient is zero in the other matrices' rows.
+    """
     if w.ndim < 1 or w.shape[-1] != num_skills:
         raise ShapeError(f"weights must be [..., {num_skills}] vectors, got shape {w.shape}")
+    if matrix is None:
+        return w.data, lambda g: g
+    if w.ndim < 2 or not 0 <= matrix < w.shape[-2]:
+        raise ShapeError(f"no matrix {matrix} in weight rows of shape {w.shape}")
+
+    def stacked(g):
+        full = np.zeros(w.shape)
+        full[..., matrix, :] = g
+        return full
+
+    return w.data[..., matrix, :], stacked
 
 
 def _check_input(x: Tensor, in_dim: int, lead: tuple) -> None:
@@ -126,7 +143,7 @@ def _check_input(x: Tensor, in_dim: int, lead: tuple) -> None:
         raise ShapeError(f"input shape {x.shape} incompatible with stack {lead} and in_dim {in_dim}")
 
 
-def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape) -> Tensor:
+def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape, matrix: int | None = None) -> Tensor:
     """x @ W^T + b, with (W, b) the flat theta = base + w @ (phi * mask) unflattened; one tape node.
 
     Differentiable in x, phi, base and w; once a mask is frozen, masked
@@ -142,16 +159,20 @@ def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape) -
     then has the leading axes too, so only stacked `phi` may train). A
     stacked numpy matmul runs the 2-D product per slice, so each replica's
     output and gradients equal the unstacked op's on its slice, bit for bit.
+
+    Given `matrix`, `w` [..., M, S] holds the task's row of every
+    allocation matrix and the layer mixes with row `matrix` (see
+    `_weight_rows`).
     """
-    _check_weights(skills.num_skills, w)
-    lead = w.shape[:-1]
+    wd, w_grad = _weight_rows(skills.num_skills, w, matrix)
+    lead = wd.shape[:-1]
     _check_input(x, shape.in_dim, lead)
     if skills.dim != shape.flat_dim:
         raise ShapeError(f"skill dim {skills.dim} != layer size {shape.flat_dim}")
     o, i = shape.out_dim, shape.in_dim
     phi, base, mask = skills.phi, skills.base, skills.mask
     phi_m = phi.data if mask is None else phi.data * mask
-    w_row = w.data[..., None, :]
+    w_row = wd[..., None, :]
     theta = base.data + (w_row @ phi_m)[..., 0, :]
     weight_t = matrix_t(theta[..., : o * i].reshape(lead + (o, i))).copy()
     xd = x.data
@@ -167,26 +188,27 @@ def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape) -
             g @ matrix_t(weight_t) if need_x else None,
             g_phi,
             g_theta[..., 0, :] if need_base else None,
-            (g_theta @ matrix_t(phi_m))[..., 0, :] if need_w else None,
+            w_grad((g_theta @ matrix_t(phi_m))[..., 0, :]) if need_w else None,
         )
 
     return apply_op((x, phi, base, w), xd @ weight_t + theta[..., None, o * i :], vjp)
 
 
-def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
+def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor, matrix: int | None = None) -> Tensor:
     """x @ (W0 + sum_j w_j A_j B_j)^T + b0 without materialising the delta; one tape node.
 
     Evaluates H_j = B_j x^T and C_j = A_j H_j for every skill in one batched
     matmul each (no Python loop over the skills), then y = x W0^T + sum_j w_j C_j^T + b0. Equal to the
     materialised product up to rounding. Only inputs that require a
     gradient get one. Leading axes stack replicas as in `mixed_affine`:
-    `x`, `w`, `A` and `B` carry them, `W0` and `b0` are shared.
+    `x`, `w`, `A` and `B` carry them, `W0` and `b0` are shared. `matrix`
+    selects the row of stacked weight rows as in `mixed_affine`.
     """
-    _check_weights(skills.num_skills, w)
-    lead = w.shape[:-1]
+    wd, w_grad = _weight_rows(skills.num_skills, w, matrix)
+    lead = wd.shape[:-1]
     _check_input(x, skills.in_dim, lead)
     a, b, w0 = skills.A.data, skills.B.data, skills.W0.data
-    xd, wd = x.data, w.data
+    xd = x.data
     n = xd.shape[-2]
     x_skills = xd[..., None, :, :]  # broadcast over the skill axis
     hidden = b @ matrix_t(x_skills)  # [..., S, r, n]
@@ -210,7 +232,7 @@ def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor) -> Tensor:
             g_hidden @ x_skills if need_b else None,
             g_t @ xd if need_w0 else None,
             g.sum(axis=-2) if need_b0 else None,
-            (mixed @ g_t.reshape(lead + (-1, 1)))[..., 0] if need_w else None,
+            w_grad((mixed @ g_t.reshape(lead + (-1, 1)))[..., 0]) if need_w else None,
         )
 
     return apply_op(inputs, out, vjp)

@@ -20,6 +20,7 @@ seed through separate derived rng streams, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,9 +71,11 @@ def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
     """Negative log-likelihood up to constants, as one tape node: MSE or logistic loss.
 
     Values and gradients replay the numpy operations of the unfused chains
-    (sub -> mul -> mean, and mul -> neg -> softplus -> mean) in order. A
-    stack of replicas' predictions [..., n, 1] gives the sum of the
-    replicas' mean losses, so each replica's gradient is its own loss's.
+    (sub -> mul -> mean, and mul -> neg -> softplus -> mean) in order; a
+    mean is the batch sum divided by the batch size, as `ndarray.mean`
+    computes it. A stack of replicas' predictions [..., n, 1] gives the
+    sum of the replicas' mean losses, so each replica's gradient is its
+    own loss's.
     """
     if kind not in ("regression", "classification"):
         raise ContractError(f"unknown task kind '{kind}'")
@@ -84,19 +87,19 @@ def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
         err = pred.data - y
 
         def vjp(g):
-            part = np.broadcast_to(g, err.shape) / count * err
+            part = g / count * err
             return (part + part,)
 
-        return apply_op((pred,), (err * err).mean(axis=(-2, -1)).sum(), vjp)
+        return apply_op((pred,), (np.add.reduce(err * err, axis=(-2, -1)) / count).sum(), vjp)
 
     margin = -(y * pred.data)
     slope = expit(margin)
 
     def vjp(g):
-        return (-(np.broadcast_to(g, margin.shape) / count * slope) * y,)
+        return (-(g / count * slope) * y,)
 
     softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    return apply_op((pred,), softplus.mean(axis=(-2, -1)).sum(), vjp)
+    return apply_op((pred,), (np.add.reduce(softplus, axis=(-2, -1)) / count).sum(), vjp)
 
 
 def _split(task: TaskSpec, split: str) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +156,8 @@ def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], wor
     skills over an allocation: the kind's fixed 0/1 matrix
     (`resolve_fixed_allocation`), whose column count is the inventory size,
     or, for the skilled kind without one, learnable logits over
-    `num_skills`, one matrix per layer or one for all (`allocation_mode`).
+    `num_skills`, one matrix per layer or one for all (`allocation_mode`),
+    stacked [M, T, S].
     The layers hold dense, sparse (`sparsity`) or low-rank (`rank`) skills.
 
     The construction rng `[seed, STREAM_INIT]` is drawn by the hypernet's
@@ -170,17 +174,17 @@ def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], wor
     if fixed is None:
         num_skills = config.num_skills
         count = len(shapes) if config.allocation_mode == "per_layer" else 1
-        matrices = [init_logits(len(tasks), num_skills) for _ in range(count)]
+        matrices = init_logits(len(tasks), num_skills, num_matrices=count)
     elif fixed.shape[0] != len(tasks):
         raise ShapeError("fixed allocation shape disagrees with the task count")
     else:
-        matrices, num_skills = [fixed], fixed.shape[1]
+        matrices, num_skills = fixed[None], fixed.shape[1]
     if config.parameterisation == "lowrank":
         layers = [LowRankLayer(shape, num_skills, config.rank, rng) for shape in shapes]
     else:
         sparsity = config.sparsity if config.parameterisation == "sparse" else None
         layers = [DenseLayer(shape, num_skills, rng, sparsity) for shape in shapes]
-    return SkillModel(layers, AllocationState(matrices, len(shapes), config.tau))
+    return SkillModel(layers, AllocationState(matrices, config.tau))
 
 
 def resolve_fixed_allocation(
@@ -215,23 +219,23 @@ def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str
 
     A replicated model steps every replica at once: `x` and `y` carry the
     replica axis, `rng` is one generator per replica and the loss is the
-    sum of the replicas' losses. Only base tasks return relaxed allocation
-    matrices, so a new task's step carries no prior.
+    sum of the replicas' losses. Only a base task of a learnable allocation
+    returns its relaxed stack of allocation matrices, and the prior scores
+    every matrix of it in one node; a new task's step carries no prior.
     """
     reset_tape()
-    pred, relaxed_mats = model.forward(task_index, tensor(x), train=True, rng=rng, tau=tau)
+    pred, relaxed = model.forward(task_index, tensor(x), train=True, rng=rng, tau=tau)
     loss = task_loss(pred, y, kind)
     loss_value = loss.item()
 
     reg_value = 0.0
     total = loss
-    if config.ibp_strength > 0.0:
-        for relaxed in relaxed_mats:
-            reg = ibp_regularizer(relaxed, config.ibp_alpha, config.ibp_strength)
-            reg_value += reg.item()
-            total = add(total, reg)
+    if config.ibp_strength > 0.0 and relaxed:
+        reg = ibp_regularizer(relaxed[0], config.ibp_alpha, config.ibp_strength)
+        reg_value = reg.item()
+        total = add(total, reg)
 
-    if not np.isfinite(loss_value) or not np.isfinite(reg_value):
+    if not math.isfinite(loss_value) or not math.isfinite(reg_value):
         raise TrainingDivergedError(step, name, {"loss": loss_value, "reg_loss": reg_value})
 
     backward(total)
@@ -400,10 +404,11 @@ def few_shot_adapt(
     Replica (task, resample) draws from its own rng stream `[seed,
     STREAM_ADAPT, ordinal, resample]`, in the order an adaptation on its own
     would: the private kind's new skill, the k-shot pool, then per step
-    the batch and one Gumbel draw per learnable block. Each step records
-    one tape whose loss sums the replicas' losses and takes one elementwise
-    Adam step, so every replica ends bit for bit where it would alone. The
-    tasks must share a task kind and a training split size.
+    the batch and one Gumbel draw of its learnable block, layer 0's row
+    before layer 1's. Each step records one tape whose loss sums the
+    replicas' losses and takes one elementwise Adam step, so every replica
+    ends bit for bit where it would alone. The tasks must share a task
+    kind and a training split size.
     """
     config = trained.config
     ordinals = range(len(tasks)) if ordinals is None else ordinals

@@ -221,6 +221,45 @@ def test_stacked_draw_equals_one_draw_per_replica():
         assert np.array_equal(stacked.data[r], alone.data)
 
 
+def test_matrix_stack_draw_equals_one_draw_per_matrix_in_turn():
+    # A model's stack [M, T, S] draws what its matrices drew one after the other.
+    logits = np.random.default_rng(3).standard_normal((2, 4, 5))
+    stacked = gumbel_sigmoid_sample(ad.tensor(logits), 0.7, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for m in range(2):
+        assert np.array_equal(stacked.data[m], gumbel_sigmoid_sample(ad.tensor(logits[m]), 0.7, rng).data)
+
+
+def test_replica_block_draw_equals_each_replicas_per_matrix_draws():
+    # A new task's block [R, M, 1, S]: generator r draws replica r's layer-0 row, then its layer-1 row.
+    logits = ad.tensor(np.random.default_rng(4).standard_normal((3, 2, 1, 5)), requires_grad=True)
+    stacked = gumbel_sigmoid_sample(logits, 0.7, [np.random.default_rng([6, r]) for r in range(3)])
+    for r in range(3):
+        rng = np.random.default_rng([6, r])
+        for m in range(2):
+            alone = gumbel_sigmoid_sample(ad.tensor(logits.data[r, m]), 0.7, rng)
+            assert np.array_equal(stacked.data[r, m], alone.data)
+
+
+def test_stacked_rows_and_gradients_equal_each_matrix_alone():
+    # One node for the stack: each matrix's row and gradient are its own node's, prior part first.
+    rng = np.random.default_rng(5)
+    data = rng.uniform(0.05, 0.95, size=(2, 4, 3))
+    probe, prior_probe = rng.standard_normal((2, 3)), rng.standard_normal((2, 4, 3))
+    stack = ad.tensor(data, requires_grad=True)
+    rows = normalize_rows(stack, 1)
+    ad.backward(ad.add(unfused.reduce_sum(unfused.mul(rows, ad.tensor(probe))),
+                       unfused.reduce_sum(unfused.mul(stack, ad.tensor(prior_probe)))))
+    for m in range(2):
+        ad.reset_tape()
+        matrix = ad.tensor(data[m], requires_grad=True)
+        row = normalize_rows(matrix, 1)
+        ad.backward(ad.add(unfused.reduce_sum(unfused.mul(row, ad.tensor(probe[m]))),
+                           unfused.reduce_sum(unfused.mul(matrix, ad.tensor(prior_probe[m])))))
+        assert np.array_equal(rows.data[m], row.data)
+        assert np.array_equal(stack.grad[m], matrix.grad)
+
+
 def test_harden_rounds_half_up():
     assert harden(np.array([[0.9, 0.1]])).tolist() == [[1, 0]]
     assert harden(np.array([[0.5]])).tolist() == [[1]]

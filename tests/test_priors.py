@@ -153,6 +153,29 @@ def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
     assert np.array_equal(grad, ref_grad)
 
 
+@pytest.mark.parametrize("strength", [None, 0.1])
+def test_stacked_prior_adds_each_matrixs_term_in_matrix_order(strength):
+    """One node over a stack [M, T, S]: the value 0.0 + v_0 + v_1 and each matrix's gradient, bit for bit."""
+    rng = np.random.default_rng(12)
+    data = rng.uniform(0.02, 0.98, size=(2, 6, 5))
+    data[1, :, 2] = rng.uniform(0.0, 0.49, size=6)  # an inactive column in one matrix only
+    prior = relaxed_ibp_log_prob if strength is None else lambda z, a: ibp_regularizer(z, a, strength)
+    stack = ad.tensor(data, requires_grad=True)
+    value = prior(stack, 2.5)
+    assert len(ad.active_tape()) == 1
+    ad.backward(value)
+    expected = 0.0
+    for m in range(2):
+        ad.reset_tape()
+        matrix = ad.tensor(data[m], requires_grad=True)
+        alone = prior(matrix, 2.5)
+        ad.backward(alone)
+        expected += alone.item()
+        assert np.array_equal(stack.grad[m], matrix.grad)
+    assert value.shape == ()
+    assert value.item() == expected
+
+
 def test_fused_prior_records_one_node():
     z = ad.tensor(np.random.default_rng(1).uniform(size=(5, 4)), requires_grad=True)
     ibp_regularizer(z, 2.0, 0.1)
@@ -308,3 +331,49 @@ def test_adam_in_place_step_equals_the_textbook_expressions():
         opt.step()
         for p, r in zip(params, reference):
             assert np.array_equal(p.data, r)
+
+
+def test_one_buffer_for_both_groups_equals_one_adam_per_group():
+    # 50 steps, one with a parameter left without a gradient and a reset halfway:
+    # the packed optimiser and two single-group ones end bit for bit alike.
+    rng = np.random.default_rng(4)
+    shapes = [(2, 3), (4,), (3, 1, 2), (5,)]
+    starts = [rng.standard_normal(shape) for shape in shapes]
+    packed = [ad.tensor(s.copy(), requires_grad=True) for s in starts]
+    apart = [ad.tensor(s.copy(), requires_grad=True) for s in starts]
+    both = build_two_speed_groups(packed[:2], packed[2:], 0.1, 1e-3)
+    fast, slow = Adam([dict(params=apart[:2], lr=0.1)]), Adam([dict(params=apart[2:], lr=1e-3)])
+    assert [g["params"] for g in both.groups] == [packed[:2], packed[2:]]
+    for t in range(50):
+        grads = [rng.standard_normal(shape) for shape in shapes]
+        if t == 7:
+            grads[1] = None
+        for p, q, g in zip(packed, apart, grads):
+            p.grad, q.grad = g, g
+        for opt in (both, fast, slow):
+            opt.step()
+            opt.zero_grad()
+        if t == 25:
+            for opt in (both, fast, slow):
+                opt.reset_state()
+        for p, q in zip(packed, apart):
+            assert np.array_equal(p.data, q.data), t
+    assert all(p.grad is None for p in packed)
+
+
+def test_adam_equals_the_textbook_expressions_once_the_first_bias_correction_is_one():
+    # From step 356 on, 1 - 0.9**t rounds to 1.0 and the step skips the division by it.
+    rng = np.random.default_rng(1)
+    p = ad.tensor(rng.standard_normal(7), requires_grad=True)
+    r, m, v = p.data.copy(), np.zeros(7), np.zeros(7)
+    opt = Adam([dict(params=[p], lr=0.01)])
+    for t in range(1, 401):
+        p.grad = rng.standard_normal(7)
+        m *= 0.9
+        m += (1.0 - 0.9) * p.grad
+        v *= 0.999
+        v += (1.0 - 0.999) * p.grad**2
+        r -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        opt.step()
+        assert np.array_equal(p.data, r), t
+    assert 1.0 - 0.9**400 == 1.0

@@ -398,3 +398,59 @@ def test_lora_input_shape_checks():
         sk.mixed_lowrank(ad.tensor(np.ones((1, 4))), skills, ad.tensor([1.0]))
     with pytest.raises(ShapeError):
         sk.mixed_lowrank(ad.tensor(np.ones(3)), skills, ad.tensor([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# a layer reading its own row of stacked allocation rows
+
+
+def _stacked_rows(rng, lead, num_skills):
+    return ad.tensor(rng.dirichlet(np.ones(num_skills), size=lead + (2,)), requires_grad=True)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("matrix", [0, 1])
+@pytest.mark.parametrize("family", ["dense", "lowrank"])
+def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
+    """Output and gradients equal the op on the lone row; the other matrix's rows get exact zeros."""
+    rng = np.random.default_rng(matrix + 2 * len(lead))
+    if family == "dense":
+        skills = sk.new_dense_skills(3, 4 * 2 + 4, seed=1)
+        if lead:
+            skills.phi.data = np.repeat(skills.phi.data[None], lead[0], axis=0)
+        params = [skills.phi, skills.base]
+
+        def op(x, w, index=None):
+            return sk.mixed_affine(x, skills, w, sk.LayerShape(2, 4), index)
+    else:
+        skills = random_lowrank(rng, 3, 4, 2, 2, seed=1)
+        if lead:
+            skills.A.data = np.repeat(skills.A.data[None], lead[0], axis=0)
+            skills.B.data = np.repeat(skills.B.data[None], lead[0], axis=0)
+        params = [skills.A, skills.B, skills.W0, skills.b0]
+
+        def op(x, w, index=None):
+            return sk.mixed_lowrank(x, skills, w, index)
+
+    x = ad.tensor(rng.standard_normal(lead + (5, 2)), requires_grad=True)
+    rows = _stacked_rows(rng, lead, 3)
+    row = ad.tensor(rows.data[..., matrix, :], requires_grad=True)
+    stacked_out = op(x, rows, matrix)
+    stacked_grads = grads_of(probe_objective(stacked_out), [x, rows] + params)
+    ad.reset_tape()
+    lone_out = op(x, row)
+    lone_grads = grads_of(probe_objective(lone_out), [x, row] + params)
+    assert np.array_equal(stacked_out.data, lone_out.data)
+    assert np.array_equal(stacked_grads[1][..., matrix, :], lone_grads[1])
+    assert np.all(stacked_grads[1][..., 1 - matrix, :] == 0.0)
+    for got, expected in zip(stacked_grads[:1] + stacked_grads[2:], lone_grads[:1] + lone_grads[2:]):
+        assert np.array_equal(got, expected)
+
+
+def test_a_layer_rejects_a_matrix_the_rows_do_not_hold():
+    skills = sk.new_dense_skills(2, 3, seed=0)
+    rows = ad.tensor(np.full((2, 2), 0.5))
+    with pytest.raises(ShapeError):
+        sk.mixed_affine(ad.tensor(np.ones((1, 2))), skills, rows, sk.LayerShape(2, 1), 2)
+    with pytest.raises(ShapeError):
+        sk.mixed_affine(ad.tensor(np.ones((1, 2))), skills, ad.tensor([0.5, 0.5]), sk.LayerShape(2, 1), 0)

@@ -408,7 +408,8 @@ def test_frozen_allocation_adapts_a_learned_row(frozen):
     assert [steps for steps, _, _ in phases] == [40]
     trains = {id(p) for p in phases[0][1] + phases[0][2]}
     if frozen == "identity":
-        assert [row.shape for row in new_rows] == [(1, 1, trained.model.alloc.num_skills)]
+        # One replica's block [R, M, 1, S]: a frozen allocation is one matrix.
+        assert [row.shape for row in new_rows] == [(1, 1, 1, trained.model.alloc.num_skills)]
         assert np.any(new_rows[0].data != 0.0)
         assert trains == {id(row) for row in new_rows}
     else:  # over a single skill the normalised row is [1.0] whatever its logits: a fixed row
@@ -428,12 +429,13 @@ def test_one_skill_inventory_adapts_the_skills_under_a_fixed_row():
     assert res.metrics_after != res.metrics_before
 
 
-def test_skilled_dense_training_step_records_seven_tape_nodes():
-    # Per matrix a Gumbel draw and a normalised row, per layer one fused op, one loss node.
+def test_skilled_dense_training_step_records_five_tape_nodes():
+    # One Gumbel draw and one normalised row for all matrices, per layer one fused op, one loss node.
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
-    multitask_train(small_config(steps=1), train_tasks, world=world)
-    assert len(ad.active_tape()) == 7
+    for allocation_mode in ("per_layer", "global"):
+        multitask_train(small_config(steps=1, allocation_mode=allocation_mode), train_tasks, world=world)
+        assert len(ad.active_tape()) == 5, allocation_mode
 
 
 def test_hypernet_training_step_records_three_tape_nodes():
@@ -444,36 +446,48 @@ def test_hypernet_training_step_records_three_tape_nodes():
     assert len(ad.active_tape()) == 3
 
 
-def test_the_prior_adds_one_node_and_one_sum_per_relaxed_matrix():
+def test_the_prior_adds_one_node_and_one_sum_for_all_matrices():
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
     multitask_train(small_config(steps=1, ibp_strength=0.1), train_tasks, world=world)
-    assert len(ad.active_tape()) == 7 + 2 * 2
+    assert len(ad.active_tape()) == 5 + 2
 
 
-@pytest.mark.parametrize("allocation_mode", ["per_layer", "global"])
-@pytest.mark.parametrize("kind", ["regression", "classification"])
-def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, kind):
+def _step_gradients_equal_the_unfused_chain(allocation_mode, kind, ibp_strength):
+    """One step's loss (with the prior at `ibp_strength`), fused and op by op: the same values and gradients.
+
+    The fused step records one draw, one normalised-row node and one prior
+    for the stacked matrices; the chain draws, normalises and scores each
+    matrix's slice apart and adds the priors in matrix order.
+    """
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
-    config = small_config(allocation_mode=allocation_mode, ibp_strength=0.1)
+    config = small_config(allocation_mode=allocation_mode, ibp_strength=ibp_strength)
     model = build_model_from_config(config, train_tasks, world)
     named = model.named_parameters()
     task = train_tasks[2]
     x, y = task.x_train[:16], task.y_train[:16]
     if kind == "classification":
         y = np.where(y >= 0.0, 1.0, -1.0)
-    grads = []
-    for forward, loss_of, prior in [
+
+    def fused_prior(relaxed_mats):
+        (stack,) = relaxed_mats
+        return [ibp_regularizer(stack, config.ibp_alpha, config.ibp_strength)]
+
+    def unfused_priors(relaxed_mats):
+        return [unfused.ibp_regularizer(m, config.ibp_alpha, config.ibp_strength) for m in relaxed_mats]
+
+    results = []
+    for forward, loss_of, priors in [
         (
             lambda: model.forward(2, ad.tensor(x), train=True, rng=np.random.default_rng(5), tau=0.7),
             task_loss,
-            ibp_regularizer,
+            fused_prior,
         ),
         (
             lambda: unfused.skill_forward(model, 2, ad.tensor(x), np.random.default_rng(5), 0.7),
             unfused.task_loss,
-            unfused.ibp_regularizer,
+            unfused_priors,
         ),
     ]:
         ad.reset_tape()
@@ -481,14 +495,30 @@ def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, 
             p.grad = None
         pred, relaxed_mats = forward()
         total = loss_of(pred, y, kind)
-        for relaxed in relaxed_mats:
-            total = ad.add(total, prior(relaxed, config.ibp_alpha, config.ibp_strength))
+        reg_value = 0.0
+        for reg in priors(relaxed_mats) if ibp_strength > 0 else []:
+            reg_value += reg.item()
+            total = ad.add(total, reg)
         ad.backward(total)
-        grads.append({name: p.grad for name, p in named.items()})
-    fused, reference = grads
+        results.append((pred.data, reg_value, {name: p.grad for name, p in named.items()}))
+    (pred, reg_value, fused), (ref_pred, ref_reg_value, reference) = results
+    assert np.array_equal(pred, ref_pred)
+    assert reg_value == ref_reg_value
     assert sorted(fused) == sorted(reference)
     for name in fused:
         assert np.array_equal(fused[name], reference[name]), name
+
+
+@pytest.mark.parametrize("allocation_mode", ["per_layer", "global"])
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_step_gradients_with_the_prior_equal_the_unfused_chain(allocation_mode, kind):
+    _step_gradients_equal_the_unfused_chain(allocation_mode, kind, 0.1)
+
+
+@pytest.mark.parametrize("allocation_mode", ["per_layer", "global"])
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+def test_step_gradients_without_the_prior_equal_the_unfused_chain(allocation_mode, kind):
+    _step_gradients_equal_the_unfused_chain(allocation_mode, kind, 0.0)
 
 
 def test_z_row_only_adaptation_still_learns_on_recombinable_task():

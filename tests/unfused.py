@@ -298,11 +298,15 @@ def ibp_regularizer(z_hat, alpha, strength):
 
 
 def skill_forward(model, task, x, rng, tau):
-    """SkillModel.forward for a base task, learnable matrices and dense layers, op by op."""
-    alloc = model.alloc
+    """SkillModel.forward for a base task, learnable matrices and dense layers, op by op.
+
+    Each matrix is its own slice of the stacked logits, drawn, normalised
+    and scored apart; the relaxed matrices come back one per matrix.
+    """
+    stack = model.alloc.matrices
     per_matrix, relaxed_mats = [], []
-    for block in alloc.matrices:
-        relaxed = gumbel_sigmoid_sample(block, tau, rng)
+    for m in range(stack.shape[0]):
+        relaxed = gumbel_sigmoid_sample(take_row(stack, m), tau, rng)
         relaxed_mats.append(relaxed)
         per_matrix.append(take_row(normalize_rows(relaxed), task))
     h = x
