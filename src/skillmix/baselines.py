@@ -84,9 +84,9 @@ def _generated_factor(w1: Tensor, w2: Tensor, column: np.ndarray, shape: tuple[i
 
     def vjp(g: np.ndarray):
         g_flat = g.reshape(flat.shape)
-        g_w2 = unbroadcast(g_flat @ matrix_t(hidden), w2.shape) if w2.requires_grad else None
+        g_w2 = unbroadcast(g_flat * matrix_t(hidden), w2.shape) if w2.requires_grad else None
         g_pre = unbroadcast(matrix_t(w2.data) @ g_flat, hidden.shape) * gate
-        g_w1 = unbroadcast(g_pre @ matrix_t(column), w1.shape) if w1.requires_grad else None
+        g_w1 = unbroadcast(g_pre * matrix_t(column), w1.shape) if w1.requires_grad else None
         return unbroadcast(matrix_t(w1.data) @ g_pre, column.shape), g_w1, g_w2
 
     return flat.reshape(shape), vjp

@@ -63,7 +63,7 @@ class Adam:
             p.data = view
             self._slices.append(slice(start, start + size))
             start += size
-        self._m, self._v, self._update, self._denom, self._grad = (np.zeros_like(self._data) for _ in range(5))
+        self._m, self._v, self._update, self._grad = (np.zeros_like(self._data) for _ in range(4))
 
     def step(self) -> None:
         self._step += 1
@@ -81,9 +81,7 @@ class Adam:
                 self._update_part(part, bias1, bias2)
 
     def _update_part(self, part: slice, bias1: float, bias2: float) -> None:
-        m, v, update, denom, grad, lr = (
-            a[part] for a in (self._m, self._v, self._update, self._denom, self._grad, self._lr)
-        )
+        m, v, update, grad, lr = (a[part] for a in (self._m, self._v, self._update, self._grad, self._lr))
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=update)
@@ -99,10 +97,11 @@ class Adam:
         else:
             np.divide(m, bias1, out=update)
             update *= lr
-        np.divide(v, bias2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        update /= denom
+        # The gradient is used up, so its buffer takes the denominator.
+        np.divide(v, bias2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += self.eps
+        update /= grad
         self._data[part] -= update
 
     def zero_grad(self) -> None:

@@ -181,7 +181,7 @@ def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape, m
     def vjp(g):
         g_weight = matrix_t(matrix_t(xd) @ g).reshape(lead + (-1,))
         g_theta = np.concatenate([g_weight, g.sum(axis=-2)], axis=-1)[..., None, :]
-        g_phi = matrix_t(w_row) @ g_theta if need_phi else None
+        g_phi = wd[..., :, None] * g_theta if need_phi else None
         if need_phi and mask is not None:
             g_phi *= mask
         return (
