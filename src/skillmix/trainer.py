@@ -4,7 +4,8 @@ One step (`_step`, shared by training and adaptation): sample a relaxed
 allocation row, compose the per-task network, minimise the task likelihood
 loss (squared error for regression, logistic for classification) plus the
 optional allocation prior on the base tasks, and take one two-speed Adam
-step. Training picks a task uniformly and draws a batch per step.
+step. Training draws its whole schedule up front: every step's task
+(uniform) and then every step's batch rows, one block each.
 
 Adaptation runs every (held-out task, resample) pair side by side as one
 replica of a stack: the trained model is copied with a leading replica
@@ -245,7 +246,13 @@ def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str
 
 
 def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None = None) -> TrainedModel:
-    """Train the config's model kind on the training tasks; deterministic per seed."""
+    """Train the config's model kind on the training tasks; deterministic per seed.
+
+    The generator `[seed, STREAM_TRAIN]` draws, in this order: the task of
+    every step (`integers(T, size=steps)`), every step's batch rows in one
+    [steps, batch_size] block, each row within its task's training split,
+    and then, per step, the learnable allocation's Gumbel noise.
+    """
     train_tasks = [t for t in tasks if t.split == "train"]
     if not train_tasks:
         raise ContractError("need at least one training task")
@@ -259,14 +266,15 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
     )
 
     rng = np.random.default_rng([config.seed, STREAM_TRAIN])
+    schedule = rng.integers(len(train_tasks), size=config.steps)
+    sizes = np.array([t.x_train.shape[0] for t in train_tasks])
+    batches = rng.integers(0, sizes[schedule][:, None], size=(config.steps, config.batch_size))
     history: list[StepRecord] = []
     evals: list[EvalRecord] = [EvalRecord(0, _mean_dev_loss(model, train_tasks))]
     best_loss, best_snap = evals[0].dev_loss, None
 
-    for step in range(config.steps):
-        task_index = int(rng.integers(len(train_tasks)))
+    for step, (task_index, batch) in enumerate(zip(schedule.tolist(), batches)):
         task = train_tasks[task_index]
-        batch = rng.integers(task.x_train.shape[0], size=config.batch_size)
         tau = _anneal_tau(config, step)
         loss_value, reg_value = _step(
             model, optimizer, config, task_index, task.kind, task.id,
@@ -403,12 +411,13 @@ def few_shot_adapt(
 
     Replica (task, resample) draws from its own rng stream `[seed,
     STREAM_ADAPT, ordinal, resample]`, in the order an adaptation on its own
-    would: the private kind's new skill, the k-shot pool, then per step
-    the batch and one Gumbel draw of its learnable block, layer 0's row
-    before layer 1's. Each step records one tape whose loss sums the
-    replicas' losses and takes one elementwise Adam step, so every replica
-    ends bit for bit where it would alone. The tasks must share a task
-    kind and a training split size.
+    would: the private kind's new skill, the k-shot pool, every step's
+    batch in one [adaptation_steps, batch] block, then per step one Gumbel
+    draw of its learnable block, layer 0's row before layer 1's. Each step
+    records one tape whose loss sums the replicas' losses and takes one
+    elementwise Adam step, so every replica ends bit for bit where it
+    would alone. The tasks must share a task kind and a training split
+    size.
     """
     config = trained.config
     ordinals = range(len(tasks)) if ordinals is None else ordinals
@@ -433,6 +442,9 @@ def few_shot_adapt(
     y_pool = np.stack([t.y_train[pool] for t, pool in zip(stack, pools)])
     pool_size = x_pool.shape[1]
     batch_size = min(config.adaptation_batch_size, pool_size)
+    batches = np.empty((config.adaptation_steps, len(stack), batch_size), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        batches[:, r] = rng.integers(pool_size, size=(config.adaptation_steps, batch_size))
     replica = np.arange(len(stack))[:, None]
     kind, name = tasks[0].kind, ",".join(t.id for t in tasks)
 
@@ -446,8 +458,7 @@ def few_shot_adapt(
         trained_ids = {id(p) for p in optimizer.parameters}
         for p in model.named_parameters().values():
             p.requires_grad = id(p) in trained_ids
-        for _ in range(phase_steps):
-            batch = np.stack([rng.integers(pool_size, size=batch_size) for rng in rngs])
+        for batch in batches[step : step + phase_steps]:
             _step(model, optimizer, config, task_index, kind, name,
                   x_pool[replica, batch], y_pool[replica, batch], rngs, None, step)
             step += 1

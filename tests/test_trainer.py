@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from skillmix import autodiff as ad
+from skillmix import trainer
 from skillmix.allocation import as_binary, harden
 from skillmix.config import MODEL_KINDS, ExperimentConfig, WorldConfig
 from skillmix.errors import ConfigError, ContractError, GenerationError, TrainingDivergedError
 from skillmix.priors import ibp_regularizer
 from skillmix.recovery import RecoveryScore, skill_recovery_score
-from skillmix.synthetic import generate_synthetic_benchmark
+from skillmix.synthetic import STREAM_ADAPT, STREAM_TRAIN, generate_synthetic_benchmark
 from skillmix.trainer import (
     _adaptation_phases,
     build_model_from_config,
@@ -623,6 +624,104 @@ def test_resamples_differ_but_are_reproducible():
     r0_again = few_shot_adapt(trained, [holdout[0]], resamples=(0,))
     assert r0.metrics_after == r0_again.metrics_after
     assert r0.metrics_after != r1.metrics_after
+
+
+# ---------------------------------------------------------------------------
+# draw order: every batch index is drawn before the first step
+
+
+def _spy_steps(monkeypatch) -> list:
+    """Wrap `trainer._step`; each call appends (task_index, x, y, the generators' states)."""
+    seen, real_step = [], trainer._step
+
+    def spy(model, optimizer, config, task_index, kind, name, x, y, rng, tau, step):
+        rngs = rng if isinstance(rng, list) else [rng]
+        seen.append((task_index, x.copy(), y.copy(), [g.bit_generator.state for g in rngs]))
+        return real_step(model, optimizer, config, task_index, kind, name, x, y, rng, tau, step)
+
+    monkeypatch.setattr(trainer, "_step", spy)
+    return seen
+
+
+def test_training_draws_the_task_schedule_then_every_batch_in_one_block(monkeypatch):
+    world, tasks = make_world()
+    train_tasks = [t for t in tasks if t.split == "train"]
+    config = small_config(steps=40, eval_every=20)
+    seen = _spy_steps(monkeypatch)
+    trained = multitask_train(config, train_tasks, world=world)
+
+    rng = np.random.default_rng([config.seed, STREAM_TRAIN])
+    schedule = rng.integers(len(train_tasks), size=config.steps)
+    sizes = np.array([t.x_train.shape[0] for t in train_tasks])
+    rows = rng.integers(0, sizes[schedule][:, None], size=(config.steps, config.batch_size))
+    assert [r.task_id for r in trained.history] == [train_tasks[i].id for i in schedule]
+    assert len(seen) == config.steps
+    for (task_index, x, y, _), i, row in zip(seen, schedule, rows):
+        assert task_index == i
+        assert np.array_equal(x, train_tasks[i].x_train[row])
+        assert np.array_equal(y, train_tasks[i].y_train[row])
+    # The Gumbel noise comes after both blocks, from the same generator.
+    assert seen[0][3] == [rng.bit_generator.state]
+
+
+@pytest.mark.parametrize("kind,param", [("private", "lowrank"), ("skilled", "dense")])
+def test_each_replica_draws_every_adaptation_batch_right_after_its_pool(monkeypatch, kind, param):
+    trained, holdout = trained_small(kind, parameterisation=param, steps=30, adaptation_steps=12, k_shot=8)
+    config = trained.config
+    seen = _spy_steps(monkeypatch)
+    few_shot_adapt(trained, holdout[:2], resamples=(0, 1))
+    replicas = [(o, r) for o in range(2) for r in (0, 1)]
+    assert len(seen) == config.adaptation_steps
+
+    for column, (ordinal, resample) in enumerate(replicas):
+        rng = np.random.default_rng([config.seed, STREAM_ADAPT, ordinal, resample])
+        if kind == "private":
+            # The new skill's draws (a kaiming B per lowrank layer) come first.
+            trained.model.replicate(1).add_skill([rng])
+        task = holdout[ordinal]
+        pool = rng.choice(task.x_train.shape[0], size=config.k_shot, replace=False)
+        block = rng.integers(config.k_shot, size=(config.adaptation_steps, config.adaptation_batch_size))
+        for (_, x, y, _), row in zip(seen, block):
+            assert np.array_equal(x[column], task.x_train[pool][row])
+            assert np.array_equal(y[column], task.y_train[pool][row])
+        # Only the per-step Gumbel draws follow the block.
+        assert seen[0][3][column] == rng.bit_generator.state
+
+
+def _count_integers_calls(monkeypatch) -> list:
+    """Route `np.random.default_rng` through generators that count their `integers` calls."""
+    calls = []
+
+    class Counting(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            return super().integers(*args, **kwargs)
+
+    monkeypatch.setattr(trainer.np.random, "default_rng", lambda seed=None: Counting(np.random.PCG64(seed)))
+    return calls
+
+
+def test_training_draws_make_no_integers_call_per_step(monkeypatch):
+    world, tasks = make_world()
+    train_tasks = [t for t in tasks if t.split == "train"]
+    calls = _count_integers_calls(monkeypatch)
+    counts = []
+    for steps in (10, 40):
+        calls.clear()
+        multitask_train(small_config(steps=steps, eval_every=10), train_tasks, world=world)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_adaptation_draws_make_no_integers_call_per_step(monkeypatch):
+    trained, holdout = trained_small(steps=30)
+    calls = _count_integers_calls(monkeypatch)
+    counts = []
+    for steps in (10, 40):
+        calls.clear()
+        few_shot_adapt(with_config(trained, adaptation_steps=steps), holdout[:2], resamples=(0, 1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
