@@ -442,7 +442,8 @@ def few_shot_adapt(
     y_pool = np.stack([t.y_train[pool] for t, pool in zip(stack, pools)])
     pool_size = x_pool.shape[1]
     batch_size = min(config.adaptation_batch_size, pool_size)
-    batches = np.empty((config.adaptation_steps, len(stack), batch_size), dtype=np.int64)
+    # int32 holds any pool index and halves the block, which lives through every step.
+    batches = np.empty((config.adaptation_steps, len(stack), batch_size), dtype=np.int32)
     for r, rng in enumerate(rngs):
         batches[:, r] = rng.integers(pool_size, size=(config.adaptation_steps, batch_size))
     replica = np.arange(len(stack))[:, None]
