@@ -689,7 +689,7 @@ def test_each_replica_draws_every_adaptation_batch_right_after_its_pool(monkeypa
 
 
 def _count_integers_calls(monkeypatch) -> list:
-    """Route `np.random.default_rng` through generators that count their `integers` calls."""
+    """Make every generator the trainer builds with `np.random.default_rng` count its `integers` calls."""
     calls = []
 
     class Counting(np.random.Generator):
@@ -697,7 +697,7 @@ def _count_integers_calls(monkeypatch) -> list:
             calls.append(args)
             return super().integers(*args, **kwargs)
 
-    monkeypatch.setattr(trainer.np.random, "default_rng", lambda seed=None: Counting(np.random.PCG64(seed)))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Counting(np.random.PCG64(seed)))
     return calls
 
 
@@ -710,7 +710,7 @@ def test_training_draws_make_no_integers_call_per_step(monkeypatch):
         calls.clear()
         multitask_train(small_config(steps=steps, eval_every=10), train_tasks, world=world)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_adaptation_draws_make_no_integers_call_per_step(monkeypatch):
@@ -721,7 +721,7 @@ def test_adaptation_draws_make_no_integers_call_per_step(monkeypatch):
         calls.clear()
         few_shot_adapt(with_config(trained, adaptation_steps=steps), holdout[:2], resamples=(0, 1))
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 # ---------------------------------------------------------------------------
