@@ -79,7 +79,7 @@ def expected_allocation(logits: Tensor, tau: float) -> np.ndarray:
     return expit(logits.data * (1.0 / tau))
 
 
-def normalize_rows(t: Tensor | np.ndarray, index: int) -> Tensor:
+def normalize_rows(t: Tensor | np.ndarray, index) -> Tensor:
     """Row `index` of the matrix scaled to sum to one; invariant under positive row scaling.
 
     One tape node that lists the matrix twice: once for the division and
@@ -89,12 +89,13 @@ def normalize_rows(t: Tensor | np.ndarray, index: int) -> Tensor:
     sums in the same order. A stack of matrices [..., T, S] (a model's
     allocation matrices, replicas' blocks or both) gives the stack of
     their rows [..., S] in one node, each row equal to its matrix's alone.
+    An int array of distinct row indices [K] gives those rows [..., K, S].
     """
     if not isinstance(t, Tensor):
         t = tensor(t)
     if t.ndim < 2:
         raise ShapeError(f"row normalisation needs a matrix, got shape {t.shape}")
-    if not 0 <= index < t.shape[-2]:
+    if not (np.all(index >= 0) and np.all(index < t.shape[-2])):
         raise ShapeError(f"row {index} out of range for shape {t.shape}")
     data = t.data
     total = data[..., index, :].sum(axis=-1, keepdims=True)

@@ -182,9 +182,8 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
         summary["dev_evals"] = [[e.step, e.dev_loss] for e in trained.evals]
 
         stage.enter("evaluate_train_tasks")
-        summary["train_tasks"] = {
-            t.id: evaluate(trained.model, i, t) for i, t in enumerate(train_tasks)
-        }
+        metrics = evaluate(trained.model, np.arange(len(train_tasks)), train_tasks)
+        summary["train_tasks"] = {t.id: m for t, m in zip(train_tasks, metrics)}
 
         stage.enter("allocation_analysis")
         alloc_docs = _allocation_documents(trained, [t.id for t in train_tasks])

@@ -27,6 +27,11 @@ per replica, stacked the same way, the forward pass takes inputs [R, n,
 in] and every op broadcasts the shared base parameters over the replicas.
 The trained model itself keeps its shapes and is never written to.
 
+Evaluation stacks base tasks on that leading axis instead: given an int
+array of tasks and inputs [T, n, in], `forward` gathers their allocation
+rows [T, M, S] (or embeddings [T, 1, embed_dim], a new task's block shape)
+and gives each task its own forward's output bit for bit.
+
 The layers are linear on purpose: the synthetic benchmark's targets are
 linear, so a realisable world admits exactly zero loss while the two-layer
 stack still exercises per-layer allocation.
@@ -171,7 +176,9 @@ class HypernetLayer:
                 unbroadcast(g, b0.shape) if need_b0 else None,
             )
 
-        return apply_op((x, embedding, *generators, w0, b0), (y1 + xba) + b0.data, vjp)
+        out = y1 + xba
+        out += b0.data
+        return apply_op((x, embedding, *generators, w0, b0), out, vjp)
 
     def phi_parameters(self) -> list[Tensor]:
         return self.hypernet.generator_parameters()
@@ -228,7 +235,7 @@ class AllocationState:
         block = self.extra_rows[task - self.num_base_tasks]
         return [block] if isinstance(block, Tensor) else []
 
-    def rows_for_step(self, task: int, train: bool, rng, tau: float | None = None):
+    def rows_for_step(self, task, train: bool, rng, tau: float | None = None):
         """The task's simplex weight rows [..., M, S], one per matrix, plus what the prior scores.
 
         A learnable stack or block gets one full Gumbel draw per call while
@@ -237,18 +244,27 @@ class AllocationState:
         for all its matrices; a fixed one draws nothing. The second value is
         a list holding the relaxed base stack, for base tasks of a learnable
         allocation only: it feeds the prior regulariser.
+
+        `task` may instead be an int array of base tasks (evaluation only):
+        their rows are one gather from the stack, [T, M, S] with the tasks
+        leading as replicas do, each equal to its task's own rows.
         """
         tau = self.tau if tau is None else tau
-        base_task = task < self.num_base_tasks
+        gather = np.ndim(task) > 0
+        base_task = gather or task < self.num_base_tasks
         if base_task:
             block, index = self.matrices, task
         else:
             block, index = self.extra_rows[task - self.num_base_tasks], 0
         if not isinstance(block, Tensor):
             row = block[..., index, :]
-            return tensor(row / row.sum(axis=-1, keepdims=True)), []
-        relaxed = gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
-        return normalize_rows(relaxed, index), [relaxed] if base_task else []
+            rows, relaxed = tensor(row / row.sum(axis=-1, keepdims=True)), []
+        else:
+            relaxed = gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
+            rows, relaxed = normalize_rows(relaxed, index), [relaxed] if base_task else []
+        if gather:
+            rows = tensor(rows.data.swapaxes(0, 1))
+        return rows, relaxed
 
     def eval_matrix(self, layer: int) -> np.ndarray:
         """Deterministic relaxed matrix for this layer, new-task rows included: [R, T, S] with R replicas."""
@@ -292,6 +308,24 @@ class TaskModel:
                 named[f"layer{i}.base.{j}"] = p
         return named
 
+    def checked_task(self, task, train: bool):
+        """`forward`'s task, returned as is or as an array: one index, or an int array of base tasks.
+
+        An array, one task per leading row of the input, takes no gradient
+        through the gather, so it may not train. A task outside the model
+        raises `TaskLookupError`.
+        """
+        if np.ndim(task) == 0:
+            if not 0 <= task < self.num_tasks:
+                raise TaskLookupError(f"unknown task index {task}")
+            return task
+        if train:
+            raise ContractError("a task index array is for evaluation only")
+        task = np.asarray(task)
+        if task.dtype.kind not in "iu" or not ((task >= 0) & (task < self.num_base_tasks)).all():
+            raise TaskLookupError(f"task indices {task.tolist()} are not all base tasks below {self.num_base_tasks}")
+        return task
+
     def param_count(self) -> int:
         return int(sum(p.size for p in self.named_parameters().values()))
 
@@ -329,9 +363,13 @@ class SkillModel(TaskModel):
     def num_tasks(self) -> int:
         return self.alloc.num_tasks
 
-    def forward(self, task: int, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
-        if not 0 <= task < self.num_tasks:
-            raise TaskLookupError(f"unknown task index {task}")
+    @property
+    def num_base_tasks(self) -> int:
+        return self.alloc.num_base_tasks
+
+    def forward(self, task, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
+        """The task's network on `x`, and the relaxed allocation stack the prior scores (see `checked_task`)."""
+        task = self.checked_task(task, train)
         rows, relaxed = self.alloc.rows_for_step(task, train, rng, tau)
         h = x
         for i, layer in enumerate(self.layers):
@@ -374,20 +412,27 @@ class HypernetModel(TaskModel):
 
     @property
     def num_tasks(self) -> int:
-        return self.embeddings.shape[0] + len(self.extra_embeddings)
+        return self.num_base_tasks + len(self.extra_embeddings)
 
-    def forward(self, task: int, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
-        if not 0 <= task < self.num_tasks:
-            raise TaskLookupError(f"unknown task index {task}")
-        base_count = self.embeddings.shape[0]
+    @property
+    def num_base_tasks(self) -> int:
+        return self.embeddings.shape[0]
+
+    def forward(self, task, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
+        """The task's network on `x`, and an empty list: no prior applies (see `checked_task`)."""
+        task = self.checked_task(task, train)
+        if np.ndim(task):
+            # The tasks' embeddings as one block [T, 1, E], as a new task's replicas hold theirs.
+            embedding, row = tensor(self.embeddings.data[task][:, None, :]), None
+        elif task < self.num_base_tasks:
+            embedding, row = self.embeddings, task
+        else:
+            embedding, row = self.extra_embeddings[task - self.num_base_tasks], None
         h = x
         for layer in self.layers:
             # Each layer's node returns its own part of the embedding's
             # gradient, so the parts sum in the unfused chain's order.
-            if task < base_count:
-                h = layer.forward(h, self.embeddings, task)
-            else:
-                h = layer.forward(h, self.extra_embeddings[task - base_count])
+            h = layer.forward(h, embedding, row)
         return h, []
 
     def add_task_embedding(self, replicas: int) -> int:

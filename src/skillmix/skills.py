@@ -191,7 +191,9 @@ def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape, m
             w_grad((g_theta @ matrix_t(phi_m))[..., 0, :]) if need_w else None,
         )
 
-    return apply_op((x, phi, base, w), xd @ weight_t + theta[..., None, o * i :], vjp)
+    out = xd @ weight_t
+    out += theta[..., None, o * i :]
+    return apply_op((x, phi, base, w), out, vjp)
 
 
 def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor, matrix: int | None = None) -> Tensor:

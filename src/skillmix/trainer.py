@@ -7,6 +7,10 @@ optional allocation prior on the base tasks, and take one two-speed Adam
 step. Training draws its whole schedule up front: every step's task
 (uniform) and then every step's batch rows, one block each.
 
+Evaluation (`evaluate`) is one forward over many tasks' stacked splits, so
+each dev evaluation, the training tasks' final metrics and an adaptation
+stack's metrics before and after are one call each.
+
 Adaptation runs every (held-out task, resample) pair side by side as one
 replica of a stack: the trained model is copied with a leading replica
 axis on its skill parameters (`TaskModel.replicate`), each replica's new
@@ -120,24 +124,23 @@ def _metrics(pred: np.ndarray, y: np.ndarray, kind: str) -> dict:
     return metrics
 
 
-def evaluate(model, task_index: int, task: TaskSpec, split: str = "eval") -> dict:
-    """Deterministic metrics on a split; uses the expected allocation path."""
-    x, y = _split(task, split)
-    with no_grad():
-        pred, _ = model.forward(task_index, tensor(x), train=False)
-    return _metrics(pred.data, y, task.kind)
+def evaluate(model, task, tasks: list[TaskSpec], split: str = "eval") -> list[dict]:
+    """Deterministic metrics on a split, one dict per spec, from one forward on the expected allocation path.
 
-
-def _evaluate_replicas(model, task_index: int, tasks: list[TaskSpec]) -> list[dict]:
-    """`evaluate` on the eval split of tasks[r] for each replica r of a replicated model, in one forward pass."""
-    splits = [_split(task, "eval") for task in tasks]
+    The specs' splits, which must share a size, are stacked into one input
+    [len(tasks), n, in]. `task` is an int array of base tasks, tasks[i]
+    being task[i]'s spec, or a new task's index on a replicated model,
+    whose replica r evaluates tasks[r]. Each dict equals what a forward on
+    its task alone gives.
+    """
+    splits = [_split(spec, split) for spec in tasks]
     with no_grad():
-        pred, _ = model.forward(task_index, tensor(np.stack([x for x, _ in splits])), train=False)
-    return [_metrics(p, y, task.kind) for p, (_, y), task in zip(pred.data, splits, tasks)]
+        pred, _ = model.forward(task, tensor(np.stack([x for x, _ in splits])), train=False)
+    return [_metrics(p, y, spec.kind) for p, (_, y), spec in zip(pred.data, splits, tasks)]
 
 
 def _mean_dev_loss(model, tasks: list[TaskSpec]) -> float:
-    losses = [evaluate(model, i, t, split="dev")["loss"] for i, t in enumerate(tasks)]
+    losses = [m["loss"] for m in evaluate(model, np.arange(len(tasks)), tasks, "dev")]
     return float(np.mean(losses))
 
 
@@ -431,7 +434,7 @@ def few_shot_adapt(
     rngs = [np.random.default_rng([config.seed, STREAM_ADAPT, o, r]) for o in ordinals for r in resamples]
     model = trained.model.replicate(len(stack))
     task_index = _register_new_task(model, config, stack, rngs)
-    before = _evaluate_replicas(model, task_index, stack)
+    before = evaluate(model, task_index, stack)
     result = AdaptationResult(model, task_index, [t.id for t in stack], before, [dict(m) for m in before])
     if config.adaptation_steps == 0 or config.k_shot == 0:
         return result
@@ -466,5 +469,5 @@ def few_shot_adapt(
     # Free the last phase's Adam moments first: the evaluation's stacked
     # activations on top of them would set the run's peak memory.
     del optimizer
-    result.metrics_after = _evaluate_replicas(model, task_index, stack)
+    result.metrics_after = evaluate(model, task_index, stack)
     return result

@@ -1,12 +1,12 @@
 """Golden runs: summary.json bytes of small configs, pinned.
 
 Each config below runs the whole pipeline (`run_experiment`) and its
-summary.json must equal the stored file in tests/golden/ byte for byte. The
-files were recorded before the model/skills/allocation refactor, so a change
-that is meant to keep behaviour can prove it did. The same configs check
-that adapting every held-out task and resample side by side gives each
-replica exactly what adapting it alone gives. A change that is meant to
-move results re-records them with
+summary.json must equal the stored file in tests/golden/ byte for byte, so a
+change that is meant to keep behaviour can prove it did. The files were last
+recorded by `run_experiment` itself, which adapts every held-out task and
+resample side by side. The same configs check that this stacked adaptation
+gives each replica exactly what adapting it alone gives. A change that is
+meant to move results re-records them with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -109,10 +109,10 @@ def _replica(result, trained_model, r) -> dict:
 def test_stacked_adaptation_equals_one_adaptation_per_replica(name):
     """All held-out tasks x 2 resamples in one call against one call per replica, bit for bit.
 
-    Each replica's metrics must also equal the golden summary's, recorded
-    when every adaptation ran on its own, so a stack that shares an rng
-    or reorders the draws fails even when the one-replica calls agree
-    with it.
+    Each replica's metrics must also equal the golden summary's. That
+    summary was recorded from a stacked adaptation too, so this half
+    pins the recorded results rather than lone adaptations: it fails when
+    stacked and lone calls drift together from what was recorded.
     """
     doc = json.loads(json.dumps(CONFIGS[name]))
     doc["world"]["holdout_tasks"] = max(doc["world"]["holdout_tasks"], 2)

@@ -286,8 +286,8 @@ def test_evaluate_deterministic_and_complete():
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
     trained = multitask_train(small_config(steps=100), train_tasks, world=world)
-    m1 = evaluate(trained.model, 0, train_tasks[0])
-    m2 = evaluate(trained.model, 0, train_tasks[0])
+    [m1] = evaluate(trained.model, [0], [train_tasks[0]])
+    [m2] = evaluate(trained.model, [0], [train_tasks[0]])
     assert m1 == m2
     assert set(m1) == {"loss", "mse"}
 
@@ -298,7 +298,7 @@ def test_evaluate_empty_split_rejected():
     tasks[0].y_eval = tasks[0].y_eval[:0]
     trained = multitask_train(small_config(steps=30), [t for t in tasks if t.split == "train"], world=world)
     with pytest.raises(ContractError):
-        evaluate(trained.model, 0, tasks[0])
+        evaluate(trained.model, [0], [tasks[0]])
 
 
 def test_random_classifier_near_chance():
@@ -308,7 +308,7 @@ def test_random_classifier_near_chance():
                                                   examples_per_task=4000, holdout_tasks=0,
                                                   skills_per_task_max=2, task_kind="classification"))
     trained = multitask_train(cfg, tasks[:4], world=world)
-    metrics = evaluate(trained.model, 0, tasks[0])
+    [metrics] = evaluate(trained.model, [0], [tasks[0]])
     n = tasks[0].y_eval.shape[0]
     base_rate = max(np.mean(tasks[0].y_eval == 1.0), np.mean(tasks[0].y_eval == -1.0))
     # untrained predictor has no label information; accuracy within 3 binomial
