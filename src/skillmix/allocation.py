@@ -95,7 +95,12 @@ def normalize_rows(t: Tensor | np.ndarray, index) -> Tensor:
         t = tensor(t)
     if t.ndim < 2:
         raise ShapeError(f"row normalisation needs a matrix, got shape {t.shape}")
-    if not (np.all(index >= 0) and np.all(index < t.shape[-2])):
+    if isinstance(index, int):
+        in_range = 0 <= index < t.shape[-2]
+    else:
+        index = np.asarray(index)
+        in_range = ((index >= 0) & (index < t.shape[-2])).all()
+    if not in_range:
         raise ShapeError(f"row {index} out of range for shape {t.shape}")
     data = t.data
     total = data[..., index, :].sum(axis=-1, keepdims=True)

@@ -250,7 +250,7 @@ class AllocationState:
         leading as replicas do, each equal to its task's own rows.
         """
         tau = self.tau if tau is None else tau
-        gather = np.ndim(task) > 0
+        gather = isinstance(task, np.ndarray)
         base_task = gather or task < self.num_base_tasks
         if base_task:
             block, index = self.matrices, task
@@ -315,14 +315,14 @@ class TaskModel:
         through the gather, so it may not train. A task outside the model
         raises `TaskLookupError`.
         """
-        if np.ndim(task) == 0:
+        if isinstance(task, (int, np.integer)):
             if not 0 <= task < self.num_tasks:
                 raise TaskLookupError(f"unknown task index {task}")
             return task
         if train:
             raise ContractError("a task index array is for evaluation only")
         task = np.asarray(task)
-        if task.dtype.kind not in "iu" or not ((task >= 0) & (task < self.num_base_tasks)).all():
+        if task.ndim != 1 or task.dtype.kind not in "iu" or not ((task >= 0) & (task < self.num_base_tasks)).all():
             raise TaskLookupError(f"task indices {task.tolist()} are not all base tasks below {self.num_base_tasks}")
         return task
 
@@ -421,7 +421,7 @@ class HypernetModel(TaskModel):
     def forward(self, task, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
         """The task's network on `x`, and an empty list: no prior applies (see `checked_task`)."""
         task = self.checked_task(task, train)
-        if np.ndim(task):
+        if isinstance(task, np.ndarray):
             # The tasks' embeddings as one block [T, 1, E], as a new task's replicas hold theirs.
             embedding, row = tensor(self.embeddings.data[task][:, None, :]), None
         elif task < self.num_base_tasks:

@@ -61,7 +61,7 @@ def test_task_index_array_guards(kind):
     x = ad.tensor(np.stack([t.x_dev for t in trained.tasks[:2]]))
     with pytest.raises(ContractError):
         model.forward(np.arange(2), x, train=True, rng=np.random.default_rng(0))
-    for bad in ([0, 5], [-1, 0], np.array([0.0, 1.0])):
+    for bad in ([0, 5], [-1, 0], np.array([0.0, 1.0]), np.array([[0, 1]])):
         with pytest.raises(TaskLookupError):
             model.forward(bad, x)
     with pytest.raises(TaskLookupError):
