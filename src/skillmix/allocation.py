@@ -90,6 +90,11 @@ def normalize_rows(t: Tensor | np.ndarray, index) -> Tensor:
     allocation matrices, replicas' blocks or both) gives the stack of
     their rows [..., S] in one node, each row equal to its matrix's alone.
     An int array of distinct row indices [K] gives those rows [..., K, S].
+
+    A row whose sum is below 1e-12 (every cell of a relaxed row underflowed)
+    is divided by inf: it gives zero weights, so the layer composes to its
+    base alone, and a zero gradient. That is decided per row, so every other
+    row, matrix and replica keeps its values bit for bit.
     """
     if not isinstance(t, Tensor):
         t = tensor(t)
@@ -104,8 +109,9 @@ def normalize_rows(t: Tensor | np.ndarray, index) -> Tensor:
         raise ShapeError(f"row {index} out of range for shape {t.shape}")
     data = t.data
     total = data[..., index, :].sum(axis=-1, keepdims=True)
-    if (total < 1e-12).any():
-        raise DegenerateMatrixError("row sum below 1e-12; cannot normalise")
+    empty = total < 1e-12
+    if empty.any():
+        total[empty] = np.inf
     row = data[..., index, :] / total
 
     def vjp(g):

@@ -82,12 +82,7 @@ def _cmd_sweep(args) -> int:
         config = config.replace(sweep_grid=_parse_grid(args.grid))
     from .experiment import run_sweep
 
-    records = run_sweep(config, overwrite=not args.no_overwrite)
-    failures = [r for r in records if r.failure is not None]
-    for r in records:
-        status = "ok" if r.failure is None else f"FAILED ({r.failure['stage']})"
-        print(f"S={r.config.num_skills}: {r.run_dir} {status}")
-    return EXIT_RUN if failures else EXIT_OK
+    return _report(run_sweep(config, overwrite=not args.no_overwrite), lambda c: f"S={c.num_skills}")
 
 
 def _cmd_compare(args) -> int:
@@ -95,12 +90,15 @@ def _cmd_compare(args) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
     from .experiment import run_compare
 
-    records = run_compare(config, kinds, overwrite=not args.no_overwrite)
-    failures = [r for r in records if r.failure is not None]
+    return _report(run_compare(config, kinds, overwrite=not args.no_overwrite), lambda c: c.model_kind)
+
+
+def _report(records, label) -> int:
+    """One line per run, named by `label(config)`, with its status; EXIT_RUN when any run failed."""
     for r in records:
         status = "ok" if r.failure is None else f"FAILED ({r.failure['stage']})"
-        print(f"{r.config.model_kind}: {r.run_dir} {status}")
-    return EXIT_RUN if failures else EXIT_OK
+        print(f"{label(r.config)}: {r.run_dir} {status}")
+    return EXIT_RUN if any(r.failure is not None for r in records) else EXIT_OK
 
 
 def _cmd_export_hierarchy(args) -> int:

@@ -96,7 +96,7 @@ def _allocation_documents(trained: TrainedModel, task_names: list[str]):
             "layer": layer,
             "logits": None,
         }
-        logits = model.alloc.logits(layer)
+        logits = model.task_rows.logits(layer)
         if logits is not None:
             doc["logits"] = logits.tolist()
         else:
@@ -331,21 +331,18 @@ def emit_plot_data(run_dirs: list[str | Path], out_dir: str | Path) -> tuple[Pat
 def run_sweep(config: ExperimentConfig, overwrite: bool = True) -> list[RunRecord]:
     """One run per inventory size of `sweep_grid`; every point's config is built, hence checked, before the first run."""
     points = [config.replace(num_skills=num_skills) for num_skills in config.sweep_grid]
-    records = [run_experiment(point, overwrite=overwrite) for point in points]
-    _write_group_table(config, records, "sweep_table.csv")
-    return records
+    return _run_group(config, points, "sweep_table.csv", overwrite)
 
 
 def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = True) -> list[RunRecord]:
     """One run per model kind on one world; every kind's config is checked before the first run."""
     points = [config.replace(model_kind=kind) for kind in kinds]
+    return _run_group(config, points, "compare_table.csv", overwrite)
+
+
+def _run_group(config: ExperimentConfig, points: list[ExperimentConfig], filename: str, overwrite: bool) -> list[RunRecord]:
+    """Run every point, then write the plot data of the runs that passed (`emit_plot_data`) and a status table of every run, under the output root."""
     records = [run_experiment(point, overwrite=overwrite) for point in points]
-    _write_group_table(config, records, "compare_table.csv")
-    return records
-
-
-def _write_group_table(config: ExperimentConfig, records: list[RunRecord], filename: str) -> None:
-    """The plot data of the runs that passed (`emit_plot_data`) and a status table of every run, under the output root."""
     ok_dirs = [r.run_dir for r in records if r.failure is None]
     if ok_dirs:
         emit_plot_data(ok_dirs, resolve_output_root(config))
@@ -356,3 +353,4 @@ def _write_group_table(config: ExperimentConfig, records: list[RunRecord], filen
         for r in records:
             status = "ok" if r.failure is None else f"failed:{r.failure['stage']}"
             writer.writerow([r.config.model_kind, r.config.num_skills, str(r.run_dir), status])
+    return records

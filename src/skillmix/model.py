@@ -1,36 +1,39 @@
 """Per-task networks assembled from composed layer parameters.
 
 A model is a stack of linear layers whose parameters are produced, per task,
-in one of two ways:
+from that task's row in one `TaskRows` store. The store holds the base
+tasks' rows [..., T, D] and at most one new task's block [R, ..., 1, D],
+one row per replica (see below), and `TaskRows.select` is the only place
+that decides which rows a forward reads. The rows are one of two things:
 
-  * skill composition (skilled, private, shared, expert): the task's row of
-    the allocation is normalised into simplex weights and mixed over a skill
-    inventory on top of a shared base. One `AllocationState` covers every
-    kind: its matrices, one per layer or one for all, are stacked into one
-    array [M, T, S], learnable logits for the skilled kind and a fixed 0/1
-    array for a frozen skilled model and for the private, shared and
-    expert baselines. A new task is one more allocation row; the private
-    kind also adds one more skill to every layer and gives the task a
-    one-hot row on it, so every kind adapts through the same forward path.
-    A training step records one Gumbel draw and one normalised-row node for
-    the whole stack, and one node per layer (the fused `skills.mixed_affine`
-    or `skills.mixed_lowrank`, which reads its own matrix's row);
-  * hypernetwork generation: low-rank adapters are generated from a task
-    embedding and applied around the base map. The model owns the
-    embeddings, new tasks' rows included; each layer owns its generators
-    and records one tape node (`HypernetLayer.forward`).
+  * skill composition (skilled, private, shared, expert): the store is an
+    `AllocationState` whose base is every layer's allocation matrix stacked
+    [M, T, S], learnable logits for the skilled kind and a fixed 0/1 array
+    for a frozen skilled model and for the private, shared and expert
+    baselines. A task's rows are normalised into simplex weights and mixed
+    over a skill inventory on top of a shared base. A new task is one more
+    allocation row; the private kind also adds one more skill to every
+    layer and gives the task a one-hot row on it, so every kind adapts
+    through the same forward path. A training step records one Gumbel draw
+    and one normalised-row node for the whole stack, and one node per layer
+    (the fused `skills.mixed_affine` or `skills.mixed_lowrank`, which reads
+    its own matrix's row);
+  * hypernetwork generation: the store's base is the task embeddings
+    [T, embed_dim]. Low-rank adapters are generated from the task's
+    embedding and applied around the base map; each layer owns its
+    generators and records one tape node (`HypernetLayer.forward`).
 
 Few-shot adaptation runs on `TaskModel.replicate(R)`, a copy whose skill
 parameters (the trainable ones besides a new task's own) carry a leading
-axis of R independent replicas. A new task then has one row or embedding
-per replica, stacked the same way, the forward pass takes inputs [R, n,
-in] and every op broadcasts the shared base parameters over the replicas.
-The trained model itself keeps its shapes and is never written to.
+axis of R independent replicas. Its new task's block has one row or
+embedding per replica, the forward pass takes inputs [R, n, in] and every
+op broadcasts the shared base parameters over the replicas. The trained
+model itself keeps its shapes and is never written to.
 
 Evaluation stacks base tasks on that leading axis instead: given an int
-array of tasks and inputs [T, n, in], `forward` gathers their allocation
-rows [T, M, S] (or embeddings [T, 1, embed_dim], a new task's block shape)
-and gives each task its own forward's output bit for bit.
+array of tasks and inputs [T, n, in], `select` returns the base rows as a
+constant and the array as the index, so each task gets its own forward's
+output bit for bit and no gradient flows through the gather.
 
 The layers are linear on purpose: the synthetic benchmark's targets are
 linear, so a realisable world admits exactly zero loss while the two-layer
@@ -120,29 +123,26 @@ class HypernetLayer:
         self.W0 = kaiming_uniform((shape.out_dim, shape.in_dim), rng, requires_grad=True)
         self.b0 = kaiming_uniform((shape.out_dim,), rng, requires_grad=True)
 
-    def forward(self, x: Tensor, embedding: Tensor, row: int | None = None) -> Tensor:
+    def forward(self, x: Tensor, embedding: Tensor, index) -> Tensor:
         """x @ W0^T + (x @ B^T) @ A^T + b0, with (A, B) generated from the task's embedding; one tape node.
 
-        `embedding` is the base tasks' matrix [T, embed_dim] and `row` the
-        task's, or a new task's block [..., 1, embed_dim] with `row` None.
-        The forward pass and the VJP replay, in order, the numpy operations
-        of the unfused chain (take_row/reshape of the embedding, the two
-        generators, three matmuls of transposed copies, two adds; see
-        `tests/unfused.py`), so values and gradients are bit-identical to
-        it. The copies are needed: a matmul on the transposed views sums in
-        another order and, at input_dim 16, moves the run's results (the
-        `hypernet_input16` golden pins them). Leading axes of `x` and a new
-        task's block stack replicas, with the generators stacked alike; W0
-        and b0 are shared.
+        `embedding` and `index` are what `TaskRows.select` returns: the
+        column read is `embedding[..., index, :]`, one embedding, a new
+        task's replicas' embeddings [R, embed_dim] or an index array's
+        [T, embed_dim]. The forward pass and the VJP replay, in order, the
+        numpy operations of the unfused chain (take_row/reshape of the
+        embedding, the two generators, three matmuls of transposed copies,
+        two adds; see `tests/unfused.py`), so values and gradients are
+        bit-identical to it. The copies are needed: a matmul on the
+        transposed views sums in another order and, at input_dim 16, moves
+        the run's results (the `hypernet_input16` golden pins them). Leading
+        axes of `x` and of the column stack replicas or tasks, with the
+        generators stacked alike; W0 and b0 are shared.
         """
         if x.shape[-1] != self.shape.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.shape.in_dim}")
         e = embedding.data
-        if row is None:
-            column = e.reshape(e.shape[:-2] + (e.shape[-1], 1))
-        else:
-            column = e[row].reshape((e.shape[-1], 1))
-        a, b, generated_vjp = hypernet_generate(column, self.hypernet)
+        a, b, generated_vjp = hypernet_generate(e[..., index, :][..., None], self.hypernet)
         xd, w0, b0 = x.data, self.W0, self.b0
         w0_t, b_t, a_t = matrix_t(w0.data).copy(), matrix_t(b).copy(), matrix_t(a).copy()
         y1 = xd @ w0_t
@@ -163,11 +163,8 @@ class HypernetLayer:
                 g_a = matrix_t(unbroadcast(matrix_t(xb) @ g_xba, a_t.shape))
                 g_b = matrix_t(unbroadcast(matrix_t(xd) @ g_xb, b_t.shape))
                 g_column, g_generators = generated_vjp(g_a, g_b)
-                if row is None:
-                    g_e = g_column.reshape(e.shape)
-                else:
-                    g_e = np.zeros_like(e)
-                    g_e[row] = g_column.reshape(e.shape[-1:])
+                g_e = np.zeros_like(e)
+                g_e[..., index, :] = g_column[..., 0]
             return (
                 g_x,
                 g_e,
@@ -188,29 +185,77 @@ class HypernetLayer:
 
 
 # ---------------------------------------------------------------------------
-# allocation state
+# task rows
 
 
-class AllocationState:
+class TaskRows:
+    """The base tasks' rows [..., T, D] and at most one new task's block [R, ..., 1, D].
+
+    Each block is learnable (a `Tensor`) or fixed (an array). A model
+    adapts one new task at a time, on a replicated copy (see
+    `TaskModel.replicate`), so a second `add` is a contract error.
+    """
+
+    def __init__(self, base: Tensor | np.ndarray):
+        self.base = base
+        self.num_base_tasks = base.shape[-2]
+        self.new: Tensor | np.ndarray | None = None
+
+    @property
+    def num_tasks(self) -> int:
+        return self.num_base_tasks + (self.new is not None)
+
+    def add(self, block: Tensor | np.ndarray) -> int:
+        """Register the new task's block; returns its task index, T."""
+        if self.new is not None:
+            raise ContractError("a model holds at most one new task")
+        self.new = block
+        return self.num_base_tasks
+
+    def select(self, task, train: bool):
+        """The (block, index) a forward reads for `task`: rows `block[..., index, :]`.
+
+        `task` is one index, base or new, or an int array of base tasks,
+        one per leading row of the input. An array gets the base as a
+        constant, so no gradient flows through the gather, and may not
+        train. A task outside the store raises `TaskLookupError`.
+        """
+        if isinstance(task, (int, np.integer)):
+            if 0 <= task < self.num_base_tasks:
+                return self.base, task
+            if task == self.num_base_tasks and self.new is not None:
+                return self.new, 0
+            raise TaskLookupError(f"unknown task index {task}")
+        if train:
+            raise ContractError("a task index array is for evaluation only")
+        task = np.asarray(task)
+        if task.ndim != 1 or task.dtype.kind not in "iu" or not ((task >= 0) & (task < self.num_base_tasks)).all():
+            raise TaskLookupError(f"task indices {task.tolist()} are not all base tasks below {self.num_base_tasks}")
+        base = self.base
+        return (tensor(base.data) if isinstance(base, Tensor) else base), task
+
+    def blocks(self) -> list:
+        return [self.base] if self.new is None else [self.base, self.new]
+
+    def parameters(self) -> list[Tensor]:
+        return [block for block in self.blocks() if isinstance(block, Tensor)]
+
+
+class AllocationState(TaskRows):
     """Every layer's allocation matrix in one stack [M, T, S]: M = 2 (`per_layer`) or 1 (`global`).
 
     The stack is learnable logits (a `Tensor`) or, with M = 1, a fixed 0/1
     array. Layer l reads matrix l of a `per_layer` stack and matrix 0 of
-    any other. A new task appends one [R, M, 1, S] block, one row per
-    matrix for each of the R replicas that adapt it side by side (see
-    `TaskModel.replicate`), learnable or fixed independently of the stack,
-    so a frozen skilled model adapts a learned row over its fixed inventory.
+    any other. A new task's block [R, M, 1, S] holds one row per matrix for
+    each of the R replicas that adapt it side by side, learnable or fixed
+    independently of the stack, so a frozen skilled model adapts a learned
+    row over its fixed inventory.
     """
 
     def __init__(self, matrices: Tensor | np.ndarray, tau: float):
-        self.matrices = matrices
+        super().__init__(matrices)
         self.tau = float(tau)
-        self.num_matrices, self.num_base_tasks, self.num_skills = matrices.shape
-        self.extra_rows: list = []  # one [R, M, 1, S] block per new task
-
-    @property
-    def num_tasks(self) -> int:
-        return self.num_base_tasks + len(self.extra_rows)
+        self.num_matrices, _, self.num_skills = matrices.shape
 
     def matrix_index(self, layer: int) -> int:
         return layer if self.num_matrices > 1 else 0
@@ -223,65 +268,49 @@ class AllocationState:
         if not learnable and (rows.sum(axis=-1) < 1).any():
             raise ContractError("a task must activate at least one skill")
         block = np.repeat(rows[:, None, None, :], self.num_matrices, axis=1)
-        self.extra_rows.append(tensor(block, requires_grad=True) if learnable else block)
-        return self.num_tasks - 1
+        return self.add(tensor(block, requires_grad=True) if learnable else block)
 
     def add_skill(self) -> None:
         """One more inventory column, zero in every base row (fixed allocations, before any new task)."""
-        self.matrices = np.pad(self.matrices, ((0, 0), (0, 0), (0, 1)))
+        self.base = np.pad(self.base, ((0, 0), (0, 0), (0, 1)))
         self.num_skills += 1
-
-    def new_task_parameters(self, task: int) -> list[Tensor]:
-        block = self.extra_rows[task - self.num_base_tasks]
-        return [block] if isinstance(block, Tensor) else []
 
     def rows_for_step(self, task, train: bool, rng, tau: float | None = None):
         """The task's simplex weight rows [..., M, S], one per matrix, plus what the prior scores.
 
-        A learnable stack or block gets one full Gumbel draw per call while
-        training (the expected path otherwise), from each replica's own
-        generator when `rng` is a list of them, and one normalised-row node
-        for all its matrices; a fixed one draws nothing. The second value is
-        a list holding the relaxed base stack, for base tasks of a learnable
-        allocation only: it feeds the prior regulariser.
-
-        `task` may instead be an int array of base tasks (evaluation only):
-        their rows are one gather from the stack, [T, M, S] with the tasks
-        leading as replicas do, each equal to its task's own rows.
+        A learnable block gets one full Gumbel draw per call while training
+        (the expected path otherwise), from each replica's own generator
+        when `rng` is a list of them; a fixed one draws nothing. Either way
+        one `normalize_rows` call gives the rows of all matrices. The second
+        value is a list holding the relaxed base stack, for base tasks of a
+        learnable allocation only: it feeds the prior regulariser. An int
+        array of base tasks gives their rows [T, M, S], the tasks leading as
+        replicas do.
         """
-        tau = self.tau if tau is None else tau
-        gather = isinstance(task, np.ndarray)
-        base_task = gather or task < self.num_base_tasks
-        if base_task:
-            block, index = self.matrices, task
-        else:
-            block, index = self.extra_rows[task - self.num_base_tasks], 0
-        if not isinstance(block, Tensor):
-            row = block[..., index, :]
-            rows, relaxed = tensor(row / row.sum(axis=-1, keepdims=True)), []
-        else:
-            relaxed = gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
-            rows, relaxed = normalize_rows(relaxed, index), [relaxed] if base_task else []
-        if gather:
+        block, index = self.select(task, train)
+        relaxed = []
+        if isinstance(block, Tensor):
+            tau = self.tau if tau is None else tau
+            drawn = gumbel_sigmoid_sample(block, tau, rng) if train else expected_allocation(block, tau)
+            relaxed = [] if block is self.new else [drawn]
+            block = drawn
+        rows = normalize_rows(block, index)
+        if isinstance(index, np.ndarray):
             rows = tensor(rows.data.swapaxes(0, 1))
         return rows, relaxed
 
     def eval_matrix(self, layer: int) -> np.ndarray:
         """Deterministic relaxed matrix for this layer, new-task rows included: [R, T, S] with R replicas."""
         i = self.matrix_index(layer)
-        blocks = [self.matrices, *self.extra_rows]
-        values = [(expected_allocation(b, self.tau) if isinstance(b, Tensor) else b)[..., i, :, :] for b in blocks]
+        values = [(expected_allocation(b, self.tau) if isinstance(b, Tensor) else b)[..., i, :, :] for b in self.blocks()]
         lead = values[-1].shape[:-2]
         return np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in values], axis=-2)
 
     def logits(self, layer: int) -> np.ndarray | None:
         """The learnable base logits behind a layer; None for a fixed matrix."""
-        if not isinstance(self.matrices, Tensor):
+        if not isinstance(self.base, Tensor):
             return None
-        return self.matrices.data[self.matrix_index(layer)]
-
-    def z_parameters(self) -> list[Tensor]:
-        return [block for block in [self.matrices, *self.extra_rows] if isinstance(block, Tensor)]
+        return self.base.data[self.matrix_index(layer)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +318,17 @@ class AllocationState:
 
 
 class TaskModel:
-    """Bookkeeping shared by every kind, derived from `named_parameters`."""
+    """Bookkeeping shared by every kind, derived from its `TaskRows` and `named_parameters`."""
 
     layers: list
+    task_rows: TaskRows
+
+    def z_parameters(self) -> list[Tensor]:
+        return self.task_rows.parameters()
+
+    def new_task_parameters(self) -> list[Tensor]:
+        new = self.task_rows.new
+        return [new] if isinstance(new, Tensor) else []
 
     def phi_parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.phi_parameters()]
@@ -307,24 +344,6 @@ class TaskModel:
             for j, p in enumerate(layer.base_parameters()):
                 named[f"layer{i}.base.{j}"] = p
         return named
-
-    def checked_task(self, task, train: bool):
-        """`forward`'s task, returned as is or as an array: one index, or an int array of base tasks.
-
-        An array, one task per leading row of the input, takes no gradient
-        through the gather, so it may not train. A task outside the model
-        raises `TaskLookupError`.
-        """
-        if isinstance(task, (int, np.integer)):
-            if not 0 <= task < self.num_tasks:
-                raise TaskLookupError(f"unknown task index {task}")
-            return task
-        if train:
-            raise ContractError("a task index array is for evaluation only")
-        task = np.asarray(task)
-        if task.ndim != 1 or task.dtype.kind not in "iu" or not ((task >= 0) & (task < self.num_base_tasks)).all():
-            raise TaskLookupError(f"task indices {task.tolist()} are not all base tasks below {self.num_base_tasks}")
-        return task
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.named_parameters().values()))
@@ -357,36 +376,22 @@ class SkillModel(TaskModel):
 
     def __init__(self, layers: list, alloc: AllocationState):
         self.layers = layers
-        self.alloc = alloc
-
-    @property
-    def num_tasks(self) -> int:
-        return self.alloc.num_tasks
-
-    @property
-    def num_base_tasks(self) -> int:
-        return self.alloc.num_base_tasks
+        self.task_rows = alloc
 
     def forward(self, task, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
-        """The task's network on `x`, and the relaxed allocation stack the prior scores (see `checked_task`)."""
-        task = self.checked_task(task, train)
-        rows, relaxed = self.alloc.rows_for_step(task, train, rng, tau)
+        """The task's network on `x`, and the relaxed allocation stack the prior scores (see `TaskRows.select`)."""
+        alloc = self.task_rows
+        rows, relaxed = alloc.rows_for_step(task, train, rng, tau)
         h = x
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h, rows, self.alloc.matrix_index(i))
+            h = layer.forward(h, rows, alloc.matrix_index(i))
         return h, relaxed
 
     def add_skill(self, rngs) -> None:
         """One more skill in every layer and replica, unused by every base task (the private kind's new task)."""
         for layer in self.layers:
             layer.add_skill(rngs)
-        self.alloc.add_skill()
-
-    def new_task_parameters(self, task: int) -> list[Tensor]:
-        return self.alloc.new_task_parameters(task)
-
-    def z_parameters(self) -> list[Tensor]:
-        return self.alloc.z_parameters()
+        self.task_rows.add_skill()
 
     def named_parameters(self) -> dict[str, Tensor]:
         named = {f"z.{i}": p for i, p in enumerate(self.z_parameters())}
@@ -394,7 +399,7 @@ class SkillModel(TaskModel):
         return named
 
     def allocation_eval_matrices(self) -> list[np.ndarray]:
-        return [self.alloc.eval_matrix(layer) for layer in range(len(self.layers))]
+        return [self.task_rows.eval_matrix(layer) for layer in range(len(self.layers))]
 
     def freeze_sparse_masks(self) -> None:
         for layer in self.layers:
@@ -406,52 +411,29 @@ class HypernetModel(TaskModel):
     """Task-embedding-conditioned generation of per-layer low-rank adapters."""
 
     def __init__(self, num_tasks: int, embed_dim: int, shapes: list[LayerShape], rank: int, rng):
-        self.embeddings = kaiming_uniform((num_tasks, embed_dim), rng, requires_grad=True)
-        self.extra_embeddings: list[Tensor] = []  # one [R, 1, embed_dim] block per new task
+        self.task_rows = TaskRows(kaiming_uniform((num_tasks, embed_dim), rng, requires_grad=True))
         self.layers = [HypernetLayer(shape, embed_dim, rank, rng) for shape in shapes]
 
-    @property
-    def num_tasks(self) -> int:
-        return self.num_base_tasks + len(self.extra_embeddings)
-
-    @property
-    def num_base_tasks(self) -> int:
-        return self.embeddings.shape[0]
-
     def forward(self, task, x: Tensor, train: bool = False, rng=None, tau: float | None = None):
-        """The task's network on `x`, and an empty list: no prior applies (see `checked_task`)."""
-        task = self.checked_task(task, train)
-        if isinstance(task, np.ndarray):
-            # The tasks' embeddings as one block [T, 1, E], as a new task's replicas hold theirs.
-            embedding, row = tensor(self.embeddings.data[task][:, None, :]), None
-        elif task < self.num_base_tasks:
-            embedding, row = self.embeddings, task
-        else:
-            embedding, row = self.extra_embeddings[task - self.num_base_tasks], None
+        """The task's network on `x`, and an empty list: no prior applies (see `TaskRows.select`)."""
+        embedding, index = self.task_rows.select(task, train)
         h = x
         for layer in self.layers:
             # Each layer's node returns its own part of the embedding's
             # gradient, so the parts sum in the unfused chain's order.
-            h = layer.forward(h, embedding, row)
+            h = layer.forward(h, embedding, index)
         return h, []
 
     def add_task_embedding(self, replicas: int) -> int:
         # New tasks start from the mean trained embedding: a neutral point
         # that transfers and gives non-zero relu gradients.
-        mean = self.embeddings.data.mean(axis=0, keepdims=True)
-        self.extra_embeddings.append(tensor(np.repeat(mean[None], replicas, axis=0), requires_grad=True))
-        return self.num_tasks - 1
-
-    def new_task_parameters(self, task: int) -> list[Tensor]:
-        return [self.extra_embeddings[task - self.embeddings.shape[0]]]
-
-    def z_parameters(self) -> list[Tensor]:
-        return [self.embeddings] + self.extra_embeddings
+        mean = self.task_rows.base.data.mean(axis=0, keepdims=True)
+        return self.task_rows.add(tensor(np.repeat(mean[None], replicas, axis=0), requires_grad=True))
 
     def named_parameters(self) -> dict[str, Tensor]:
-        named = {"embeddings": self.embeddings}
-        for i, p in enumerate(self.extra_embeddings):
-            named[f"embeddings.extra.{i}"] = p
+        named = {"embeddings": self.task_rows.base}
+        if self.task_rows.new is not None:
+            named["embeddings.extra.0"] = self.task_rows.new
         named.update(self._layer_parameters("gen"))
         return named
 

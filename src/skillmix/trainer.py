@@ -67,9 +67,8 @@ class TrainedModel:
     kind: str
     history: list[StepRecord]
     evals: list[EvalRecord]
-    task_ids: list[str]
     config: ExperimentConfig
-    tasks: list[TaskSpec] = field(repr=False, default_factory=list)
+    tasks: list[TaskSpec] = field(repr=False)
 
 
 def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
@@ -305,7 +304,6 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
         kind=config.model_kind,
         history=history,
         evals=evals,
-        task_ids=[t.id for t in train_tasks],
         config=config,
         tasks=train_tasks,
     )
@@ -356,24 +354,25 @@ def _register_new_task(model, config: ExperimentConfig, tasks: list[TaskSpec], r
     kind = config.model_kind
     if kind == "hypernet":
         return model.add_task_embedding(len(tasks))
-    if kind == "skilled" and model.alloc.num_skills > 1:
-        return model.alloc.add_task(np.zeros((len(tasks), model.alloc.num_skills)), learnable=True)
+    alloc = model.task_rows
+    if kind == "skilled" and alloc.num_skills > 1:
+        return alloc.add_task(np.zeros((len(tasks), alloc.num_skills)), learnable=True)
     if kind == "private":
         model.add_skill(rngs)
-        active = [[model.alloc.num_skills - 1]] * len(tasks)
+        active = [[alloc.num_skills - 1]] * len(tasks)
     elif kind in ("shared", "skilled"):
         active = [[0]] * len(tasks)
     else:  # expert
         if any(task.planted_skills is None for task in tasks):
             raise ContractError("expert adaptation needs the task's planted skills")
         active = [list(task.planted_skills) for task in tasks]
-    bits = np.zeros((len(tasks), model.alloc.num_skills))
+    bits = np.zeros((len(tasks), alloc.num_skills))
     for row, skills in zip(bits, active):
         row[skills] = 1.0
-    return model.alloc.add_task(bits, learnable=False)
+    return alloc.add_task(bits, learnable=False)
 
 
-def _adaptation_phases(model, task_index: int, config: ExperimentConfig):
+def _adaptation_phases(model, config: ExperimentConfig):
     """(num_steps, fast, slow) triples: the new task's own parameters alone, then with the skills.
 
     The steps sum to `adaptation_steps`. `fast` trains at `lr_z` and
@@ -383,7 +382,7 @@ def _adaptation_phases(model, task_index: int, config: ExperimentConfig):
     for every step.
     """
     steps = config.adaptation_steps
-    new, skills = model.new_task_parameters(task_index), model.phi_parameters()
+    new, skills = model.new_task_parameters(), model.phi_parameters()
     head = 0
     if new:
         head = {"z_only": steps, "full": 0}.get(config.adapt_mode, min(config.adapt_z_only_steps, steps))
@@ -424,8 +423,9 @@ def few_shot_adapt(
     """
     config = trained.config
     ordinals = range(len(tasks)) if ordinals is None else ordinals
+    training_ids = {task.id for task in trained.tasks}
     for task in tasks:
-        if task.id in trained.task_ids:
+        if task.id in training_ids:
             raise ContractError(f"task id '{task.id}' collides with a training task")
     if len(ordinals) != len(tasks) or len({(t.kind, t.x_train.shape[0]) for t in tasks}) != 1:
         raise ContractError("adapt one or more tasks of one kind and training split size, one ordinal each")
@@ -453,7 +453,7 @@ def few_shot_adapt(
     kind, name = tasks[0].kind, ",".join(t.id for t in tasks)
 
     step = 0
-    for phase_steps, fast, slow in _adaptation_phases(model, task_index, config):
+    for phase_steps, fast, slow in _adaptation_phases(model, config):
         # Built as its phase starts: building packs the parameters into the
         # optimiser's buffers, so it must see the previous phase's updates.
         optimizer = build_two_speed_groups(fast, slow, config.lr_z, config.lr_phi)

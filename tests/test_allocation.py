@@ -169,10 +169,32 @@ def test_normalize_rows_scale_invariance():
 
 
 def test_normalize_rows_degenerate_row():
-    with pytest.raises(DegenerateMatrixError):
-        normalize_rows(ad.tensor([[0.0, 0.0]]), 0)
+    # A row summing below 1e-12 gives zero weights (the base alone) and a zero gradient.
+    ad.reset_tape()
+    empty = ad.tensor([[0.0, 0.0]], requires_grad=True)
+    row = normalize_rows(empty, 0)
+    assert row.data.tolist() == [0.0, 0.0]
+    ad.backward(unfused.reduce_sum(unfused.mul(row, ad.tensor([2.0, -3.0]))))
+    assert empty.grad.tolist() == [[0.0, 0.0]]
     # Only the selected row is normalised, so only its sum matters.
     assert normalize_rows(ad.tensor([[0.0, 0.0], [1.0, 3.0]]), 1).data.tolist() == [0.25, 0.75]
+
+
+def test_a_degenerate_row_leaves_every_other_row_and_replica_bit_identical():
+    rng = np.random.default_rng(5)
+    stack = rng.uniform(0.1, 1.0, size=(3, 2, 4, 5))
+    probe = rng.standard_normal((3, 2, 5))
+    results = []
+    for data in (stack, np.where(np.arange(3)[:, None, None, None] == 1, 1e-300, stack)):
+        ad.reset_tape()
+        t = ad.tensor(data, requires_grad=True)
+        rows = normalize_rows(t, 2)
+        ad.backward(unfused.reduce_sum(unfused.mul(rows, ad.tensor(probe))))
+        results.append((rows.data, t.grad))
+    (clean, clean_grad), (degenerate, degenerate_grad) = results
+    assert np.all(degenerate[1] == 0.0) and np.all(degenerate_grad[1] == 0.0)
+    for r in (0, 2):
+        assert np.array_equal(degenerate[r], clean[r]) and np.array_equal(degenerate_grad[r], clean_grad[r])
 
 
 @settings(max_examples=50, deadline=None)

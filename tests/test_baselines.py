@@ -117,9 +117,9 @@ def test_identical_embeddings_generate_identical_parameters():
     model = HypernetModel(2, 4, [LayerShape(3, 3)], 2, np.random.default_rng(1))
     hn = model.layers[0].hypernet
     hn.w2_a.data[:] = np.random.default_rng(2).standard_normal(hn.w2_a.shape)
-    model.embeddings.data[1] = model.embeddings.data[0]
-    a0, b0, _ = hypernet_generate(_column(model.embeddings.data[0]), hn)
-    a1, b1, _ = hypernet_generate(_column(model.embeddings.data[1]), hn)
+    model.task_rows.base.data[1] = model.task_rows.base.data[0]
+    a0, b0, _ = hypernet_generate(_column(model.task_rows.base.data[0]), hn)
+    a1, b1, _ = hypernet_generate(_column(model.task_rows.base.data[1]), hn)
     assert np.array_equal(a0, a1)
     assert np.array_equal(b0, b1)
 
@@ -163,7 +163,7 @@ def _hypernet_case(case):
     if case != "unstacked_new_task":
         model = model.replicate(replicas)
     task = model.add_task_embedding(replicas)
-    model.extra_embeddings[0].data += 0.1 * rng.standard_normal(model.extra_embeddings[0].shape)
+    model.task_rows.new.data += 0.1 * rng.standard_normal(model.task_rows.new.shape)
     return model, task, rng.standard_normal((replicas, 6, 5))
 
 

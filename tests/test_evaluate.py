@@ -1,10 +1,11 @@
-"""One forward over many tasks equals one forward per task, bit for bit.
+"""The task-row store: one forward over many tasks, and at most one new task.
 
 `model.forward` takes an int array of base tasks, one per leading row of
 the input, and `trainer.evaluate` stacks the specs' splits into one such
 forward. Both must give each task exactly what its own forward gives, for
 every kind, parameterisation and allocation mode, in a regression world
-and in a mixed one.
+and in a mixed one. The gather passes no gradient to the base rows, and a
+model's store takes one new task.
 """
 
 import itertools
@@ -16,7 +17,9 @@ from skillmix import autodiff as ad
 from skillmix.config import ALLOCATION_MODES, MODEL_KINDS, PARAMETERISATIONS, ExperimentConfig, WorldConfig
 from skillmix.errors import ContractError, TaskLookupError
 from skillmix.synthetic import generate_synthetic_benchmark
-from skillmix.trainer import _metrics, evaluate, multitask_train
+from skillmix.trainer import _metrics, _register_new_task, evaluate, multitask_train
+
+import unfused
 
 
 def _trained(kind, parameterisation, mode, input_dim, task_kind):
@@ -66,3 +69,28 @@ def test_task_index_array_guards(kind):
             model.forward(bad, x)
     with pytest.raises(TaskLookupError):
         evaluate(model, [0, len(trained.tasks)], trained.tasks[:2])
+
+
+@pytest.mark.parametrize("kind", ("skilled", "hypernet"))
+def test_an_index_array_forward_gives_the_base_rows_no_gradient(kind):
+    trained = _trained(kind, "dense", "per_layer", 8, "regression")
+    model = trained.model
+    for p in model.named_parameters().values():
+        p.grad = None
+    ad.reset_tape()
+    x = ad.tensor(np.stack([t.x_dev for t in trained.tasks]))
+    pred, _ = model.forward(np.arange(len(trained.tasks)), x)
+    ad.backward(unfused.reduce_sum(pred))
+    assert model.task_rows.base.grad is None
+    assert all(p.grad is not None for p in model.base_parameters())
+
+
+@pytest.mark.parametrize("kind", ("skilled", "hypernet"))
+def test_a_second_new_task_is_a_contract_error(kind):
+    trained = _trained(kind, "dense", "per_layer", 8, "regression")
+    model, tasks = trained.model.replicate(2), trained.tasks[:2]
+    rngs = [np.random.default_rng(r) for r in range(2)]
+    assert _register_new_task(model, trained.config, tasks, rngs) == len(trained.tasks)
+    with pytest.raises(ContractError):
+        _register_new_task(model, trained.config, tasks, rngs)
+    assert model.task_rows.num_tasks == len(trained.tasks) + 1

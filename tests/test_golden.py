@@ -1,8 +1,10 @@
-"""Golden runs: summary.json bytes of small configs, pinned.
+"""Golden runs: the run directories of small configs, pinned.
 
-Each config below runs the whole pipeline (`run_experiment`) and its
-summary.json must equal the stored file in tests/golden/ byte for byte, so a
-change that is meant to keep behaviour can prove it did. The files were last
+Each config below runs the whole pipeline (`run_experiment`). Its
+summary.json must equal the stored file in tests/golden/ byte for byte, and
+every other file of its run directory but timing.json (the wall clock) must
+have the sha256 stored in tests/golden/run_dir_sha256.json, so a change that
+is meant to keep behaviour can prove it did. The summaries were last
 recorded by `run_experiment` itself, which adapts every held-out task and
 resample side by side. The same configs check that this stacked adaptation
 gives each replica exactly what adapting it alone gives. A change that is
@@ -13,6 +15,7 @@ meant to move results re-records them with
 and says so in CHANGES.md.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -27,6 +30,7 @@ from skillmix.synthetic import generate_synthetic_benchmark
 from skillmix.trainer import few_shot_adapt, multitask_train
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "run_dir_sha256.json"
 
 TINY = {
     "seed": 3,
@@ -76,14 +80,25 @@ CONFIGS = {
     "skilled_frozen_identity": _with(freeze_allocation="identity", world={"holdout_tasks": 0}),
     "skilled_lowrank": _with(parameterisation="lowrank"),
     "private_lowrank": _with(model_kind="private", parameterisation="lowrank"),
+    # Every cell of a relaxed allocation row underflows: while training at
+    # tau 0.02, and in one adaptation replica at tau 0.05. Such a row
+    # composes to the layer's base alone.
+    "skilled_underflow_train": _with(tau=0.02),
+    "skilled_underflow_adapt": _with(tau=0.05),
 }
 
 
-def run_summary(doc: dict, output_root: Path) -> bytes:
+def run_files(doc: dict, output_root: Path) -> tuple[bytes, dict[str, str]]:
+    """The run's summary.json bytes and the sha256 of every other file but timing.json."""
     record = run_experiment(parse_config_dict(doc))
     assert record.failure is None, record.failure
     assert record.run_dir.parent == output_root
-    return (record.run_dir / "summary.json").read_bytes()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(record.run_dir.iterdir())
+        if path.name not in ("summary.json", "timing.json")
+    }
+    return (record.run_dir / "summary.json").read_bytes(), digests
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -91,8 +106,9 @@ def test_summary_matches_golden_bytes(name, tmp_path, monkeypatch):
     # The output root goes through the environment, so that the run
     # directory lands under tmp_path without a config change.
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    expected = (GOLDEN / f"{name}.json").read_bytes()
-    assert run_summary(CONFIGS[name], tmp_path) == expected
+    summary, digests = run_files(CONFIGS[name], tmp_path)
+    assert summary == (GOLDEN / f"{name}.json").read_bytes()
+    assert digests == json.loads(DIGESTS.read_text())[name]
 
 
 def _replica(result, trained_model, r) -> dict:
@@ -156,9 +172,12 @@ def _record(out_root: Path) -> None:
 
     os.environ[OUTPUT_ROOT_ENV] = str(out_root)
     GOLDEN.mkdir(exist_ok=True)
+    digests = {}
     for name, doc in CONFIGS.items():
-        (GOLDEN / f"{name}.json").write_bytes(run_summary(doc, out_root))
+        summary, digests[name] = run_files(doc, out_root)
+        (GOLDEN / f"{name}.json").write_bytes(summary)
         print(name)
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

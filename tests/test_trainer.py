@@ -172,7 +172,7 @@ def test_expert_kind_trains_with_planted_table():
     cfg = small_config(model_kind="expert", expert_table="planted")
     trained = multitask_train(cfg, train_tasks, world=world)
     assert np.array_equal(
-        trained.model.alloc.matrices[0].astype(int), world.true_z[: len(train_tasks)]
+        trained.model.task_rows.base[0].astype(int), world.true_z[: len(train_tasks)]
     )
     first = np.median([r.loss for r in trained.history[:40]])
     last = np.median([r.loss for r in trained.history[-40:]])
@@ -184,7 +184,7 @@ def test_expert_allocation_never_modified_by_training():
     train_tasks = [t for t in tasks if t.split == "train"]
     cfg = small_config(model_kind="expert", expert_table="planted", steps=120)
     trained = multitask_train(cfg, train_tasks, world=world)
-    assert np.array_equal(trained.model.alloc.matrices[0].astype(int), world.true_z[:6])
+    assert np.array_equal(trained.model.task_rows.base[0].astype(int), world.true_z[:6])
     assert trained.model.z_parameters() == []
 
 
@@ -376,7 +376,7 @@ def test_adaptation_improves_loss(kind):
 def test_expert_adaptation_uses_planted_row():
     trained, holdout = trained_small(kind="expert", expert_table="planted")
     res = few_shot_adapt(trained, [holdout[0]])
-    adapted_matrix = res.model.alloc.eval_matrix(0)[0]
+    adapted_matrix = res.model.task_rows.eval_matrix(0)[0]
     assert np.array_equal(
         adapted_matrix[res.task_index].astype(int),
         np.asarray([1 if j in holdout[0].planted_skills else 0 for j in range(3)]),
@@ -394,7 +394,7 @@ def test_z_row_only_adaptation_freezes_everything_else():
     for name in before_base:
         assert np.array_equal(after_base[name], before_base[name]), name
     # the new allocation row did move
-    new_rows = res.model.alloc.new_task_parameters(res.task_index)
+    new_rows = res.model.new_task_parameters()
     assert any(np.any(row.data != 0.0) for row in new_rows)
 
 
@@ -403,19 +403,19 @@ def test_frozen_allocation_adapts_a_learned_row(frozen):
     trained, holdout = trained_small(freeze_allocation=frozen, steps=60, adaptation_steps=40)
     assert trained.model.z_parameters() == []
     res = few_shot_adapt(trained, [holdout[0]])
-    new_rows = res.model.alloc.new_task_parameters(res.task_index)
-    assert res.model.alloc.eval_matrix(0).shape[-2] == res.task_index + 1
-    phases = _adaptation_phases(res.model, res.task_index, trained.config)
+    new_rows = res.model.new_task_parameters()
+    assert res.model.task_rows.eval_matrix(0).shape[-2] == res.task_index + 1
+    phases = _adaptation_phases(res.model, trained.config)
     assert [steps for steps, _, _ in phases] == [40]
     trains = {id(p) for p in phases[0][1] + phases[0][2]}
     if frozen == "identity":
         # One replica's block [R, M, 1, S]: a frozen allocation is one matrix.
-        assert [row.shape for row in new_rows] == [(1, 1, 1, trained.model.alloc.num_skills)]
+        assert [row.shape for row in new_rows] == [(1, 1, 1, trained.model.task_rows.num_skills)]
         assert np.any(new_rows[0].data != 0.0)
         assert trains == {id(row) for row in new_rows}
     else:  # over a single skill the normalised row is [1.0] whatever its logits: a fixed row
         assert new_rows == []
-        assert res.model.alloc.eval_matrix(0)[0, -1].tolist() == [1.0]
+        assert res.model.task_rows.eval_matrix(0)[0, -1].tolist() == [1.0]
         assert trains == {id(p) for p in res.model.phi_parameters()}
 
 
@@ -423,8 +423,8 @@ def test_one_skill_inventory_adapts_the_skills_under_a_fixed_row():
     trained, holdout = trained_small(num_skills=1, steps=40, adaptation_steps=20)
     assert trained.model.z_parameters() != []
     res = few_shot_adapt(trained, [holdout[0]])
-    assert res.model.alloc.new_task_parameters(res.task_index) == []
-    phases = _adaptation_phases(res.model, res.task_index, trained.config)
+    assert res.model.new_task_parameters() == []
+    phases = _adaptation_phases(res.model, trained.config)
     assert [steps for steps, _, _ in phases] == [20]
     assert {id(p) for p in phases[0][1] + phases[0][2]} == {id(p) for p in res.model.phi_parameters()}
     assert res.metrics_after != res.metrics_before
@@ -537,8 +537,8 @@ def _model_state(model) -> dict:
     for i, layer in enumerate(model.layers):
         mask = getattr(getattr(layer, "skills", None), "mask", None)
         state[f"layer{i}.mask"] = None if mask is None else (mask.shape, mask.tobytes())
-    if hasattr(model, "alloc"):
-        state["alloc"] = (model.alloc.num_tasks, model.alloc.num_skills)
+    if hasattr(model.task_rows, "num_skills"):
+        state["alloc"] = (model.task_rows.num_tasks, model.task_rows.num_skills)
     return state
 
 
@@ -587,7 +587,7 @@ def test_private_adaptation_trains_only_a_new_skill(param):
     x = holdout[0].x_eval[:5]
     pred, _ = start.model.forward(start.task_index, ad.tensor(x[None]))
     assert np.allclose(pred.data[0], _base_map(start.model, x), rtol=0, atol=1e-12)
-    assert np.array_equal(start.model.alloc.eval_matrix(0)[0, start.task_index], np.eye(7)[6])
+    assert np.array_equal(start.model.task_rows.eval_matrix(0)[0, start.task_index], np.eye(7)[6])
 
     res = few_shot_adapt(trained, [holdout[0]])
     after = replica_parameters(res.model, trained.model)
@@ -613,7 +613,7 @@ def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
     after = replica_parameters(res.model, trained.model)
     for name, old in before.items():
         assert np.array_equal(after[name], old), name
-    mean = trained.model.embeddings.data.mean(axis=0, keepdims=True)
+    mean = trained.model.task_rows.base.data.mean(axis=0, keepdims=True)
     assert np.any(after["embeddings.extra.0"] != mean)
 
 

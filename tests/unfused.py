@@ -303,7 +303,7 @@ def skill_forward(model, task, x, rng, tau):
     Each matrix is its own slice of the stacked logits, drawn, normalised
     and scored apart; the relaxed matrices come back one per matrix.
     """
-    stack = model.alloc.matrices
+    stack = model.task_rows.base
     per_matrix, relaxed_mats = [], []
     for m in range(stack.shape[0]):
         relaxed = gumbel_sigmoid_sample(take_row(stack, m), tau, rng)
@@ -336,12 +336,12 @@ def hypernet_layer(layer, x, column):
 
 def hypernet_forward(model, task, x):
     """HypernetModel.forward, op by op: one embedding column per layer."""
-    base_count, embed_dim = model.embeddings.shape
+    base_count, embed_dim = model.task_rows.base.shape
     h = x
     for layer in model.layers:
         if task < base_count:
-            row = take_row(model.embeddings, task)
+            row = take_row(model.task_rows.base, task)
         else:
-            row = model.extra_embeddings[task - base_count]
+            row = model.task_rows.new
         h = hypernet_layer(layer, h, reshape(row, row.shape[:-2] + (embed_dim, 1)))
     return h, []
