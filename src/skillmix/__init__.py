@@ -6,11 +6,13 @@ end-to-end with two-speed learning rates and an optional buffet-process
 prior. A synthetic benchmark with planted skills makes the learned
 allocation directly scoreable against ground truth.
 
-Import contract: `import skillmix` and `parse_config` load only the
-standard library, so a fresh process can check a config without loading
-numpy or scipy. The config names are bound at import; every other public
-name is looked up in its defining module on first access (PEP 562) and is
-that module's attribute itself.
+Import contract: `import skillmix` and `parse_config` load the package's
+`config` and `errors` modules and `json`, and nothing else a bare
+interpreter lacks: no numpy or scipy, and no `dataclasses` or `hashlib`
+(`config_hash` imports `hashlib` when called). So a fresh process checks
+a config in a few milliseconds. The config names are bound at import;
+every other public name is looked up in its defining module on first
+access (PEP 562) and is that module's attribute itself.
 """
 
 from importlib import import_module

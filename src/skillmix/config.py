@@ -5,15 +5,18 @@ the most expensive way to lose an experiment. Value checks run where a
 config is built (`__post_init__`), so every point of a sweep or comparison
 is checked before its first run. All defaults are the standard training
 settings used throughout the test suite.
+
+Parsing a config loads `json` and nothing else a bare interpreter lacks,
+so a fresh process checks a config in a few milliseconds: the two config
+classes are `_Record`s rather than dataclasses (`dataclasses` pulls in
+`inspect` and `ast`), and `config_hash` imports `hashlib` when called.
 """
 
+# Annotations stay strings: `_Record` and the parser read them as field kinds.
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+import os
 
 from .errors import ConfigError
 
@@ -31,8 +34,66 @@ def task_id(split: str, row: int) -> str:
     return f"{split}_task_{row:02d}"
 
 
-@dataclass(frozen=True)
-class WorldConfig:
+class _Record:
+    """A frozen, keyword-only record: its fields are the class's annotated attributes, in order.
+
+    A field's class attribute is its default; a record class as default is
+    built afresh for each instance. Every construction, `replace` included,
+    checks that each float field is finite and then runs `__post_init__`.
+    `prefix` is what a `ConfigError` puts before a field's name.
+    """
+
+    def __init_subclass__(cls, prefix: str = ""):
+        cls._fields, cls._prefix = tuple(cls.__annotations__), prefix
+
+    def __init__(self, **values):
+        cls = type(self)
+        unknown = values.keys() - set(cls._fields)
+        if unknown:
+            raise TypeError(f"{cls.__name__} has no field {sorted(unknown)[0]!r}")
+        for name in cls._fields:
+            if name not in values:
+                default = getattr(cls, name)
+                values[name] = default() if isinstance(default, type) else default
+            value = values[name]
+            if cls.__annotations__[name].startswith("float") and value is not None and not abs(value) < float("inf"):
+                raise ConfigError(cls._prefix + name, "must be a finite number")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: field {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
+
+    def replace(self, **changes):
+        return type(self)(**{**self.__dict__, **changes})
+
+    def to_dict(self) -> dict:
+        """The JSON document of the record: a nested record becomes a dict, every list and dict a new one."""
+        return {name: _plain(value) for name, value in self.__dict__.items()}
+
+
+def _plain(value):
+    if isinstance(value, _Record):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class WorldConfig(_Record, prefix="world."):
     num_tasks: int = 16
     num_true_skills: int = 4
     input_dim: int = 16
@@ -63,10 +124,9 @@ class WorldConfig:
             raise ConfigError("world.examples_per_task", "must be >= 1")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     seed: int = 0
-    world: WorldConfig = field(default_factory=WorldConfig)
+    world: WorldConfig = WorldConfig  # a record class as default: built afresh for each config
     model_kind: str = "skilled"
     num_skills: int = 4
     parameterisation: str = "dense"
@@ -153,8 +213,8 @@ class ExperimentConfig:
             raise ConfigError("adaptation_resamples", "must be >= 1")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim", "must be >= 1")
-        if not self.sweep_grid or any(n < 1 for n in self.sweep_grid):
-            raise ConfigError("sweep_grid", "must be a non-empty list of skill counts >= 1")
+        if not self.sweep_grid or min(self.sweep_grid) < 1 or len(set(self.sweep_grid)) < len(self.sweep_grid):
+            raise ConfigError("sweep_grid", "must be a non-empty list of distinct skill counts >= 1")
         if self.freeze_allocation is not None:
             if self.freeze_allocation not in ("identity", "ones") and not isinstance(self.freeze_allocation, list):
                 raise ConfigError("freeze_allocation", "must be null, 'identity', 'ones' or a 0/1 matrix")
@@ -168,14 +228,6 @@ class ExperimentConfig:
         if self.model_kind == "expert" and self.expert_table is None:
             raise ConfigError("expert_table", "required when model_kind is 'expert'")
 
-    def replace(self, **changes) -> "ExperimentConfig":
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["sweep_grid"] = list(self.sweep_grid)
-        return doc
-
 
 def _expect(key: str, value, kinds: tuple[type, ...], what: str):
     # bool is an int subclass; keep the two apart explicitly.
@@ -186,57 +238,35 @@ def _expect(key: str, value, kinds: tuple[type, ...], what: str):
     return value
 
 
-def _typed(key: str, value, default):
-    if isinstance(default, bool):
-        return _expect(key, value, (bool,), "a boolean")
-    if isinstance(default, int):
-        return int(_expect(key, value, (int,), "an integer"))
-    if isinstance(default, float):
-        return float(_expect(key, value, (int, float), "a number"))
-    if isinstance(default, str):
-        return _expect(key, value, (str,), "a string")
-    return value
+# The Python types a JSON value of each scalar annotation may have, and their name in an error.
+_JSON_TYPES = {"bool": ((bool,), "a boolean"), "int": ((int,), "an integer"),
+               "float": ((int, float), "a number"), "str": ((str,), "a string")}
 
 
-def _parse_world(doc: dict) -> WorldConfig:
-    defaults = WorldConfig()
-    known = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(WorldConfig)}
+def _parse(cls, doc: dict):
+    """A `cls` record from a JSON object, each field typed by its annotation."""
     for key in doc:
-        if key not in known:
-            raise ConfigError(f"world.{key}", "unknown key")
-    values = {k: _typed(f"world.{k}", doc[k], known[k]) if k in doc else known[k] for k in known}
-    return WorldConfig(**values)
+        if key not in cls._fields:
+            raise ConfigError(cls._prefix + key, "unknown key")
+    return cls(**{key: _typed(cls._prefix + key, doc[key], cls.__annotations__[key]) for key in cls._fields if key in doc})
+
+
+def _typed(key: str, value, annotation: str):
+    kind, _, nullable = annotation.partition(" | ")
+    if nullable and value is None:
+        return None
+    if kind == "WorldConfig":
+        return _parse(WorldConfig, _expect(key, value, (dict,), "an object"))
+    if kind == "tuple[int, ...]":
+        return tuple(_typed(key, v, "int") for v in _expect(key, value, (list,), "a list of integers"))
+    if kind not in _JSON_TYPES:
+        return value  # an `object` field: its __post_init__ check says which forms it takes
+    value = _expect(key, value, *_JSON_TYPES[kind])
+    return float(value) if kind == "float" else value
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:
-    defaults = ExperimentConfig()
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown key")
-
-    values: dict = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name not in doc:
-            continue
-        raw = doc[f.name]
-        if f.name == "world":
-            values["world"] = _parse_world(_expect("world", raw, (dict,), "an object"))
-        elif f.name == "sweep_grid":
-            grid = _expect("sweep_grid", raw, (list,), "a list of integers")
-            values["sweep_grid"] = tuple(int(_expect("sweep_grid", v, (int,), "an integer")) for v in grid)
-        elif f.name in ("freeze_allocation", "expert_table"):
-            values[f.name] = raw
-        elif f.name in ("tau_final", "output_dir") and raw is None:
-            values[f.name] = None
-        elif f.name == "tau_final":
-            values[f.name] = float(_expect("tau_final", raw, (int, float), "a number"))
-        elif f.name == "output_dir":
-            values[f.name] = _expect("output_dir", raw, (str,), "a string")
-        else:
-            values[f.name] = _typed(f.name, raw, getattr(defaults, f.name))
-
-    return ExperimentConfig(**values)
+    return _parse(ExperimentConfig, doc)
 
 
 def _is_int(value) -> bool:
@@ -275,12 +305,14 @@ def _validate_expert_table(table: dict, world: WorldConfig) -> None:
             raise ConfigError("expert_table", f"no entry for training task '{task_id('train', row)}'")
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(str(path), "config file does not exist")
+def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     try:
-        doc = json.loads(path.read_text())
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(str(path), "config file does not exist") from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -290,5 +322,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def config_hash(config: ExperimentConfig) -> str:
     """Content address of the experiment; where it is written (`output_dir`) is not part of it."""
+    import hashlib  # here, not at the top: parsing a config needs no hashing
+
     canonical = json.dumps(config.replace(output_dir=None).to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]

@@ -69,9 +69,16 @@ def test_a_bad_kind_in_compare_exits_1_before_any_run(config_file, tmp_path, cap
         ("sweep", {**TINY, "sweep_grid": []}, []),
         ("sweep", TINY, ["--grid", "S=-1"]),
         ("sweep", TINY, ["--grid", "S="]),
+        ("sweep", {**TINY, "sweep_grid": [2, 2]}, []),
+        ("sweep", TINY, ["--grid", "S=2,2"]),
         ("compare", TINY, ["--kinds", "skilled,expert,bogus"]),
+        ("compare", TINY, ["--kinds", ","]),
+        ("compare", TINY, ["--kinds", "shared,shared"]),
     ],
-    ids=["grid_has_0", "grid_empty", "flag_grid_negative", "flag_grid_empty", "expert_without_table"],
+    ids=[
+        "grid_has_0", "grid_empty", "flag_grid_negative", "flag_grid_empty", "grid_repeats",
+        "flag_grid_repeats", "expert_without_table", "no_kinds", "kind_repeats",
+    ],
 )
 def test_a_bad_point_exits_1_before_any_run(config_file, tmp_path, command, doc, extra):
     assert main([command, str(config_file(doc)), *extra]) == EXIT_CONFIG

@@ -167,6 +167,7 @@ def test_k_shot_bound():
         ({"world": {"holdout_tasks": -1}}, "world.holdout_tasks"),
         ({"sweep_grid": []}, "sweep_grid"),
         ({"sweep_grid": [0, 2]}, "sweep_grid"),
+        ({"sweep_grid": [2, 4, 2]}, "sweep_grid"),
         (
             {"world": {"num_tasks": 1, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 1}},
             "world.holdout_tasks",
@@ -195,6 +196,44 @@ def test_sweep_grid_and_nullable_fields():
     assert rejected({"sweep_grid": "2,8"}) == "sweep_grid"
 
 
+FLOAT_FIELDS = [
+    "sparsity", "tau", "tau_final", "lr_z", "lr_phi", "ibp_alpha", "ibp_strength", "loss_threshold_frac",
+    "world.noise_sigma",
+]
+
+
+def test_float_fields_lists_every_float_field():
+    floats = [f"{prefix}{name}" for cls, prefix in ((ExperimentConfig, ""), (WorldConfig, "world."))
+              for name, kind in cls.__annotations__.items() if "float" in str(kind)]
+    assert sorted(floats) == sorted(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_non_finite_numbers_are_rejected(tmp_path, key, value):
+    doc = {"world": {key.removeprefix("world."): value}} if key.startswith("world.") else {key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))  # json writes the NaN and Infinity tokens Python's parser reads
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert err.value.key == key
+
+
+def test_a_config_is_frozen_and_its_document_a_copy():
+    config = parse_config_dict({"freeze_allocation": [[1, 0], [0, 1]], "world": TWO_TASKS})
+    for target, name in ((config, "seed"), (config, "world"), (config.world, "num_tasks")):
+        with pytest.raises(AttributeError):
+            setattr(target, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(target, name)
+    doc = config.to_dict()
+    doc["freeze_allocation"][0][0] = 0
+    doc["sweep_grid"].append(64)
+    doc["world"]["num_tasks"] = 9
+    assert config == parse_config_dict({"freeze_allocation": [[1, 0], [0, 1]], "world": TWO_TASKS})
+    assert isinstance(config.to_dict()["sweep_grid"], list)
+
+
 @pytest.mark.parametrize(
     "build,key",
     [
@@ -202,8 +241,11 @@ def test_sweep_grid_and_nullable_fields():
         (lambda: ExperimentConfig().replace(model_kind="bogus"), "model_kind"),
         (lambda: ExperimentConfig().replace(model_kind="expert"), "expert_table"),
         (lambda: WorldConfig(num_true_skills=2), "world.skills_per_task_min"),
+        (lambda: ExperimentConfig(tau=float("nan")), "tau"),
+        (lambda: ExperimentConfig().replace(lr_z=float("inf")), "lr_z"),
+        (lambda: WorldConfig().replace(noise_sigma=float("nan")), "world.noise_sigma"),
     ],
-    ids=["constructor", "replace", "replace_needs_table", "world"],
+    ids=["constructor", "replace", "replace_needs_table", "world", "constructor_nan", "replace_inf", "world_replace_nan"],
 )
 def test_a_config_is_checked_where_it_is_built(build, key):
     with pytest.raises(ConfigError) as err:

@@ -1,5 +1,9 @@
 """Start-up cost: `import skillmix` and config parsing load no numpy or scipy.
 
+Parsing loads nothing but the package and `json` on top of a bare
+interpreter; in particular no `dataclasses` (with `inspect` and `ast`) and
+no `hashlib`.
+
 Each check that looks at `sys.modules` runs in a fresh interpreter, since
 this test process has long since imported everything.
 """
@@ -42,11 +46,19 @@ TINY_PRIVATE = {
 }
 
 
-def loaded_after(code: str, *args, env=None) -> list[str]:
+# Prints the modules loaded since the snippet above it stored `bare = set(sys.modules)`.
+REPORT_NEW = """
+new = sorted(set(sys.modules) - bare)
+import json as _json
+print(_json.dumps(new))
+"""
+
+
+def loaded_after(code: str, *args, env=None, report: str = REPORT) -> list[str]:
     """Run `code` in a fresh interpreter with `src/` first on the path."""
     env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", code + REPORT, *map(str, args)],
+        [sys.executable, "-c", code + report, *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -62,6 +74,18 @@ def write(tmp_path: Path, doc: dict) -> Path:
 def test_parsing_a_config_loads_neither_numpy_nor_scipy(tmp_path):
     code = "import sys, skillmix\nassert skillmix.parse_config(sys.argv[1]).model_kind == 'expert'\n"
     assert loaded_after(code, write(tmp_path, EXPERT)) == []
+
+
+def test_parsing_a_config_loads_only_the_package_and_json(tmp_path):
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import skillmix\n"
+        "assert skillmix.parse_config(sys.argv[1]).model_kind == 'expert'\n"
+    )
+    new = loaded_after(code, write(tmp_path, EXPERT), report=REPORT_NEW)
+    assert "skillmix.config" in new
+    assert [m for m in new if m.split(".")[0] not in ("skillmix", "json", "_json", "__future__")] == []
 
 
 def test_cli_help_and_a_bad_config_load_neither_numpy_nor_scipy(tmp_path):

@@ -72,6 +72,7 @@ STAGES = {
     "generate_world",
     "multitask_train",
     "evaluate_train_tasks",
+    "import_scipy_optimize",
     "allocation_analysis",
     "hierarchy_export",
     "few_shot_adaptation",
