@@ -6,10 +6,11 @@ config is built (`__post_init__`), so every point of a sweep or comparison
 is checked before its first run. All defaults are the standard training
 settings used throughout the test suite.
 
-Parsing a config loads `json` and nothing else a bare interpreter lacks,
-so a fresh process checks a config in a few milliseconds: the two config
-classes are `_Record`s rather than dataclasses (`dataclasses` pulls in
-`inspect` and `ast`), and `config_hash` imports `hashlib` when called.
+Parsing a config loads only `json` and `__future__` beyond what a bare
+interpreter has, so a fresh process checks a config in a few
+milliseconds: the two config classes are `_Record`s rather than
+dataclasses (`dataclasses` pulls in `inspect` and `ast`), and
+`config_hash` imports `hashlib` when called.
 """
 
 # Annotations stay strings: `_Record` and the parser read them as field kinds.

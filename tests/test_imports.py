@@ -1,8 +1,8 @@
 """Start-up cost: `import skillmix` and config parsing load no numpy or scipy.
 
-Parsing loads nothing but the package and `json` on top of a bare
-interpreter; in particular no `dataclasses` (with `inspect` and `ast`) and
-no `hashlib`.
+Parsing loads nothing but the package, `json` and `__future__` on top of
+a bare interpreter; in particular no `dataclasses` (with `inspect` and
+`ast`) and no `hashlib`.
 
 Each check that looks at `sys.modules` runs in a fresh interpreter, since
 this test process has long since imported everything.
