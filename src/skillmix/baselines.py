@@ -1,11 +1,10 @@
-"""Expert allocations and the task-conditioned hypernetwork generators.
+"""The hypernetwork baseline's task-conditioned adapter generators.
 
-Private, shared and expert models are special cases of skill composition:
-the allocation matrix is fixed a priori instead of learned (identity, one
-ones column, or an expert table; `trainer.resolve_fixed_allocation` picks
-it). The hypernetwork baseline drops the discrete allocation entirely and
-generates per-task low-rank adapters from a learned task embedding (owned
-by `model.HypernetModel`) through two two-layer generators, one for each
+The private, shared and expert baselines need no code here: each is skill
+composition over a fixed 0/1 allocation (`trainer.resolve_fixed_allocation`).
+The hypernetwork drops the discrete allocation and generates per-task
+low-rank adapters from a learned task embedding (owned by
+`model.HypernetModel`) through two two-layer generators, one for each
 adapter factor; `hypernet_generate` computes them as plain arrays for the
 layer's one tape node.
 """
@@ -17,27 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import SeedLike, Tensor, as_rng, kaiming_uniform, matrix_t, unbroadcast, zeros
-from .errors import ContractError
-
-
-def allocation_expert(table: dict[str, list[int]], num_skills: int, task_order: list[str]) -> np.ndarray:
-    """Fixed a-priori 0/1 allocation [tasks, num_skills] from a task -> skill-subset table."""
-    matrix = np.zeros((len(task_order), num_skills), dtype=np.int64)
-    for row, name in enumerate(task_order):
-        if name not in table:
-            raise ContractError(f"expert table has no entry for task '{name}'")
-        subset = table[name]
-        if len(subset) == 0:
-            raise ContractError(f"task '{name}' maps to an empty skill set")
-        for skill in subset:
-            if not 0 <= int(skill) < num_skills:
-                raise ContractError(f"task '{name}' references skill {skill} outside [0, {num_skills})")
-            matrix[row, int(skill)] = 1
-    return matrix
-
-
-# ---------------------------------------------------------------------------
-# hypernetwork
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Experiment configuration: strict parsing, typed defaults, hashing.
 
-Unknown keys are rejected rather than ignored; a silently dropped typo is
-the most expensive way to lose an experiment. Value checks run where a
-config is built (`__post_init__`), so every point of a sweep or comparison
-is checked before its first run. All defaults are the standard training
+Unknown keys are rejected rather than ignored, inside `world` too, the
+only object a config holds; a silently dropped typo is the most expensive
+way to lose an experiment. Value checks run where a config is built
+(`__post_init__`), so every point of a sweep or comparison is checked
+before its first run. All defaults are the standard training
 settings used throughout the test suite.
 
 Parsing a config loads only `json` and `__future__` beyond what a bare
@@ -28,11 +29,6 @@ ALLOCATION_MODES = ("per_layer", "global")
 ADAPT_MODES = ("z_then_full", "z_only", "full")
 TASK_KINDS = ("regression", "classification", "mixed")
 MAX_FEW_SHOT = 32  # upper bound on k_shot: the k-shot pool is drawn from the training split
-
-
-def task_id(split: str, row: int) -> str:
-    """The id of the task on `row` of the planted allocation, e.g. `train_task_03`."""
-    return f"{split}_task_{row:02d}"
 
 
 class _Record:
@@ -135,7 +131,7 @@ class ExperimentConfig(_Record):
     rank: int = 4
     hidden_dim: int = 32
     allocation_mode: str = "per_layer"
-    freeze_allocation: object = None  # None | "identity" | "ones" | nested 0/1 lists
+    freeze_allocation: object = None  # None | "identity" | 0/1 matrix, one row per training task
     tau: float = 1.0
     tau_final: float | None = None  # linear annealing target; None disables
     lr_z: float = 0.1
@@ -155,7 +151,7 @@ class ExperimentConfig(_Record):
     adapt_z_only_steps: int = 100
     adapt_mode: str = "z_then_full"
     embedding_dim: int = 8
-    expert_table: object = None  # None | "planted" | {"tasks": {...}, "num_skills": k}
+    expert_table: object = None  # None | "planted" | 0/1 matrix, one row per training task
     sweep_grid: tuple[int, ...] = SWEEP_GRID_DEFAULT
     output_dir: str | None = None
 
@@ -216,16 +212,15 @@ class ExperimentConfig(_Record):
             raise ConfigError("embedding_dim", "must be >= 1")
         if not self.sweep_grid or min(self.sweep_grid) < 1 or len(set(self.sweep_grid)) < len(self.sweep_grid):
             raise ConfigError("sweep_grid", "must be a non-empty list of distinct skill counts >= 1")
-        if self.freeze_allocation is not None:
-            if self.freeze_allocation not in ("identity", "ones") and not isinstance(self.freeze_allocation, list):
-                raise ConfigError("freeze_allocation", "must be null, 'identity', 'ones' or a 0/1 matrix")
-            if isinstance(self.freeze_allocation, list):
-                _validate_frozen_matrix(self.freeze_allocation, self.world.num_tasks)
-        if self.expert_table is not None:
-            if self.expert_table != "planted":
-                if not isinstance(self.expert_table, dict) or "tasks" not in self.expert_table or "num_skills" not in self.expert_table:
-                    raise ConfigError("expert_table", "must be null, 'planted' or {tasks, num_skills}")
-                _validate_expert_table(self.expert_table, self.world)
+        if self.freeze_allocation not in (None, "identity"):
+            _validate_matrix("freeze_allocation", self.freeze_allocation, self.world.num_tasks)
+        if self.expert_table not in (None, "planted"):
+            _validate_matrix("expert_table", self.expert_table, self.world.num_tasks)
+            columns = len(self.expert_table[0])
+            if self.world.holdout_tasks > 0 and columns < self.world.num_true_skills:
+                # A held-out task adapts on its planted skills, indexed over the world's skills.
+                raise ConfigError("expert_table", f"must be {_MATRIX_FORMS['expert_table']}; with held-out tasks "
+                                  f"it needs world.num_true_skills ({self.world.num_true_skills}) columns, not {columns}")
         if self.model_kind == "expert" and self.expert_table is None:
             raise ConfigError("expert_table", "required when model_kind is 'expert'")
 
@@ -274,44 +269,34 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate_frozen_matrix(rows: list, num_tasks: int) -> None:
-    """A rectangular 0/1 integer matrix, one row per training task, no empty row."""
-    if len(rows) != num_tasks or not all(isinstance(row, list) for row in rows):
-        raise ConfigError("freeze_allocation", f"must have one row per training task ({num_tasks})")
-    if len({len(row) for row in rows}) != 1:
-        raise ConfigError("freeze_allocation", "rows must all have the same length")
-    if not all(_is_int(v) and v in (0, 1) for row in rows for v in row):
-        raise ConfigError("freeze_allocation", "entries must be the integers 0 or 1")
-    if not all(1 in row for row in rows):
-        raise ConfigError("freeze_allocation", "every row must activate at least one skill")
+# What each allocation field accepts, for its errors.
+_MATRIX_FORMS = {"freeze_allocation": "null, 'identity' or a 0/1 matrix",
+                 "expert_table": "null, 'planted' or a 0/1 matrix"}
 
 
-def _validate_expert_table(table: dict, world: WorldConfig) -> None:
-    """Integer skill subsets in [0, num_skills), one non-empty subset per training task."""
-    num_skills, tasks = table["num_skills"], table["tasks"]
-    if not _is_int(num_skills) or num_skills < 1:
-        raise ConfigError("expert_table", "num_skills must be an integer >= 1")
-    if world.holdout_tasks > 0 and num_skills < world.num_true_skills:
-        # A held-out task adapts on its planted skills, indexed over the world's skills.
-        raise ConfigError("expert_table", "num_skills must be >= world.num_true_skills when tasks are held out")
-    if not isinstance(tasks, dict):
-        raise ConfigError("expert_table", "tasks must map task ids to skill lists")
-    for name, subset in tasks.items():
-        if not isinstance(subset, list) or not subset:
-            raise ConfigError("expert_table", f"task '{name}' needs a non-empty list of skills")
-        if not all(_is_int(j) and 0 <= j < num_skills for j in subset):
-            raise ConfigError("expert_table", f"task '{name}' has a skill outside [0, {num_skills})")
-    for row in range(world.num_tasks):
-        if task_id("train", row) not in tasks:
-            raise ConfigError("expert_table", f"no entry for training task '{task_id('train', row)}'")
+def _validate_matrix(key: str, rows, num_tasks: int) -> None:
+    """A list of lists, one row per training task, rectangular, integer 0/1 entries, no empty row."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        problem = f"got {type(rows).__name__} ({rows!r})"
+    elif len(rows) != num_tasks:
+        problem = f"got {len(rows)} rows"
+    elif len({len(row) for row in rows}) != 1:
+        problem = "its rows differ in length"
+    elif not all(_is_int(v) and v in (0, 1) for row in rows for v in row):
+        problem = "an entry is not the integer 0 or 1"
+    elif not all(1 in row for row in rows):
+        problem = "a row activates no skill"
+    else:
+        return
+    raise ConfigError(key, f"must be {_MATRIX_FORMS[key]} with one row per training task ({num_tasks}); {problem}")
 
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(str(path), "config file does not exist") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not text
+        raise ConfigError(str(path), f"cannot read the config file: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -188,7 +188,7 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
         summary["train_tasks"] = {t.id: m for t, m in zip(train_tasks, metrics)}
 
         truth = world.true_z[: len(train_tasks)]
-        if trained.kind == "skilled" and trained.model.task_rows.num_skills >= truth.shape[1]:
+        if config.model_kind == "skilled" and trained.model.task_rows.num_skills >= truth.shape[1]:
             # Recovery scoring's first use of scipy.optimize: its import, about 0.2 s, is timed apart.
             stage.enter("import_scipy_optimize")
             import scipy.optimize  # noqa: F401
@@ -200,7 +200,7 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
             _dump_json(run_dir / f"allocation_layer_{layer}.json", doc)
             (run_dir / f"allocation_layer_{layer}.csv").write_text(csv_text)
             summary["allocation_metrics"][f"layer_{layer}"] = _allocation_metrics(matrix)
-        if alloc_docs and trained.kind == "skilled":
+        if alloc_docs and config.model_kind == "skilled":
             recovery = {}
             for layer, (_, _, matrix) in enumerate(alloc_docs):
                 if matrix.shape[1] >= truth.shape[1]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import task_id
 from .errors import ContractError, GenerationError
 
 # Independent rng streams derived from the one experiment seed.
@@ -23,6 +22,11 @@ STREAM_TRAIN = 1
 STREAM_ADAPT = 2
 
 _RESAMPLE_LIMIT = 1000
+
+
+def task_id(split: str, row: int) -> str:
+    """The id of the task on `row` of the planted allocation, e.g. `train_task_03`."""
+    return f"{split}_task_{row:02d}"
 
 
 @dataclass

@@ -34,7 +34,6 @@ from scipy.special import expit
 
 from .allocation import init_logits
 from .autodiff import Tensor, add, apply_op, backward, no_grad, reset_tape, tensor
-from .baselines import allocation_expert
 from .config import ExperimentConfig
 from .errors import ContractError, ShapeError, TrainingDivergedError
 from .model import AllocationState, DenseLayer, HypernetModel, LowRankLayer, SkillModel
@@ -64,11 +63,15 @@ class EvalRecord:
 @dataclass
 class TrainedModel:
     model: object
-    kind: str
     history: list[StepRecord]
     evals: list[EvalRecord]
     config: ExperimentConfig
     tasks: list[TaskSpec] = field(repr=False)
+
+    @property
+    def kind(self) -> str:
+        """The config's model kind, read-only."""
+        return self.config.model_kind
 
 
 def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
@@ -195,26 +198,22 @@ def resolve_fixed_allocation(
 ) -> np.ndarray | None:
     """The kind's fixed 0/1 allocation over `tasks`; None when the allocation is learned.
 
-    Private is the identity and shared a single ones column; a frozen
-    skilled model takes `freeze_allocation` ("identity", "ones" or the
-    matrix as given); expert takes the planted rows or the inline table.
+    Private is the identity and shared a single ones column. A frozen
+    skilled model takes `freeze_allocation` ("identity" or a 0/1 matrix),
+    expert takes `expert_table` (the planted rows or a 0/1 matrix); a
+    matrix has one row per training task, in task order.
     """
     n, kind = len(tasks), config.model_kind
-    frozen = config.freeze_allocation if kind == "skilled" else None
-    if kind == "private" or frozen == "identity":
+    matrix = {"skilled": config.freeze_allocation, "expert": config.expert_table}.get(kind)
+    if kind == "private" or matrix == "identity":
         return np.eye(n)
-    if kind == "shared" or frozen == "ones":
+    if kind == "shared":
         return np.ones((n, 1))
-    if frozen is not None:
-        return np.asarray(frozen, dtype=np.float64)
-    if kind != "expert":
-        return None
-    if config.expert_table == "planted":
+    if matrix == "planted":
         if world is None:
             raise ContractError("planted expert table requires a synthetic world")
-        return world.true_z[:n].astype(np.float64)
-    table, num_skills = config.expert_table["tasks"], int(config.expert_table["num_skills"])
-    return allocation_expert(table, num_skills, [t.id for t in tasks]).astype(np.float64)
+        matrix = world.true_z[:n]
+    return None if matrix is None else np.asarray(matrix, dtype=np.float64)
 
 
 def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str, name: str, x, y, rng, tau, step: int):
@@ -301,7 +300,6 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
 
     return TrainedModel(
         model=model,
-        kind=config.model_kind,
         history=history,
         evals=evals,
         config=config,

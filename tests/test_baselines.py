@@ -1,4 +1,3 @@
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 
 from skillmix import autodiff as ad
 from skillmix.allocation import metric_discreteness, metric_sparsity, metric_usage
-from skillmix.baselines import allocation_expert, hypernet_generate, new_hypernet
-from skillmix.config import ExperimentConfig, WorldConfig, parse_config_dict
-from skillmix.errors import ContractError, TaskLookupError
+from skillmix.baselines import hypernet_generate, new_hypernet
+from skillmix.config import ExperimentConfig, WorldConfig
+from skillmix.errors import TaskLookupError
 from skillmix.model import HypernetLayer, HypernetModel, LayerShape
 from skillmix.skills import DenseSkills, mixed_affine
 from skillmix.trainer import build_model_from_config, resolve_fixed_allocation
@@ -62,40 +61,6 @@ def test_shared_is_single_ones_column():
     assert np.all(fixed == 1)
     assert metric_sparsity(fixed) == 1.0
     assert metric_discreteness(fixed) == 0.0
-
-
-def test_expert_builds_listed_cells():
-    table = {"nav": [0], "manipulate": [0, 1, 3], "speak": [2]}
-    fixed = allocation_expert(table, 4, ["nav", "manipulate", "speak"])
-    assert np.array_equal(
-        fixed,
-        np.array([[1, 0, 0, 0], [1, 1, 0, 1], [0, 0, 1, 0]]),
-    )
-
-
-def test_expert_rejects_empty_or_out_of_range():
-    with pytest.raises(ContractError):
-        allocation_expert({"a": []}, 2, ["a"])
-    with pytest.raises(ContractError):
-        allocation_expert({"a": [5]}, 2, ["a"])
-    with pytest.raises(ContractError):
-        allocation_expert({}, 2, ["missing"])
-
-
-def test_expert_table_json_ingestion():
-    text = json.dumps({"tasks": {"train_task_00": [0, 2], "train_task_01": [1]}, "num_skills": 3})
-    world = {"num_tasks": 2, "num_true_skills": 2, "skills_per_task_max": 2}
-    config = parse_config_dict({"model_kind": "expert", "expert_table": json.loads(text), "world": world})
-    tasks = [SimpleNamespace(id="train_task_00"), SimpleNamespace(id="train_task_01")]
-    fixed = resolve_fixed_allocation(config, tasks, None)
-    assert np.array_equal(fixed, np.array([[1, 0, 1], [0, 1, 0]]))
-
-
-def test_expert_passthrough_of_planted_truth():
-    truth = np.array([[1, 0], [1, 1], [0, 1]])
-    table = {f"t{i}": list(np.flatnonzero(truth[i])) for i in range(3)}
-    fixed = allocation_expert(table, 2, ["t0", "t1", "t2"])
-    assert np.array_equal(fixed, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +183,6 @@ def test_private_model_forward_equals_skilled_with_identity():
         y_private, _ = private.forward(task, x)
         y_frozen, _ = frozen.forward(task, x)
         assert np.array_equal(y_private.data, y_frozen.data)
-
-
-def test_shared_model_forward_equals_skilled_with_ones():
-    x = ad.tensor(np.random.default_rng(6).standard_normal((5, 4)))
-    shared = _build(3, 43, model_kind="shared")
-    frozen = _build(3, 43, freeze_allocation="ones")
-    for task in range(3):
-        y_shared, _ = shared.forward(task, x)
-        y_frozen, _ = frozen.forward(task, x)
-        assert np.array_equal(y_shared.data, y_frozen.data)
 
 
 def test_shared_tasks_all_compose_identical_outputs():

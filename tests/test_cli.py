@@ -47,6 +47,12 @@ def test_config_errors_exit_1(config_file, tmp_path, capsys):
     assert main(["run", str(config_file({"stpes": 3}))]) == EXIT_CONFIG
     assert "stpes" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    assert main(["run", str(tmp_path)]) == EXIT_CONFIG  # a directory
+    assert main(["run", str(config_file({**TINY, "freeze_allocation": "ones"}))]) == EXIT_CONFIG
+    assert "freeze_allocation" in capsys.readouterr().err
+    table = {"tasks": {f"train_task_0{row}": [0] for row in range(4)}, "num_skills": 2}
+    assert main(["run", str(config_file({**TINY, "model_kind": "expert", "expert_table": table}))]) == EXIT_CONFIG
+    assert "expert_table" in capsys.readouterr().err
     assert main(["sweep", str(config_file()), "--grid", "S=2,x"]) == EXIT_CONFIG
 
 

@@ -88,58 +88,51 @@ TWO_TASKS = {"num_tasks": 2, "num_true_skills": 2, "skills_per_task_max": 2}
 FOUR_TASKS = {"num_tasks": 4, "num_true_skills": 2, "skills_per_task_max": 2}
 
 
-@pytest.mark.parametrize("value", [None, "identity", "ones", [[1, 0], [0, 1]]])
+@pytest.mark.parametrize("value", [None, "identity", [[1, 0], [0, 1]]])
 def test_freeze_allocation_forms(value):
     config = parse_config_dict({"freeze_allocation": value, "world": TWO_TASKS})
     assert config.freeze_allocation == value
 
 
+PLANTED_IDS = [task_id("train", row) for row in range(4)]
+MATRIX_KEYS = ("freeze_allocation", "expert_table")
+NOT_A_MATRIX = [
+    "zeros",
+    "ones",  # a single ones column is the shared kind
+    3,
+    {"rows": 1},
+    {"tasks": {name: [0] for name in PLANTED_IDS}, "num_skills": 2},  # the id-keyed table of old
+    [1],
+    [[1, 0], [0, 1], [1, 1], [0, 0]],  # a task with no skill
+    [[1, 0], [0, 1]],  # one row per training task
+    [[2, 0], [0, 1], [1, 1], [1, 0]],
+    [[1, 0], [0], [1, 1], [1, 0]],  # ragged
+    [[True, False], [0, 1], [1, 1], [1, 0]],
+    [[1.0, 0], [0, 1], [1, 1], [1, 0]],
+]
+
+
 @pytest.mark.parametrize(
-    "value",
-    [
-        "zeros",
-        3,
-        {"rows": 1},
-        [[1, 0], [0, 1], [1, 1], [0, 0]],  # a task with no skill
-        [[1, 0], [0, 1]],  # one row per training task
-        [[2, 0], [0, 1], [1, 1], [1, 0]],
-        [[1, 0], [0], [1, 1], [1, 0]],  # ragged
-        [[True, False], [0, 1], [1, 1], [1, 0]],
-        [[1.0, 0], [0, 1], [1, 1], [1, 0]],
+    "key,value",
+    [(key, value) for key in MATRIX_KEYS for value in NOT_A_MATRIX]
+    + [
+        ("freeze_allocation", "planted"),
+        ("expert_table", "identity"),
+        ("expert_table", [[1], [1], [1], [1]]),  # held-out tasks adapt on the world's 2 planted skills
     ],
 )
-def test_freeze_allocation_rejects_other_forms(value):
-    assert rejected({"freeze_allocation": value, "world": FOUR_TASKS}) == "freeze_allocation"
+def test_allocation_matrix_rejects_other_forms(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict({key: value, "world": FOUR_TASKS})
+    assert err.value.key == key
+    assert "or a 0/1 matrix" in str(err.value)  # the error lists the forms the key takes
 
 
-PLANTED_IDS = [task_id("train", row) for row in range(4)]
-
-
-@pytest.mark.parametrize("value", ["planted", {"tasks": {task_id("train", 0): [0]}, "num_skills": 1}])
+@pytest.mark.parametrize("value", ["planted", [[0, 1]]])
 def test_expert_table_forms(value):
     world = {"num_tasks": 1, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 0}
     config = parse_config_dict({"model_kind": "expert", "expert_table": value, "world": world})
     assert config.expert_table == value
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        "learned",
-        {"tasks": {}},
-        {"num_skills": 2},
-        [1],
-        {"tasks": {name: [0] for name in PLANTED_IDS[:3]}, "num_skills": 2},  # a task missing
-        {"tasks": {name: [0, 5] for name in PLANTED_IDS}, "num_skills": 2},  # skill 5 of 2
-        {"tasks": {name: [0] for name in PLANTED_IDS}, "num_skills": "x"},
-        {"tasks": {name: [] for name in PLANTED_IDS}, "num_skills": 2},
-        {"tasks": {name: [True] for name in PLANTED_IDS}, "num_skills": 2},
-        {"tasks": [[0]] * 4, "num_skills": 2},
-        {"tasks": {name: [0] for name in PLANTED_IDS}, "num_skills": 1},  # fewer than the planted skills
-    ],
-)
-def test_expert_table_rejects_other_forms(value):
-    assert rejected({"expert_table": value, "world": FOUR_TASKS}) == "expert_table"
 
 
 def test_expert_kind_needs_a_table():

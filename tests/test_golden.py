@@ -111,6 +111,24 @@ def test_summary_matches_golden_bytes(name, tmp_path, monkeypatch):
     assert digests == json.loads(DIGESTS.read_text())[name]
 
 
+def test_expert_table_matrix_of_the_planted_rows_runs_as_planted(tmp_path, monkeypatch):
+    """`expert_table` set to world.json's planted training rows gives the planted run: rows go in task order.
+
+    Its summary.json differs only in `config_hash`, and every other file
+    but config.json (and timing.json) is byte-identical.
+    """
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    planted = CONFIGS["expert_planted"]
+    summary, digests = run_files(planted, tmp_path)
+    (world_json,) = tmp_path.glob("*/world.json")
+    rows = json.loads(world_json.read_text())["true_z"][: planted["world"]["num_tasks"]]
+    matrix_summary, matrix_digests = run_files(_with(model_kind="expert", expert_table=rows), tmp_path)
+    old, new = (json.loads(text)["config_hash"].encode() for text in (summary, matrix_summary))
+    assert old != new and matrix_summary == summary.replace(old, new)
+    assert digests.pop("config.json") != matrix_digests.pop("config.json")
+    assert matrix_digests == digests
+
+
 def _replica(result, trained_model, r) -> dict:
     """Replica r's metrics and parameters; a parameter with the replica axis gives its slice r."""
     base = trained_model.named_parameters()

@@ -27,7 +27,7 @@ print(_json.dumps(sorted(m for m in ("numpy", "scipy", "scipy.optimize") if m in
 EXPERT = {
     "model_kind": "expert",
     "world": {"num_tasks": 2, "num_true_skills": 2, "skills_per_task_max": 2, "holdout_tasks": 1},
-    "expert_table": {"tasks": {"train_task_00": [0], "train_task_01": [0, 1]}, "num_skills": 2},
+    "expert_table": [[1, 0], [1, 1]],
 }
 
 TINY_PRIVATE = {

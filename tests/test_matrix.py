@@ -2,8 +2,9 @@
 
 A few dozen training and adaptation steps per run on a tiny world, over
 every model kind x parameterisation x task kind, both allocation modes of
-the skilled model, and the frozen skilled allocations with held-out tasks
-(which adapt a learnable row over the fixed inventory).
+the skilled model, the frozen skilled allocations ("identity" and a 0/1
+matrix) with held-out tasks (which adapt a learnable row over the fixed
+inventory), and an expert model over a 0/1 matrix.
 """
 
 import csv
@@ -38,6 +39,9 @@ TINY = {
     "adaptation_resamples": 1,
 }
 
+# One row per training task; three columns cover the world's two planted skills.
+FIXED_MATRIX = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+
 
 def _cases():
     for kind, param, task_kind in itertools.product(MODEL_KINDS, PARAMETERISATIONS, TASK_KINDS):
@@ -47,8 +51,10 @@ def _cases():
             if kind == "expert":
                 changes["expert_table"] = "planted"
             yield f"{kind}-{param}-{task_kind}-{mode}", changes, task_kind
-    for frozen, param in itertools.product(("identity", "ones"), PARAMETERISATIONS):
-        yield f"skilled-{param}-frozen_{frozen}", {"freeze_allocation": frozen, "parameterisation": param}, "regression"
+    for frozen, param in itertools.product(("identity", "matrix"), PARAMETERISATIONS):
+        value = FIXED_MATRIX if frozen == "matrix" else frozen
+        yield f"skilled-{param}-frozen_{frozen}", {"freeze_allocation": value, "parameterisation": param}, "regression"
+    yield "expert-dense-regression-matrix", {"model_kind": "expert", "expert_table": FIXED_MATRIX}, "regression"
 
 
 CASES = {name: (changes, task_kind) for name, changes, task_kind in _cases()}
