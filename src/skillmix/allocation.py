@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit, xlogy
 
 from .autodiff import SeedLike, Tensor, apply_op, as_rng, full, tensor
-from .errors import DegenerateMatrixError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 # Uniform draws are clamped away from {0,1} so logit(u) stays finite.
 UNIFORM_EPS = 1e-7
@@ -168,12 +168,17 @@ def metric_sparsity(z_hat) -> float:
 
 
 def metric_usage(z_hat) -> float:
-    """Normalised entropy of the column-sum distribution; 1 means balanced use."""
+    """Normalised entropy of the column-sum distribution; 1 means balanced use.
+
+    By convention a matrix with no mass (all zeros, as an underflowed
+    allocation is) uses no skill and scores 0.0, and any other one-column
+    matrix scores 1.0.
+    """
     m = _checked_unit_matrix(z_hat)
     column_mass = m.sum(axis=0)
     total = column_mass.sum()
     if total <= 0.0:
-        raise DegenerateMatrixError("all-zero matrix has no usage distribution")
+        return 0.0
     if m.shape[1] == 1:
         return 1.0
     p = column_mass / total

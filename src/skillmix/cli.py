@@ -103,13 +103,14 @@ def _report(records, label) -> int:
 
 def _cmd_export_hierarchy(args) -> int:
     import numpy as np
+    from scipy.special import expit
 
     from .allocation import harden
     from .experiment import export_hierarchy, render_hierarchy_text
 
     doc = json.loads(args.allocation.read_text())
     if doc.get("logits") is not None:
-        matrix = harden(1.0 / (1.0 + np.exp(-np.asarray(doc["logits"], dtype=np.float64))))
+        matrix = harden(expit(np.asarray(doc["logits"], dtype=np.float64)))
     else:
         matrix = doc["matrix"]
     groups = export_hierarchy(matrix, doc["tasks"])

@@ -67,7 +67,8 @@ class _Record:
         return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.__dict__.values()))
+        # A matrix field holds lists; as tuples they hash, and equal records still hash alike.
+        return hash(tuple(_hashable(value) for value in self.__dict__.values()))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
@@ -78,6 +79,10 @@ class _Record:
     def to_dict(self) -> dict:
         """The JSON document of the record: a nested record becomes a dict, every list and dict a new one."""
         return {name: _plain(value) for name, value in self.__dict__.items()}
+
+
+def _hashable(value):
+    return tuple(_hashable(v) for v in value) if isinstance(value, list) else value
 
 
 def _plain(value):
@@ -108,6 +113,9 @@ class WorldConfig(_Record, prefix="world."):
             raise ConfigError("world.num_true_skills", "must lie in [1, num_tasks]")
         if not 1 <= self.skills_per_task_min <= self.skills_per_task_max <= self.num_true_skills:
             raise ConfigError("world.skills_per_task_min", "range must satisfy 1 <= min <= max <= num_true_skills")
+        if self.num_true_skills >= 2 and self.skills_per_task_min == self.num_true_skills:
+            # Every planted row would be all ones, so no two skill columns could differ.
+            raise ConfigError("world.skills_per_task_min", "must be below num_true_skills when num_true_skills >= 2")
         if self.noise_sigma < 0:
             raise ConfigError("world.noise_sigma", "must be >= 0")
         if self.holdout_tasks < 0:

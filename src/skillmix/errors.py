@@ -17,10 +17,6 @@ class ContractError(ValueError):
     """A caller-facing precondition was violated."""
 
 
-class DegenerateMatrixError(ValueError):
-    """Matrix has a zero row/column where a positive one is required."""
-
-
 class GenerationError(RuntimeError):
     """Synthetic benchmark constraints could not be satisfied."""
 

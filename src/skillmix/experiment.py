@@ -80,8 +80,11 @@ def _history_csv(trained: TrainedModel) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HISTORY_FIELDS)
-    for r in trained.history:
-        writer.writerow([r.step, r.task_id, repr(r.loss), repr(r.reg_loss), repr(r.tau)])
+    h = trained.history
+    # .tolist() gives Python floats, whose repr is the shortest round-trip form.
+    columns = (h.task.tolist(), h.loss.tolist(), h.reg_loss.tolist(), h.tau.tolist())
+    for step, (task, loss, reg_loss, tau) in enumerate(zip(*columns)):
+        writer.writerow([step, trained.tasks[task].id, repr(loss), repr(reg_loss), repr(tau)])
     return buf.getvalue()
 
 

@@ -22,15 +22,16 @@ class Adam:
     Building the optimiser packs every group's parameters, group after
     group, into one contiguous float64 vector, and every `p.data` becomes a
     view into it, so build it after the last change to the parameters'
-    shapes. Each element carries its group's learning rate in a vector of
-    the same size. A step gathers the gradients into one vector and runs
-    the update in place on the whole buffer, in the textbook operation
-    order, with no temporaries. When some parameters have no gradient, it
-    updates the slices of those that have one. Every operation is
-    elementwise, so the result does not depend on the packing: it equals
-    one optimiser per group, and one step over parameters stacked on a
-    leading replica axis equals one step of a separate optimiser per
-    replica.
+    shapes. A step gathers the gradients into one vector and runs the
+    update in place on the whole buffer, in the textbook operation order,
+    with no temporaries. Only the learning-rate multiply runs once per
+    group, on the group's slice with its scalar rate, so the state is the
+    two moment vectors and two work vectors. When some parameters have no
+    gradient, it updates the slices of those that have one. Every
+    operation is elementwise, so the result does not depend on the
+    packing: it equals one optimiser per group, and one step over
+    parameters stacked on a leading replica axis equals one step of a
+    separate optimiser per replica.
     """
 
     def __init__(
@@ -52,17 +53,19 @@ class Adam:
         self.eps = eps
         self._step = 0
         self._params = [p for g in self.groups for p in g["params"]]
-        sizes = [p.size for p in self._params]
-        self._data = np.zeros(sum(sizes))
-        self._lr = np.repeat([g["lr"] for g in self.groups], [sum(p.size for p in g["params"]) for g in self.groups])
-        self._slices = []
+        self._data = np.zeros(sum(p.size for p in self._params))
+        # (slice, lr) per parameter and per group, in buffer order.
+        self._param_rates, self._group_rates = [], []
         start = 0
-        for p, size in zip(self._params, sizes):
-            view = self._data[start : start + size].reshape(p.shape)
-            view[...] = p.data
-            p.data = view
-            self._slices.append(slice(start, start + size))
-            start += size
+        for group in self.groups:
+            group_start = start
+            for p in group["params"]:
+                view = self._data[start : start + p.size].reshape(p.shape)
+                view[...] = p.data
+                p.data = view
+                self._param_rates.append((slice(start, start + p.size), group["lr"]))
+                start += p.size
+            self._group_rates.append((slice(group_start, start), group["lr"]))
         self._m, self._v, self._update, self._grad = (np.zeros_like(self._data) for _ in range(4))
 
     def step(self) -> None:
@@ -73,15 +76,16 @@ class Adam:
         params = self._params
         if params and all(p.grad is not None for p in params):
             np.concatenate([p.grad.reshape(-1) for p in params], out=self._grad)
-            self._update_part(slice(None), bias1, bias2)
+            self._update_part(slice(None), self._group_rates, bias1, bias2)
             return
-        for p, part in zip(params, self._slices):
+        for p, (part, lr) in zip(params, self._param_rates):
             if p.grad is not None:
                 self._grad[part] = p.grad.reshape(-1)
-                self._update_part(part, bias1, bias2)
+                self._update_part(part, [(part, lr)], bias1, bias2)
 
-    def _update_part(self, part: slice, bias1: float, bias2: float) -> None:
-        m, v, update, grad, lr = (a[part] for a in (self._m, self._v, self._update, self._grad, self._lr))
+    def _update_part(self, part: slice, rates: list[tuple[slice, float]], bias1: float, bias2: float) -> None:
+        """The update of buffer slice `part`; `rates` tiles it with (buffer slice, learning rate) pairs."""
+        m, v, update, grad = (a[part] for a in (self._m, self._v, self._update, self._grad))
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=update)
@@ -93,10 +97,12 @@ class Adam:
         # p -= lr (m / bias1) / (sqrt(v / bias2) + eps); once 0.9**t is below
         # half an ulp of 1, bias1 is 1.0 and m / bias1 is m itself.
         if bias1 == 1.0:
-            np.multiply(m, lr, out=update)
+            for rate_part, lr in rates:
+                np.multiply(self._m[rate_part], lr, out=self._update[rate_part])
         else:
             np.divide(m, bias1, out=update)
-            update *= lr
+            for rate_part, lr in rates:
+                self._update[rate_part] *= lr
         # The gradient is used up, so its buffer takes the denominator.
         np.divide(v, bias2, out=grad)
         np.sqrt(grad, out=grad)

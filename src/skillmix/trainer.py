@@ -5,7 +5,8 @@ allocation row, compose the per-task network, minimise the task likelihood
 loss (squared error for regression, logistic for classification) plus the
 optional allocation prior on the base tasks, and take one two-speed Adam
 step. Training draws its whole schedule up front: every step's task
-(uniform) and then every step's batch rows, one block each.
+(uniform) and then every step's batch rows, one block each, and logs
+each step into columns (`History`).
 
 Evaluation (`evaluate`) is one forward over many tasks' stacked splits, so
 each dev evaluation, the training tasks' final metrics and an adaptation
@@ -46,12 +47,18 @@ STREAM_INIT = 3
 
 
 @dataclass
-class StepRecord:
-    step: int
-    task_id: str
-    loss: float
-    reg_loss: float
-    tau: float
+class History:
+    """Training's per-step log as columns; entry i is step i.
+
+    `task` is the schedule: step i trained on `TrainedModel.tasks[task[i]]`.
+    `loss`, `reg_loss` and `tau` are float64: the step's task loss, its
+    prior term (0.0 without one) and its temperature.
+    """
+
+    task: np.ndarray
+    loss: np.ndarray
+    reg_loss: np.ndarray
+    tau: np.ndarray
 
 
 @dataclass
@@ -63,7 +70,7 @@ class EvalRecord:
 @dataclass
 class TrainedModel:
     model: object
-    history: list[StepRecord]
+    history: History
     evals: list[EvalRecord]
     config: ExperimentConfig
     tasks: list[TaskSpec] = field(repr=False)
@@ -252,7 +259,9 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
     The generator `[seed, STREAM_TRAIN]` draws, in this order: the task of
     every step (`integers(T, size=steps)`), every step's batch rows in one
     [steps, batch_size] block, each row within its task's training split,
-    and then, per step, the learnable allocation's Gumbel noise.
+    and then, per step, the learnable allocation's Gumbel noise. The batch
+    block is kept in the narrowest integer type that holds the largest
+    split's row index, and the step log (`History`) as columns.
     """
     train_tasks = [t for t in tasks if t.split == "train"]
     if not train_tasks:
@@ -270,7 +279,9 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
     schedule = rng.integers(len(train_tasks), size=config.steps)
     sizes = np.array([t.x_train.shape[0] for t in train_tasks])
     batches = rng.integers(0, sizes[schedule][:, None], size=(config.steps, config.batch_size))
-    history: list[StepRecord] = []
+    # Narrowed once drawn: the block lives through every step, and an int64 draw keeps the rng stream.
+    batches = batches.astype(np.min_scalar_type(sizes.max() - 1))
+    history = History(schedule, *(np.empty(config.steps) for _ in range(3)))
     evals: list[EvalRecord] = [EvalRecord(0, _mean_dev_loss(model, train_tasks))]
     best_loss, best_snap = evals[0].dev_loss, None
 
@@ -281,7 +292,7 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
             model, optimizer, config, task_index, task.kind, task.id,
             task.x_train[batch], task.y_train[batch], rng, tau, step,
         )
-        history.append(StepRecord(step, task.id, loss_value, reg_value, tau))
+        history.loss[step], history.reg_loss[step], history.tau[step] = loss_value, reg_value, tau
 
         if step + 1 == config.warmup_mask_steps and config.parameterisation == "sparse":
             model.freeze_sparse_masks()
@@ -443,8 +454,9 @@ def few_shot_adapt(
     y_pool = np.stack([t.y_train[pool] for t, pool in zip(stack, pools)])
     pool_size = x_pool.shape[1]
     batch_size = min(config.adaptation_batch_size, pool_size)
-    # int32 holds any pool index and halves the block, which lives through every step.
-    batches = np.empty((config.adaptation_steps, len(stack), batch_size), dtype=np.int32)
+    # The block lives through every step, so it takes the narrowest type that holds a pool
+    # index: uint8, as pool_size <= k_shot <= MAX_FEW_SHOT = 32.
+    batches = np.empty((config.adaptation_steps, len(stack), batch_size), dtype=np.min_scalar_type(pool_size - 1))
     for r, rng in enumerate(rngs):
         batches[:, r] = rng.integers(pool_size, size=(config.adaptation_steps, batch_size))
     replica = np.arange(len(stack))[:, None]

@@ -24,7 +24,7 @@ from skillmix.allocation import (
     normalize_rows,
 )
 from skillmix.cli import EXIT_RUN, main
-from skillmix.errors import DegenerateMatrixError, DomainError, ShapeError
+from skillmix.errors import DomainError, ShapeError
 from skillmix.experiment import export_hierarchy
 from skillmix.priors import ibp_log_prob
 from skillmix.recovery import skill_recovery_score
@@ -330,9 +330,9 @@ def test_usage_single_column_is_one_by_convention():
     assert metric_usage(np.array([[1.0], [0.5]])) == 1.0
 
 
-def test_usage_all_zero_is_degenerate():
-    with pytest.raises(DegenerateMatrixError):
-        metric_usage(np.zeros((2, 2)))
+def test_usage_of_a_matrix_with_no_mass_is_zero():
+    assert metric_usage(np.zeros((2, 2))) == 0.0
+    assert metric_usage(np.zeros((2, 1))) == 0.0  # no mass outranks the one-column convention
 
 
 def test_metric_domain_checks():

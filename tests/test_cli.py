@@ -54,6 +54,9 @@ def test_config_errors_exit_1(config_file, tmp_path, capsys):
     assert main(["run", str(config_file({**TINY, "model_kind": "expert", "expert_table": table}))]) == EXIT_CONFIG
     assert "expert_table" in capsys.readouterr().err
     assert main(["sweep", str(config_file()), "--grid", "S=2,x"]) == EXIT_CONFIG
+    all_ones = {"world": {"skills_per_task_min": 4, "skills_per_task_max": 4}}  # no two planted columns differ
+    assert main(["run", str(config_file(all_ones))]) == EXIT_CONFIG
+    assert "world.skills_per_task_min" in capsys.readouterr().err
 
 
 def test_existing_run_dir_with_no_overwrite_exits_2(config_file):
@@ -110,6 +113,15 @@ def test_sweep_and_exports_succeed(config_file, tmp_path, capsys):
     assert json.loads(out.read_text())
     assert main(["emit-plots", *map(str, runs), "--out", str(tmp_path / "plots")]) == EXIT_OK
     assert (tmp_path / "plots" / "curves.csv").exists()
+
+
+def test_export_hierarchy_hardens_saturated_logits(tmp_path):
+    doc = {"tasks": ["a", "b"], "skills": 2, "layer": 0, "logits": [[1000.0, -1000.0], [-1000.0, 1000.0]]}
+    path = tmp_path / "allocation_layer_0.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "hierarchy.json"
+    assert main(["export-hierarchy", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == {"01": ["b"], "10": ["a"]}
 
 
 def test_emit_plots_without_a_summary_exits_2(tmp_path):

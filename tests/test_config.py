@@ -157,6 +157,9 @@ def test_k_shot_bound():
         ({"loss_threshold_frac": 0.0}, "loss_threshold_frac"),
         ({"world": {"num_true_skills": 20}}, "world.num_true_skills"),
         ({"world": {"skills_per_task_min": 3, "skills_per_task_max": 2}}, "world.skills_per_task_min"),
+        # Every planted row all ones: no two skill columns can differ.
+        ({"world": {"skills_per_task_min": 4, "skills_per_task_max": 4}}, "world.skills_per_task_min"),
+        ({"world": TWO_TASKS | {"skills_per_task_min": 2}}, "world.skills_per_task_min"),
         ({"world": {"holdout_tasks": -1}}, "world.holdout_tasks"),
         ({"sweep_grid": []}, "sweep_grid"),
         ({"sweep_grid": [0, 2]}, "sweep_grid"),
@@ -178,6 +181,8 @@ def test_edges_of_the_new_range_checks_are_accepted():
     assert parse_config_dict({"world": two_tasks}).world.holdout_tasks == 1
     sparse = parse_config_dict({"parameterisation": "sparse", "steps": 50, "warmup_mask_steps": 50})
     assert sparse.warmup_mask_steps == 50
+    near_all_ones = {"skills_per_task_min": 3, "skills_per_task_max": 4}
+    assert parse_config_dict({"world": near_all_ones}).world.skills_per_task_min == 3
     # Without the sparse parameterisation there is no mask to freeze.
     assert parse_config_dict({"steps": 10}).warmup_mask_steps == 100
 
@@ -267,6 +272,16 @@ def test_file_round_trip_and_hash(tmp_path):
     assert loaded == config
     assert config_hash(loaded) == config_hash(config)
     assert config_hash(config.replace(seed=5)) != config_hash(config)
+
+
+@pytest.mark.parametrize("key", MATRIX_KEYS)
+def test_equal_configs_hash_alike_with_a_matrix_field(key):
+    doc = {key: [[1, 0], [0, 1]], "world": TWO_TASKS}
+    config = parse_config_dict(doc)
+    assert hash(config) == hash(parse_config_dict(doc))
+    assert len({config, parse_config_dict(doc), config.replace(seed=1)}) == 2
+    # 1 == 1.0 in a float field, so the two records must hash alike.
+    assert hash(config.replace(tau=1)) == hash(config.replace(tau=1.0))
 
 
 def test_hash_and_summary_ignore_output_dir(tmp_path):

@@ -11,7 +11,9 @@ import csv
 import itertools
 import json
 
+import numpy as np
 import pytest
+from scipy.special import expit
 
 from skillmix.config import MODEL_KINDS, PARAMETERISATIONS, TASK_KINDS, parse_config_dict
 from skillmix.experiment import CURVE_METRICS, HISTORY_FIELDS, OUTPUT_ROOT_ENV, emit_plot_data, run_experiment
@@ -115,3 +117,15 @@ def test_history_csv_logs_each_steps_annealed_tau(tmp_path, monkeypatch):
     with open(curves, newline="") as fh:
         metrics = {row["metric"] for row in csv.DictReader(fh)}
     assert metrics == set(CURVE_METRICS) == {"loss", "reg_loss", "tau"}
+
+
+def test_an_underflowed_allocation_runs_and_uses_no_skill(tmp_path, monkeypatch):
+    # A strong prior at a fast allocation rate drives every expected cell to exactly 0.0.
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    record = run_experiment(parse_config_dict(dict(TINY, ibp_strength=10.0, lr_z=1000.0)))
+    assert record.failure is None, record.failure
+    for layer in ("layer_0", "layer_1"):
+        logits = json.loads((record.run_dir / f"allocation_{layer}.json").read_text())["logits"]
+        assert not np.any(expit(np.array(logits)))  # the expected allocation at tau = 1
+        assert record.summary["allocation_metrics"][layer] == {"discreteness": 0.0, "sparsity": 0.0, "usage": 0.0}
+    assert len(record.summary["few_shot"]) == TINY["world"]["holdout_tasks"]

@@ -160,10 +160,10 @@ def test_training_loss_decreases(kind):
     train_tasks = [t for t in tasks if t.split == "train"]
     cfg = small_config(model_kind=kind)
     trained = multitask_train(cfg, train_tasks, world=world)
-    first = np.median([r.loss for r in trained.history[:40]])
-    last = np.median([r.loss for r in trained.history[-40:]])
+    first = np.median(trained.history.loss[:40])
+    last = np.median(trained.history.loss[-40:])
     assert last < first
-    assert [r.step for r in trained.history] == list(range(cfg.steps))
+    assert [len(column) for column in vars(trained.history).values()] == [cfg.steps] * 4
 
 
 def test_expert_kind_trains_with_planted_table():
@@ -174,8 +174,8 @@ def test_expert_kind_trains_with_planted_table():
     assert np.array_equal(
         trained.model.task_rows.base[0].astype(int), world.true_z[: len(train_tasks)]
     )
-    first = np.median([r.loss for r in trained.history[:40]])
-    last = np.median([r.loss for r in trained.history[-40:]])
+    first = np.median(trained.history.loss[:40])
+    last = np.median(trained.history.loss[-40:])
     assert last < first
 
 
@@ -201,7 +201,7 @@ def test_skilled_frozen_identity_bit_identical_to_private():
     assert set(snap_p) == set(snap_f)
     for name in snap_p:
         assert np.array_equal(snap_p[name], snap_f[name]), name
-    assert [r.loss for r in private.history] == [r.loss for r in frozen.history]
+    assert np.array_equal(private.history.loss, frozen.history.loss)
 
 
 def test_training_determinism():
@@ -241,7 +241,7 @@ def test_ibp_regulariser_feeds_history():
     train_tasks = [t for t in tasks if t.split == "train"]
     cfg = small_config(ibp_strength=0.01, steps=50)
     trained = multitask_train(cfg, train_tasks, world=world)
-    assert any(r.reg_loss != 0.0 for r in trained.history)
+    assert np.any(trained.history.reg_loss != 0.0)
 
 
 def test_steps_to_threshold_cap():
@@ -631,7 +631,7 @@ def test_training_draws_the_task_schedule_then_every_batch_in_one_block(monkeypa
     schedule = rng.integers(len(train_tasks), size=config.steps)
     sizes = np.array([t.x_train.shape[0] for t in train_tasks])
     rows = rng.integers(0, sizes[schedule][:, None], size=(config.steps, config.batch_size))
-    assert [r.task_id for r in trained.history] == [train_tasks[i].id for i in schedule]
+    assert np.array_equal(trained.history.task, schedule)
     assert len(seen) == config.steps
     for (task_index, x, y, _), i, row in zip(seen, schedule, rows):
         assert task_index == i

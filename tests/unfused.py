@@ -17,7 +17,7 @@ from scipy.special import digamma, expit, gammaln
 
 from skillmix import autodiff as ad
 from skillmix.allocation import UNIFORM_EPS, harden
-from skillmix.errors import DegenerateMatrixError, DomainError, ShapeError
+from skillmix.errors import DomainError, ShapeError
 from skillmix.priors import _harmonic_sum
 
 
@@ -251,7 +251,7 @@ def normalize_rows(t):
     """Every row scaled to sum to one."""
     sums = reduce_sum(t, axis=1, keepdims=True)
     if np.any(sums.data < 1e-12):
-        raise DegenerateMatrixError("row sum below 1e-12; cannot normalise")
+        raise DomainError("row sum below 1e-12; cannot normalise")
     return div(t, sums)
 
 
