@@ -182,7 +182,8 @@ def metric_usage(z_hat) -> float:
     if m.shape[1] == 1:
         return 1.0
     p = column_mass / total
-    entropy = float(-xlogy(p, p).sum())
+    # 0.0 - x, not -x: all mass in one column gives +0.0, never -0.0.
+    entropy = 0.0 - float(xlogy(p, p).sum())
     return entropy / math.log(m.shape[1])
 
 

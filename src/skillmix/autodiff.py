@@ -12,10 +12,12 @@ as fused ops with hand-written VJPs: a skill-composed layer
 allocation rows (``allocation``), each one node for all of a model's
 allocation matrices, the task loss (``trainer.task_loss``) and the IBP
 prior (``priors.ibp_regularizer``), one node for all matrices too. The
-one generic op left is ``add``, which sums the loss and the prior. A VJP
-returns one part per input, or None for an input that needs no gradient;
-an input may be listed more than once, and its parts are then
-accumulated in order.
+one generic op left is ``add``, which sums the loss and the prior. Those
+are all the ops that record nodes: the creation helpers (``zeros``,
+``full``, ``kaiming_uniform``, ``tensor``) build leaves and record
+nothing. A VJP returns one part per input, or None for an input that
+needs no gradient; an input may be listed more than once, and its parts
+are then accumulated in order.
 
 Semantics worth knowing:
   * repeated ``backward`` calls accumulate into ``.grad`` (a loss and a
@@ -175,10 +177,6 @@ def kaiming_uniform(shape, seed: SeedLike, requires_grad: bool = False) -> Tenso
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad)
-
-
-def scalar(value: float) -> Tensor:
-    return Tensor(np.asarray(float(value)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,9 @@ class _Record:
 
     A field's class attribute is its default; a record class as default is
     built afresh for each instance. Every construction, `replace` included,
-    checks that each float field is finite and then runs `__post_init__`.
+    stores each float field's value as a `float` (so `tau=1` and
+    `tau=1.0` give one document and one `config_hash`), checks that it is
+    finite, and then runs `__post_init__`.
     `prefix` is what a `ConfigError` puts before a field's name.
     """
 
@@ -53,8 +55,10 @@ class _Record:
                 default = getattr(cls, name)
                 values[name] = default() if isinstance(default, type) else default
             value = values[name]
-            if cls.__annotations__[name].startswith("float") and value is not None and not abs(value) < float("inf"):
-                raise ConfigError(cls._prefix + name, "must be a finite number")
+            if cls.__annotations__[name].startswith("float") and value is not None:
+                value = float(value)
+                if not abs(value) < float("inf"):
+                    raise ConfigError(cls._prefix + name, "must be a finite number")
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -109,6 +113,8 @@ class WorldConfig(_Record, prefix="world."):
     def __post_init__(self):
         if self.num_tasks < 1:
             raise ConfigError("world.num_tasks", "must be >= 1")
+        if self.input_dim < 1:
+            raise ConfigError("world.input_dim", "must be >= 1")
         if self.num_true_skills < 1 or self.num_true_skills > self.num_tasks:
             raise ConfigError("world.num_true_skills", "must lie in [1, num_tasks]")
         if not 1 <= self.skills_per_task_min <= self.skills_per_task_max <= self.num_true_skills:
@@ -164,6 +170,8 @@ class ExperimentConfig(_Record):
     output_dir: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError("model_kind", f"must be one of {MODEL_KINDS}")
         if self.parameterisation not in PARAMETERISATIONS:
@@ -216,6 +224,8 @@ class ExperimentConfig(_Record):
             raise ConfigError("adaptation_batch_size", "must be >= 1")
         if self.adaptation_resamples < 1:
             raise ConfigError("adaptation_resamples", "must be >= 1")
+        if self.adapt_z_only_steps < 0:
+            raise ConfigError("adapt_z_only_steps", "must be >= 0")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim", "must be >= 1")
         if not self.sweep_grid or min(self.sweep_grid) < 1 or len(set(self.sweep_grid)) < len(self.sweep_grid):

@@ -201,10 +201,6 @@ class TaskRows:
         self.num_base_tasks = base.shape[-2]
         self.new: Tensor | np.ndarray | None = None
 
-    @property
-    def num_tasks(self) -> int:
-        return self.num_base_tasks + (self.new is not None)
-
     def add(self, block: Tensor | np.ndarray) -> int:
         """Register the new task's block; returns its task index, T."""
         if self.new is not None:
@@ -234,11 +230,8 @@ class TaskRows:
         base = self.base
         return (tensor(base.data) if isinstance(base, Tensor) else base), task
 
-    def blocks(self) -> list:
-        return [self.base] if self.new is None else [self.base, self.new]
-
     def parameters(self) -> list[Tensor]:
-        return [block for block in self.blocks() if isinstance(block, Tensor)]
+        return [block for block in (self.base, self.new) if isinstance(block, Tensor)]
 
 
 class AllocationState(TaskRows):
@@ -300,11 +293,9 @@ class AllocationState(TaskRows):
         return rows, relaxed
 
     def eval_matrix(self, layer: int) -> np.ndarray:
-        """Deterministic relaxed matrix for this layer, new-task rows included: [R, T, S] with R replicas."""
-        i = self.matrix_index(layer)
-        values = [(expected_allocation(b, self.tau) if isinstance(b, Tensor) else b)[..., i, :, :] for b in self.blocks()]
-        lead = values[-1].shape[:-2]
-        return np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in values], axis=-2)
+        """The base tasks' deterministic relaxed matrix [T, S] for this layer; a new task's rows are not in it."""
+        base = self.base
+        return (expected_allocation(base, self.tau) if isinstance(base, Tensor) else base)[self.matrix_index(layer)]
 
     def logits(self, layer: int) -> np.ndarray | None:
         """The learnable base logits behind a layer; None for a fixed matrix."""

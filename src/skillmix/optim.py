@@ -26,12 +26,13 @@ class Adam:
     update in place on the whole buffer, in the textbook operation order,
     with no temporaries. Only the learning-rate multiply runs once per
     group, on the group's slice with its scalar rate, so the state is the
-    two moment vectors and two work vectors. When some parameters have no
-    gradient, it updates the slices of those that have one. Every
-    operation is elementwise, so the result does not depend on the
-    packing: it equals one optimiser per group, and one step over
-    parameters stacked on a leading replica axis equals one step of a
-    separate optimiser per replica.
+    two moment vectors and two work vectors. A step needs a gradient for
+    every parameter and raises `ContractError`, before it touches any
+    state, when one has none: the trainer lets exactly the optimised
+    parameters require one. Every operation is elementwise, so the result
+    does not depend on the packing: it equals one optimiser per group, and
+    one step over parameters stacked on a leading replica axis equals one
+    step of a separate optimiser per replica.
     """
 
     def __init__(
@@ -54,8 +55,8 @@ class Adam:
         self._step = 0
         self._params = [p for g in self.groups for p in g["params"]]
         self._data = np.zeros(sum(p.size for p in self._params))
-        # (slice, lr) per parameter and per group, in buffer order.
-        self._param_rates, self._group_rates = [], []
+        # (slice, lr) per group, in buffer order.
+        self._group_rates = []
         start = 0
         for group in self.groups:
             group_start = start
@@ -63,29 +64,19 @@ class Adam:
                 view = self._data[start : start + p.size].reshape(p.shape)
                 view[...] = p.data
                 p.data = view
-                self._param_rates.append((slice(start, start + p.size), group["lr"]))
                 start += p.size
             self._group_rates.append((slice(group_start, start), group["lr"]))
         self._m, self._v, self._update, self._grad = (np.zeros_like(self._data) for _ in range(4))
 
     def step(self) -> None:
+        if any(p.grad is None for p in self._params):
+            raise ContractError("every optimised parameter needs a gradient before a step")
         self._step += 1
         t = self._step
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        params = self._params
-        if params and all(p.grad is not None for p in params):
-            np.concatenate([p.grad.reshape(-1) for p in params], out=self._grad)
-            self._update_part(slice(None), self._group_rates, bias1, bias2)
-            return
-        for p, (part, lr) in zip(params, self._param_rates):
-            if p.grad is not None:
-                self._grad[part] = p.grad.reshape(-1)
-                self._update_part(part, [(part, lr)], bias1, bias2)
-
-    def _update_part(self, part: slice, rates: list[tuple[slice, float]], bias1: float, bias2: float) -> None:
-        """The update of buffer slice `part`; `rates` tiles it with (buffer slice, learning rate) pairs."""
-        m, v, update, grad = (a[part] for a in (self._m, self._v, self._update, self._grad))
+        m, v, update, grad = self._m, self._v, self._update, self._grad
+        np.concatenate([p.grad.reshape(-1) for p in self._params], out=grad)
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=update)
@@ -97,18 +88,18 @@ class Adam:
         # p -= lr (m / bias1) / (sqrt(v / bias2) + eps); once 0.9**t is below
         # half an ulp of 1, bias1 is 1.0 and m / bias1 is m itself.
         if bias1 == 1.0:
-            for rate_part, lr in rates:
-                np.multiply(self._m[rate_part], lr, out=self._update[rate_part])
+            for part, lr in self._group_rates:
+                np.multiply(m[part], lr, out=update[part])
         else:
             np.divide(m, bias1, out=update)
-            for rate_part, lr in rates:
-                self._update[rate_part] *= lr
+            for part, lr in self._group_rates:
+                update[part] *= lr
         # The gradient is used up, so its buffer takes the denominator.
         np.divide(v, bias2, out=grad)
         np.sqrt(grad, out=grad)
         grad += self.eps
         update /= grad
-        self._data[part] -= update
+        self._data -= update
 
     def zero_grad(self) -> None:
         for p in self._params:

@@ -2,18 +2,20 @@
 
 Used as a training regulariser that nudges the relaxed allocation towards
 balanced, sparse soft partitions. Only density evaluation is needed, never
-generative sampling. The exact density is defined on binary matrices; the
-relaxed variant continues the factorial terms through log-gamma on the
-continuous column sums so gradients can flow to the logits, while the
+generative sampling. The exact density (`ibp_log_prob`) is defined on
+binary matrices. The regulariser (`ibp_regularizer`) is the one density
+node on the tape: it continues the factorial terms through log-gamma on
+the continuous column sums so gradients can flow to the logits, while the
 column-history multiplicity term is evaluated on the hardened matrix and
-treated as a constant per step.
+treated as a constant per step. Skipping the prior at strength 0 is the
+trainer's decision (`trainer._step` records no prior node then).
 
-The relaxed density and the regulariser each record one tape node whose
-hand-written VJP (digamma of the column masses) replays, in order, the
-numpy operations of the generic-op chain they replace, so values and
-gradients are bit for bit those of that chain. Both take a model's stack
-of allocation matrices [M, T, S] as one input: each matrix is scored
-apart, the M values are added in matrix order, and one node covers them.
+The regulariser records one tape node whose hand-written VJP (digamma of
+the column masses) replays, in order, the numpy operations of the
+generic-op chain it replaces, so its value and gradient are bit for bit
+those of that chain. It takes a model's stack of allocation matrices
+[M, T, S] as one input: each matrix is scored apart, the M values are
+added in matrix order, and one node covers them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .allocation import as_binary
-from .autodiff import Tensor, apply_op, scalar
+from .autodiff import Tensor, apply_op
 from .errors import DomainError
 
 
@@ -39,11 +41,6 @@ def _harmonic_sum(n: int) -> float:
         h += 1.0 / i
         total += h
     return total
-
-
-@lru_cache(maxsize=64)
-def _log_factorial(n: int) -> float:
-    return float(gammaln(n + 1.0))
 
 
 @lru_cache(maxsize=64)
@@ -86,7 +83,7 @@ def ibp_log_prob(z: np.ndarray, alpha: float) -> float:
     value -= _history_log_term(binary)
     value -= alpha * _harmonic_sum(num_tasks)
     m = column_sums[active].astype(np.float64)
-    value += math.fsum(gammaln(num_tasks - m + 1.0) + gammaln(m) - _log_factorial(num_tasks))
+    value += math.fsum(gammaln(num_tasks - m + 1.0) + gammaln(m) - _log_factorials(num_tasks)[num_tasks])
     return value
 
 
@@ -114,7 +111,8 @@ def _relaxed_terms(z_hat: Tensor, alpha: float):
         raise DomainError("lgamma requires strictly positive inputs")
     column_terms = ((gammaln(rest) + gammaln(safe_mass)) * gate).sum(axis=-1).tolist()
 
-    log_alpha, harmonic, log_factorial = math.log(alpha), _harmonic_sum(num_tasks), _log_factorial(num_tasks)
+    log_alpha, harmonic = math.log(alpha), _harmonic_sum(num_tasks)
+    log_factorial = _log_factorials(num_tasks)[num_tasks]
     values = [
         terms + (count * log_alpha - history - alpha * harmonic - count * log_factorial)
         for terms, count, history in zip(column_terms, active.sum(axis=-1).tolist(), _history_log_terms(hardened))
@@ -136,29 +134,16 @@ def _sum_in_order(values) -> float:
     return total
 
 
-def relaxed_ibp_log_prob(z_hat: Tensor, alpha: float) -> Tensor:
-    """Differentiable continuation of the log-density on a relaxed matrix, or the sum over a stack's.
-
-    Column sums use the continuous values; the factorials become log-gamma.
-    The history term and the active-column count come from the hardened
-    matrix and contribute no gradient. On a binary input this equals
-    `ibp_log_prob` up to rounding: the per-column terms are summed in
-    column order here and exactly rounded (`math.fsum`) there.
-    """
-    values, matrix_grad = _relaxed_terms(z_hat, alpha)
-    return apply_op((z_hat,), _sum_in_order(values), lambda g: (matrix_grad(g),))
-
-
 def ibp_regularizer(z_hat: Tensor, alpha: float, strength: float) -> Tensor:
-    """Loss term -strength * relaxed log-density, one tape node; strength 0 records none.
+    """Loss term -strength * relaxed log-density of `z_hat`, one tape node.
 
-    A stack [M, T, S] scores each matrix apart and adds the M terms in
-    matrix order, so one node covers every layer's matrix.
+    On a binary input at strength 1 the value is `-ibp_log_prob` up to
+    rounding: the per-column terms are summed in column order here and
+    exactly rounded (`math.fsum`) there. A stack [M, T, S] scores each
+    matrix apart and adds the M terms in matrix order.
     """
     if strength < 0:
         raise DomainError("strength must be non-negative")
-    if strength == 0.0:
-        return scalar(0.0)
     values, matrix_grad = _relaxed_terms(z_hat, alpha)
     total = _sum_in_order(-value * strength for value in values)
     return apply_op((z_hat,), total, lambda g: (matrix_grad(-(g * strength)),))

@@ -326,6 +326,12 @@ def test_usage_examples():
     assert metric_usage(m) == pytest.approx(expected, abs=1e-12)
 
 
+def test_usage_with_all_mass_in_one_column_is_plus_zero():
+    # -xlogy(1, 1) is -0.0; summary.json must not record "usage": -0.0.
+    for matrix in ([[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.3, 0.0]]):
+        assert math.copysign(1.0, metric_usage(np.array(matrix))) == 1.0
+
+
 def test_usage_single_column_is_one_by_convention():
     assert metric_usage(np.array([[1.0], [0.5]])) == 1.0
 

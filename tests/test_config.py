@@ -170,6 +170,10 @@ def test_k_shot_bound():
         ),
         ({"warmup_mask_steps": 0}, "warmup_mask_steps"),
         ({"parameterisation": "sparse", "steps": 50, "warmup_mask_steps": 51}, "warmup_mask_steps"),
+        # numpy seeds its generators from non-negative integers only.
+        ({"seed": -1}, "seed"),
+        ({"world": {"input_dim": 0}}, "world.input_dim"),
+        ({"adapt_z_only_steps": -1}, "adapt_z_only_steps"),
     ],
 )
 def test_out_of_range_values_are_rejected(doc, key):
@@ -185,6 +189,7 @@ def test_edges_of_the_new_range_checks_are_accepted():
     assert parse_config_dict({"world": near_all_ones}).world.skills_per_task_min == 3
     # Without the sparse parameterisation there is no mask to freeze.
     assert parse_config_dict({"steps": 10}).warmup_mask_steps == 100
+    assert parse_config_dict({"seed": 0, "world": {"input_dim": 1}, "adapt_z_only_steps": 0}).seed == 0
 
 
 def test_sweep_grid_and_nullable_fields():
@@ -282,6 +287,15 @@ def test_equal_configs_hash_alike_with_a_matrix_field(key):
     assert len({config, parse_config_dict(doc), config.replace(seed=1)}) == 2
     # 1 == 1.0 in a float field, so the two records must hash alike.
     assert hash(config.replace(tau=1)) == hash(config.replace(tau=1.0))
+
+
+def test_an_int_in_a_float_field_is_stored_as_a_float_and_hashes_alike():
+    assert ExperimentConfig(tau=1) == ExperimentConfig(tau=1.0)
+    assert config_hash(ExperimentConfig(tau=1)) == config_hash(ExperimentConfig(tau=1.0))
+    assert type(ExperimentConfig().replace(lr_z=1).lr_z) is float
+    world = ExperimentConfig(world=WorldConfig(noise_sigma=0))
+    assert config_hash(world) == config_hash(ExperimentConfig(world=WorldConfig(noise_sigma=0.0)))
+    assert ExperimentConfig(tau_final=None).tau_final is None
 
 
 def test_hash_and_summary_ignore_output_dir(tmp_path):

@@ -93,4 +93,4 @@ def test_a_second_new_task_is_a_contract_error(kind):
     assert _register_new_task(model, trained.config, tasks, rngs) == len(trained.tasks)
     with pytest.raises(ContractError):
         _register_new_task(model, trained.config, tasks, rngs)
-    assert model.task_rows.num_tasks == len(trained.tasks) + 1
+    assert model.task_rows.num_base_tasks == len(trained.tasks) and model.task_rows.new is not None

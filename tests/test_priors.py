@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from skillmix import autodiff as ad
 from skillmix.errors import ContractError, DomainError
 from skillmix.optim import Adam, build_two_speed_groups
-from skillmix.priors import _history_log_term, ibp_log_prob, ibp_regularizer, relaxed_ibp_log_prob
+from skillmix.priors import _history_log_term, ibp_log_prob, ibp_regularizer
 
 import unfused
 from gradcheck import grad_check
@@ -90,7 +90,7 @@ def test_relaxed_equals_exact_on_binary_inputs():
         shape = (rng.integers(1, 7), rng.integers(1, 6))
         binary = rng.integers(0, 2, size=shape).astype(np.float64)
         alpha = float(rng.uniform(0.2, 8.0))
-        relaxed = relaxed_ibp_log_prob(ad.tensor(binary), alpha).item()
+        relaxed = -ibp_regularizer(ad.tensor(binary), alpha, 1.0).item()
         assert relaxed == pytest.approx(ibp_log_prob(binary.astype(int), alpha), abs=1e-10)
 
 
@@ -123,9 +123,9 @@ def _one_row(rng, shape):
 
 @pytest.mark.parametrize("make", [_relaxed, _binary, _inactive_column, _one_row])
 @pytest.mark.parametrize("shape", [(2, 3), (6, 5), (24, 8)])
-@pytest.mark.parametrize("strength", [None, 0.1, 0.37])
+@pytest.mark.parametrize("strength", [1.0, 0.1, 0.37])
 def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
-    """Value and gradient bit for bit; `None` is the relaxed log-density itself.
+    """Value and gradient bit for bit; strength 1 is the negated relaxed log-density itself.
 
     The matrix has a consumer recorded before the prior, as the normalised
     row is in a step, so the accumulation order of its gradient is checked
@@ -135,16 +135,12 @@ def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
     data = make(rng, shape)
     probe = rng.standard_normal(data.shape)
     alpha = float(rng.uniform(0.2, 8.0))
-    fused = relaxed_ibp_log_prob if strength is None else lambda z, a: ibp_regularizer(z, a, strength)
-    reference = (
-        unfused.relaxed_ibp_log_prob if strength is None else lambda z, a: unfused.ibp_regularizer(z, a, strength)
-    )
     results = []
-    for prior in (fused, reference):
+    for prior in (ibp_regularizer, unfused.ibp_regularizer):
         ad.reset_tape()
         z = ad.tensor(data, requires_grad=True)
         other = unfused.reduce_sum(unfused.mul(z, ad.tensor(probe)))
-        value = prior(z, alpha)
+        value = prior(z, alpha, strength)
         ad.backward(ad.add(other, value))
         results.append((value.data, z.grad))
     (value, grad), (ref_value, ref_grad) = results
@@ -153,22 +149,21 @@ def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
     assert np.array_equal(grad, ref_grad)
 
 
-@pytest.mark.parametrize("strength", [None, 0.1])
+@pytest.mark.parametrize("strength", [1.0, 0.1])
 def test_stacked_prior_adds_each_matrixs_term_in_matrix_order(strength):
     """One node over a stack [M, T, S]: the value 0.0 + v_0 + v_1 and each matrix's gradient, bit for bit."""
     rng = np.random.default_rng(12)
     data = rng.uniform(0.02, 0.98, size=(2, 6, 5))
     data[1, :, 2] = rng.uniform(0.0, 0.49, size=6)  # an inactive column in one matrix only
-    prior = relaxed_ibp_log_prob if strength is None else lambda z, a: ibp_regularizer(z, a, strength)
     stack = ad.tensor(data, requires_grad=True)
-    value = prior(stack, 2.5)
+    value = ibp_regularizer(stack, 2.5, strength)
     assert len(ad.active_tape()) == 1
     ad.backward(value)
     expected = 0.0
     for m in range(2):
         ad.reset_tape()
         matrix = ad.tensor(data[m], requires_grad=True)
-        alone = prior(matrix, 2.5)
+        alone = ibp_regularizer(matrix, 2.5, strength)
         ad.backward(alone)
         expected += alone.item()
         assert np.array_equal(stack.grad[m], matrix.grad)
@@ -179,9 +174,6 @@ def test_stacked_prior_adds_each_matrixs_term_in_matrix_order(strength):
 def test_fused_prior_records_one_node():
     z = ad.tensor(np.random.default_rng(1).uniform(size=(5, 4)), requires_grad=True)
     ibp_regularizer(z, 2.0, 0.1)
-    assert len(ad.active_tape()) == 1
-    ad.reset_tape()
-    relaxed_ibp_log_prob(z, 2.0)
     assert len(ad.active_tape()) == 1
 
 
@@ -194,16 +186,9 @@ def test_fused_prior_keeps_the_domain_checks():
             prior(ad.tensor([[0.5]]), 0.0, 0.1)
 
 
-def test_regularizer_zero_strength_contributes_nothing():
-    z = ad.tensor(np.full((3, 2), 0.4), requires_grad=True)
-    reg = ibp_regularizer(z, 5.0, 0.0)
-    assert reg.item() == 0.0
-    assert len(ad.active_tape()) == 0  # no recorded ops, hence zero gradient
-
-
 def test_regularizer_is_negative_scaled_log_prob():
     values = np.array([[0.9, 0.1], [0.8, 0.2], [0.7, 0.6]])
-    log_prob = relaxed_ibp_log_prob(ad.tensor(values), 2.0).item()
+    log_prob = -ibp_regularizer(ad.tensor(values), 2.0, 1.0).item()
     reg = ibp_regularizer(ad.tensor(values), 2.0, 0.5)
     assert reg.item() == pytest.approx(-0.5 * log_prob, abs=1e-12)
 
@@ -213,7 +198,7 @@ def test_relaxed_gradient_matches_finite_differences():
     # under the finite-difference perturbation.
     rng = np.random.default_rng(3)
     base = np.where(rng.uniform(size=(4, 3)) < 0.5, rng.uniform(0.1, 0.42, (4, 3)), rng.uniform(0.58, 0.9, (4, 3)))
-    err = grad_check(lambda t: relaxed_ibp_log_prob(t, 5.0), ad.tensor(base))
+    err = grad_check(lambda t: ibp_regularizer(t, 5.0, 1.0), ad.tensor(base))
     assert err < 1e-4
 
 
@@ -273,13 +258,18 @@ def test_adam_converges_on_quadratic():
     assert abs(x.data[0]) < 1e-3
 
 
-def test_adam_skips_parameters_without_gradients():
+def test_adam_step_without_every_gradient_is_a_contract_error():
     x = ad.tensor([1.0], requires_grad=True)
     y = ad.tensor([1.0], requires_grad=True)
     opt = Adam([dict(params=[x, y], lr=0.1)])
     ad.backward(unfused.reduce_sum(unfused.mul(x, x)))
+    with pytest.raises(ContractError):
+        opt.step()
+    assert x.data[0] == 1.0 and y.data[0] == 1.0
+    # The refused step touched no state: once y has a gradient, the first step is the textbook one.
+    y.grad = np.ones(1)
     opt.step()
-    assert y.data[0] == 1.0 and x.data[0] != 1.0
+    assert x.data[0] == pytest.approx(0.9, rel=1e-6) and y.data[0] == pytest.approx(0.9, rel=1e-6)
 
 
 def test_adam_packs_each_group_into_one_buffer():
@@ -334,9 +324,9 @@ def test_adam_in_place_step_equals_the_textbook_expressions():
 
 
 def test_one_buffer_for_both_groups_equals_one_adam_per_group():
-    # 400 steps, two with a parameter left without a gradient and a reset at step 25:
-    # the packed optimiser and two single-group ones end bit for bit alike, also
-    # once the first bias correction rounds to 1.0 (356 steps after the reset).
+    # 400 steps with a reset at step 25: the packed optimiser and two single-group
+    # ones end bit for bit alike, also once the first bias correction rounds to 1.0
+    # (356 steps after the reset).
     rng = np.random.default_rng(4)
     shapes = [(2, 3), (4,), (3, 1, 2), (5,)]
     starts = [rng.standard_normal(shape) for shape in shapes]
@@ -347,8 +337,6 @@ def test_one_buffer_for_both_groups_equals_one_adam_per_group():
     assert [g["params"] for g in both.groups] == [packed[:2], packed[2:]]
     for t in range(400):
         grads = [rng.standard_normal(shape) for shape in shapes]
-        if t in (7, 390):
-            grads[1] = None
         for p, q, g in zip(packed, apart, grads):
             p.grad, q.grad = g, g
         for opt in (both, fast, slow):

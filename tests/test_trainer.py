@@ -360,9 +360,9 @@ def test_adaptation_improves_loss(kind):
 def test_expert_adaptation_uses_planted_row():
     trained, holdout = trained_small(kind="expert", expert_table="planted")
     res = few_shot_adapt(trained, [holdout[0]])
-    adapted_matrix = res.model.task_rows.eval_matrix(0)[0]
+    # The new task's fixed block [R, M, 1, S]: replica 0's row of matrix 0.
     assert np.array_equal(
-        adapted_matrix[res.task_index].astype(int),
+        res.model.task_rows.new[0, 0, 0].astype(int),
         np.asarray([1 if j in holdout[0].planted_skills else 0 for j in range(3)]),
     )
 
@@ -387,7 +387,7 @@ def test_frozen_allocation_adapts_a_learned_row():
     assert trained.model.z_parameters() == []
     res = few_shot_adapt(trained, [holdout[0]])
     new_rows = res.model.new_task_parameters()
-    assert res.model.task_rows.eval_matrix(0).shape[-2] == res.task_index + 1
+    assert res.task_index == res.model.task_rows.num_base_tasks
     phases = _adaptation_phases(res.model, trained.config)
     assert [steps for steps, _, _ in phases] == [40]
     # One replica's block [R, M, 1, S]: a frozen allocation is one matrix.
@@ -515,7 +515,7 @@ def _model_state(model) -> dict:
         mask = getattr(getattr(layer, "skills", None), "mask", None)
         state[f"layer{i}.mask"] = None if mask is None else (mask.shape, mask.tobytes())
     if hasattr(model.task_rows, "num_skills"):
-        state["alloc"] = (model.task_rows.num_tasks, model.task_rows.num_skills)
+        state["alloc"] = (model.task_rows.num_base_tasks, model.task_rows.new is None, model.task_rows.num_skills)
     return state
 
 
@@ -564,7 +564,7 @@ def test_private_adaptation_trains_only_a_new_skill(param):
     x = holdout[0].x_eval[:5]
     pred, _ = start.model.forward(start.task_index, ad.tensor(x[None]))
     assert np.allclose(pred.data[0], _base_map(start.model, x), rtol=0, atol=1e-12)
-    assert np.array_equal(start.model.task_rows.eval_matrix(0)[0, start.task_index], np.eye(7)[6])
+    assert np.array_equal(start.model.task_rows.new[0, 0, 0], np.eye(7)[6])
 
     res = few_shot_adapt(trained, [holdout[0]])
     after = replica_parameters(res.model, trained.model)

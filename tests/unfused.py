@@ -290,7 +290,7 @@ def relaxed_ibp_log_prob(z_hat, alpha):
         lgamma(safe_mass),
     )
     gated = mul(per_column, ad.tensor(gate))
-    return ad.add(reduce_sum(gated), ad.scalar(constant))
+    return ad.add(reduce_sum(gated), ad.tensor(constant))
 
 
 def ibp_regularizer(z_hat, alpha, strength):
