@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the skill-inventory-size sweep")
     sweep.add_argument("config", type=Path)
-    sweep.add_argument("--grid", default=None, help="e.g. S=2,4,8,16,32")
+    sweep.add_argument("--grid", default="2,4,8,16,32", help="skill counts, e.g. S=2,4,8")
     sweep.add_argument("--no-overwrite", action="store_true")
 
     compare = sub.add_parser("compare", help="run several model kinds on one world")
@@ -55,10 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(spec: str) -> tuple[int, ...]:
+def _parse_grid(spec: str) -> list[int]:
     body = spec.split("=", 1)[1] if "=" in spec else spec
     try:
-        return tuple(int(v) for v in body.split(",") if v)
+        return [int(v) for v in body.split(",") if v]
     except ValueError:
         raise ConfigError("--grid", f"could not parse grid '{spec}'") from None
 
@@ -77,12 +77,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    if args.grid is not None:
-        # The config checks the grid and records it in every run directory.
-        config = config.replace(sweep_grid=_parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
     from .experiment import run_sweep
 
-    return _report(run_sweep(config, overwrite=not args.no_overwrite), lambda c: f"S={c.num_skills}")
+    # `run_sweep` checks the grid before the first run; no run's config holds it.
+    return _report(run_sweep(config, grid, overwrite=not args.no_overwrite), lambda c: f"S={c.num_skills}")
 
 
 def _cmd_compare(args) -> int:

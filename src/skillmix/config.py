@@ -1,5 +1,9 @@
 """Experiment configuration: strict parsing, typed defaults, hashing.
 
+A config describes one run. Where the run is written (`SKILLMIX_OUTPUT_ROOT`)
+and the sweep or comparison that launched it are not part of it, so a run
+has one `config_hash`, and one run directory, whichever group launched it.
+
 Unknown keys are rejected rather than ignored, inside `world` too, the
 only object a config holds; a silently dropped typo is the most expensive
 way to lose an experiment. Value checks run where a config is built
@@ -22,7 +26,6 @@ import os
 
 from .errors import ConfigError
 
-SWEEP_GRID_DEFAULT = (2, 4, 8, 16, 32)
 MODEL_KINDS = ("skilled", "private", "shared", "expert", "hypernet")
 PARAMETERISATIONS = ("dense", "sparse", "lowrank")
 ALLOCATION_MODES = ("per_layer", "global")
@@ -92,7 +95,7 @@ def _hashable(value):
 def _plain(value):
     if isinstance(value, _Record):
         return value.to_dict()
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
@@ -156,8 +159,6 @@ class ExperimentConfig(_Record):
     batch_size: int = 32
     warmup_mask_steps: int = 100
     eval_every: int = 200
-    select_best_dev: bool = True
-    loss_threshold_frac: float = 0.5
     k_shot: int = 16
     adaptation_steps: int = 1000
     adaptation_batch_size: int = 8
@@ -166,8 +167,6 @@ class ExperimentConfig(_Record):
     adapt_mode: str = "z_then_full"
     embedding_dim: int = 8
     expert_table: object = None  # None | "planted" | 0/1 matrix, one row per training task
-    sweep_grid: tuple[int, ...] = SWEEP_GRID_DEFAULT
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.seed < 0:
@@ -214,8 +213,6 @@ class ExperimentConfig(_Record):
             raise ConfigError("warmup_mask_steps", "must be <= steps with the sparse parameterisation")
         if self.eval_every < 1:
             raise ConfigError("eval_every", "must be >= 1")
-        if not 0.0 < self.loss_threshold_frac <= 1.0:
-            raise ConfigError("loss_threshold_frac", "must lie in (0, 1]")
         if not 0 <= self.k_shot <= MAX_FEW_SHOT:
             raise ConfigError("k_shot", f"must lie in [0, {MAX_FEW_SHOT}]")
         if self.adaptation_steps < 0:
@@ -228,8 +225,6 @@ class ExperimentConfig(_Record):
             raise ConfigError("adapt_z_only_steps", "must be >= 0")
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim", "must be >= 1")
-        if not self.sweep_grid or min(self.sweep_grid) < 1 or len(set(self.sweep_grid)) < len(self.sweep_grid):
-            raise ConfigError("sweep_grid", "must be a non-empty list of distinct skill counts >= 1")
         if self.freeze_allocation not in (None, "identity"):
             _validate_matrix("freeze_allocation", self.freeze_allocation, self.world.num_tasks)
         if self.expert_table not in (None, "planted"):
@@ -244,8 +239,8 @@ class ExperimentConfig(_Record):
 
 
 def _expect(key: str, value, kinds: tuple[type, ...], what: str):
-    # bool is an int subclass; keep the two apart explicitly.
-    if isinstance(value, bool) and bool not in kinds:
+    # bool is an int subclass, and no field takes a boolean.
+    if isinstance(value, bool):
         raise ConfigError(key, f"expected {what}, got a boolean")
     if not isinstance(value, kinds):
         raise ConfigError(key, f"expected {what}, got {type(value).__name__} ({value!r})")
@@ -253,8 +248,7 @@ def _expect(key: str, value, kinds: tuple[type, ...], what: str):
 
 
 # The Python types a JSON value of each scalar annotation may have, and their name in an error.
-_JSON_TYPES = {"bool": ((bool,), "a boolean"), "int": ((int,), "an integer"),
-               "float": ((int, float), "a number"), "str": ((str,), "a string")}
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"), "str": ((str,), "a string")}
 
 
 def _parse(cls, doc: dict):
@@ -271,8 +265,6 @@ def _typed(key: str, value, annotation: str):
         return None
     if kind == "WorldConfig":
         return _parse(WorldConfig, _expect(key, value, (dict,), "an object"))
-    if kind == "tuple[int, ...]":
-        return tuple(_typed(key, v, "int") for v in _expect(key, value, (list,), "a list of integers"))
     if kind not in _JSON_TYPES:
         return value  # an `object` field: its __post_init__ check says which forms it takes
     value = _expect(key, value, *_JSON_TYPES[kind])
@@ -325,8 +317,8 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Content address of the experiment; where it is written (`output_dir`) is not part of it."""
+    """Content address of the run: the sha256 of its canonical JSON document, cut to 12 hex digits."""
     import hashlib  # here, not at the top: parsing a config needs no hashing
 
-    canonical = json.dumps(config.replace(output_dir=None).to_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]

@@ -1,9 +1,10 @@
 """Experiment orchestration: run, persist, sweep, compare, export.
 
-A run directory is content-addressed by the config hash and contains
-config.json, world.json (the planted allocation and task ids),
-history.csv, allocation_layer_*.json (+ hardened CSVs), hierarchy.json
-and hierarchy.txt, summary.json and timing.json. summary.json is
+A run directory, `<model_kind>-<config_hash>` under the output root
+(`SKILLMIX_OUTPUT_ROOT`, `runs` by default), contains config.json,
+world.json (the planted allocation and task ids), history.csv,
+allocation_layer_*.json (+ hardened CSVs), hierarchy.json and
+hierarchy.txt, summary.json and timing.json. summary.json is
 byte-reproducible from the config alone; wall-clock timing lives in the
 separate timing.json (the run's seconds and each pipeline stage's),
 written only after a run that did not fail, so the reproducibility
@@ -61,15 +62,12 @@ class RunRecord:
     wall_clock: float = 0.0
 
 
-def resolve_output_root(config: ExperimentConfig) -> Path:
-    if config.output_dir:
-        return Path(config.output_dir)
+def resolve_output_root() -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
 
 
 def run_dir_for(config: ExperimentConfig) -> Path:
-    name = f"{config.model_kind}-S{config.num_skills}-{config_hash(config)}"
-    return resolve_output_root(config) / name
+    return resolve_output_root() / f"{config.model_kind}-{config_hash(config)}"
 
 
 def _dump_json(path: Path, doc) -> None:
@@ -338,10 +336,12 @@ def emit_plot_data(run_dirs: list[str | Path], out_dir: str | Path) -> tuple[Pat
 # sweeps and comparisons
 
 
-def run_sweep(config: ExperimentConfig, overwrite: bool = True) -> list[RunRecord]:
-    """One run per inventory size of `sweep_grid`; every point's config is built, hence checked, before the first run."""
-    points = [config.replace(num_skills=num_skills) for num_skills in config.sweep_grid]
-    return _run_group(config, points, "sweep_table.csv", overwrite)
+def run_sweep(config: ExperimentConfig, grid: list[int], overwrite: bool = True) -> list[RunRecord]:
+    """One run per inventory size in `grid`; the grid and every point's config are checked before the first run."""
+    if not grid or min(grid) < 1 or len(set(grid)) < len(grid):
+        raise ConfigError("grid", "must be a non-empty list of distinct skill counts >= 1")
+    points = [config.replace(num_skills=num_skills) for num_skills in grid]
+    return _run_group(points, "sweep_table.csv", overwrite)
 
 
 def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = True) -> list[RunRecord]:
@@ -349,16 +349,22 @@ def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = Tr
     if not kinds or len(set(kinds)) < len(kinds):
         raise ConfigError("kinds", "must be a non-empty list of distinct model kinds")
     points = [config.replace(model_kind=kind) for kind in kinds]
-    return _run_group(config, points, "compare_table.csv", overwrite)
+    return _run_group(points, "compare_table.csv", overwrite)
 
 
-def _run_group(config: ExperimentConfig, points: list[ExperimentConfig], filename: str, overwrite: bool) -> list[RunRecord]:
-    """Run every point, then write the plot data of the runs that passed (`emit_plot_data`) and a status table of every run, under the output root."""
+def _run_group(points: list[ExperimentConfig], filename: str, overwrite: bool) -> list[RunRecord]:
+    """Run every point, then write the plot data of the runs that passed (`emit_plot_data`) and a status table of every run, under the output root.
+
+    Without `overwrite`, an existing run directory of any point stops the group before its first run.
+    """
+    taken = [] if overwrite else [run_dir for run_dir in map(run_dir_for, points) if run_dir.exists()]
+    if taken:
+        raise RunFailure(f"{taken[0]} exists; pass overwrite to replace it")
     records = [run_experiment(point, overwrite=overwrite) for point in points]
     ok_dirs = [r.run_dir for r in records if r.failure is None]
     if ok_dirs:
-        emit_plot_data(ok_dirs, resolve_output_root(config))
-    path = resolve_output_root(config) / filename
+        emit_plot_data(ok_dirs, resolve_output_root())
+    path = resolve_output_root() / filename
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model_kind", "num_skills", "run_dir", "status"])

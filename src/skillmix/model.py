@@ -430,6 +430,3 @@ class HypernetModel(TaskModel):
 
     def allocation_eval_matrices(self) -> list[np.ndarray]:
         return []
-
-    def freeze_sparse_masks(self) -> None:
-        pass

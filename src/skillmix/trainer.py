@@ -44,6 +44,7 @@ from .skills import LayerShape
 from .synthetic import STREAM_ADAPT, STREAM_TRAIN, SyntheticWorld, TaskSpec
 
 STREAM_INIT = 3
+LOSS_THRESHOLD_FRAC = 0.5  # `steps_to_threshold` counts the steps to halve the initial dev loss
 
 
 @dataclass
@@ -284,6 +285,8 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
     history = History(schedule, *(np.empty(config.steps) for _ in range(3)))
     evals: list[EvalRecord] = [EvalRecord(0, _mean_dev_loss(model, train_tasks))]
     best_loss, best_snap = evals[0].dev_loss, None
+    # A sparse skill-composed model freezes its masks once; the hypernet has none.
+    masked = config.parameterisation == "sparse" and config.model_kind != "hypernet"
 
     for step, (task_index, batch) in enumerate(zip(schedule.tolist(), batches)):
         task = train_tasks[task_index]
@@ -294,7 +297,7 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
         )
         history.loss[step], history.reg_loss[step], history.tau[step] = loss_value, reg_value, tau
 
-        if step + 1 == config.warmup_mask_steps and config.parameterisation == "sparse":
+        if masked and step + 1 == config.warmup_mask_steps:
             model.freeze_sparse_masks()
             # Stale moments would keep nudging newly masked-out entries.
             optimizer.reset_state()
@@ -302,11 +305,11 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
         if (step + 1) % config.eval_every == 0 or step + 1 == config.steps:
             dev_loss = _mean_dev_loss(model, train_tasks)
             evals.append(EvalRecord(step + 1, dev_loss))
-            if config.select_best_dev and dev_loss < best_loss:
+            if dev_loss < best_loss:
                 best_loss = dev_loss
                 best_snap = model.snapshot()
 
-    if config.select_best_dev and best_snap is not None:
+    if best_snap is not None:
         model.restore(best_snap)
 
     return TrainedModel(
@@ -319,12 +322,12 @@ def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: Synt
 
 
 def steps_to_threshold(trained: TrainedModel) -> int:
-    """First evaluated step whose dev loss is <= loss_threshold_frac * initial dev loss.
+    """First evaluated step whose dev loss is <= LOSS_THRESHOLD_FRAC * initial dev loss.
 
     Returns config.steps + 1 when the threshold is never reached, so the
     value stays comparable across model kinds.
     """
-    threshold = trained.evals[0].dev_loss * trained.config.loss_threshold_frac
+    threshold = trained.evals[0].dev_loss * LOSS_THRESHOLD_FRAC
     for record in trained.evals[1:]:
         if record.dev_loss <= threshold:
             return record.step

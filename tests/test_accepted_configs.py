@@ -6,7 +6,7 @@ sizes. A field's range follows its `__post_init__` rule; cross-field rules
 (`lr_z >= lr_phi`, a sparse model's `warmup_mask_steps <= steps`, a
 matrix's row count and columns, an expert model's table, the world's
 skill ranges) are left to the parser, so the rejecting branch is searched
-too. `output_dir` is a fresh temporary directory per run. The property:
+too. Each run writes under a fresh temporary output root. The property:
 either `parse_config_dict` raises `ConfigError`, or `run_experiment`
 returns with no failure marker, with warnings raised as errors
 (`filterwarnings = ["error"]` in pyproject.toml).
@@ -22,7 +22,9 @@ Each failure it finds becomes an `@example` below and is mended in `src/`
 or rejected by the parser; the strategy is not narrowed to hide it.
 """
 
+import os
 import tempfile
+from unittest import mock
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +41,7 @@ from skillmix.config import (
     parse_config_dict,
 )
 from skillmix.errors import ConfigError
-from skillmix.experiment import run_experiment
+from skillmix.experiment import OUTPUT_ROOT_ENV, run_experiment
 
 # The `long` profile (tests/conftest.py) sets the search's size; tier-1 keeps this fixed one.
 FUZZ = (
@@ -108,8 +110,6 @@ def config_docs(draw) -> dict:
         "batch_size": draw(st.integers(1, 10)),
         "warmup_mask_steps": draw(st.integers(1, steps + 1)),
         "eval_every": draw(st.integers(1, 20)),
-        "select_best_dev": draw(st.booleans()),
-        "loss_threshold_frac": draw(st.floats(0.0, 1.0, exclude_min=True)),
         "k_shot": draw(st.integers(0, MAX_FEW_SHOT)),
         "adaptation_steps": draw(st.integers(0, 12)),
         "adaptation_batch_size": draw(st.integers(1, 10)),
@@ -118,18 +118,16 @@ def config_docs(draw) -> dict:
         "adapt_mode": draw(st.sampled_from(ADAPT_MODES)),
         "embedding_dim": draw(st.integers(1, 4)),
         "expert_table": draw(st.one_of(st.none(), st.just("planted"), matrices)),
-        "sweep_grid": draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True)),
     }
 
 
 def _tiny(**changes) -> dict:
-    """A small accepted document with every field but `output_dir`; `world` changes merge into its world."""
+    """A small accepted document with every field; `world` changes merge into its world."""
     world = {**WorldConfig().to_dict(), "num_tasks": 4, "num_true_skills": 3, "input_dim": 3,
              "examples_per_task": 12, "holdout_tasks": 2}
     doc = {**ExperimentConfig().to_dict(), "num_skills": 3, "hidden_dim": 4, "rank": 2, "steps": 10,
            "batch_size": 4, "warmup_mask_steps": 5, "eval_every": 5, "k_shot": 4, "adaptation_steps": 6,
-           "adapt_z_only_steps": 3, "adaptation_resamples": 2, "sweep_grid": [2, 3]}
-    del doc["output_dir"]
+           "adapt_z_only_steps": 3, "adaptation_resamples": 2}
     return {**doc, **changes, "world": {**world, **changes.get("world", {})}}
 
 
@@ -158,14 +156,14 @@ MATRIX = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
 @example(_tiny(world={"input_dim": 0}))
 @example(_tiny(world={"input_dim": -1}))
 def test_an_accepted_config_runs_end_to_end(doc):
-    assert set(doc) | {"output_dir"} == set(ExperimentConfig._fields)
+    assert set(doc) == set(ExperimentConfig._fields)
     assert set(doc["world"]) == set(WorldConfig._fields)
-    with tempfile.TemporaryDirectory() as output_dir:
-        try:
-            config = parse_config_dict({**doc, "output_dir": output_dir})
-        except ConfigError as err:
-            event("rejected", err.key)
-            return
-        event("ran", config.model_kind)
+    try:
+        config = parse_config_dict(doc)
+    except ConfigError as err:
+        event("rejected", err.key)
+        return
+    event("ran", config.model_kind)
+    with tempfile.TemporaryDirectory() as root, mock.patch.dict(os.environ, {OUTPUT_ROOT_ENV: root}):
         record = run_experiment(config)
     assert record.failure is None, record.failure

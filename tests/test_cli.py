@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from skillmix.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUN, main
-from skillmix.experiment import OUTPUT_ROOT_ENV
+from skillmix.config import parse_config
+from skillmix.errors import ConfigError
+from skillmix.experiment import OUTPUT_ROOT_ENV, run_sweep
 
 TINY = {
     "world": {"num_tasks": 4, "num_true_skills": 2, "input_dim": 4, "examples_per_task": 16,
@@ -21,7 +23,6 @@ TINY = {
     "adaptation_steps": 4,
     "adapt_z_only_steps": 2,
     "adaptation_resamples": 1,
-    "sweep_grid": [2, 3],
 }
 
 
@@ -74,19 +75,17 @@ def test_a_bad_kind_in_compare_exits_1_before_any_run(config_file, tmp_path, cap
 @pytest.mark.parametrize(
     "command,doc,extra",
     [
-        ("sweep", {**TINY, "sweep_grid": [0, 2]}, []),
-        ("sweep", {**TINY, "sweep_grid": []}, []),
+        ("sweep", TINY, ["--grid", "0,2"]),
         ("sweep", TINY, ["--grid", "S=-1"]),
         ("sweep", TINY, ["--grid", "S="]),
-        ("sweep", {**TINY, "sweep_grid": [2, 2]}, []),
         ("sweep", TINY, ["--grid", "S=2,2"]),
         ("compare", TINY, ["--kinds", "skilled,expert,bogus"]),
         ("compare", TINY, ["--kinds", ","]),
         ("compare", TINY, ["--kinds", "shared,shared"]),
     ],
     ids=[
-        "grid_has_0", "grid_empty", "flag_grid_negative", "flag_grid_empty", "grid_repeats",
-        "flag_grid_repeats", "expert_without_table", "no_kinds", "kind_repeats",
+        "flag_grid_has_0", "flag_grid_negative", "flag_grid_empty", "flag_grid_repeats",
+        "expert_without_table", "no_kinds", "kind_repeats",
     ],
 )
 def test_a_bad_point_exits_1_before_any_run(config_file, tmp_path, command, doc, extra):
@@ -94,9 +93,18 @@ def test_a_bad_point_exits_1_before_any_run(config_file, tmp_path, command, doc,
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("grid", [[], [0, 2], [2, 4, 2]], ids=["empty", "has_0", "repeats"])
+def test_run_sweep_checks_its_grid_before_any_run(config_file, tmp_path, grid):
+    """What `sweep --grid` exits 1 on: `run_sweep`'s own check of the grid it is given."""
+    with pytest.raises(ConfigError) as err:
+        run_sweep(parse_config(config_file()), grid)
+    assert err.value.key == "grid"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_sweep_and_exports_succeed(config_file, tmp_path, capsys):
     assert main(["sweep", str(config_file()), "--grid", "S=2,3"]) == EXIT_OK
-    runs = sorted((tmp_path / "runs").glob("skilled-S*"))
+    runs = sorted((tmp_path / "runs").glob("skilled-*"))
     assert len(runs) == 2
     with open(tmp_path / "runs" / "sweep_metrics.csv", newline="") as fh:
         metrics = list(csv.DictReader(fh))
@@ -113,6 +121,28 @@ def test_sweep_and_exports_succeed(config_file, tmp_path, capsys):
     assert json.loads(out.read_text())
     assert main(["emit-plots", *map(str, runs), "--out", str(tmp_path / "plots")]) == EXIT_OK
     assert (tmp_path / "plots" / "curves.csv").exists()
+
+
+def _sweep_table(root: Path) -> dict[str, str]:
+    with open(root / "sweep_table.csv", newline="") as fh:
+        return {row["num_skills"]: row["run_dir"] for row in csv.DictReader(fh)}
+
+
+def test_a_sweep_point_has_one_run_directory_whatever_the_grid(config_file, tmp_path):
+    path = config_file()
+    assert main(["sweep", str(path), "--grid", "2,4"]) == EXIT_OK
+    first = _sweep_table(tmp_path / "runs")
+    assert main(["sweep", str(path), "--grid", "4,8"]) == EXIT_OK
+    assert _sweep_table(tmp_path / "runs")["4"] == first["4"]
+    assert len(list((tmp_path / "runs").glob("skilled-*"))) == 3
+
+
+def test_compare_with_no_overwrite_runs_nothing_when_a_point_exists(config_file, tmp_path):
+    """Every point's run directory is checked before the first run, not only the point about to run."""
+    assert main(["run", str(config_file({**TINY, "model_kind": "shared"}, name="shared.json"))]) == EXIT_OK
+    before = sorted((tmp_path / "runs").iterdir())
+    assert main(["compare", str(config_file()), "--kinds", "skilled,shared", "--no-overwrite"]) == EXIT_RUN
+    assert sorted((tmp_path / "runs").iterdir()) == before
 
 
 def test_export_hierarchy_hardens_saturated_logits(tmp_path):

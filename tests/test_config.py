@@ -38,15 +38,13 @@ def test_boolean_is_not_an_integer():
     assert rejected({"steps": True}) == "steps"
     assert rejected({"world": {"num_tasks": False}}) == "world.num_tasks"
     assert rejected({"tau": True}) == "tau"
-    assert rejected({"sweep_grid": [2, True]}) == "sweep_grid"
+    assert rejected({"model_kind": True}) == "model_kind"
 
 
 def test_wrong_types_are_rejected():
     assert rejected({"steps": 1.5}) == "steps"
     assert rejected({"model_kind": 3}) == "model_kind"
-    assert rejected({"select_best_dev": 1}) == "select_best_dev"
     assert rejected({"world": []}) == "world"
-    assert rejected({"output_dir": 5}) == "output_dir"
 
 
 def test_integers_are_accepted_for_numbers():
@@ -154,16 +152,12 @@ def test_k_shot_bound():
         ({"tau": 0}, "tau"),
         ({"tau_final": -1.0}, "tau_final"),
         ({"lr_z": 1e-4, "lr_phi": 1e-3}, "lr_z"),
-        ({"loss_threshold_frac": 0.0}, "loss_threshold_frac"),
         ({"world": {"num_true_skills": 20}}, "world.num_true_skills"),
         ({"world": {"skills_per_task_min": 3, "skills_per_task_max": 2}}, "world.skills_per_task_min"),
         # Every planted row all ones: no two skill columns can differ.
         ({"world": {"skills_per_task_min": 4, "skills_per_task_max": 4}}, "world.skills_per_task_min"),
         ({"world": TWO_TASKS | {"skills_per_task_min": 2}}, "world.skills_per_task_min"),
         ({"world": {"holdout_tasks": -1}}, "world.holdout_tasks"),
-        ({"sweep_grid": []}, "sweep_grid"),
-        ({"sweep_grid": [0, 2]}, "sweep_grid"),
-        ({"sweep_grid": [2, 4, 2]}, "sweep_grid"),
         (
             {"world": {"num_tasks": 1, "num_true_skills": 1, "skills_per_task_max": 1, "holdout_tasks": 1}},
             "world.holdout_tasks",
@@ -192,16 +186,23 @@ def test_edges_of_the_new_range_checks_are_accepted():
     assert parse_config_dict({"seed": 0, "world": {"input_dim": 1}, "adapt_z_only_steps": 0}).seed == 0
 
 
-def test_sweep_grid_and_nullable_fields():
-    config = parse_config_dict({"sweep_grid": [2, 8], "tau_final": None, "output_dir": None})
-    assert config.sweep_grid == (2, 8)
-    assert config.tau_final is None and config.output_dir is None
-    assert rejected({"sweep_grid": "2,8"}) == "sweep_grid"
+def test_nullable_field():
+    assert parse_config_dict({"tau_final": None}).tau_final is None
+    assert rejected({"tau_final": "none"}) == "tau_final"
+
+
+# A config describes one run: its output root is the environment's, its sweep
+# grid the sweep's, and the best dev state and the threshold fraction are fixed.
+@pytest.mark.parametrize("key,value", [("sweep_grid", [2, 4]), ("output_dir", "runs"),
+                                       ("select_best_dev", True), ("loss_threshold_frac", 0.5)])
+def test_fields_that_do_not_change_a_run_are_unknown_keys(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_dict({key: value})
+    assert err.value.key == key and str(err.value).endswith("unknown key")
 
 
 FLOAT_FIELDS = [
-    "sparsity", "tau", "tau_final", "lr_z", "lr_phi", "ibp_alpha", "ibp_strength", "loss_threshold_frac",
-    "world.noise_sigma",
+    "sparsity", "tau", "tau_final", "lr_z", "lr_phi", "ibp_alpha", "ibp_strength", "world.noise_sigma",
 ]
 
 
@@ -231,10 +232,8 @@ def test_a_config_is_frozen_and_its_document_a_copy():
             delattr(target, name)
     doc = config.to_dict()
     doc["freeze_allocation"][0][0] = 0
-    doc["sweep_grid"].append(64)
     doc["world"]["num_tasks"] = 9
     assert config == parse_config_dict({"freeze_allocation": [[1, 0], [0, 1]], "world": TWO_TASKS})
-    assert isinstance(config.to_dict()["sweep_grid"], list)
 
 
 @pytest.mark.parametrize(
@@ -270,7 +269,7 @@ def test_parse_config_file_errors(tmp_path):
 
 
 def test_file_round_trip_and_hash(tmp_path):
-    config = ExperimentConfig(seed=4, world=WorldConfig(num_tasks=5), sweep_grid=(2, 3))
+    config = ExperimentConfig(seed=4, world=WorldConfig(num_tasks=5), tau_final=0.5)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config.to_dict()))
     loaded = parse_config(path)
@@ -298,9 +297,10 @@ def test_an_int_in_a_float_field_is_stored_as_a_float_and_hashes_alike():
     assert ExperimentConfig(tau_final=None).tau_final is None
 
 
-def test_hash_and_summary_ignore_output_dir(tmp_path):
-    from skillmix.experiment import run_experiment
+def test_a_run_directory_config_parses_back_to_the_hash_that_names_it(tmp_path, monkeypatch):
+    from skillmix.experiment import OUTPUT_ROOT_ENV, run_dir_for, run_experiment
 
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     doc = {
         "world": {"num_tasks": 3, "num_true_skills": 2, "skills_per_task_max": 2, "input_dim": 4, "examples_per_task": 16, "holdout_tasks": 1},
         "hidden_dim": 4,
@@ -309,12 +309,12 @@ def test_hash_and_summary_ignore_output_dir(tmp_path):
         "k_shot": 4,
         "adaptation_steps": 4,
         "adaptation_resamples": 1,
+        "tau": 1,  # an integer in a float field: config.json holds 1.0
+        "freeze_allocation": [[1, 0], [0, 1], [1, 1]],
     }
-    runs = []
-    for name in ("a", "b"):
-        config = parse_config_dict({**doc, "output_dir": str(tmp_path / name)})
-        record = run_experiment(config)
-        assert record.failure is None
-        runs.append((config_hash(config), (record.run_dir / "summary.json").read_bytes()))
-    assert runs[0] == runs[1]
-    assert config_hash(ExperimentConfig(output_dir="elsewhere")) == config_hash(ExperimentConfig())
+    record = run_experiment(parse_config_dict(doc))
+    assert record.failure is None
+    loaded = parse_config(record.run_dir / "config.json")
+    assert loaded == record.config
+    assert record.run_dir.name == f"skilled-{config_hash(loaded)}"
+    assert run_dir_for(loaded) == record.run_dir

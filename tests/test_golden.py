@@ -12,7 +12,8 @@ meant to move results re-records them with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and says so in CHANGES.md.
+and says so in CHANGES.md. The command prints, for each golden, the
+top-level summary keys and the run-directory files whose values changed.
 """
 
 import hashlib
@@ -111,6 +112,16 @@ def test_summary_matches_golden_bytes(name, tmp_path, monkeypatch):
     assert digests == json.loads(DIGESTS.read_text())[name]
 
 
+def _assert_same_run_but_config(first, second) -> None:
+    """Two runs' `run_files` differ only in config.json and in summary.json's `config_hash`."""
+    (summary, digests), (other_summary, other_digests) = first, second
+    old, new = (json.loads(text)["config_hash"].encode() for text in (summary, other_summary))
+    assert old != new and other_summary == summary.replace(old, new)
+    digests, other_digests = dict(digests), dict(other_digests)
+    assert digests.pop("config.json") != other_digests.pop("config.json")
+    assert other_digests == digests
+
+
 def test_expert_table_matrix_of_the_planted_rows_runs_as_planted(tmp_path, monkeypatch):
     """`expert_table` set to world.json's planted training rows gives the planted run: rows go in task order.
 
@@ -119,14 +130,18 @@ def test_expert_table_matrix_of_the_planted_rows_runs_as_planted(tmp_path, monke
     """
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     planted = CONFIGS["expert_planted"]
-    summary, digests = run_files(planted, tmp_path)
+    planted_run = run_files(planted, tmp_path)
     (world_json,) = tmp_path.glob("*/world.json")
     rows = json.loads(world_json.read_text())["true_z"][: planted["world"]["num_tasks"]]
-    matrix_summary, matrix_digests = run_files(_with(model_kind="expert", expert_table=rows), tmp_path)
-    old, new = (json.loads(text)["config_hash"].encode() for text in (summary, matrix_summary))
-    assert old != new and matrix_summary == summary.replace(old, new)
-    assert digests.pop("config.json") != matrix_digests.pop("config.json")
-    assert matrix_digests == digests
+    _assert_same_run_but_config(planted_run, run_files(_with(model_kind="expert", expert_table=rows), tmp_path))
+
+
+def test_hypernet_runs_alike_dense_and_sparse(tmp_path, monkeypatch):
+    """The hypernet has no mask to freeze, so the sparse parameterisation leaves its Adam moments and its run alone."""
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    dense = run_files(_with(model_kind="hypernet", warmup_mask_steps=30), tmp_path)
+    sparse = run_files(_with(model_kind="hypernet", parameterisation="sparse", warmup_mask_steps=30), tmp_path)
+    _assert_same_run_but_config(dense, sparse)
 
 
 def _replica(result, trained_model, r) -> dict:
@@ -186,15 +201,22 @@ def test_stacked_adaptation_equals_one_adaptation_per_replica(name):
 
 
 def _record(out_root: Path) -> None:
+    """Re-record every golden, printing per golden the summary keys and run-directory files that changed."""
     import os
 
     os.environ[OUTPUT_ROOT_ENV] = str(out_root)
     GOLDEN.mkdir(exist_ok=True)
+    old_digests = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     digests = {}
     for name, doc in CONFIGS.items():
+        path = GOLDEN / f"{name}.json"
+        old_summary = json.loads(path.read_text()) if path.exists() else {}
         summary, digests[name] = run_files(doc, out_root)
-        (GOLDEN / f"{name}.json").write_bytes(summary)
-        print(name)
+        path.write_bytes(summary)
+        new_summary, old_files = json.loads(summary), old_digests.get(name, {})
+        keys = sorted(k for k in old_summary.keys() | new_summary.keys() if old_summary.get(k) != new_summary.get(k))
+        files = sorted(f for f in old_files.keys() | digests[name].keys() if old_files.get(f) != digests[name].get(f))
+        print(f"{name}: summary keys changed: {', '.join(keys) or '-'}; files changed: {', '.join(files) or '-'}")
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
 
 

@@ -247,9 +247,16 @@ def test_ibp_regulariser_feeds_history():
 def test_steps_to_threshold_cap():
     world, tasks = make_world()
     train_tasks = [t for t in tasks if t.split == "train"]
-    config = small_config(steps=100, eval_every=50, loss_threshold_frac=1e-12)
-    trained = multitask_train(config, train_tasks, world=world)
-    assert steps_to_threshold(trained) == 101
+    trained = multitask_train(small_config(steps=100, eval_every=50), train_tasks, world=world)
+
+    def reached(*dev_losses):
+        evals = [trainer.EvalRecord(50 * i, loss) for i, loss in enumerate(dev_losses)]
+        return steps_to_threshold(dataclasses.replace(trained, evals=evals))
+
+    # The threshold is half the initial dev loss; never reaching it gives steps + 1.
+    assert reached(1.0, 0.6, 0.51) == 101
+    assert reached(1.0, 0.6, 0.5) == 100
+    assert reached(1.0, 0.5, 0.9) == 50
 
 
 def test_task_loss_kinds():
