@@ -22,22 +22,14 @@ import math
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .autodiff import SeedLike, Tensor, apply_op, as_rng, full, tensor
+from .autodiff import Tensor, apply_op, tensor
 from .errors import DomainError, ShapeError
 
 # Uniform draws are clamped away from {0,1} so logit(u) stays finite.
 UNIFORM_EPS = 1e-7
 
 
-def init_logits(num_tasks: int, num_skills: int, init_value: float = 0.0, num_matrices: int | None = None) -> Tensor:
-    """Constant-filled learnable logits [T, S], or a stack [M, T, S] of `num_matrices`; the 0.0 default puts every cell at probability 0.5."""
-    if num_tasks < 1 or num_skills < 1:
-        raise ShapeError("task and skill counts must be >= 1")
-    lead = () if num_matrices is None else (num_matrices,)
-    return full(lead + (num_tasks, num_skills), init_value, requires_grad=True)
-
-
-def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.random.Generator]) -> Tensor:
+def gumbel_sigmoid_sample(logits: Tensor, tau: float, rng: np.random.Generator | list[np.random.Generator]) -> Tensor:
     """Relaxed Bernoulli sample: sigmoid((z + logit(u)) / tau), u ~ Uniform(0,1).
 
     Reparameterised, so gradients flow to the logits with u held fixed. The
@@ -53,14 +45,14 @@ def gumbel_sigmoid_sample(logits: Tensor, tau: float, seed: SeedLike | list[np.r
     """
     if tau <= 0:
         raise DomainError("temperature must be positive")
-    if isinstance(seed, list) and seed and isinstance(seed[0], np.random.Generator):
-        if len(seed) != logits.shape[0]:
-            raise ShapeError(f"{len(seed)} generators for a stack of {logits.shape[0]} replicas")
+    if isinstance(rng, list):
+        if len(rng) != logits.shape[0]:
+            raise ShapeError(f"{len(rng)} generators for a stack of {logits.shape[0]} replicas")
         u = np.empty(logits.shape)
-        for row, rng in zip(u, seed):
-            rng.random(out=row)
+        for row, replica_rng in zip(u, rng):
+            replica_rng.random(out=row)
     else:
-        u = as_rng(seed).random(logits.shape)
+        u = rng.random(logits.shape)
     np.minimum(np.maximum(u, UNIFORM_EPS, out=u), 1.0 - UNIFORM_EPS, out=u)
     noise = np.log(u) - np.log1p(-u)
     inv_tau = 1.0 / tau

@@ -14,10 +14,10 @@ allocation matrices, the task loss (``trainer.task_loss``) and the IBP
 prior (``priors.ibp_regularizer``), one node for all matrices too. The
 one generic op left is ``add``, which sums the loss and the prior. Those
 are all the ops that record nodes: the creation helpers (``zeros``,
-``full``, ``kaiming_uniform``, ``tensor``) build leaves and record
-nothing. A VJP returns one part per input, or None for an input that
-needs no gradient; an input may be listed more than once, and its parts
-are then accumulated in order.
+``kaiming_uniform``, ``tensor``) build leaves and record nothing. A VJP
+returns one part per input, or None for an input that needs no
+gradient; an input may be listed more than once, and its parts are then
+accumulated in order.
 
 Semantics worth knowing:
   * repeated ``backward`` calls accumulate into ``.grad`` (a loss and a
@@ -35,21 +35,13 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
 Array = np.ndarray
-SeedLike = Union[int, Sequence[int], np.random.Generator]
-
-
-def as_rng(seed: SeedLike) -> np.random.Generator:
-    """Normalise an int seed / seed sequence / Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 class Tensor:
@@ -164,15 +156,11 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(_checked_dims(shape)), requires_grad)
 
 
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_checked_dims(shape), float(value)), requires_grad)
-
-
-def kaiming_uniform(shape, seed: SeedLike, requires_grad: bool = False) -> Tensor:
+def kaiming_uniform(shape, rng: np.random.Generator, requires_grad: bool = False) -> Tensor:
     """Uniform in +/- sqrt(6 / fan_in) where fan_in is the last dimension."""
     dims = _checked_dims(shape)
     bound = math.sqrt(6.0 / dims[-1])
-    return Tensor(as_rng(seed).uniform(-bound, bound, size=dims), requires_grad)
+    return Tensor(rng.uniform(-bound, bound, size=dims), requires_grad)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -226,24 +214,23 @@ def add(a, b) -> Tensor:
 # reverse sweep
 
 
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` of every requires_grad leaf.
 
-    Walks the tape once in reverse; each node's output gradient is complete
-    before the node is visited because consumers are always recorded later
-    than producers. Calling backward twice without resetting grads adds the
-    two gradient fields together.
+    Walks the active tape once in reverse; each node's output gradient is
+    complete before the node is visited because consumers are always
+    recorded later than producers. Calling backward twice without resetting
+    grads adds the two gradient fields together.
     """
-    t = tape if tape is not None else _tape
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not t.nodes:
+    if not _tape.nodes:
         raise ContractError("backward on an empty tape")
 
     pending: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
 
-    for node in reversed(t.nodes):
+    for node in reversed(_tape.nodes):
         out_grad = pending.pop(id(node.output), None)
         if out_grad is None:
             continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SeedLike, Tensor, as_rng, kaiming_uniform, matrix_t, unbroadcast, zeros
+from .autodiff import Tensor, kaiming_uniform, matrix_t, unbroadcast, zeros
 
 
 @dataclass
@@ -39,9 +39,8 @@ class HyperNet:
         return [self.w1_a, self.w2_a, self.w1_b, self.w2_b]
 
 
-def new_hypernet(embed_dim: int, out_dim: int, in_dim: int, rank: int, seed: SeedLike) -> HyperNet:
+def new_hypernet(embed_dim: int, out_dim: int, in_dim: int, rank: int, rng: np.random.Generator) -> HyperNet:
     """Build the generators for one projection."""
-    rng = as_rng(seed)
     return HyperNet(
         w1_a=kaiming_uniform((embed_dim, embed_dim), rng, requires_grad=True),
         w2_a=zeros((out_dim * rank, embed_dim), requires_grad=True),

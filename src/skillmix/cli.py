@@ -124,8 +124,13 @@ def _cmd_export_hierarchy(args) -> int:
 
 def _cmd_emit_plots(args) -> int:
     for run in args.run_dirs:
-        if not (run / "summary.json").exists():
+        path = run / "summary.json"
+        if not path.exists():
             print(f"{run} has no summary.json", file=sys.stderr)
+            return EXIT_RUN
+        failure = json.loads(path.read_text()).get("failure")
+        if failure is not None:
+            print(f"{run} failed at stage {failure['stage']}; emit-plots takes runs that did not fail", file=sys.stderr)
             return EXIT_RUN
     from .experiment import emit_plot_data
 

@@ -267,8 +267,7 @@ def _typed(key: str, value, annotation: str):
         return _parse(WorldConfig, _expect(key, value, (dict,), "an object"))
     if kind not in _JSON_TYPES:
         return value  # an `object` field: its __post_init__ check says which forms it takes
-    value = _expect(key, value, *_JSON_TYPES[kind])
-    return float(value) if kind == "float" else value
+    return _expect(key, value, *_JSON_TYPES[kind])  # a float field's int becomes a float in `_Record.__init__`
 
 
 def parse_config_dict(doc: dict) -> ExperimentConfig:

@@ -62,17 +62,24 @@ from .skills import LayerShape
 
 
 class DenseLayer:
-    """Dense skill rows; given a sparsity, a mask restricts them once frozen."""
+    """Dense skill rows; given a sparsity, the layer owns the choice of their mask.
+
+    A sparse layer keeps a copy of its initial rows through the warm-up. `freeze` then
+    keeps each skill's `keep` entries that changed most, `max(1, round((1 - sparsity) *
+    flat_dim))`: at least one, so a narrow layer under high sparsity still has a skill.
+    """
 
     def __init__(self, shape: LayerShape, num_skills: int, rng, sparsity: float | None = None):
         self.shape = shape
-        self.skills = sk.new_dense_skills(num_skills, shape.flat_dim, rng, sparsity)
+        self.skills = sk.new_dense_skills(num_skills, shape.flat_dim, rng)
         self._phi_init = None if sparsity is None else self.skills.phi.data.copy()
+        self.keep = None if sparsity is None else max(1, round((1.0 - sparsity) * shape.flat_dim))
 
     def freeze(self) -> None:
-        """Select the mask from the change since initialisation (sparse stores only)."""
+        """Set the mask from the change since initialisation and drop the warm-up copy (sparse stores only)."""
         if self._phi_init is not None:
-            sk.freeze_mask(self.skills, self._phi_init)
+            self.skills.mask = sk.select_sparse_mask(self._phi_init, self.skills.phi.data, self.keep)
+            self._phi_init = None
 
     def forward(self, x: Tensor, rows: Tensor, matrix: int) -> Tensor:
         return sk.mixed_affine(x, self.skills, rows, self.shape, matrix)

@@ -35,12 +35,9 @@ class Adam:
     step of a separate optimiser per replica.
     """
 
-    def __init__(
-        self,
-        groups: Sequence[dict],
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups: Sequence[dict]):
         seen: set[int] = set()
         for group in groups:
             if group["lr"] <= 0:
@@ -50,8 +47,6 @@ class Adam:
                     raise ContractError("parameter assigned to more than one group")
                 seen.add(id(p))
         self.groups = [dict(params=list(g["params"]), lr=float(g["lr"])) for g in groups]
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._step = 0
         self._params = [p for g in self.groups for p in g["params"]]
         self._data = np.zeros(sum(p.size for p in self._params))

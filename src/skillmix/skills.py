@@ -3,7 +3,8 @@
 Two storage families are supported for the inventory:
   * dense rows, one flat parameter vector per skill; a sparse inventory is
     the same store with a 0/1 mask that, once frozen, limits each skill to
-    the entries whose magnitude changed most during a dense warm-up phase;
+    the entries whose magnitude changed most during a dense warm-up phase
+    (`model.DenseLayer` chooses and freezes it);
   * low-rank adapter pairs (A, B) applied around a base linear map.
 
 Composition is always `base + sum_j w_j * skill_j` with w a simplex weight
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SeedLike, Tensor, apply_op, as_rng, kaiming_uniform, matrix_t, zeros
+from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, zeros
 from .errors import ContractError, ShapeError
 
 
@@ -40,7 +41,6 @@ class LayerShape:
 class DenseSkills:
     phi: Tensor  # [num_skills, dim]
     base: Tensor  # [dim]
-    sparsity: float | None = None  # target fraction of masked entries per row; None: never masked
     mask: np.ndarray | None = None  # 0/1 [num_skills, dim]; None until frozen
 
     def __post_init__(self):
@@ -48,8 +48,6 @@ class DenseSkills:
             raise ShapeError("dense skills need phi [S, d] and base [d]")
         if self.phi.shape[1] != self.base.shape[0]:
             raise ShapeError(f"phi dim {self.phi.shape[1]} != base dim {self.base.shape[0]}")
-        if self.sparsity is not None and not 0.0 <= self.sparsity < 1.0:
-            raise ContractError(f"sparsity must lie in [0, 1), got {self.sparsity}")
 
     @property
     def num_skills(self) -> int:
@@ -58,11 +56,6 @@ class DenseSkills:
     @property
     def dim(self) -> int:
         return self.phi.shape[-1]
-
-    @property
-    def keep_per_skill(self) -> int:
-        # At least one entry, so a narrow layer under high sparsity still has a skill.
-        return max(1, int(round((1.0 - self.sparsity) * self.dim)))
 
 
 @dataclass
@@ -99,15 +92,13 @@ class LowRankSkills:
         return self.A.shape[-1]
 
 
-def new_dense_skills(num_skills: int, dim: int, seed: SeedLike, sparsity: float | None = None) -> DenseSkills:
-    rng = as_rng(seed)
+def new_dense_skills(num_skills: int, dim: int, rng: np.random.Generator) -> DenseSkills:
     phi = kaiming_uniform((num_skills, dim), rng, requires_grad=True)
     base = kaiming_uniform((dim,), rng, requires_grad=True)
-    return DenseSkills(phi, base, sparsity)
+    return DenseSkills(phi, base)
 
 
-def new_lowrank_skills(num_skills: int, out_dim: int, in_dim: int, rank: int, seed: SeedLike) -> LowRankSkills:
-    rng = as_rng(seed)
+def new_lowrank_skills(num_skills: int, out_dim: int, in_dim: int, rank: int, rng: np.random.Generator) -> LowRankSkills:
     # A starts at zero so the initial delta vanishes; B carries the scale.
     a = zeros((num_skills, out_dim, rank), requires_grad=True)
     b = kaiming_uniform((num_skills, rank, in_dim), rng, requires_grad=True)
@@ -259,9 +250,3 @@ def select_sparse_mask(phi_before: np.ndarray, phi_after: np.ndarray, k: int) ->
     rows = np.arange(before.shape[0])[:, None]
     mask[rows, order[:, :k]] = 1.0
     return mask
-
-
-def freeze_mask(skills: DenseSkills, phi_initial: np.ndarray) -> None:
-    """Select and freeze the mask from the warm-up change |phi - phi_initial|."""
-    skills.mask = select_sparse_mask(phi_initial, skills.phi.data, skills.keep_per_skill)
-

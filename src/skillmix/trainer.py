@@ -33,8 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .allocation import init_logits
-from .autodiff import Tensor, add, apply_op, backward, no_grad, reset_tape, tensor
+from .autodiff import Tensor, add, apply_op, backward, no_grad, reset_tape, tensor, zeros
 from .config import ExperimentConfig
 from .errors import ContractError, ShapeError, TrainingDivergedError
 from .model import AllocationState, DenseLayer, HypernetModel, LowRankLayer, SkillModel
@@ -161,7 +160,7 @@ def _anneal_tau(config: ExperimentConfig, step: int) -> float:
     return config.tau + (config.tau_final - config.tau) * frac
 
 
-def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None):
+def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld):
     """The model `config` describes over `tasks`: two linear layers, input -> hidden_dim -> 1.
 
     The only model constructor; every setting comes from the config, which
@@ -171,7 +170,7 @@ def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], wor
     (`resolve_fixed_allocation`), whose column count is the inventory size,
     or, for the skilled kind without one, learnable logits over
     `num_skills`, one matrix per layer or one for all (`allocation_mode`),
-    stacked [M, T, S].
+    stacked [M, T, S] and all zero, so every cell starts at probability 0.5.
     The layers hold dense, sparse (`sparsity`) or low-rank (`rank`) skills.
 
     The construction rng `[seed, STREAM_INIT]` is drawn by the hypernet's
@@ -188,7 +187,7 @@ def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], wor
     if fixed is None:
         num_skills = config.num_skills
         count = len(shapes) if config.allocation_mode == "per_layer" else 1
-        matrices = init_logits(len(tasks), num_skills, num_matrices=count)
+        matrices = zeros((count, len(tasks), num_skills), requires_grad=True)
     elif fixed.shape[0] != len(tasks):
         raise ShapeError("fixed allocation shape disagrees with the task count")
     else:
@@ -201,9 +200,7 @@ def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], wor
     return SkillModel(layers, AllocationState(matrices, config.tau))
 
 
-def resolve_fixed_allocation(
-    config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None
-) -> np.ndarray | None:
+def resolve_fixed_allocation(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld) -> np.ndarray | None:
     """The kind's fixed 0/1 allocation over `tasks`; None when the allocation is learned.
 
     Private is the identity and shared a single ones column. A frozen
@@ -218,8 +215,6 @@ def resolve_fixed_allocation(
     if kind == "shared":
         return np.ones((n, 1))
     if matrix == "planted":
-        if world is None:
-            raise ContractError("planted expert table requires a synthetic world")
         matrix = world.true_z[:n]
     return None if matrix is None else np.asarray(matrix, dtype=np.float64)
 
@@ -254,7 +249,7 @@ def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str
     return loss_value, reg_value
 
 
-def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld | None = None) -> TrainedModel:
+def multitask_train(config: ExperimentConfig, tasks: list[TaskSpec], world: SyntheticWorld) -> TrainedModel:
     """Train the config's model kind on the training tasks; deterministic per seed.
 
     The generator `[seed, STREAM_TRAIN]` draws, in this order: the task of

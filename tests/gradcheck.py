@@ -28,11 +28,11 @@ def grad_check(f, x, eps=1e-5):
     if eps <= 0:
         raise DomainError("eps must be positive")
     leaf = ad.Tensor(np.array(x.data, copy=True), requires_grad=True)
-    with fresh_tape() as t:
+    with fresh_tape():
         out = f(leaf)
         if not isinstance(out, ad.Tensor) or out.size != 1:
             raise ContractError("grad_check requires a scalar-valued function")
-        ad.backward(out, t)
+        ad.backward(out)
     analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
 
     numeric = np.zeros_like(analytic)

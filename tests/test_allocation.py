@@ -17,14 +17,13 @@ from skillmix.allocation import (
     gumbel_sigmoid_sample,
     harden,
     hardened_to_csv,
-    init_logits,
     metric_discreteness,
     metric_sparsity,
     metric_usage,
     normalize_rows,
 )
 from skillmix.cli import EXIT_RUN, main
-from skillmix.errors import DomainError, ShapeError
+from skillmix.errors import DomainError
 from skillmix.experiment import export_hierarchy
 from skillmix.priors import ibp_log_prob
 from skillmix.recovery import skill_recovery_score
@@ -50,23 +49,9 @@ def clean_tape():
 # logits
 
 
-def test_init_logits_constant_fill():
-    logits = init_logits(2, 3, 0.0)
-    assert logits.data.tolist() == [[0.0] * 3] * 2
-    assert logits.requires_grad
-    assert init_logits(1, 1, 2.0).data.tolist() == [[2.0]]
-
-
 def test_init_zero_means_half_probability():
-    probs = expected_allocation(init_logits(3, 4), tau=1.0)
+    probs = expected_allocation(ad.zeros((3, 4), requires_grad=True), tau=1.0)
     assert np.all(probs == 0.5)
-
-
-def test_init_logits_rejects_zero_counts():
-    with pytest.raises(ShapeError):
-        init_logits(0, 3)
-    with pytest.raises(ShapeError):
-        init_logits(3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,23 +60,23 @@ def test_init_logits_rejects_zero_counts():
 
 def test_sample_zero_logit_unit_tau_reproduces_the_draw():
     # At z = 0 and tau = 1 the relaxed sample equals the uniform draw itself.
-    logits = init_logits(4, 5, 0.0)
-    sample = gumbel_sigmoid_sample(logits, 1.0, seed=3)
+    logits = ad.zeros((4, 5), requires_grad=True)
+    sample = gumbel_sigmoid_sample(logits, 1.0, np.random.default_rng(3))
     draws = np.clip(np.random.default_rng(3).uniform(size=(4, 5)), UNIFORM_EPS, 1.0 - UNIFORM_EPS)
     assert np.allclose(sample.data, draws, atol=1e-12)
 
 
 def test_sample_at_half_draw_is_sigmoid_of_scaled_logit():
-    logits = init_logits(1, 1, 2.0)
+    logits = ad.tensor([[2.0]], requires_grad=True)
     relaxed = expected_allocation(logits, tau=1.0)
     assert relaxed[0, 0] == pytest.approx(0.8807970779778823, abs=1e-12)
-    assert expected_allocation(init_logits(1, 1, 4.0), tau=2.0)[0, 0] == pytest.approx(
+    assert expected_allocation(ad.tensor([[4.0]], requires_grad=True), tau=2.0)[0, 0] == pytest.approx(
         0.8807970779778823, abs=1e-12
     )
 
 
 def test_small_tau_sharpens_expected_allocation():
-    assert expected_allocation(init_logits(1, 1, 1.0), tau=1e-3)[0, 0] > 1.0 - 1e-12
+    assert expected_allocation(ad.tensor([[1.0]], requires_grad=True), tau=1e-3)[0, 0] > 1.0 - 1e-12
 
 
 def test_expected_allocation_is_the_unfused_chain_and_records_no_node():
@@ -106,21 +91,21 @@ def test_expected_allocation_is_the_unfused_chain_and_records_no_node():
 
 
 def test_sample_entries_strictly_inside_unit_interval():
-    sample = gumbel_sigmoid_sample(init_logits(8, 8, 0.0), 0.5, seed=0)
+    sample = gumbel_sigmoid_sample(ad.zeros((8, 8), requires_grad=True), 0.5, np.random.default_rng(0))
     assert np.all(sample.data > 0.0) and np.all(sample.data < 1.0)
 
 
 def test_sample_reproducible_from_seed():
-    a = gumbel_sigmoid_sample(init_logits(3, 3), 1.0, seed=11)
-    b = gumbel_sigmoid_sample(init_logits(3, 3), 1.0, seed=11)
+    a = gumbel_sigmoid_sample(ad.zeros((3, 3), requires_grad=True), 1.0, np.random.default_rng(11))
+    b = gumbel_sigmoid_sample(ad.zeros((3, 3), requires_grad=True), 1.0, np.random.default_rng(11))
     assert np.array_equal(a.data, b.data)
 
 
 def test_nonpositive_tau_rejected():
     with pytest.raises(DomainError):
-        gumbel_sigmoid_sample(init_logits(1, 1), 0.0, seed=0)
+        gumbel_sigmoid_sample(ad.zeros((1, 1), requires_grad=True), 0.0, np.random.default_rng(0))
     with pytest.raises(DomainError):
-        expected_allocation(init_logits(1, 1), -1.0)
+        expected_allocation(ad.zeros((1, 1), requires_grad=True), -1.0)
 
 
 @pytest.mark.parametrize("z", [-2.0, 0.0, 2.0])
@@ -129,8 +114,8 @@ def test_hard_threshold_law(z, tau):
     # P(sample > 0.5) = sigmoid(z) for any tau: crossing 0.5 only depends on
     # the sign of z + logit(u).
     n = 10_000
-    logits = init_logits(1, n, z)
-    sample = gumbel_sigmoid_sample(logits, tau, seed=hash((z, tau)) % 2**32)
+    logits = ad.tensor(np.full((1, n), z), requires_grad=True)
+    sample = gumbel_sigmoid_sample(logits, tau, np.random.default_rng(hash((z, tau)) % 2**32))
     freq = float((sample.data > 0.5).mean())
     p = 1.0 / (1.0 + math.exp(-z))
     stderr = math.sqrt(p * (1 - p) / n)
@@ -142,7 +127,7 @@ def test_sampled_gradient_matches_finite_differences_with_fixed_draw():
     start = rng.standard_normal((3, 4))
 
     def f(z):
-        return unfused.reduce_sum(gumbel_sigmoid_sample(z, 0.7, seed=5))
+        return unfused.reduce_sum(gumbel_sigmoid_sample(z, 0.7, np.random.default_rng(5)))
 
     assert grad_check(f, ad.tensor(start)) < 1e-4
 
@@ -293,7 +278,7 @@ def test_harden_sign_pattern_statistics():
     # probability sigmoid(3); check the aggregate rate over many cells.
     n = 4000
     logits_data = np.concatenate([np.full((1, n), 3.0), np.full((1, n), -3.0)], axis=0)
-    hard = harden(gumbel_sigmoid_sample(ad.tensor(logits_data), 1.0, seed=17))
+    hard = harden(gumbel_sigmoid_sample(ad.tensor(logits_data), 1.0, np.random.default_rng(17)))
     match = (hard[0] == 1).mean() * 0.5 + (hard[1] == 0).mean() * 0.5
     p = 1.0 / (1.0 + math.exp(-3.0))
     assert abs(match - p) <= 3 * math.sqrt(p * (1 - p) / (2 * n))

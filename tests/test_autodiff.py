@@ -21,13 +21,12 @@ def clean_tape():
 # creation
 
 
-def test_zeros_and_constant_fill():
+def test_zeros():
     assert ad.zeros((2, 2)).data.tolist() == [[0.0, 0.0], [0.0, 0.0]]
-    assert ad.full((3,), 1.0).data.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_kaiming_uniform_bound_from_fan_in():
-    t = ad.kaiming_uniform((4, 8), seed=7)
+    t = ad.kaiming_uniform((4, 8), np.random.default_rng(7))
     bound = math.sqrt(6.0 / 8.0)
     assert np.all(np.abs(t.data) <= bound)
     assert t.data.std() > 0.1  # actually random, not degenerate
@@ -244,8 +243,8 @@ def test_backward_is_linear_in_the_loss():
 
     def grads_of(fn):
         x = ad.tensor(data, requires_grad=True)
-        with fresh_tape() as t:
-            ad.backward(fn(x), t)
+        with fresh_tape():
+            ad.backward(fn(x))
         return x.grad
 
     gf = grads_of(lambda x: unfused.reduce_sum(unfused.sigmoid(x)))
@@ -271,10 +270,10 @@ def test_composite_sigmoid_matmul_gradient():
 
 def test_deterministic_gradients_across_runs():
     def run():
-        x = ad.tensor(ad.kaiming_uniform((3, 5), seed=99).data, requires_grad=True)
-        with fresh_tape() as t:
+        x = ad.tensor(ad.kaiming_uniform((3, 5), np.random.default_rng(99)).data, requires_grad=True)
+        with fresh_tape():
             loss = unfused.reduce_sum(unfused.sigmoid(unfused.mul(x, x)))
-            ad.backward(loss, t)
+            ad.backward(loss)
         return x.data.copy(), x.grad.copy()
 
     d1, g1 = run()
@@ -292,9 +291,9 @@ def test_grad_check_on_sum_is_machine_precision():
 
 def test_grad_check_sigmoid_at_zero():
     x = ad.tensor(np.zeros(5))
-    with fresh_tape() as t:
+    with fresh_tape():
         leaf = ad.tensor(np.zeros(5), requires_grad=True)
-        ad.backward(unfused.reduce_sum(unfused.sigmoid(leaf)), t)
+        ad.backward(unfused.reduce_sum(unfused.sigmoid(leaf)))
         assert np.allclose(leaf.grad, 0.25)
     assert grad_check(lambda v: unfused.reduce_sum(unfused.sigmoid(v)), x) < 1e-6
 

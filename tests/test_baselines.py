@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from skillmix.config import ExperimentConfig, WorldConfig
 from skillmix.errors import TaskLookupError
 from skillmix.model import HypernetLayer, HypernetModel, LayerShape
 from skillmix.skills import DenseSkills, mixed_affine
+from skillmix.synthetic import generate_synthetic_benchmark
 from skillmix.trainer import build_model_from_config, resolve_fixed_allocation
 
 import unfused
@@ -27,9 +26,21 @@ def clean_tape():
 # fixed allocations
 
 
+def _world(config: ExperimentConfig):
+    """The world and training tasks `config` describes."""
+    w = config.world
+    world, tasks = generate_synthetic_benchmark(
+        config.seed, w.num_tasks, w.num_true_skills, w.input_dim, w.examples_per_task, w.noise_sigma,
+        (w.skills_per_task_min, w.skills_per_task_max), holdout_tasks=w.holdout_tasks,
+    )
+    return world, [t for t in tasks if t.split == "train"]
+
+
 def _fixed(kind: str, num_tasks: int) -> np.ndarray:
-    tasks = [SimpleNamespace(id=f"t{i}") for i in range(num_tasks)]
-    return resolve_fixed_allocation(ExperimentConfig(model_kind=kind), tasks, None)
+    world_config = WorldConfig(num_tasks=num_tasks, num_true_skills=2, skills_per_task_max=2, input_dim=4, examples_per_task=4)
+    config = ExperimentConfig(model_kind=kind, world=world_config)
+    world, tasks = _world(config)
+    return resolve_fixed_allocation(config, tasks, world)
 
 
 def test_private_is_identity():
@@ -72,7 +83,7 @@ def _column(values) -> np.ndarray:
 
 
 def test_zero_initialised_generator_gives_zero_adapter():
-    hn = new_hypernet(4, out_dim=5, in_dim=6, rank=2, seed=0)
+    hn = new_hypernet(4, out_dim=5, in_dim=6, rank=2, rng=np.random.default_rng(0))
     a, b, _ = hypernet_generate(_column(np.random.default_rng(0).standard_normal(4)), hn)
     assert np.all(a == 0.0)
     assert a.shape == (5, 2) and b.shape == (2, 6)
@@ -169,10 +180,10 @@ def test_fused_hypernet_layers_equal_the_unfused_chain(case, input_grad):
 
 def _build(num_tasks: int, seed: int, **changes):
     """A model over `num_tasks` tasks of input size 4, hidden size 3, built from its config."""
-    world = WorldConfig(num_tasks=num_tasks, num_true_skills=1, skills_per_task_max=1, input_dim=4, holdout_tasks=0)
-    config = ExperimentConfig(seed=seed, world=world, hidden_dim=3, **changes)
-    tasks = [SimpleNamespace(id=f"t{i}", input_dim=4) for i in range(num_tasks)]
-    return build_model_from_config(config, tasks, None)
+    world_config = WorldConfig(num_tasks=num_tasks, num_true_skills=1, skills_per_task_max=1, input_dim=4, holdout_tasks=0)
+    config = ExperimentConfig(seed=seed, world=world_config, hidden_dim=3, **changes)
+    world, tasks = _world(config)
+    return build_model_from_config(config, tasks, world)
 
 
 def test_private_model_forward_equals_skilled_with_identity():

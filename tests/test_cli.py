@@ -156,3 +156,24 @@ def test_export_hierarchy_hardens_saturated_logits(tmp_path):
 
 def test_emit_plots_without_a_summary_exits_2(tmp_path):
     assert main(["emit-plots", str(tmp_path)]) == EXIT_RUN
+
+
+def _failed_run(root: Path, name: str, stage: str, history: bool) -> Path:
+    """A hand-built run directory whose summary carries a failure marker at `stage`."""
+    run = root / name
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps({"model_kind": "skilled", "seed": 0, "num_skills": 2}))
+    (run / "summary.json").write_text(json.dumps({"failure": {"stage": stage, "error": "ValueError: boom"}}))
+    if history:
+        (run / "history.csv").write_text("step,task_id,loss,reg_loss,tau\n0,task_0,1.0,0.0,1.0\n")
+    return run
+
+
+@pytest.mark.parametrize("stage,history", [("few_shot_adaptation", True), ("generate_world", False)])
+def test_emit_plots_rejects_a_failed_run_before_writing_a_file(tmp_path, capsys, stage, history):
+    run = _failed_run(tmp_path, "skilled-failed", stage, history)
+    out = tmp_path / "plots"
+    assert main(["emit-plots", str(run), "--out", str(out)]) == EXIT_RUN
+    err = capsys.readouterr().err
+    assert str(run) in err and stage in err
+    assert not out.exists()

@@ -295,6 +295,9 @@ def test_an_int_in_a_float_field_is_stored_as_a_float_and_hashes_alike():
     world = ExperimentConfig(world=WorldConfig(noise_sigma=0))
     assert config_hash(world) == config_hash(ExperimentConfig(world=WorldConfig(noise_sigma=0.0)))
     assert ExperimentConfig(tau_final=None).tau_final is None
+    parsed = parse_config_dict({"tau": 1, "world": {"noise_sigma": 0}})
+    assert type(parsed.tau) is float and type(parsed.world.noise_sigma) is float
+    assert parsed == ExperimentConfig(tau=1.0) and config_hash(parsed) == config_hash(ExperimentConfig(tau=1.0))
 
 
 def test_a_run_directory_config_parses_back_to_the_hash_that_names_it(tmp_path, monkeypatch):

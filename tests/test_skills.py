@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from skillmix import autodiff as ad
 from skillmix import skills as sk
 from skillmix.errors import ContractError, ShapeError
+from skillmix.model import DenseLayer
 
 import unfused
 from gradcheck import grad_check
@@ -216,9 +217,8 @@ def test_mask_k_out_of_range():
 
 
 def make_sparse(sparsity=0.9, num_skills=2, dim=100, seed=0):
-    rng = np.random.default_rng(seed)
-    skills = sk.new_dense_skills(num_skills, dim, rng, sparsity)
-    return skills
+    """A sparse layer whose flat skill rows have `dim` entries, its mask not yet frozen."""
+    return DenseLayer(sk.LayerShape(dim - 1, 1), num_skills, np.random.default_rng(seed), sparsity)
 
 
 def probe_input(skills, batch=3, seed=0):
@@ -226,7 +226,7 @@ def probe_input(skills, batch=3, seed=0):
 
 
 def test_full_mask_equals_dense_composition():
-    skills = make_sparse(sparsity=0.0)
+    skills = sk.new_dense_skills(2, 100, np.random.default_rng(0))
     skills.mask = np.ones((2, 100))
     w = ad.tensor([0.3, 0.7])
     x = probe_input(skills)
@@ -236,7 +236,7 @@ def test_full_mask_equals_dense_composition():
 
 
 def test_empty_mask_returns_base():
-    skills = make_sparse()
+    skills = sk.new_dense_skills(2, 100, np.random.default_rng(0))
     skills.mask = np.zeros((2, 100))
     x = probe_input(skills)
     out = sk.mixed_affine(x, skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
@@ -245,18 +245,31 @@ def test_empty_mask_returns_base():
 
 
 def test_ninety_percent_sparsity_keeps_ten_of_hundred():
-    skills = make_sparse(sparsity=0.9, dim=100)
-    phi_start = skills.phi.data.copy()
-    skills.phi.data += np.random.default_rng(5).standard_normal(skills.phi.shape)
-    sk.freeze_mask(skills, phi_start)
-    assert skills.keep_per_skill == 10
-    assert np.array_equal(skills.mask.sum(axis=1), [10, 10])
+    layer = make_sparse(sparsity=0.9, dim=100)
+    assert layer.skills.mask is None
+    layer.skills.phi.data += np.random.default_rng(5).standard_normal(layer.skills.phi.shape)
+    layer.freeze()
+    assert layer.keep == 10
+    assert np.array_equal(layer.skills.mask.sum(axis=1), [10, 10])
+
+
+def test_freeze_keeps_the_entries_that_changed_most_and_only_once():
+    layer = make_sparse(sparsity=0.5, num_skills=1, dim=4)
+    layer.skills.phi.data += [[0.0, 3.0, -2.0, 0.5]]
+    layer.freeze()
+    assert layer.skills.mask.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+    # The warm-up copy is gone: a later change does not move the mask.
+    layer.skills.phi.data += [[9.0, 0.0, 0.0, 9.0]]
+    layer.freeze()
+    assert layer.skills.mask.tolist() == [[0.0, 1.0, 1.0, 0.0]]
 
 
 def test_masked_entries_get_exactly_zero_gradient():
-    skills = make_sparse(sparsity=0.9, dim=100)
-    sk.freeze_mask(skills, skills.phi.data + np.random.default_rng(6).standard_normal(skills.phi.shape))
-    out = sk.mixed_affine(probe_input(skills), skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
+    layer = make_sparse(sparsity=0.9, dim=100)
+    layer.skills.phi.data += np.random.default_rng(6).standard_normal(layer.skills.phi.shape)
+    layer.freeze()
+    skills = layer.skills
+    out = sk.mixed_affine(probe_input(skills), skills, ad.tensor([0.5, 0.5]), layer.shape)
     ad.backward(unfused.reduce_sum(unfused.mul(out, out)))
     masked = skills.phi.grad[skills.mask == 0]
     unmasked = skills.phi.grad[skills.mask == 1]
@@ -272,17 +285,17 @@ def test_unmasked_gradients_match_finite_differences():
     x = rng.standard_normal((3, 11))
 
     def f(phi):
-        skills = sk.DenseSkills(phi, ad.tensor(base), 0.5, mask)
+        skills = sk.DenseSkills(phi, ad.tensor(base), mask=mask)
         return probe_objective(sk.mixed_affine(ad.tensor(x), skills, ad.tensor(w), layer_shape(skills)))
 
     assert grad_check(f, ad.tensor(rng.standard_normal((2, 12)))) < 1e-4
 
 
 def test_keep_per_skill_never_rounds_to_zero():
-    skills = make_sparse(sparsity=0.9, dim=4)
-    assert skills.keep_per_skill == 1
-    sk.freeze_mask(skills, np.zeros_like(skills.phi.data))
-    assert np.array_equal(skills.mask.sum(axis=1), [1, 1])
+    layer = make_sparse(sparsity=0.9, dim=4)
+    assert layer.keep == 1
+    layer.freeze()
+    assert np.array_equal(layer.skills.mask.sum(axis=1), [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +314,13 @@ def lora_forward_materialized(x, skills, w):
 
 
 def random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed):
-    skills = sk.new_lowrank_skills(num_skills, out_dim, in_dim, rank, seed=seed)
+    skills = sk.new_lowrank_skills(num_skills, out_dim, in_dim, rank, np.random.default_rng(seed))
     skills.A.data[:] = rng.standard_normal(skills.A.shape)
     return skills
 
 
 def test_lora_zero_adapters_reduce_to_base_map():
-    skills = sk.new_lowrank_skills(3, 4, 5, 2, seed=0)
+    skills = sk.new_lowrank_skills(3, 4, 5, 2, np.random.default_rng(0))
     x = ad.tensor(np.random.default_rng(1).standard_normal((1, 5)))
     out = sk.mixed_lowrank(x, skills, ad.tensor(np.ones(3) / 3))
     expected = x.data @ skills.W0.data.T + skills.b0.data
@@ -315,7 +328,7 @@ def test_lora_zero_adapters_reduce_to_base_map():
 
 
 def test_lora_scalar_hand_value():
-    skills = sk.new_lowrank_skills(1, 1, 1, 1, seed=0)
+    skills = sk.new_lowrank_skills(1, 1, 1, 1, np.random.default_rng(0))
     skills.W0.data[:] = [[1.0]]
     skills.A.data[:] = [[[2.0]]]
     skills.B.data[:] = [[[3.0]]]
@@ -389,11 +402,11 @@ def test_lora_gradients_match_finite_differences():
 
 def test_lowrank_rank_bound_enforced():
     with pytest.raises(ShapeError):
-        sk.new_lowrank_skills(1, 2, 3, 4, seed=0)
+        sk.new_lowrank_skills(1, 2, 3, 4, np.random.default_rng(0))
 
 
 def test_lora_input_shape_checks():
-    skills = sk.new_lowrank_skills(1, 2, 3, 1, seed=0)
+    skills = sk.new_lowrank_skills(1, 2, 3, 1, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         sk.mixed_lowrank(ad.tensor(np.ones((1, 4))), skills, ad.tensor([1.0]))
     with pytest.raises(ShapeError):
@@ -415,7 +428,7 @@ def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
     """Output and gradients equal the op on the lone row; the other matrix's rows get exact zeros."""
     rng = np.random.default_rng(matrix + 2 * len(lead))
     if family == "dense":
-        skills = sk.new_dense_skills(3, 4 * 2 + 4, seed=1)
+        skills = sk.new_dense_skills(3, 4 * 2 + 4, np.random.default_rng(1))
         if lead:
             skills.phi.data = np.repeat(skills.phi.data[None], lead[0], axis=0)
         params = [skills.phi, skills.base]
@@ -448,7 +461,7 @@ def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
 
 
 def test_a_layer_rejects_a_matrix_the_rows_do_not_hold():
-    skills = sk.new_dense_skills(2, 3, seed=0)
+    skills = sk.new_dense_skills(2, 3, np.random.default_rng(0))
     rows = ad.tensor(np.full((2, 2), 0.5))
     with pytest.raises(ShapeError):
         sk.mixed_affine(ad.tensor(np.ones((1, 2))), skills, rows, sk.LayerShape(2, 1), 2)

@@ -232,8 +232,7 @@ def test_sparse_mask_freezes_after_warmup():
     trained = multitask_train(cfg, train_tasks, world=world)
     for layer in trained.model.layers:
         assert layer.skills.mask is not None
-        keep = layer.skills.keep_per_skill
-        assert np.array_equal(layer.skills.mask.sum(axis=1), np.full(3, keep))
+        assert np.array_equal(layer.skills.mask.sum(axis=1), np.full(3, layer.keep))
 
 
 def test_ibp_regulariser_feeds_history():
