@@ -20,8 +20,12 @@ that decides which rows a forward reads. The rows are one of two things:
     its own matrix's row);
   * hypernetwork generation: the store's base is the task embeddings
     [T, embed_dim]. Low-rank adapters are generated from the task's
-    embedding and applied around the base map; each layer owns its
-    generators and records one tape node (`HypernetLayer.forward`).
+    embedding and applied around the base map; each layer records one
+    tape node (`HypernetLayer.forward`).
+
+Each layer class owns its family's parameters, skills and shared base
+map: `DenseLayer` dense or sparse rows, `LowRankLayer` adapter pairs,
+`HypernetLayer` adapter generators.
 
 Few-shot adaptation runs on `TaskModel.replicate(R)`, a copy whose skill
 parameters (the trainable ones besides a new task's own) carry a leading
@@ -51,8 +55,7 @@ import numpy as np
 
 from . import skills as sk
 from .allocation import expected_allocation, gumbel_sigmoid_sample, normalize_rows
-from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, tensor, unbroadcast
-from .baselines import HyperNet, hypernet_generate, new_hypernet
+from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, tensor, unbroadcast, zeros
 from .errors import ContractError, ShapeError, TaskLookupError
 from .skills import LayerShape
 
@@ -67,12 +70,15 @@ class DenseLayer:
     A sparse layer keeps a copy of its initial rows through the warm-up. `freeze` then
     keeps each skill's `keep` entries that changed most, `max(1, round((1 - sparsity) *
     flat_dim))`: at least one, so a narrow layer under high sparsity still has a skill.
+    Rows, base and mask stay one `skills.DenseSkills` store: `mixed_affine` takes it whole,
+    and the benchmark's checks read `skills.mask` and `skills.phi` through it.
     """
 
     def __init__(self, shape: LayerShape, num_skills: int, rng, sparsity: float | None = None):
         self.shape = shape
-        self.skills = sk.new_dense_skills(num_skills, shape.flat_dim, rng)
-        self._phi_init = None if sparsity is None else self.skills.phi.data.copy()
+        phi = kaiming_uniform((num_skills, shape.flat_dim), rng, requires_grad=True)
+        self.skills = sk.DenseSkills(phi, kaiming_uniform((shape.flat_dim,), rng, requires_grad=True))
+        self._phi_init = None if sparsity is None else phi.data.copy()
         self.keep = None if sparsity is None else max(1, round((1.0 - sparsity) * shape.flat_dim))
 
     def freeze(self) -> None:
@@ -100,33 +106,47 @@ class DenseLayer:
 
 
 class LowRankLayer:
+    """Adapter pairs A [S, out, r] (zero at first, so B carries the scale) and B [S, r, in] around W0, b0; r <= min(in, out)."""
+
     def __init__(self, shape: LayerShape, num_skills: int, rank: int, rng):
         self.shape = shape
-        rank = min(rank, shape.in_dim, shape.out_dim)
-        self.skills = sk.new_lowrank_skills(num_skills, shape.out_dim, shape.in_dim, rank, rng)
+        self.rank = rank = min(rank, shape.in_dim, shape.out_dim)
+        self.A = zeros((num_skills, shape.out_dim, rank), requires_grad=True)
+        self.B = kaiming_uniform((num_skills, rank, shape.in_dim), rng, requires_grad=True)
+        self.W0 = kaiming_uniform((shape.out_dim, shape.in_dim), rng, requires_grad=True)
+        self.b0 = kaiming_uniform((shape.out_dim,), rng, requires_grad=True)
 
     def forward(self, x: Tensor, rows: Tensor, matrix: int) -> Tensor:
-        return sk.mixed_lowrank(x, self.skills, rows, matrix)
+        return sk.mixed_lowrank(x, self, rows, matrix)
 
     def add_skill(self, rngs) -> None:
         """Append an adapter pair to every replica: A = 0, so a task on it starts at the base map, and a kaiming B from the replica's generator."""
-        s = self.skills
-        b = np.stack([kaiming_uniform((s.rank, s.in_dim), rng).data for rng in rngs])
-        s.A.data = np.concatenate([s.A.data, np.zeros((len(rngs), 1, s.out_dim, s.rank))], axis=-3)
-        s.B.data = np.concatenate([s.B.data, b[:, None]], axis=-3)
+        b = np.stack([kaiming_uniform((self.rank, self.shape.in_dim), rng).data for rng in rngs])
+        self.A.data = np.concatenate([self.A.data, np.zeros((len(rngs), 1, self.shape.out_dim, self.rank))], axis=-3)
+        self.B.data = np.concatenate([self.B.data, b[:, None]], axis=-3)
 
     def phi_parameters(self) -> list[Tensor]:
-        return [self.skills.A, self.skills.B]
+        return [self.A, self.B]
 
     def base_parameters(self) -> list[Tensor]:
-        return [self.skills.W0, self.skills.b0]
+        return [self.W0, self.b0]
 
 
 class HypernetLayer:
+    """A base map W0, b0 plus a low-rank adapter (A, B) generated from the task's embedding.
+
+    Each factor is W2 @ relu(W1 @ embedding) reshaped row-major, A [out, r]
+    by `w1_a`, `w2_a` and B [r, in] by `w1_b`, `w2_b`, with r <= min(in, out)
+    and hidden size = embedding size. `w2_a` starts at zero: a no-op adapter.
+    """
+
     def __init__(self, shape: LayerShape, embed_dim: int, rank: int, rng):
         self.shape = shape
-        rank = min(rank, shape.in_dim, shape.out_dim)
-        self.hypernet: HyperNet = new_hypernet(embed_dim, shape.out_dim, shape.in_dim, rank, rng)
+        self.rank = rank = min(rank, shape.in_dim, shape.out_dim)
+        self.w1_a = kaiming_uniform((embed_dim, embed_dim), rng, requires_grad=True)
+        self.w2_a = zeros((shape.out_dim * rank, embed_dim), requires_grad=True)
+        self.w1_b = kaiming_uniform((embed_dim, embed_dim), rng, requires_grad=True)
+        self.w2_b = kaiming_uniform((rank * shape.in_dim, embed_dim), rng, requires_grad=True)
         self.W0 = kaiming_uniform((shape.out_dim, shape.in_dim), rng, requires_grad=True)
         self.b0 = kaiming_uniform((shape.out_dim,), rng, requires_grad=True)
 
@@ -149,13 +169,13 @@ class HypernetLayer:
         if x.shape[-1] != self.shape.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.shape.in_dim}")
         e = embedding.data
-        a, b, generated_vjp = hypernet_generate(e[..., index, :][..., None], self.hypernet)
+        a, b, generated_vjp = hypernet_generate(e[..., index, :][..., None], self)
         xd, w0, b0 = x.data, self.W0, self.b0
         w0_t, b_t, a_t = matrix_t(w0.data).copy(), matrix_t(b).copy(), matrix_t(a).copy()
         y1 = xd @ w0_t
         xb = xd @ b_t
         xba = xb @ a_t
-        generators = self.hypernet.generator_parameters()
+        generators = self.phi_parameters()
         need_x, need_e, need_w0, need_b0 = (t.requires_grad for t in (x, embedding, w0, b0))
         need_generated = need_e or any(p.requires_grad for p in generators)
 
@@ -185,10 +205,52 @@ class HypernetLayer:
         return apply_op((x, embedding, *generators, w0, b0), out, vjp)
 
     def phi_parameters(self) -> list[Tensor]:
-        return self.hypernet.generator_parameters()
+        return [self.w1_a, self.w2_a, self.w1_b, self.w2_b]
 
     def base_parameters(self) -> list[Tensor]:
         return [self.W0, self.b0]
+
+
+def _generated_factor(w1: Tensor, w2: Tensor, column: np.ndarray, shape: tuple[int, ...]):
+    """W2 @ relu(W1 @ column) reshaped to `shape`, and its VJP (column, W1, W2)."""
+    pre = w1.data @ column
+    gate = (pre > 0.0).astype(np.float64)
+    hidden = pre * gate
+    flat = w2.data @ hidden
+
+    def vjp(g: np.ndarray):
+        g_flat = g.reshape(flat.shape)
+        g_w2 = unbroadcast(g_flat * matrix_t(hidden), w2.shape) if w2.requires_grad else None
+        g_pre = unbroadcast(matrix_t(w2.data) @ g_flat, hidden.shape) * gate
+        g_w1 = unbroadcast(g_pre * matrix_t(column), w1.shape) if w1.requires_grad else None
+        return unbroadcast(matrix_t(w1.data) @ g_pre, column.shape), g_w1, g_w2
+
+    return flat.reshape(shape), vjp
+
+
+def hypernet_generate(column: np.ndarray, layer: HypernetLayer):
+    """The (A, B) adapter pair a layer generates from an [embed_dim, 1] embedding column, and its VJP.
+
+    Plain arrays, no tape node: `HypernetLayer.forward` records the whole
+    layer as one node. `vjp(g_a, g_b)` returns the column's gradient and
+    the generators' in `phi_parameters` order, None for a generator that
+    needs none. Values and gradients replay the numpy operations of the
+    unfused matmul -> relu -> matmul -> reshape chains (`tests/unfused.py`)
+    in order. A stack of columns [..., embed_dim, 1], with generators
+    stacked alike, gives a stack of pairs.
+    """
+    lead = column.shape[:-2]
+    o, i, r = layer.shape.out_dim, layer.shape.in_dim, layer.rank
+    a, vjp_a = _generated_factor(layer.w1_a, layer.w2_a, column, lead + (o, r))
+    b, vjp_b = _generated_factor(layer.w1_b, layer.w2_b, column, lead + (r, i))
+
+    def vjp(g_a: np.ndarray, g_b: np.ndarray):
+        # The B chain was recorded after the A chain, so its part comes first.
+        g_col_b, g_w1_b, g_w2_b = vjp_b(g_b)
+        g_col_a, g_w1_a, g_w2_a = vjp_a(g_a)
+        return g_col_b + g_col_a, (g_w1_a, g_w2_a, g_w1_b, g_w2_b)
+
+    return a, b, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +312,10 @@ class AllocationState(TaskRows):
     each of the R replicas that adapt it side by side, learnable or fixed
     independently of the stack, so a frozen skilled model adapts a learned
     row over its fixed inventory.
+
+    `tau` is the config's starting temperature. The expected path
+    (evaluation and `eval_matrix`) and a new task's adaptation draws run at
+    it; only training passes an annealed `tau` to `rows_for_step`.
     """
 
     def __init__(self, matrices: Tensor | np.ndarray, tau: float):

@@ -1,20 +1,21 @@
-"""Skill parameter inventories and their composition into per-task parameters.
+"""Skill inventories composed into per-task layers: one fused op per storage family.
 
-Two storage families are supported for the inventory:
-  * dense rows, one flat parameter vector per skill; a sparse inventory is
-    the same store with a 0/1 mask that, once frozen, limits each skill to
-    the entries whose magnitude changed most during a dense warm-up phase
-    (`model.DenseLayer` chooses and freezes it);
-  * low-rank adapter pairs (A, B) applied around a base linear map.
+Each family's parameters belong to one `model` layer class:
+  * dense rows, one flat parameter vector per skill, in the `DenseSkills`
+    store of a `model.DenseLayer`, which chooses and freezes the 0/1 mask
+    of a sparse inventory (each skill's entries that changed most during
+    a dense warm-up phase);
+  * low-rank adapter pairs (A, B) around a base linear map (W0, b0), held
+    by `model.LowRankLayer` itself.
 
 Composition is always `base + sum_j w_j * skill_j` with w a simplex weight
 vector obtained from a normalised allocation row. It is never a tape chain
 of its own: each family has one fused op that mixes the skills and applies
-the resulting linear layer as a single tape node with a hand-written VJP,
-`mixed_affine` for dense rows (theta = base + w @ (phi * mask), unflattened
-into the layer's weight and bias) and `mixed_lowrank` for adapter pairs
-(W0 + sum_j w_j A_j B_j, evaluated batched over the skill axis without
-materialising the delta).
+the resulting linear layer as a single tape node with a hand-written VJP.
+`mixed_affine` reads a `DenseSkills` store (theta = base + w @ (phi * mask),
+unflattened into the layer's weight and bias); `mixed_lowrank` reads a
+`LowRankLayer`'s `A`, `B`, `W0` and `b0` (W0 + sum_j w_j A_j B_j, evaluated
+batched over the skill axis without materialising the delta).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, zeros
+from .autodiff import Tensor, apply_op, matrix_t
 from .errors import ContractError, ShapeError
 
 
@@ -56,55 +57,6 @@ class DenseSkills:
     @property
     def dim(self) -> int:
         return self.phi.shape[-1]
-
-
-@dataclass
-class LowRankSkills:
-    A: Tensor  # [num_skills, out_dim, rank], zero-initialised
-    B: Tensor  # [num_skills, rank, in_dim]
-    W0: Tensor  # [out_dim, in_dim]
-    b0: Tensor  # [out_dim]
-
-    def __post_init__(self):
-        s, o, r = self.A.shape
-        s2, r2, i = self.B.shape
-        if s != s2 or r != r2:
-            raise ShapeError("A and B disagree on skill count or rank")
-        if self.W0.shape != (o, i) or self.b0.shape != (o,):
-            raise ShapeError("base linear map does not match adapter dimensions")
-        if r > min(o, i):
-            raise ShapeError(f"rank {r} exceeds min(out={o}, in={i})")
-
-    @property
-    def num_skills(self) -> int:
-        return self.A.shape[-3]
-
-    @property
-    def out_dim(self) -> int:
-        return self.A.shape[-2]
-
-    @property
-    def in_dim(self) -> int:
-        return self.B.shape[-1]
-
-    @property
-    def rank(self) -> int:
-        return self.A.shape[-1]
-
-
-def new_dense_skills(num_skills: int, dim: int, rng: np.random.Generator) -> DenseSkills:
-    phi = kaiming_uniform((num_skills, dim), rng, requires_grad=True)
-    base = kaiming_uniform((dim,), rng, requires_grad=True)
-    return DenseSkills(phi, base)
-
-
-def new_lowrank_skills(num_skills: int, out_dim: int, in_dim: int, rank: int, rng: np.random.Generator) -> LowRankSkills:
-    # A starts at zero so the initial delta vanishes; B carries the scale.
-    a = zeros((num_skills, out_dim, rank), requires_grad=True)
-    b = kaiming_uniform((num_skills, rank, in_dim), rng, requires_grad=True)
-    w0 = kaiming_uniform((out_dim, in_dim), rng, requires_grad=True)
-    b0 = kaiming_uniform((out_dim,), rng, requires_grad=True)
-    return LowRankSkills(a, b, w0, b0)
 
 
 def _weight_rows(num_skills: int, w: Tensor, matrix: int | None):
@@ -187,27 +139,28 @@ def mixed_affine(x: Tensor, skills: DenseSkills, w: Tensor, shape: LayerShape, m
     return apply_op((x, phi, base, w), out, vjp)
 
 
-def mixed_lowrank(x: Tensor, skills: LowRankSkills, w: Tensor, matrix: int | None = None) -> Tensor:
+def mixed_lowrank(x: Tensor, layer, w: Tensor, matrix: int | None = None) -> Tensor:
     """x @ (W0 + sum_j w_j A_j B_j)^T + b0 without materialising the delta; one tape node.
 
     Evaluates H_j = B_j x^T and C_j = A_j H_j for every skill in one batched
     matmul each (no Python loop over the skills), then y = x W0^T + sum_j w_j C_j^T + b0. Equal to the
-    materialised product up to rounding. Only inputs that require a
-    gradient get one. Leading axes stack replicas as in `mixed_affine`:
-    `x`, `w`, `A` and `B` carry them, `W0` and `b0` are shared. `matrix`
-    selects the row of stacked weight rows as in `mixed_affine`.
+    materialised product up to rounding. `layer` is a `model.LowRankLayer`
+    (A [..., S, out, r], B [..., S, r, in], W0, b0). Only inputs that
+    require a gradient get one. Leading axes stack replicas as in
+    `mixed_affine`: `x`, `w`, `A` and `B` carry them, `W0` and `b0` are
+    shared. `matrix` selects the row of stacked weight rows as in `mixed_affine`.
     """
-    wd, w_grad = _weight_rows(skills.num_skills, w, matrix)
+    wd, w_grad = _weight_rows(layer.A.shape[-3], w, matrix)
     lead = wd.shape[:-1]
-    _check_input(x, skills.in_dim, lead)
-    a, b, w0 = skills.A.data, skills.B.data, skills.W0.data
+    _check_input(x, layer.shape.in_dim, lead)
+    a, b, w0 = layer.A.data, layer.B.data, layer.W0.data
     xd = x.data
     n = xd.shape[-2]
     x_skills = xd[..., None, :, :]  # broadcast over the skill axis
     hidden = b @ matrix_t(x_skills)  # [..., S, r, n]
     mixed = (a @ hidden).reshape(lead + (wd.shape[-1], -1))  # [..., S, o * n]
-    out = xd @ w0.T + matrix_t((wd[..., None, :] @ mixed).reshape(lead + (-1, n))) + skills.b0.data
-    inputs = (x, skills.A, skills.B, skills.W0, skills.b0, w)
+    out = xd @ w0.T + matrix_t((wd[..., None, :] @ mixed).reshape(lead + (-1, n))) + layer.b0.data
+    inputs = (x, layer.A, layer.B, layer.W0, layer.b0, w)
     need_x, need_a, need_b, need_w0, need_b0, need_w = (t.requires_grad for t in inputs)
     scale = wd[..., None, None]
 

@@ -172,6 +172,9 @@ def build_model_from_config(config: ExperimentConfig, tasks: list[TaskSpec], wor
     `num_skills`, one matrix per layer or one for all (`allocation_mode`),
     stacked [M, T, S] and all zero, so every cell starts at probability 0.5.
     The layers hold dense, sparse (`sparsity`) or low-rank (`rank`) skills.
+    The allocation keeps `tau`, not `tau_final`: expected-path evaluation,
+    `summary.json`'s `allocation_metrics` and a new task's adaptation draws
+    all run at `tau`; only training draws anneal to `tau_final` (`_anneal_tau`).
 
     The construction rng `[seed, STREAM_INIT]` is drawn by the hypernet's
     embeddings and then by each layer in order. The skill inventories depend

@@ -3,10 +3,9 @@ import pytest
 
 from skillmix import autodiff as ad
 from skillmix.allocation import metric_discreteness, metric_sparsity, metric_usage
-from skillmix.baselines import hypernet_generate, new_hypernet
 from skillmix.config import ExperimentConfig, WorldConfig
 from skillmix.errors import TaskLookupError
-from skillmix.model import HypernetLayer, HypernetModel, LayerShape
+from skillmix.model import HypernetLayer, HypernetModel, LayerShape, hypernet_generate
 from skillmix.skills import DenseSkills, mixed_affine
 from skillmix.synthetic import generate_synthetic_benchmark
 from skillmix.trainer import build_model_from_config, resolve_fixed_allocation
@@ -83,19 +82,19 @@ def _column(values) -> np.ndarray:
 
 
 def test_zero_initialised_generator_gives_zero_adapter():
-    hn = new_hypernet(4, out_dim=5, in_dim=6, rank=2, rng=np.random.default_rng(0))
-    a, b, _ = hypernet_generate(_column(np.random.default_rng(0).standard_normal(4)), hn)
+    layer = HypernetLayer(LayerShape(6, 5), 4, 2, np.random.default_rng(0))
+    a, b, _ = hypernet_generate(_column(np.random.default_rng(0).standard_normal(4)), layer)
     assert np.all(a == 0.0)
     assert a.shape == (5, 2) and b.shape == (2, 6)
 
 
 def test_identical_embeddings_generate_identical_parameters():
     model = HypernetModel(2, 4, [LayerShape(3, 3)], 2, np.random.default_rng(1))
-    hn = model.layers[0].hypernet
-    hn.w2_a.data[:] = np.random.default_rng(2).standard_normal(hn.w2_a.shape)
+    layer = model.layers[0]
+    layer.w2_a.data[:] = np.random.default_rng(2).standard_normal(layer.w2_a.shape)
     model.task_rows.base.data[1] = model.task_rows.base.data[0]
-    a0, b0, _ = hypernet_generate(_column(model.task_rows.base.data[0]), hn)
-    a1, b1, _ = hypernet_generate(_column(model.task_rows.base.data[1]), hn)
+    a0, b0, _ = hypernet_generate(_column(model.task_rows.base.data[0]), layer)
+    a1, b1, _ = hypernet_generate(_column(model.task_rows.base.data[1]), layer)
     assert np.array_equal(a0, a1)
     assert np.array_equal(b0, b1)
 
@@ -116,7 +115,7 @@ def test_fresh_embedding_registration_extends_tasks():
 def test_generated_gradient_wrt_embedding_matches_finite_differences():
     layer = HypernetLayer(LayerShape(5, 3), 4, 2, np.random.default_rng(3))
     rng = np.random.default_rng(4)
-    layer.hypernet.w2_a.data[:] = rng.standard_normal(layer.hypernet.w2_a.shape)
+    layer.w2_a.data[:] = rng.standard_normal(layer.w2_a.shape)
     x = ad.tensor(rng.standard_normal((1, 5)))
 
     def f(embedding):
@@ -132,7 +131,7 @@ def _hypernet_case(case):
     model = HypernetModel(3, 4, [LayerShape(5, 4), LayerShape(4, 2)], 2, np.random.default_rng(8))
     rng = np.random.default_rng(9)
     for layer in model.layers:
-        layer.hypernet.w2_a.data[:] = rng.standard_normal(layer.hypernet.w2_a.shape)
+        layer.w2_a.data[:] = rng.standard_normal(layer.w2_a.shape)
     if case == "base_row":
         return model, 1, rng.standard_normal((6, 5))
     replicas = 3 if case == "stacked" else 1

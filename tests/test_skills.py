@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from skillmix import autodiff as ad
 from skillmix import skills as sk
 from skillmix.errors import ContractError, ShapeError
-from skillmix.model import DenseLayer
+from skillmix.model import DenseLayer, LowRankLayer
 
 import unfused
 from gradcheck import grad_check
@@ -21,6 +23,13 @@ def clean_tape():
 
 def dense(phi, base):
     return sk.DenseSkills(ad.tensor(phi, requires_grad=True), ad.tensor(base, requires_grad=True))
+
+
+def kaiming_dense(num_skills, dim, seed):
+    """Dense skills drawn as a dense layer draws them: kaiming rows, then a kaiming base."""
+    rng = np.random.default_rng(seed)
+    phi = ad.kaiming_uniform((num_skills, dim), rng, requires_grad=True)
+    return sk.DenseSkills(phi, ad.kaiming_uniform((dim,), rng, requires_grad=True))
 
 
 def layer_shape(skills):
@@ -226,7 +235,7 @@ def probe_input(skills, batch=3, seed=0):
 
 
 def test_full_mask_equals_dense_composition():
-    skills = sk.new_dense_skills(2, 100, np.random.default_rng(0))
+    skills = kaiming_dense(2, 100, seed=0)
     skills.mask = np.ones((2, 100))
     w = ad.tensor([0.3, 0.7])
     x = probe_input(skills)
@@ -236,7 +245,7 @@ def test_full_mask_equals_dense_composition():
 
 
 def test_empty_mask_returns_base():
-    skills = sk.new_dense_skills(2, 100, np.random.default_rng(0))
+    skills = kaiming_dense(2, 100, seed=0)
     skills.mask = np.zeros((2, 100))
     x = probe_input(skills)
     out = sk.mixed_affine(x, skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
@@ -302,38 +311,42 @@ def test_keep_per_skill_never_rounds_to_zero():
 # low-rank path
 
 
-def lora_forward_materialized(x, skills, w):
+def lora_forward_materialized(x, layer, w):
     """Reference path: build the delta sum_j w_j * (A_j @ B_j) first, then apply it."""
     delta = None
-    for j in range(skills.num_skills):
-        product = unfused.matmul(unfused.take_row(skills.A, j), unfused.take_row(skills.B, j))
+    for j in range(layer.A.shape[0]):
+        product = unfused.matmul(unfused.take_row(layer.A, j), unfused.take_row(layer.B, j))
         term = unfused.mul(product, unfused.take_row(w, j))
         delta = term if delta is None else ad.add(delta, term)
-    weight = ad.add(skills.W0, delta)
-    return ad.add(unfused.matmul(x, unfused.transpose(weight)), skills.b0)
+    weight = ad.add(layer.W0, delta)
+    return ad.add(unfused.matmul(x, unfused.transpose(weight)), layer.b0)
+
+
+def lowrank_layer(num_skills, out_dim, in_dim, rank, seed):
+    return LowRankLayer(sk.LayerShape(in_dim, out_dim), num_skills, rank, np.random.default_rng(seed))
 
 
 def random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed):
-    skills = sk.new_lowrank_skills(num_skills, out_dim, in_dim, rank, np.random.default_rng(seed))
-    skills.A.data[:] = rng.standard_normal(skills.A.shape)
-    return skills
+    layer = lowrank_layer(num_skills, out_dim, in_dim, rank, seed)
+    layer.A.data[:] = rng.standard_normal(layer.A.shape)
+    return layer
 
 
 def test_lora_zero_adapters_reduce_to_base_map():
-    skills = sk.new_lowrank_skills(3, 4, 5, 2, np.random.default_rng(0))
+    layer = lowrank_layer(3, 4, 5, 2, seed=0)
     x = ad.tensor(np.random.default_rng(1).standard_normal((1, 5)))
-    out = sk.mixed_lowrank(x, skills, ad.tensor(np.ones(3) / 3))
-    expected = x.data @ skills.W0.data.T + skills.b0.data
+    out = sk.mixed_lowrank(x, layer, ad.tensor(np.ones(3) / 3))
+    expected = x.data @ layer.W0.data.T + layer.b0.data
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_lora_scalar_hand_value():
-    skills = sk.new_lowrank_skills(1, 1, 1, 1, np.random.default_rng(0))
-    skills.W0.data[:] = [[1.0]]
-    skills.A.data[:] = [[[2.0]]]
-    skills.B.data[:] = [[[3.0]]]
-    skills.b0.data[:] = [0.0]
-    out = sk.mixed_lowrank(ad.tensor([[1.0]]), skills, ad.tensor([1.0]))
+    layer = lowrank_layer(1, 1, 1, 1, seed=0)
+    layer.W0.data[:] = [[1.0]]
+    layer.A.data[:] = [[[2.0]]]
+    layer.B.data[:] = [[[3.0]]]
+    layer.b0.data[:] = [0.0]
+    out = sk.mixed_lowrank(ad.tensor([[1.0]]), layer, ad.tensor([1.0]))
     assert out.data.tolist() == [[7.0]]
 
 
@@ -342,11 +355,11 @@ def test_lora_factored_equals_materialized_on_random_instances():
     for trial in range(100):
         s, o, i = rng.integers(1, 4), rng.integers(1, 7), rng.integers(1, 7)
         r = int(rng.integers(1, min(o, i) + 1))
-        skills = random_lowrank(rng, int(s), int(o), int(i), r, seed=trial)
+        layer = random_lowrank(rng, int(s), int(o), int(i), r, seed=trial)
         w = ad.tensor(rng.dirichlet(np.ones(int(s))))
         x = ad.tensor(rng.standard_normal((3, int(i))))
-        fast = sk.mixed_lowrank(x, skills, w)
-        slow = lora_forward_materialized(x, skills, w)
+        fast = sk.mixed_lowrank(x, layer, w)
+        slow = lora_forward_materialized(x, layer, w)
         assert np.max(np.abs(fast.data - slow.data)) < 1e-12
 
 
@@ -365,14 +378,14 @@ def relative_error(got, expected):
 def test_mixed_lowrank_matches_materialized_reference(batch, in_dim, out_dim, num_skills, seed):
     rng = np.random.default_rng(seed)
     rank = int(rng.integers(1, min(in_dim, out_dim) + 1))
-    skills = random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed)
+    layer = random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed)
     w = ad.tensor(rng.dirichlet(np.ones(num_skills)), requires_grad=True)
     x = ad.tensor(rng.standard_normal((batch, in_dim)), requires_grad=True)
-    inputs = [x, skills.A, skills.B, skills.W0, skills.b0, w]
+    inputs = [x, layer.A, layer.B, layer.W0, layer.b0, w]
     results = []
     for op in (sk.mixed_lowrank, lora_forward_materialized):
         ad.reset_tape()
-        out = op(x, skills, w)
+        out = op(x, layer, w)
         results.append([out.data] + grads_of(probe_objective(out, seed), inputs))
     for got, expected in zip(*results):
         assert got.shape == expected.shape
@@ -381,36 +394,38 @@ def test_mixed_lowrank_matches_materialized_reference(batch, in_dim, out_dim, nu
 
 def test_lora_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
-    skills = random_lowrank(rng, 2, 3, 4, 2, seed=3)
+    layer = random_lowrank(rng, 2, 3, 4, 2, seed=3)
     w0 = rng.dirichlet(np.ones(2))
     x0 = rng.standard_normal((2, 4))
 
     def through(name):
         def f(t):
-            parts = {"A": skills.A, "B": skills.B, "W0": skills.W0, "b0": skills.b0}
-            parts.update(x=ad.tensor(x0), w=ad.tensor(w0))
-            parts[name] = t
-            x, w = parts.pop("x"), parts.pop("w")
-            return probe_objective(sk.mixed_lowrank(x, sk.LowRankSkills(**parts), w))
+            parts = {"x": ad.tensor(x0), "w": ad.tensor(w0), "layer": copy.copy(layer)}
+            if name in parts:
+                parts[name] = t
+            else:
+                setattr(parts["layer"], name, t)
+            return probe_objective(sk.mixed_lowrank(parts["x"], parts["layer"], parts["w"]))
 
         return f
 
-    starts = {"A": skills.A.data, "B": skills.B.data, "W0": skills.W0.data, "b0": skills.b0.data, "w": w0, "x": x0}
+    starts = {"A": layer.A.data, "B": layer.B.data, "W0": layer.W0.data, "b0": layer.b0.data, "w": w0, "x": x0}
     for name, start in starts.items():
         assert grad_check(through(name), ad.tensor(start)) < 1e-5, name
 
 
-def test_lowrank_rank_bound_enforced():
-    with pytest.raises(ShapeError):
-        sk.new_lowrank_skills(1, 2, 3, 4, np.random.default_rng(0))
+def test_lowrank_rank_is_clamped_to_the_layer_size():
+    layer = LowRankLayer(sk.LayerShape(3, 2), 1, 4, np.random.default_rng(0))
+    assert layer.rank == 2
+    assert layer.A.shape == (1, 2, 2) and layer.B.shape == (1, 2, 3)
 
 
 def test_lora_input_shape_checks():
-    skills = sk.new_lowrank_skills(1, 2, 3, 1, np.random.default_rng(0))
+    layer = lowrank_layer(1, 2, 3, 1, seed=0)
     with pytest.raises(ShapeError):
-        sk.mixed_lowrank(ad.tensor(np.ones((1, 4))), skills, ad.tensor([1.0]))
+        sk.mixed_lowrank(ad.tensor(np.ones((1, 4))), layer, ad.tensor([1.0]))
     with pytest.raises(ShapeError):
-        sk.mixed_lowrank(ad.tensor(np.ones(3)), skills, ad.tensor([1.0]))
+        sk.mixed_lowrank(ad.tensor(np.ones(3)), layer, ad.tensor([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +443,7 @@ def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
     """Output and gradients equal the op on the lone row; the other matrix's rows get exact zeros."""
     rng = np.random.default_rng(matrix + 2 * len(lead))
     if family == "dense":
-        skills = sk.new_dense_skills(3, 4 * 2 + 4, np.random.default_rng(1))
+        skills = kaiming_dense(3, 4 * 2 + 4, seed=1)
         if lead:
             skills.phi.data = np.repeat(skills.phi.data[None], lead[0], axis=0)
         params = [skills.phi, skills.base]
@@ -436,14 +451,14 @@ def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
         def op(x, w, index=None):
             return sk.mixed_affine(x, skills, w, sk.LayerShape(2, 4), index)
     else:
-        skills = random_lowrank(rng, 3, 4, 2, 2, seed=1)
+        layer = random_lowrank(rng, 3, 4, 2, 2, seed=1)
         if lead:
-            skills.A.data = np.repeat(skills.A.data[None], lead[0], axis=0)
-            skills.B.data = np.repeat(skills.B.data[None], lead[0], axis=0)
-        params = [skills.A, skills.B, skills.W0, skills.b0]
+            layer.A.data = np.repeat(layer.A.data[None], lead[0], axis=0)
+            layer.B.data = np.repeat(layer.B.data[None], lead[0], axis=0)
+        params = [layer.A, layer.B, layer.W0, layer.b0]
 
         def op(x, w, index=None):
-            return sk.mixed_lowrank(x, skills, w, index)
+            return sk.mixed_lowrank(x, layer, w, index)
 
     x = ad.tensor(rng.standard_normal(lead + (5, 2)), requires_grad=True)
     rows = _stacked_rows(rng, lead, 3)
@@ -461,7 +476,7 @@ def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
 
 
 def test_a_layer_rejects_a_matrix_the_rows_do_not_hold():
-    skills = sk.new_dense_skills(2, 3, np.random.default_rng(0))
+    skills = kaiming_dense(2, 3, seed=0)
     rows = ad.tensor(np.full((2, 2), 0.5))
     with pytest.raises(ShapeError):
         sk.mixed_affine(ad.tensor(np.ones((1, 2))), skills, rows, sk.LayerShape(2, 1), 2)

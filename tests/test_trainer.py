@@ -550,8 +550,8 @@ def test_adaptation_leaves_no_gradient_behind(kind):
 def _base_map(model, x):
     """The layers' base maps alone, in numpy: what a task on an all-zero skill computes."""
     for layer in model.layers:
-        if hasattr(layer.skills, "W0"):
-            weight, bias = layer.skills.W0.data, layer.skills.b0.data
+        if hasattr(layer, "W0"):
+            weight, bias = layer.W0.data, layer.b0.data
         else:
             o, i = layer.shape.out_dim, layer.shape.in_dim
             base = layer.skills.base.data

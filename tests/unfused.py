@@ -316,19 +316,20 @@ def skill_forward(model, task, x, rng, tau):
     return h, relaxed_mats
 
 
-def hypernet_generate(column, hypernet):
-    """The (A, B) adapter pair from an [..., embed_dim, 1] column tensor, op by op."""
+def hypernet_generate(column, layer):
+    """The (A, B) adapter pair a hypernet layer generates from an [..., embed_dim, 1] column tensor, op by op."""
     lead = column.shape[:-2]
-    hidden_a = relu(matmul(hypernet.w1_a, column))
-    hidden_b = relu(matmul(hypernet.w1_b, column))
-    a = reshape(matmul(hypernet.w2_a, hidden_a), lead + (hypernet.out_dim, hypernet.rank))
-    b = reshape(matmul(hypernet.w2_b, hidden_b), lead + (hypernet.rank, hypernet.in_dim))
+    o, i, r = layer.shape.out_dim, layer.shape.in_dim, layer.rank
+    hidden_a = relu(matmul(layer.w1_a, column))
+    hidden_b = relu(matmul(layer.w1_b, column))
+    a = reshape(matmul(layer.w2_a, hidden_a), lead + (o, r))
+    b = reshape(matmul(layer.w2_b, hidden_b), lead + (r, i))
     return a, b
 
 
 def hypernet_layer(layer, x, column):
     """x @ W0^T + (x @ B^T) @ A^T + b0, op by op."""
-    a, b = hypernet_generate(column, layer.hypernet)
+    a, b = hypernet_generate(column, layer)
     y = matmul(x, transpose(layer.W0))
     y = ad.add(y, matmul(matmul(x, transpose(b)), transpose(a)))
     return ad.add(y, layer.b0)
