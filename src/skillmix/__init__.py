@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "run_experiment": "experiment",
     "run_compare": "experiment",
-    "run_sweep": "experiment",
+    "run_grid": "experiment",
     "emit_plot_data": "experiment",
     "export_hierarchy": "experiment",
     "generate_synthetic_benchmark": "synthetic",

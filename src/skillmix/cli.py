@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 configuration error, 2 run failure.
 
+`sweep` runs `run_grid` over its `--grid FIELD=V1,V2,...` axes (any config
+field, `seed` or `world.*`) and writes one status table, compare_table.csv.
+
 The pipeline modules (and with them numpy and scipy) are imported only
 after the arguments and the config have parsed, so `--help` and a bad
 config answer without loading them.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 from .config import parse_config
@@ -33,17 +37,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", type=Path)
     run.add_argument("--no-overwrite", action="store_true")
 
-    sweep = sub.add_parser("sweep", help="run the skill-inventory-size sweep")
+    sweep = sub.add_parser("sweep", help="run one experiment per point of a grid over config fields")
     sweep.add_argument("config", type=Path)
-    sweep.add_argument("--grid", default="2,4,8,16,32", help="skill counts, e.g. S=2,4,8")
+    sweep.add_argument("--grid", action="append", required=True, metavar="FIELD=V1,V2,...",
+                       help="a config field (model_kind, seed, world.examples_per_task, ...) and its JSON or "
+                       "string values; repeat for a cartesian product")
     sweep.add_argument("--no-overwrite", action="store_true")
-
-    compare = sub.add_parser("compare", help="run several model kinds on one world")
-    compare.add_argument("config", type=Path)
-    compare.add_argument(
-        "--kinds", default="skilled,shared,private", help="comma-separated model kinds"
-    )
-    compare.add_argument("--no-overwrite", action="store_true")
 
     hier = sub.add_parser("export-hierarchy", help="group tasks by identical allocation rows")
     hier.add_argument("allocation", type=Path, help="allocation_layer_*.json from a run")
@@ -55,12 +54,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(spec: str) -> list[int]:
-    body = spec.split("=", 1)[1] if "=" in spec else spec
+def _parse_axes(specs: list[str]) -> dict[str, list]:
+    """`run_grid`'s axes from `FIELD=V1,V2,...` specs; a value is JSON (`2`, `0.5`, `null`) or else a string."""
+    axes: dict[str, list] = {}
+    for spec in specs:
+        field, eq, body = spec.partition("=")
+        if not (field and eq):
+            raise ConfigError("--grid", f"'{spec}' is not FIELD=V1,V2,...")
+        if field in axes:
+            raise ConfigError("--grid", f"names {field} twice")
+        axes[field] = [_grid_value(text) for text in body.split(",")] if body else []
+    return axes
+
+
+def _grid_value(text: str):
     try:
-        return [int(v) for v in body.split(",") if v]
-    except ValueError:
-        raise ConfigError("--grid", f"could not parse grid '{spec}'") from None
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def _cmd_run(args) -> int:
@@ -77,26 +88,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    grid = _parse_grid(args.grid)
-    from .experiment import run_sweep
+    axes = _parse_axes(args.grid)
+    from .experiment import run_grid
 
-    # `run_sweep` checks the grid before the first run; no run's config holds it.
-    return _report(run_sweep(config, grid, overwrite=not args.no_overwrite), lambda c: f"S={c.num_skills}")
-
-
-def _cmd_compare(args) -> int:
-    config = parse_config(args.config)
-    kinds = [k for k in args.kinds.split(",") if k]
-    from .experiment import run_compare
-
-    return _report(run_compare(config, kinds, overwrite=not args.no_overwrite), lambda c: c.model_kind)
-
-
-def _report(records, label) -> int:
-    """One line per run, named by `label(config)`, with its status; EXIT_RUN when any run failed."""
-    for r in records:
+    # `run_grid` checks every point before the first run.
+    records = run_grid(config, axes, overwrite=not args.no_overwrite)
+    for r in records:  # one line per run, named by its point, e.g. `model_kind=shared seed=1`
+        point = " ".join(f"{field}={reduce(getattr, field.split('.'), r.config)}" for field in axes)
         status = "ok" if r.failure is None else f"FAILED ({r.failure['stage']})"
-        print(f"{label(r.config)}: {r.run_dir} {status}")
+        print(f"{point}: {r.run_dir} {status}")
     return EXIT_RUN if any(r.failure is not None for r in records) else EXIT_OK
 
 
@@ -146,7 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
-        "compare": _cmd_compare,
         "export-hierarchy": _cmd_export_hierarchy,
         "emit-plots": _cmd_emit_plots,
     }

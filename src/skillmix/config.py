@@ -1,15 +1,15 @@
 """Experiment configuration: strict parsing, typed defaults, hashing.
 
 A config describes one run. Where the run is written (`SKILLMIX_OUTPUT_ROOT`)
-and the sweep or comparison that launched it are not part of it, so a run
-has one `config_hash`, and one run directory, whichever group launched it.
+and the grid that launched it are not part of it, so a run has one
+`config_hash`, and one run directory, whichever grid launched it.
 
 Unknown keys are rejected rather than ignored, inside `world` too, the
 only object a config holds; a silently dropped typo is the most expensive
 way to lose an experiment. Value checks run where a config is built
-(`__post_init__`), so every point of a sweep or comparison is checked
-before its first run. All defaults are the standard training
-settings used throughout the test suite.
+(`__post_init__`), so every point of a grid is checked before its first
+run. All defaults are the standard training settings used throughout the
+test suite.
 
 Parsing a config loads only `json` and `__future__` beyond what a bare
 interpreter has, so a fresh process checks a config in a few

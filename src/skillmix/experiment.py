@@ -1,4 +1,4 @@
-"""Experiment orchestration: run, persist, sweep, compare, export.
+"""Experiment orchestration: run, persist, run grids, export.
 
 A run directory, `<model_kind>-<config_hash>` under the output root
 (`SKILLMIX_OUTPUT_ROOT`, `runs` by default), contains config.json,
@@ -15,16 +15,22 @@ Few-shot adaptation runs every held-out task and resample side by side
 on one replicated copy of the trained model (`trainer.few_shot_adapt`),
 one stack per task kind and training split size, so a mixed world adapts
 its regression and classification tasks in two stacks.
+
+A grid (`run_grid`) runs the product of config fields' values and writes,
+under the output root, the plot data of the runs that passed and one status
+table, compare_table.csv: a column per varied field, run_dir, then status.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import time
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +43,7 @@ from .allocation import (
     metric_sparsity,
     metric_usage,
 )
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, parse_config_dict
 from .errors import ConfigError
 from .recovery import skill_recovery_score
 from .synthetic import generate_synthetic_benchmark
@@ -138,7 +144,7 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
 
     On a stage failure the partial summary carries a failure marker and the
     returned record's `failure` field is set; a failed stage raises nothing,
-    so sweeps can continue past broken points. It does raise `RunFailure`,
+    so a grid can continue past broken points. It does raise `RunFailure`,
     before any stage runs, when the run directory exists and `overwrite` is
     false.
     """
@@ -289,33 +295,23 @@ def render_hierarchy_text(groups: dict[str, list[str]]) -> str:
 
 
 def emit_plot_data(run_dirs: list[str | Path], out_dir: str | Path) -> tuple[Path, Path]:
-    """Long-format CSVs: per-step training curves and per-run sweep metrics."""
+    """Long-format CSVs: per-step training curves, and per-run metrics whose `run` is the run directory's name."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves_path = out_dir / "curves.csv"
     sweep_path = out_dir / "sweep_metrics.csv"
-
-    with open(curves_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_kind", "seed", "step", "metric", "value"])
-        for run in run_dirs:
-            run = Path(run)
+    with open(curves_path, "w", newline="") as curves_fh, open(sweep_path, "w", newline="") as sweep_fh:
+        curves = csv.writer(curves_fh, lineterminator="\n")
+        curves.writerow(["model_kind", "seed", "step", "metric", "value"])
+        writer = csv.writer(sweep_fh, lineterminator="\n")
+        writer.writerow(["model_kind", "seed", "num_skills", "run", "metric", "value"])
+        for run in map(Path, run_dirs):
             cfg = json.loads((run / "config.json").read_text())
-            rows = list(csv.DictReader(io.StringIO((run / "history.csv").read_text())))
-            for row in rows:
+            for row in csv.DictReader(io.StringIO((run / "history.csv").read_text())):
                 for metric in CURVE_METRICS:
-                    writer.writerow(
-                        [cfg["model_kind"], cfg["seed"], row["step"], metric, row[metric]]
-                    )
-
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_kind", "seed", "num_skills", "metric", "value"])
-        for run in run_dirs:
-            run = Path(run)
-            cfg = json.loads((run / "config.json").read_text())
+                    curves.writerow([cfg["model_kind"], cfg["seed"], row["step"], metric, row[metric]])
             summary = json.loads((run / "summary.json").read_text())
-            base = [cfg["model_kind"], cfg["seed"], cfg["num_skills"]]
+            base = [cfg["model_kind"], cfg["seed"], cfg["num_skills"], run.name]
             for layer, metrics in summary.get("allocation_metrics", {}).items():
                 for name, value in metrics.items():
                     writer.writerow(base + [f"{name}_{layer}", repr(value)])
@@ -323,52 +319,48 @@ def emit_plot_data(run_dirs: list[str | Path], out_dir: str | Path) -> tuple[Pat
                 writer.writerow(base + [f"recovery_{layer}", repr(rec["cell_accuracy"])])
             writer.writerow(base + ["steps_to_threshold", summary.get("steps_to_threshold")])
             if summary.get("few_shot"):
-                med = float(
-                    np.median(
-                        [t["median_after_loss"] for t in summary["few_shot"].values()]
-                    )
-                )
+                med = float(np.median([t["median_after_loss"] for t in summary["few_shot"].values()]))
                 writer.writerow(base + ["few_shot_median_loss", repr(med)])
     return curves_path, sweep_path
 
 
 # ---------------------------------------------------------------------------
-# sweeps and comparisons
+# grids of runs
 
 
-def run_sweep(config: ExperimentConfig, grid: list[int], overwrite: bool = True) -> list[RunRecord]:
-    """One run per inventory size in `grid`; the grid and every point's config are checked before the first run."""
-    if not grid or min(grid) < 1 or len(set(grid)) < len(grid):
-        raise ConfigError("grid", "must be a non-empty list of distinct skill counts >= 1")
-    points = [config.replace(num_skills=num_skills) for num_skills in grid]
-    return _run_group(points, "sweep_table.csv", overwrite)
+def run_grid(config: ExperimentConfig, axes: dict[str, list], overwrite: bool = True) -> list[RunRecord]:
+    """One run per point of the product of `axes`, a map from a config field (`seed`, `world.*`, ...) to its values.
 
-
-def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = True) -> list[RunRecord]:
-    """One run per model kind on one world; every kind's config is checked before the first run."""
-    if not kinds or len(set(kinds)) < len(kinds):
-        raise ConfigError("kinds", "must be a non-empty list of distinct model kinds")
-    points = [config.replace(model_kind=kind) for kind in kinds]
-    return _run_group(points, "compare_table.csv", overwrite)
-
-
-def _run_group(points: list[ExperimentConfig], filename: str, overwrite: bool) -> list[RunRecord]:
-    """Run every point, then write the plot data of the runs that passed (`emit_plot_data`) and a status table of every run, under the output root.
-
-    Without `overwrite`, an existing run directory of any point stops the group before its first run.
+    The first axis is outermost. A point is `config` with its fields set, parsed as a config document is;
+    before the first run every point's values are checked, no two points may be one config and, without
+    `overwrite`, no point's run directory may exist.
     """
+    if not axes or not all(axes.values()):
+        raise ConfigError("grid", "must vary at least one field, each over at least one value")
+    points = []
+    for values in itertools.product(*axes.values()):
+        doc = config.to_dict()
+        for field, value in zip(axes, values):
+            target, key = (doc["world"], field[len("world.") :]) if field.startswith("world.") else (doc, field)
+            target[key] = value
+        points.append(parse_config_dict(doc))
+    if len(set(map(config_hash, points))) < len(points):
+        raise ConfigError("grid", "two points are one config")
     taken = [] if overwrite else [run_dir for run_dir in map(run_dir_for, points) if run_dir.exists()]
     if taken:
         raise RunFailure(f"{taken[0]} exists; pass overwrite to replace it")
     records = [run_experiment(point, overwrite=overwrite) for point in points]
-    ok_dirs = [r.run_dir for r in records if r.failure is None]
-    if ok_dirs:
-        emit_plot_data(ok_dirs, resolve_output_root())
-    path = resolve_output_root() / filename
-    with open(path, "w", newline="") as fh:
+    # Written even when no run passed, so no plot data of an earlier grid is left next to this grid's table.
+    emit_plot_data([r.run_dir for r in records if r.failure is None], resolve_output_root())
+    with open(resolve_output_root() / "compare_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model_kind", "num_skills", "run_dir", "status"])
+        writer.writerow([*axes, "run_dir", "status"])
         for r in records:
             status = "ok" if r.failure is None else f"failed:{r.failure['stage']}"
-            writer.writerow([r.config.model_kind, r.config.num_skills, str(r.run_dir), status])
+            writer.writerow([*(reduce(getattr, field.split("."), r.config) for field in axes), str(r.run_dir), status])
     return records
+
+
+def run_compare(config: ExperimentConfig, kinds: list[str], overwrite: bool = True) -> list[RunRecord]:
+    """`run_grid` over `model_kind`: one run per kind on one world."""
+    return run_grid(config, {"model_kind": kinds}, overwrite)

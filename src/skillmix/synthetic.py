@@ -91,8 +91,9 @@ def generate_synthetic_benchmark(
     """Plant a skill inventory and emit train tasks plus recombinable held-out tasks.
 
     The training block of the allocation is resampled until its columns are
-    pairwise distinct (identifiability aid) and no row is empty; held-out
-    rows are unions of two training rows. All randomness flows from `seed`.
+    pairwise distinct (identifiability aid); after `_RESAMPLE_LIMIT` failed
+    draws it is built so. Held-out rows are unions of two training rows.
+    All randomness flows from `seed`.
     """
     if num_true_skills > num_tasks:
         raise ContractError("num_true_skills must not exceed num_tasks")
@@ -103,6 +104,8 @@ def generate_synthetic_benchmark(
         )
     if task_kind not in ("regression", "classification", "mixed"):
         raise ContractError(f"unknown task kind '{task_kind}'")
+    if lo == num_true_skills >= 2:
+        raise GenerationError("every task takes all of two or more skills, so no two skill columns differ")
 
     rng = np.random.default_rng([seed, STREAM_WORLD])
 
@@ -113,12 +116,15 @@ def generate_synthetic_benchmark(
 
     for attempt in range(_RESAMPLE_LIMIT):
         z_train = _sample_rows(rng, num_tasks, num_true_skills, (lo, hi))
-        if np.all(z_train.sum(axis=1) >= 1) and _columns_distinct(z_train):
+        if _columns_distinct(z_train):
             break
     else:
-        raise GenerationError(
-            f"could not sample a distinct-column allocation in {_RESAMPLE_LIMIT} attempts"
-        )
+        # The first K rows become cyclic windows of length lo < K over a drawn
+        # permutation of the K skills: no two columns agree on those rows.
+        k = num_true_skills
+        windows = rng.permutation(k)[(np.arange(k)[:, None] + np.arange(lo)) % k]
+        z_train[:k] = 0
+        z_train[np.arange(k)[:, None], windows] = 1
 
     rows = [z_train]
     for _ in range(holdout_tasks):

@@ -1,4 +1,4 @@
-"""No module under src/ imports a name it never uses, and no private helper goes unread.
+"""No module under src/ imports a name it never uses, and no helper goes unread.
 
 No linter is a test dependency, so these are the checks of their kind.
 The first walks each module's syntax tree and lists every imported name
@@ -7,7 +7,11 @@ that no expression of the module reads. The package's public names
 lines carry `# noqa: F401` is skipped (an import kept for its side
 effect or its timing). The second lists every `_private` function or
 method the package defines whose name no name or attribute read in the
-package mentions (dunder methods are called by Python itself).
+package mentions (dunder methods are called by Python itself). The third
+lists every public module-level function or class of the package that no
+name, attribute or import alias in the package or the benchmark's code
+(`perfbench/*.py`) reads and that `skillmix.__all__` does not export: a
+public name only tests read.
 """
 
 import ast
@@ -18,6 +22,10 @@ import pytest
 import skillmix
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skillmix"
+BENCHMARK = PACKAGE.parents[1] / "perfbench"
+
+# The exact density `tests/test_priors.py` checks the regulariser against.
+READ_BY_TESTS_ONLY = {"priors.ibp_log_prob"}
 
 
 def unused_imports(source: str, exported=()) -> list[str]:
@@ -51,6 +59,27 @@ def unread_private_functions(sources: list[str]) -> list[str]:
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
     return [name for name in defined if name not in read]
+
+
+def unread_public_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.name` of each public module-level function or class in `modules` that no `Name`,
+    `Attribute` or imported name in `readers` reads, in order."""
+    read = set()
+    for node in (node for source in readers for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+    return [
+        f"{module}.{node.name}"
+        for module, source in modules.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -89,3 +118,20 @@ def test_the_check_finds_an_orphaned_helper_across_modules():
         "from .a import C\ndef g(c):\n    return c._method()\n",
     ]
     assert unread_private_functions(sources) == ["_orphan", "_dead_method"]
+
+
+def test_every_public_function_or_class_is_read_outside_the_tests_or_exported():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [*modules.values(), *(path.read_text() for path in sorted(BENCHMARK.glob("*.py")))]
+    unread = unread_public_definitions(modules, readers)
+    assert [name for name in unread if name.split(".")[1] not in skillmix.__all__ and name not in READ_BY_TESTS_ONLY] == []
+
+
+def test_the_check_finds_a_public_function_only_tests_read():
+    modules = {
+        "a": "def used(x):\n    return x\ndef aliased():\n    pass\ndef left_behind():\n    pass\n"
+        "def exported():\n    pass\nclass Orphan:\n    def method(self):\n        return used(1)\n"
+        "def _private():\n    pass\n",
+    }
+    readers = [*modules.values(), "from a import aliased as b\nimport a\nb()\n"]
+    assert unread_public_definitions(modules, readers) == ["a.left_behind", "a.exported", "a.Orphan"]
