@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration error, 2 run failure.
+Exit codes: 0 success, 1 configuration error (a usage error too), 2 run failure.
 
 `sweep` runs `run_grid` over its `--grid FIELD=V1,V2,...` axes (any config
 field, `seed` or `world.*`) and writes one status table, compare_table.csv.
@@ -107,12 +107,18 @@ def _cmd_export_hierarchy(args) -> int:
     from .allocation import harden
     from .experiment import export_hierarchy, render_hierarchy_text
 
-    doc = json.loads(args.allocation.read_text())
-    if doc.get("logits") is not None:
-        matrix = harden(expit(np.asarray(doc["logits"], dtype=np.float64)))
-    else:
-        matrix = doc["matrix"]
-    groups = export_hierarchy(matrix, doc["tasks"])
+    # The allocation file is outside input: a fault in it is the caller's, reported before any output.
+    try:
+        doc = json.loads(args.allocation.read_text())
+        if not isinstance(doc, dict) or "tasks" not in doc:
+            raise ValueError("not a JSON object with a 'tasks' list")
+        if doc.get("logits") is not None:
+            matrix = harden(expit(np.asarray(doc["logits"], dtype=np.float64)))
+        else:
+            matrix = doc["matrix"]
+        groups = export_hierarchy(matrix, doc["tasks"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(str(args.allocation), f"unusable allocation file: {exc}") from None
     text = render_hierarchy_text(groups)
     if args.out:
         args.out.write_text(json.dumps(groups, indent=2, sort_keys=True) + "\n")
@@ -142,7 +148,10 @@ def _cmd_emit_plots(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has written the usage error, or the help asked for
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

@@ -44,7 +44,7 @@ from .allocation import (
     metric_usage,
 )
 from .config import ExperimentConfig, config_hash, parse_config_dict
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .recovery import skill_recovery_score
 from .synthetic import generate_synthetic_benchmark
 from .trainer import TrainedModel, evaluate, few_shot_adapt, multitask_train, steps_to_threshold
@@ -90,37 +90,6 @@ def _history_csv(trained: TrainedModel) -> str:
     for step, (task, loss, reg_loss, tau) in enumerate(zip(*columns)):
         writer.writerow([step, trained.tasks[task].id, repr(loss), repr(reg_loss), repr(tau)])
     return buf.getvalue()
-
-
-def _allocation_documents(trained: TrainedModel, task_names: list[str]):
-    """Per-layer allocation JSON docs and hardened CSVs for the run directory."""
-    model = trained.model
-    docs = []
-    matrices = model.allocation_eval_matrices()
-    for layer, matrix in enumerate(matrices):
-        names = task_names[: matrix.shape[0]]
-        doc = {
-            "tasks": names,
-            "skills": int(matrix.shape[1]),
-            "layer": layer,
-            "logits": None,
-        }
-        logits = model.task_rows.logits(layer)
-        if logits is not None:
-            doc["logits"] = logits.tolist()
-        else:
-            doc["matrix"] = matrix.tolist()
-        csv_text = hardened_to_csv(harden(matrix), names)
-        docs.append((doc, csv_text, matrix))
-    return docs
-
-
-def _allocation_metrics(matrix: np.ndarray) -> dict:
-    return {
-        "discreteness": metric_discreteness(matrix),
-        "sparsity": metric_sparsity(matrix),
-        "usage": metric_usage(matrix),
-    }
 
 
 class _StageClock:
@@ -194,33 +163,44 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
         metrics = evaluate(trained.model, np.arange(len(train_tasks)), train_tasks)
         summary["train_tasks"] = {t.id: m for t, m in zip(train_tasks, metrics)}
 
+        model, names = trained.model, [t.id for t in train_tasks]
         truth = world.true_z[: len(train_tasks)]
-        if config.model_kind == "skilled" and trained.model.task_rows.num_skills >= truth.shape[1]:
+        scored = config.model_kind == "skilled" and model.task_rows.num_skills >= truth.shape[1]
+        if scored:
             # Recovery scoring's first use of scipy.optimize: its import, about 0.2 s, is timed apart.
             stage.enter("import_scipy_optimize")
             import scipy.optimize  # noqa: F401
 
         stage.enter("allocation_analysis")
-        alloc_docs = _allocation_documents(trained, [t.id for t in train_tasks])
+        matrices = model.allocation_eval_matrices()  # one row per training task
+        hardened = [harden(matrix) for matrix in matrices]
         summary["allocation_metrics"] = {}
-        for layer, (doc, csv_text, matrix) in enumerate(alloc_docs):
+        if config.model_kind == "skilled":
+            summary["recovery"] = {}
+        for layer, (matrix, binary) in enumerate(zip(matrices, hardened)):
+            logits = model.task_rows.logits(layer)
+            doc = {"tasks": names, "skills": int(matrix.shape[1]), "layer": layer, "logits": None}
+            if logits is not None:
+                doc["logits"] = logits.tolist()
+            else:
+                doc["matrix"] = matrix.tolist()
             _dump_json(run_dir / f"allocation_layer_{layer}.json", doc)
-            (run_dir / f"allocation_layer_{layer}.csv").write_text(csv_text)
-            summary["allocation_metrics"][f"layer_{layer}"] = _allocation_metrics(matrix)
-        if alloc_docs and config.model_kind == "skilled":
-            recovery = {}
-            for layer, (_, _, matrix) in enumerate(alloc_docs):
-                if matrix.shape[1] >= truth.shape[1]:
-                    score = skill_recovery_score(harden(matrix), truth)
-                    recovery[f"layer_{layer}"] = {
-                        "cell_accuracy": score.cell_accuracy,
-                        "best_permutation": list(score.best_permutation),
-                    }
-            summary["recovery"] = recovery
+            (run_dir / f"allocation_layer_{layer}.csv").write_text(hardened_to_csv(binary, names))
+            summary["allocation_metrics"][f"layer_{layer}"] = {
+                "discreteness": metric_discreteness(matrix),
+                "sparsity": metric_sparsity(matrix),
+                "usage": metric_usage(matrix),
+            }
+            if scored:
+                score = skill_recovery_score(binary, truth)
+                summary["recovery"][f"layer_{layer}"] = {
+                    "cell_accuracy": score.cell_accuracy,
+                    "best_permutation": list(score.best_permutation),
+                }
 
         stage.enter("hierarchy_export")
-        if alloc_docs:
-            groups = export_hierarchy(harden(alloc_docs[0][2]), [t.id for t in train_tasks])
+        if hardened:
+            groups = export_hierarchy(hardened[0], names)
             _dump_json(run_dir / "hierarchy.json", groups)
             (run_dir / "hierarchy.txt").write_text(render_hierarchy_text(groups))
 
@@ -257,8 +237,10 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
 
 
 def export_hierarchy(z: np.ndarray, task_names: list[str]) -> dict[str, list[str]]:
-    """Group tasks by identical allocation rows, keyed by the row bitstring."""
+    """Group tasks by identical allocation rows, keyed by the row bitstring; `task_names` names each row."""
     binary = as_binary(z)
+    if binary.ndim != 2 or binary.shape[0] != len(task_names):
+        raise ShapeError(f"{len(task_names)} task names for an allocation matrix of shape {binary.shape}")
     groups: dict[str, list[str]] = {}
     for name, row in zip(task_names, binary):
         key = "".join(str(int(v)) for v in row)

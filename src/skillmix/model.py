@@ -1,4 +1,4 @@
-"""Per-task networks assembled from composed layer parameters.
+"""The hypernetwork layer, the task rows and the models built on them.
 
 A model is a stack of linear layers whose parameters are produced, per task,
 from that task's row in one `TaskRows` store. The store holds the base
@@ -16,16 +16,17 @@ that decides which rows a forward reads. The rows are one of two things:
     layer and gives the task a one-hot row on it, so every kind adapts
     through the same forward path. A training step records one Gumbel draw
     and one normalised-row node for the whole stack, and one node per layer
-    (the fused `skills.mixed_affine` or `skills.mixed_lowrank`, which reads
-    its own matrix's row);
+    (`skills.DenseLayer.forward` or `skills.LowRankLayer.forward`, which
+    reads its own matrix's row);
   * hypernetwork generation: the store's base is the task embeddings
     [T, embed_dim]. Low-rank adapters are generated from the task's
     embedding and applied around the base map; each layer records one
     tape node (`HypernetLayer.forward`).
 
 Each layer class owns its family's parameters, skills and shared base
-map: `DenseLayer` dense or sparse rows, `LowRankLayer` adapter pairs,
-`HypernetLayer` adapter generators.
+map: the skill families `skills.DenseLayer` (dense or sparse rows) and
+`skills.LowRankLayer` (adapter pairs), and here `HypernetLayer` (adapter
+generators).
 
 Few-shot adaptation runs on `TaskModel.replicate(R)`, a copy whose skill
 parameters (the trainable ones besides a new task's own) carry a leading
@@ -53,83 +54,14 @@ import copy
 
 import numpy as np
 
-from . import skills as sk
 from .allocation import expected_allocation, gumbel_sigmoid_sample, normalize_rows
 from .autodiff import Tensor, apply_op, kaiming_uniform, matrix_t, tensor, unbroadcast, zeros
 from .errors import ContractError, ShapeError, TaskLookupError
-from .skills import LayerShape
+from .skills import DenseLayer, LayerShape
 
 
 # ---------------------------------------------------------------------------
-# layer stores
-
-
-class DenseLayer:
-    """Dense skill rows; given a sparsity, the layer owns the choice of their mask.
-
-    A sparse layer keeps a copy of its initial rows through the warm-up. `freeze` then
-    keeps each skill's `keep` entries that changed most, `max(1, round((1 - sparsity) *
-    flat_dim))`: at least one, so a narrow layer under high sparsity still has a skill.
-    Rows, base and mask stay one `skills.DenseSkills` store: `mixed_affine` takes it whole,
-    and the benchmark's checks read `skills.mask` and `skills.phi` through it.
-    """
-
-    def __init__(self, shape: LayerShape, num_skills: int, rng, sparsity: float | None = None):
-        self.shape = shape
-        phi = kaiming_uniform((num_skills, shape.flat_dim), rng, requires_grad=True)
-        self.skills = sk.DenseSkills(phi, kaiming_uniform((shape.flat_dim,), rng, requires_grad=True))
-        self._phi_init = None if sparsity is None else phi.data.copy()
-        self.keep = None if sparsity is None else max(1, round((1.0 - sparsity) * shape.flat_dim))
-
-    def freeze(self) -> None:
-        """Set the mask from the change since initialisation and drop the warm-up copy (sparse stores only)."""
-        if self._phi_init is not None:
-            self.skills.mask = sk.select_sparse_mask(self._phi_init, self.skills.phi.data, self.keep)
-            self._phi_init = None
-
-    def forward(self, x: Tensor, rows: Tensor, matrix: int) -> Tensor:
-        return sk.mixed_affine(x, self.skills, rows, self.shape, matrix)
-
-    def add_skill(self, rngs) -> None:
-        """Append a zero skill row to every replica, so a task on it starts at the base map; a frozen mask keeps it dense."""
-        s = self.skills
-        phi = s.phi.data
-        s.phi.data = np.concatenate([phi, np.zeros(phi.shape[:-2] + (1, s.dim))], axis=-2)
-        if s.mask is not None:
-            s.mask = np.concatenate([s.mask, np.ones((1, s.dim))])
-
-    def phi_parameters(self) -> list[Tensor]:
-        return [self.skills.phi]
-
-    def base_parameters(self) -> list[Tensor]:
-        return [self.skills.base]
-
-
-class LowRankLayer:
-    """Adapter pairs A [S, out, r] (zero at first, so B carries the scale) and B [S, r, in] around W0, b0; r <= min(in, out)."""
-
-    def __init__(self, shape: LayerShape, num_skills: int, rank: int, rng):
-        self.shape = shape
-        self.rank = rank = min(rank, shape.in_dim, shape.out_dim)
-        self.A = zeros((num_skills, shape.out_dim, rank), requires_grad=True)
-        self.B = kaiming_uniform((num_skills, rank, shape.in_dim), rng, requires_grad=True)
-        self.W0 = kaiming_uniform((shape.out_dim, shape.in_dim), rng, requires_grad=True)
-        self.b0 = kaiming_uniform((shape.out_dim,), rng, requires_grad=True)
-
-    def forward(self, x: Tensor, rows: Tensor, matrix: int) -> Tensor:
-        return sk.mixed_lowrank(x, self, rows, matrix)
-
-    def add_skill(self, rngs) -> None:
-        """Append an adapter pair to every replica: A = 0, so a task on it starts at the base map, and a kaiming B from the replica's generator."""
-        b = np.stack([kaiming_uniform((self.rank, self.shape.in_dim), rng).data for rng in rngs])
-        self.A.data = np.concatenate([self.A.data, np.zeros((len(rngs), 1, self.shape.out_dim, self.rank))], axis=-3)
-        self.B.data = np.concatenate([self.B.data, b[:, None]], axis=-3)
-
-    def phi_parameters(self) -> list[Tensor]:
-        return [self.A, self.B]
-
-    def base_parameters(self) -> list[Tensor]:
-        return [self.W0, self.b0]
+# hypernetwork layers
 
 
 class HypernetLayer:

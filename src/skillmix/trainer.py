@@ -36,10 +36,10 @@ from scipy.special import expit
 from .autodiff import Tensor, add, apply_op, backward, no_grad, reset_tape, tensor, zeros
 from .config import ExperimentConfig
 from .errors import ContractError, ShapeError, TrainingDivergedError
-from .model import AllocationState, DenseLayer, HypernetModel, LowRankLayer, SkillModel
+from .model import AllocationState, HypernetModel, SkillModel
 from .optim import build_two_speed_groups
 from .priors import ibp_regularizer
-from .skills import LayerShape
+from .skills import DenseLayer, LayerShape, LowRankLayer
 from .synthetic import STREAM_ADAPT, STREAM_TRAIN, SyntheticWorld, TaskSpec
 
 STREAM_INIT = 3

@@ -22,8 +22,8 @@ from skillmix.allocation import (
     metric_usage,
     normalize_rows,
 )
-from skillmix.cli import EXIT_RUN, main
-from skillmix.errors import DomainError
+from skillmix.cli import EXIT_CONFIG, main
+from skillmix.errors import DomainError, ShapeError
 from skillmix.experiment import export_hierarchy
 from skillmix.priors import ibp_log_prob
 from skillmix.recovery import skill_recovery_score
@@ -381,7 +381,7 @@ def test_a_non_binary_matrix_is_rejected(caller, tmp_path, capsys):
     if caller == "cli":
         path = tmp_path / "allocation_layer_0.json"
         path.write_text(json.dumps({"tasks": ["t0", "t1"], "skills": 2, "layer": 0, "logits": None, "matrix": NON_BINARY}))
-        assert main(["export-hierarchy", str(path)]) == EXIT_RUN
+        assert main(["export-hierarchy", str(path)]) == EXIT_CONFIG
         assert "0 or 1" in capsys.readouterr().err
         return
     call = {
@@ -391,3 +391,9 @@ def test_a_non_binary_matrix_is_rejected(caller, tmp_path, capsys):
     }[caller]
     with pytest.raises(DomainError, match="0 or 1"):
         call()
+
+
+@pytest.mark.parametrize("names", [["t0"], ["t0", "t1", "t2"]])
+def test_export_hierarchy_needs_one_name_per_row(names):
+    with pytest.raises(ShapeError):
+        export_hierarchy(np.eye(2, dtype=np.int64), names)

@@ -5,8 +5,8 @@ from skillmix import autodiff as ad
 from skillmix.allocation import metric_discreteness, metric_sparsity, metric_usage
 from skillmix.config import ExperimentConfig, WorldConfig
 from skillmix.errors import TaskLookupError
-from skillmix.model import HypernetLayer, HypernetModel, LayerShape, hypernet_generate
-from skillmix.skills import DenseSkills, mixed_affine
+from skillmix.model import HypernetLayer, HypernetModel, hypernet_generate
+from skillmix.skills import DenseLayer, DenseSkills, LayerShape
 from skillmix.synthetic import generate_synthetic_benchmark
 from skillmix.trainer import build_model_from_config, resolve_fixed_allocation
 
@@ -50,13 +50,14 @@ def test_private_is_identity():
 
 def test_private_composes_base_plus_own_skill():
     rng = np.random.default_rng(0)
-    skills = DenseSkills(
+    layer = DenseLayer(LayerShape(3, 1), 3, rng)
+    layer.skills = skills = DenseSkills(
         ad.tensor(rng.standard_normal((3, 4)), requires_grad=True),
         ad.tensor(rng.standard_normal(4), requires_grad=True),
     )
     row = _fixed("private", 3)[1]
     x = rng.standard_normal((2, 3))
-    out = mixed_affine(ad.tensor(x), skills, ad.tensor(row / row.sum()), LayerShape(3, 1))
+    out = layer.forward(ad.tensor(x), ad.tensor((row / row.sum())[None]), 0)
     theta = skills.base.data + skills.phi.data[1]
     assert np.allclose(out.data, x @ theta[:3, None] + theta[3])
 

@@ -201,10 +201,16 @@ def test_a_grid_whose_runs_all_fail_leaves_no_earlier_plot_data(config_file, tmp
         assert len((tmp_path / "runs" / name).read_text().splitlines()) == 1  # the header alone
 
 
-def test_sweep_needs_a_grid_and_compare_is_gone(config_file):
+def test_sweep_needs_a_grid_and_compare_is_gone(config_file, capsys):
     for argv in (["sweep", str(config_file())], ["compare", str(config_file())]):
-        with pytest.raises(SystemExit):
-            main(argv)
+        assert main(argv) == EXIT_CONFIG
+        assert "usage: skillmix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == EXIT_OK
+    assert "usage: skillmix" in capsys.readouterr().out
 
 
 def test_export_hierarchy_hardens_saturated_logits(tmp_path):
@@ -214,6 +220,27 @@ def test_export_hierarchy_hardens_saturated_logits(tmp_path):
     out = tmp_path / "hierarchy.json"
     assert main(["export-hierarchy", str(path), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text()) == {"01": ["b"], "10": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"tasks": ["a"], "logits": None, "matrix": [[1, 0], [0, 1]]}),
+        json.dumps({"tasks": ["a", "b", "c"], "logits": None, "matrix": [[1, 0], [0, 1]]}),
+        json.dumps({"tasks": ["a", "b"], "logits": [[1.0, -1.0], [1.0]]}),
+        json.dumps({"tasks": ["a", "b"], "logits": None, "matrix": [[1, 0], [1]]}),
+        json.dumps({"logits": None, "matrix": [[1, 0]]}),
+        "{not json",
+    ],
+    ids=["fewer-names", "more-names", "ragged-logits", "ragged-matrix", "no-tasks", "not-json"],
+)
+def test_export_hierarchy_rejects_a_bad_allocation_file(tmp_path, capsys, text):
+    path = tmp_path / "allocation_layer_0.json"
+    path.write_text(text)
+    out = tmp_path / "hierarchy.json"
+    assert main(["export-hierarchy", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_emit_plots_without_a_summary_exits_2(tmp_path):

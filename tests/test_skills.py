@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from skillmix import autodiff as ad
 from skillmix import skills as sk
 from skillmix.errors import ContractError, ShapeError
-from skillmix.model import DenseLayer, LowRankLayer
+from skillmix.skills import DenseLayer, LowRankLayer
 
 import unfused
 from gradcheck import grad_check
@@ -21,31 +21,41 @@ def clean_tape():
     ad.reset_tape()
 
 
-def dense(phi, base):
-    return sk.DenseSkills(ad.tensor(phi, requires_grad=True), ad.tensor(base, requires_grad=True))
+def layer_shape(dim):
+    """The [dim - 1 -> 1] layer whose flat parameters are dim entries."""
+    return sk.LayerShape(dim - 1, 1)
+
+
+def dense(phi, base, mask=None, shape=None):
+    """A dense layer whose skills record holds `phi`, `base` and `mask`; arrays become trainable leaves.
+
+    The layer is `shape`, by default the [dim - 1 -> 1] layer of `phi`'s rows.
+    """
+    phi, base = (t if isinstance(t, ad.Tensor) else ad.tensor(t, requires_grad=True) for t in (phi, base))
+    layer = DenseLayer(shape or layer_shape(phi.shape[-1]), phi.shape[-2], np.random.default_rng(0))
+    layer.skills = sk.DenseSkills(phi, base, mask)
+    return layer
 
 
 def kaiming_dense(num_skills, dim, seed):
-    """Dense skills drawn as a dense layer draws them: kaiming rows, then a kaiming base."""
-    rng = np.random.default_rng(seed)
-    phi = ad.kaiming_uniform((num_skills, dim), rng, requires_grad=True)
-    return sk.DenseSkills(phi, ad.kaiming_uniform((dim,), rng, requires_grad=True))
+    """The [dim - 1 -> 1] dense layer, its skills drawn by the layer: kaiming rows, then a kaiming base."""
+    return DenseLayer(layer_shape(dim), num_skills, np.random.default_rng(seed))
 
 
-def layer_shape(skills):
-    """The [dim - 1 -> 1] layer whose flat parameters are the skills' dim entries."""
-    return sk.LayerShape(skills.dim - 1, 1)
+def one_row(w):
+    """The weight row `w` as a one-row stack [1, S], the layer reading it as matrix 0."""
+    return ad.tensor(np.asarray(w, dtype=np.float64)[None], requires_grad=True)
 
 
-def composed(skills, w):
-    """theta = base + w @ phi, read back through mixed_affine.
+def composed(layer, w):
+    """theta = base + w @ phi for the weight row `w`, read back through the layer's forward.
 
     The probe inputs are 0 (giving the bias, exactly) and the unit vectors
     (giving weight + bias), so the read-back is exact for small integers.
     """
-    d = skills.dim
-    probe = np.vstack([np.zeros(d - 1), np.eye(d - 1)])
-    y = sk.mixed_affine(ad.tensor(probe), skills, w, layer_shape(skills)).data[:, 0]
+    d = layer.shape.in_dim
+    probe = np.vstack([np.zeros(d), np.eye(d)])
+    y = layer.forward(ad.tensor(probe), one_row(w), 0).data[:, 0]
     return np.append(y[1:] - y[0], y[0])
 
 
@@ -63,33 +73,31 @@ def grads_of(loss, tensors):
 
 
 # ---------------------------------------------------------------------------
-# dense composition (mixed_affine)
+# dense composition (DenseLayer.forward)
 
 
 def test_compose_dense_one_hot_selects_single_skill():
-    skills = dense([[1.0, 2.0], [3.0, 4.0]], [10.0, 10.0])
-    assert composed(skills, ad.tensor([0.0, 1.0])).tolist() == [13.0, 14.0]
+    layer = dense([[1.0, 2.0], [3.0, 4.0]], [10.0, 10.0])
+    assert composed(layer, [0.0, 1.0]).tolist() == [13.0, 14.0]
 
 
 def test_compose_dense_zero_skills_is_base():
-    skills = dense(np.zeros((3, 4)), np.arange(4.0))
-    assert np.array_equal(composed(skills, ad.tensor([0.2, 0.3, 0.5])), np.arange(4.0))
+    layer = dense(np.zeros((3, 4)), np.arange(4.0))
+    assert np.array_equal(composed(layer, [0.2, 0.3, 0.5]), np.arange(4.0))
 
 
 def test_compose_dense_hand_value():
-    skills = dense([[2.0, 0.0], [0.0, 4.0]], [0.0, 0.0])
-    assert composed(skills, ad.tensor([0.5, 0.5])).tolist() == [1.0, 2.0]
+    layer = dense([[2.0, 0.0], [0.0, 4.0]], [0.0, 0.0])
+    assert composed(layer, [0.5, 0.5]).tolist() == [1.0, 2.0]
 
 
 def test_compose_dense_dimension_mismatch():
-    skills = dense(np.zeros((2, 3)), np.zeros(3))
+    layer = dense(np.zeros((2, 3)), np.zeros(3))
     x = ad.tensor(np.zeros((1, 2)))
     with pytest.raises(ShapeError):
-        sk.mixed_affine(x, skills, ad.tensor([1.0, 0.0, 0.0]), layer_shape(skills))
+        layer.forward(x, one_row([1.0, 0.0, 0.0]), 0)
     with pytest.raises(ShapeError):
-        sk.mixed_affine(ad.tensor(np.zeros((1, 3))), skills, ad.tensor([1.0, 0.0]), layer_shape(skills))
-    with pytest.raises(ShapeError):
-        sk.mixed_affine(x, skills, ad.tensor([1.0, 0.0]), sk.LayerShape(1, 1))
+        layer.forward(ad.tensor(np.zeros((1, 3))), one_row([1.0, 0.0]), 0)
 
 
 def test_compose_dense_gradients_match_finite_differences():
@@ -98,26 +106,21 @@ def test_compose_dense_gradients_match_finite_differences():
     base0 = rng.standard_normal(5)
     w0 = rng.dirichlet(np.ones(3))
     x0 = rng.standard_normal((2, 4))
-    shape = sk.LayerShape(4, 1)
 
     def through_phi(phi):
-        skills = sk.DenseSkills(phi, ad.tensor(base0))
-        return probe_objective(sk.mixed_affine(ad.tensor(x0), skills, ad.tensor(w0), shape))
+        return probe_objective(dense(phi, ad.tensor(base0)).forward(ad.tensor(x0), ad.tensor(w0[None]), 0))
 
     def through_w(w):
-        skills = sk.DenseSkills(ad.tensor(phi0), ad.tensor(base0))
-        return probe_objective(sk.mixed_affine(ad.tensor(x0), skills, w, shape))
+        return probe_objective(dense(ad.tensor(phi0), ad.tensor(base0)).forward(ad.tensor(x0), w, 0))
 
     def through_base(base):
-        skills = sk.DenseSkills(ad.tensor(phi0), base)
-        return probe_objective(sk.mixed_affine(ad.tensor(x0), skills, ad.tensor(w0), shape))
+        return probe_objective(dense(ad.tensor(phi0), base).forward(ad.tensor(x0), ad.tensor(w0[None]), 0))
 
     def through_x(x):
-        skills = sk.DenseSkills(ad.tensor(phi0), ad.tensor(base0))
-        return probe_objective(sk.mixed_affine(x, skills, ad.tensor(w0), shape))
+        return probe_objective(dense(ad.tensor(phi0), ad.tensor(base0)).forward(x, ad.tensor(w0[None]), 0))
 
     assert grad_check(through_phi, ad.tensor(phi0)) < 1e-6
-    assert grad_check(through_w, ad.tensor(w0)) < 1e-6
+    assert grad_check(through_w, ad.tensor(w0[None])) < 1e-6
     assert grad_check(through_base, ad.tensor(base0)) < 1e-6
     assert grad_check(through_x, ad.tensor(x0)) < 1e-6
 
@@ -127,14 +130,14 @@ def test_compose_dense_gradients_match_finite_differences():
 def test_compose_linear_in_weights(seed):
     ad.reset_tape()
     rng = np.random.default_rng(seed)
-    skills = dense(rng.standard_normal((4, 6)), rng.standard_normal(6))
+    layer = dense(rng.standard_normal((4, 6)), rng.standard_normal(6))
     w1, w2 = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
     alpha, beta = rng.uniform(-2, 2, size=2)
-    mixed = composed(skills, ad.tensor(alpha * w1 + beta * w2))
+    mixed = composed(layer, alpha * w1 + beta * w2)
     separate = (
-        alpha * composed(skills, ad.tensor(w1))
-        + beta * composed(skills, ad.tensor(w2))
-        - (alpha + beta - 1) * skills.base.data
+        alpha * composed(layer, w1)
+        + beta * composed(layer, w2)
+        - (alpha + beta - 1) * layer.skills.base.data
     )
     assert np.allclose(mixed, separate, atol=1e-10)
 
@@ -146,11 +149,11 @@ def test_norm_control_under_simplex_weights(seed):
     # which is the instability row normalisation exists to prevent.
     ad.reset_tape()
     rng = np.random.default_rng(seed)
-    skills = dense(rng.standard_normal((5, 8)), rng.standard_normal(8))
+    layer = dense(rng.standard_normal((5, 8)), rng.standard_normal(8))
     w = rng.dirichlet(np.ones(5) * rng.uniform(0.2, 3.0))
-    theta = composed(skills, ad.tensor(w))
-    delta = np.linalg.norm(theta - skills.base.data)
-    assert delta <= max(np.linalg.norm(row) for row in skills.phi.data) + 1e-9
+    theta = composed(layer, w)
+    delta = np.linalg.norm(theta - layer.skills.base.data)
+    assert delta <= max(np.linalg.norm(row) for row in layer.skills.phi.data) + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,18 +169,20 @@ def test_norm_control_under_simplex_weights(seed):
 def test_mixed_affine_equals_unfused_chain(batch, in_dim, out_dim, num_skills, masked, x_needs_grad, seed):
     rng = np.random.default_rng(seed)
     shape = sk.LayerShape(in_dim, out_dim)
-    skills = dense(rng.standard_normal((num_skills, shape.flat_dim)), rng.standard_normal(shape.flat_dim))
+    layer = dense(rng.standard_normal((num_skills, shape.flat_dim)), rng.standard_normal(shape.flat_dim), shape=shape)
+    skills = layer.skills
     if masked:
         skills.mask = (rng.uniform(size=skills.phi.shape) < 0.5).astype(np.float64)
     w = ad.tensor(rng.dirichlet(np.ones(num_skills)), requires_grad=True)
+    w_stack = ad.tensor(w.data[None], requires_grad=True)
     x = ad.tensor(rng.standard_normal((batch, in_dim)), requires_grad=x_needs_grad)
-    inputs = [skills.phi, skills.base, w] + ([x] if x_needs_grad else [])
-    results = []
-    for op in (sk.mixed_affine, unfused.mixed_affine):
-        ad.reset_tape()
-        out = op(x, skills, w, shape)
-        results.append([out.data] + grads_of(probe_objective(out, seed), inputs))
-    fused, reference = results
+    inputs = [skills.phi, skills.base] + ([x] if x_needs_grad else [])
+    out = layer.forward(x, w_stack, 0)
+    fused = [out.data] + grads_of(probe_objective(out, seed), inputs + [w_stack])
+    fused[-1] = fused[-1][..., 0, :]
+    ad.reset_tape()
+    out = unfused.mixed_affine(x, skills, w, shape)
+    reference = [out.data] + grads_of(probe_objective(out, seed), inputs + [w])
     if not x_needs_grad:
         assert x.grad is None
     for got, expected in zip(fused, reference):
@@ -230,27 +235,27 @@ def make_sparse(sparsity=0.9, num_skills=2, dim=100, seed=0):
     return DenseLayer(sk.LayerShape(dim - 1, 1), num_skills, np.random.default_rng(seed), sparsity)
 
 
-def probe_input(skills, batch=3, seed=0):
-    return ad.tensor(np.random.default_rng(seed).standard_normal((batch, skills.dim - 1)))
+def probe_input(layer, batch=3, seed=0):
+    return ad.tensor(np.random.default_rng(seed).standard_normal((batch, layer.shape.in_dim)))
 
 
 def test_full_mask_equals_dense_composition():
-    skills = kaiming_dense(2, 100, seed=0)
-    skills.mask = np.ones((2, 100))
-    w = ad.tensor([0.3, 0.7])
-    x = probe_input(skills)
-    sparse_out = sk.mixed_affine(x, skills, w, layer_shape(skills))
-    dense_out = sk.mixed_affine(x, sk.DenseSkills(skills.phi, skills.base), w, layer_shape(skills))
+    layer = kaiming_dense(2, 100, seed=0)
+    w = one_row([0.3, 0.7])
+    x = probe_input(layer)
+    dense_out = layer.forward(x, w, 0)
+    layer.skills.mask = np.ones((2, 100))
+    sparse_out = layer.forward(x, w, 0)
     assert np.array_equal(sparse_out.data, dense_out.data)
 
 
 def test_empty_mask_returns_base():
-    skills = kaiming_dense(2, 100, seed=0)
-    skills.mask = np.zeros((2, 100))
-    x = probe_input(skills)
-    out = sk.mixed_affine(x, skills, ad.tensor([0.5, 0.5]), layer_shape(skills))
-    base_only = sk.DenseSkills(ad.tensor(np.zeros((2, 100))), skills.base)
-    assert np.array_equal(out.data, sk.mixed_affine(x, base_only, ad.tensor([0.5, 0.5]), layer_shape(skills)).data)
+    layer = kaiming_dense(2, 100, seed=0)
+    layer.skills.mask = np.zeros((2, 100))
+    x = probe_input(layer)
+    out = layer.forward(x, one_row([0.5, 0.5]), 0)
+    base_only = dense(ad.tensor(np.zeros((2, 100))), layer.skills.base)
+    assert np.array_equal(out.data, base_only.forward(x, one_row([0.5, 0.5]), 0).data)
 
 
 def test_ninety_percent_sparsity_keeps_ten_of_hundred():
@@ -278,7 +283,7 @@ def test_masked_entries_get_exactly_zero_gradient():
     layer.skills.phi.data += np.random.default_rng(6).standard_normal(layer.skills.phi.shape)
     layer.freeze()
     skills = layer.skills
-    out = sk.mixed_affine(probe_input(skills), skills, ad.tensor([0.5, 0.5]), layer.shape)
+    out = layer.forward(probe_input(layer), one_row([0.5, 0.5]), 0)
     ad.backward(unfused.reduce_sum(unfused.mul(out, out)))
     masked = skills.phi.grad[skills.mask == 0]
     unmasked = skills.phi.grad[skills.mask == 1]
@@ -294,8 +299,7 @@ def test_unmasked_gradients_match_finite_differences():
     x = rng.standard_normal((3, 11))
 
     def f(phi):
-        skills = sk.DenseSkills(phi, ad.tensor(base), mask=mask)
-        return probe_objective(sk.mixed_affine(ad.tensor(x), skills, ad.tensor(w), layer_shape(skills)))
+        return probe_objective(dense(phi, ad.tensor(base), mask).forward(ad.tensor(x), ad.tensor(w[None]), 0))
 
     assert grad_check(f, ad.tensor(rng.standard_normal((2, 12)))) < 1e-4
 
@@ -335,7 +339,7 @@ def random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed):
 def test_lora_zero_adapters_reduce_to_base_map():
     layer = lowrank_layer(3, 4, 5, 2, seed=0)
     x = ad.tensor(np.random.default_rng(1).standard_normal((1, 5)))
-    out = sk.mixed_lowrank(x, layer, ad.tensor(np.ones(3) / 3))
+    out = layer.forward(x, one_row(np.ones(3) / 3), 0)
     expected = x.data @ layer.W0.data.T + layer.b0.data
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -346,7 +350,7 @@ def test_lora_scalar_hand_value():
     layer.A.data[:] = [[[2.0]]]
     layer.B.data[:] = [[[3.0]]]
     layer.b0.data[:] = [0.0]
-    out = sk.mixed_lowrank(ad.tensor([[1.0]]), layer, ad.tensor([1.0]))
+    out = layer.forward(ad.tensor([[1.0]]), one_row([1.0]), 0)
     assert out.data.tolist() == [[7.0]]
 
 
@@ -358,7 +362,7 @@ def test_lora_factored_equals_materialized_on_random_instances():
         layer = random_lowrank(rng, int(s), int(o), int(i), r, seed=trial)
         w = ad.tensor(rng.dirichlet(np.ones(int(s))))
         x = ad.tensor(rng.standard_normal((3, int(i))))
-        fast = sk.mixed_lowrank(x, layer, w)
+        fast = layer.forward(x, one_row(w.data), 0)
         slow = lora_forward_materialized(x, layer, w)
         assert np.max(np.abs(fast.data - slow.data)) < 1e-12
 
@@ -380,14 +384,16 @@ def test_mixed_lowrank_matches_materialized_reference(batch, in_dim, out_dim, nu
     rank = int(rng.integers(1, min(in_dim, out_dim) + 1))
     layer = random_lowrank(rng, num_skills, out_dim, in_dim, rank, seed)
     w = ad.tensor(rng.dirichlet(np.ones(num_skills)), requires_grad=True)
+    w_stack = one_row(w.data)
     x = ad.tensor(rng.standard_normal((batch, in_dim)), requires_grad=True)
-    inputs = [x, layer.A, layer.B, layer.W0, layer.b0, w]
-    results = []
-    for op in (sk.mixed_lowrank, lora_forward_materialized):
-        ad.reset_tape()
-        out = op(x, layer, w)
-        results.append([out.data] + grads_of(probe_objective(out, seed), inputs))
-    for got, expected in zip(*results):
+    inputs = [x, layer.A, layer.B, layer.W0, layer.b0]
+    out = layer.forward(x, w_stack, 0)
+    fast = [out.data] + grads_of(probe_objective(out, seed), inputs + [w_stack])
+    fast[-1] = fast[-1][..., 0, :]
+    ad.reset_tape()
+    out = lora_forward_materialized(x, layer, w)
+    slow = [out.data] + grads_of(probe_objective(out, seed), inputs + [w])
+    for got, expected in zip(fast, slow):
         assert got.shape == expected.shape
         assert relative_error(got, expected) <= 1e-12
 
@@ -400,16 +406,16 @@ def test_lora_gradients_match_finite_differences():
 
     def through(name):
         def f(t):
-            parts = {"x": ad.tensor(x0), "w": ad.tensor(w0), "layer": copy.copy(layer)}
+            parts = {"x": ad.tensor(x0), "w": ad.tensor(w0[None]), "layer": copy.copy(layer)}
             if name in parts:
                 parts[name] = t
             else:
                 setattr(parts["layer"], name, t)
-            return probe_objective(sk.mixed_lowrank(parts["x"], parts["layer"], parts["w"]))
+            return probe_objective(parts["layer"].forward(parts["x"], parts["w"], 0))
 
         return f
 
-    starts = {"A": layer.A.data, "B": layer.B.data, "W0": layer.W0.data, "b0": layer.b0.data, "w": w0, "x": x0}
+    starts = {"A": layer.A.data, "B": layer.B.data, "W0": layer.W0.data, "b0": layer.b0.data, "w": w0[None], "x": x0}
     for name, start in starts.items():
         assert grad_check(through(name), ad.tensor(start)) < 1e-5, name
 
@@ -423,9 +429,9 @@ def test_lowrank_rank_is_clamped_to_the_layer_size():
 def test_lora_input_shape_checks():
     layer = lowrank_layer(1, 2, 3, 1, seed=0)
     with pytest.raises(ShapeError):
-        sk.mixed_lowrank(ad.tensor(np.ones((1, 4))), layer, ad.tensor([1.0]))
+        layer.forward(ad.tensor(np.ones((1, 4))), one_row([1.0]), 0)
     with pytest.raises(ShapeError):
-        sk.mixed_lowrank(ad.tensor(np.ones(3)), layer, ad.tensor([1.0]))
+        layer.forward(ad.tensor(np.ones(3)), one_row([1.0]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +446,14 @@ def _stacked_rows(rng, lead, num_skills):
 @pytest.mark.parametrize("matrix", [0, 1])
 @pytest.mark.parametrize("family", ["dense", "lowrank"])
 def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
-    """Output and gradients equal the op on the lone row; the other matrix's rows get exact zeros."""
+    """Output and gradients equal the layer's on the lone row; the other matrix's rows get exact zeros."""
     rng = np.random.default_rng(matrix + 2 * len(lead))
     if family == "dense":
-        skills = kaiming_dense(3, 4 * 2 + 4, seed=1)
+        layer = DenseLayer(sk.LayerShape(2, 4), 3, np.random.default_rng(1))
+        skills = layer.skills
         if lead:
             skills.phi.data = np.repeat(skills.phi.data[None], lead[0], axis=0)
         params = [skills.phi, skills.base]
-
-        def op(x, w, index=None):
-            return sk.mixed_affine(x, skills, w, sk.LayerShape(2, 4), index)
     else:
         layer = random_lowrank(rng, 3, 4, 2, 2, seed=1)
         if lead:
@@ -457,28 +461,25 @@ def test_a_layer_reads_its_row_of_the_stacked_rows(family, matrix, lead):
             layer.B.data = np.repeat(layer.B.data[None], lead[0], axis=0)
         params = [layer.A, layer.B, layer.W0, layer.b0]
 
-        def op(x, w, index=None):
-            return sk.mixed_lowrank(x, layer, w, index)
-
     x = ad.tensor(rng.standard_normal(lead + (5, 2)), requires_grad=True)
     rows = _stacked_rows(rng, lead, 3)
-    row = ad.tensor(rows.data[..., matrix, :], requires_grad=True)
-    stacked_out = op(x, rows, matrix)
+    row = ad.tensor(rows.data[..., matrix : matrix + 1, :], requires_grad=True)
+    stacked_out = layer.forward(x, rows, matrix)
     stacked_grads = grads_of(probe_objective(stacked_out), [x, rows] + params)
     ad.reset_tape()
-    lone_out = op(x, row)
+    lone_out = layer.forward(x, row, 0)
     lone_grads = grads_of(probe_objective(lone_out), [x, row] + params)
     assert np.array_equal(stacked_out.data, lone_out.data)
-    assert np.array_equal(stacked_grads[1][..., matrix, :], lone_grads[1])
+    assert np.array_equal(stacked_grads[1][..., matrix, :], lone_grads[1][..., 0, :])
     assert np.all(stacked_grads[1][..., 1 - matrix, :] == 0.0)
     for got, expected in zip(stacked_grads[:1] + stacked_grads[2:], lone_grads[:1] + lone_grads[2:]):
         assert np.array_equal(got, expected)
 
 
 def test_a_layer_rejects_a_matrix_the_rows_do_not_hold():
-    skills = kaiming_dense(2, 3, seed=0)
+    layer = kaiming_dense(2, 3, seed=0)
     rows = ad.tensor(np.full((2, 2), 0.5))
     with pytest.raises(ShapeError):
-        sk.mixed_affine(ad.tensor(np.ones((1, 2))), skills, rows, sk.LayerShape(2, 1), 2)
+        layer.forward(ad.tensor(np.ones((1, 2))), rows, 2)
     with pytest.raises(ShapeError):
-        sk.mixed_affine(ad.tensor(np.ones((1, 2))), skills, ad.tensor([0.5, 0.5]), sk.LayerShape(2, 1), 0)
+        layer.forward(ad.tensor(np.ones((1, 2))), ad.tensor([0.5, 0.5]), 0)

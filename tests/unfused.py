@@ -221,11 +221,12 @@ def narrow(x, start, length):
 
 def compose_dense(skills, w):
     """theta = base + sum_j w_j * (phi * mask)_j."""
-    if w.ndim != 1 or w.shape[0] != skills.num_skills:
-        raise ShapeError(f"weights must be a [{skills.num_skills}] vector, got shape {w.shape}")
+    num_skills, dim = skills.phi.shape
+    if w.ndim != 1 or w.shape[0] != num_skills:
+        raise ShapeError(f"weights must be a [{num_skills}] vector, got shape {w.shape}")
     phi = skills.phi if skills.mask is None else mul(skills.phi, ad.tensor(skills.mask))
-    mixed = matmul(reshape(w, (1, skills.num_skills)), phi)
-    return ad.add(skills.base, reshape(mixed, (skills.dim,)))
+    mixed = matmul(reshape(w, (1, num_skills)), phi)
+    return ad.add(skills.base, reshape(mixed, (dim,)))
 
 
 def affine(x, theta, shape):
