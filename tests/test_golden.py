@@ -1,19 +1,29 @@
 """Golden runs: the run directories of small configs, pinned.
 
-Each config below runs the whole pipeline (`run_experiment`). Its
-summary.json must equal the stored file in tests/golden/ byte for byte, and
-every other file of its run directory but timing.json (the wall clock) must
-have the sha256 stored in tests/golden/run_dir_sha256.json, so a change that
-is meant to keep behaviour can prove it did. The summaries were last
-recorded by `run_experiment` itself, which adapts every held-out task and
-resample side by side. The same configs check that this stacked adaptation
-gives each replica exactly what adapting it alone gives. A change that is
-meant to move results re-records them with
+Each config below runs the whole pipeline (`run_experiment`). Two gates
+apply to it:
 
-    PYTHONPATH=src python tests/test_golden.py --record
+  * bytes, the default gate: its summary.json must equal the stored file in
+    tests/golden/ byte for byte, and every other file of its run directory
+    but timing.json (the wall clock) must have the sha256 stored in
+    tests/golden/run_dir_sha256.json. A change that is meant to keep
+    behaviour proves it here;
+  * the float tolerance, for a re-record. A change that moves the goldens
+    re-records them, in a commit of its own, with
 
-and says so in CHANGES.md. The command prints, for each golden, the
-top-level summary keys and the run-directory files whose values changed.
+        PYTHONPATH=src python tests/test_golden.py --record
+
+    and says so in CHANGES.md. The command prints, for each golden, how
+    many summary floats changed and their largest relative change,
+    measured by `drift.py` against the stored bytes, then every other
+    summary difference and the run-directory files that changed. A change
+    that only reorders sums keeps the largest change within
+    `drift.FLOAT_RTOL` and has no other summary difference.
+
+The summaries are recorded by `run_experiment`, which adapts every held-out
+task and resample side by side. The same configs check, bit for bit, that
+this stacked adaptation gives each replica exactly what adapting it alone
+gives.
 """
 
 import hashlib
@@ -29,6 +39,8 @@ from skillmix.config import parse_config_dict
 from skillmix.experiment import OUTPUT_ROOT_ENV, run_experiment
 from skillmix.synthetic import generate_synthetic_benchmark
 from skillmix.trainer import few_shot_adapt, multitask_train
+
+from drift import summary_drift
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "run_dir_sha256.json"
@@ -75,8 +87,9 @@ CONFIGS = {
     "shared": _with(model_kind="shared"),
     "expert_planted": _with(model_kind="expert", expert_table="planted"),
     "hypernet": _with(model_kind="hypernet"),
-    # Pins `HypernetLayer.forward`'s transposed copies: without them the
-    # sums round differently at input_dim 16, not at the other shapes here.
+    # The hypernet at input_dim 16, the default width; every other golden
+    # runs at 8. It pins the hypernet's results at that width, and the
+    # stacked-vs-lone adaptation check runs there too.
     "hypernet_input16": _with(model_kind="hypernet", world={"input_dim": 16}),
     "skilled_frozen_identity": _with(freeze_allocation="identity", world={"holdout_tasks": 0}),
     "skilled_lowrank": _with(parameterisation="lowrank"),
@@ -201,7 +214,7 @@ def test_stacked_adaptation_equals_one_adaptation_per_replica(name):
 
 
 def _record(out_root: Path) -> None:
-    """Re-record every golden, printing per golden the summary keys and run-directory files that changed."""
+    """Re-record every golden, printing per golden the summary floats, other summary values and files that changed."""
     import os
 
     os.environ[OUTPUT_ROOT_ENV] = str(out_root)
@@ -214,9 +227,12 @@ def _record(out_root: Path) -> None:
         summary, digests[name] = run_files(doc, out_root)
         path.write_bytes(summary)
         new_summary, old_files = json.loads(summary), old_digests.get(name, {})
-        keys = sorted(k for k in old_summary.keys() | new_summary.keys() if old_summary.get(k) != new_summary.get(k))
+        count, largest, other = summary_drift(old_summary, new_summary)
         files = sorted(f for f in old_files.keys() | digests[name].keys() if old_files.get(f) != digests[name].get(f))
-        print(f"{name}: summary keys changed: {', '.join(keys) or '-'}; files changed: {', '.join(files) or '-'}")
+        print(
+            f"{name}: {count} summary floats changed, largest relative change {largest:.2g}; "
+            f"other summary changes: {', '.join(other) or '-'}; files changed: {', '.join(files) or '-'}"
+        )
     DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
 
 
