@@ -9,8 +9,7 @@ stays differentiable; at evaluation time the deterministic u=0.5 path is
 used, which collapses to sigmoid(z / tau). Rows are normalised before
 composition so the number of active skills does not change the norm of
 the composed parameters. A training draw and the task's normalised rows
-are one tape node each for the whole stack, with VJPs that replay the
-unfused chains' numpy operations.
+are one tape node each for the whole stack.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ def gumbel_sigmoid_sample(logits: Tensor, tau: float, rng: np.random.Generator |
     Reparameterised, so gradients flow to the logits with u held fixed. The
     hardened sample exceeds 0.5 exactly when z + logit(u) > 0, hence
     P(sample > 0.5) = sigmoid(z) for every tau. One tape node; one uniform
-    draw per cell, as the unfused add -> scale -> sigmoid chain drew
-    (`random` returns the same doubles as `uniform(0, 1)`, faster).
+    draw per cell (`random` returns the same doubles as `uniform(0, 1)`,
+    faster).
 
     A stack of matrices [M, T, S] draws the same doubles as M draws of
     [T, S] in turn. A stack of replicas' logits [R, ..., S] takes a list of
@@ -74,14 +73,10 @@ def expected_allocation(logits: Tensor, tau: float) -> np.ndarray:
 def normalize_rows(t: Tensor | np.ndarray, index) -> Tensor:
     """Row `index` of the matrix scaled to sum to one; invariant under positive row scaling.
 
-    One tape node that lists the matrix twice: once for the division and
-    once for the row sum it divides by. Their VJP parts are accumulated
-    separately, in the order the unfused reduce_sum -> div -> take_row
-    chain accumulated them, so a gradient the matrix also gets from a prior
-    sums in the same order. A stack of matrices [..., T, S] (a model's
-    allocation matrices, replicas' blocks or both) gives the stack of
-    their rows [..., S] in one node, each row equal to its matrix's alone.
-    An int array of distinct row indices [K] gives those rows [..., K, S].
+    One tape node. A stack of matrices [..., T, S] (a model's allocation
+    matrices, replicas' blocks or both) gives the stack of their rows
+    [..., S] in one node, each row equal to its matrix's alone. An int
+    array of distinct row indices [K] gives those rows [..., K, S].
 
     A row whose sum is below 1e-12 (every cell of a relaxed row underflowed)
     is divided by inf: it gives zero weights, so the layer composes to its
@@ -107,12 +102,11 @@ def normalize_rows(t: Tensor | np.ndarray, index) -> Tensor:
     row = data[..., index, :] / total
 
     def vjp(g):
-        quotient, row_sum = np.zeros_like(data), np.zeros_like(data)
-        quotient[..., index, :] = g / total
-        row_sum[..., index, :] = (-g * row / total).sum(axis=-1, keepdims=True)
-        return quotient, row_sum
+        grad = np.zeros_like(data)
+        grad[..., index, :] = g / total - (g * row / total).sum(axis=-1, keepdims=True)
+        return (grad,)
 
-    return apply_op((t, t), row, vjp)
+    return apply_op((t,), row, vjp)
 
 
 def _round_half_up(values: np.ndarray) -> np.ndarray:

@@ -88,39 +88,29 @@ class HypernetLayer:
         `embedding` and `index` are what `TaskRows.select` returns: the
         column read is `embedding[..., index, :]`, one embedding, a new
         task's replicas' embeddings [R, embed_dim] or an index array's
-        [T, embed_dim]. The forward pass and the VJP replay, in order, the
-        numpy operations of the unfused chain (take_row/reshape of the
-        embedding, the two generators, three matmuls of transposed copies,
-        two adds; see `tests/unfused.py`), so values and gradients are
-        bit-identical to it. The copies are needed: a matmul on the
-        transposed views sums in another order and, at input_dim 16, moves
-        the run's results (the `hypernet_input16` golden pins them). Leading
-        axes of `x` and of the column stack replicas or tasks, with the
-        generators stacked alike; W0 and b0 are shared.
+        [T, embed_dim]. Leading axes of `x` and of the column stack
+        replicas or tasks, with the generators stacked alike; W0 and b0 are
+        shared.
         """
         if x.shape[-1] != self.shape.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.shape.in_dim}")
         e = embedding.data
         a, b, generated_vjp = hypernet_generate(e[..., index, :][..., None], self)
         xd, w0, b0 = x.data, self.W0, self.b0
-        w0_t, b_t, a_t = matrix_t(w0.data).copy(), matrix_t(b).copy(), matrix_t(a).copy()
-        y1 = xd @ w0_t
-        xb = xd @ b_t
-        xba = xb @ a_t
+        xb = xd @ matrix_t(b)
+        out = xd @ matrix_t(w0.data) + xb @ matrix_t(a)
+        out += b0.data
         generators = self.phi_parameters()
         need_x, need_e, need_w0, need_b0 = (t.requires_grad for t in (x, embedding, w0, b0))
         need_generated = need_e or any(p.requires_grad for p in generators)
 
         def vjp(g):
-            g_y1, g_xba = unbroadcast(g, y1.shape), unbroadcast(g, xba.shape)
-            g_xb = unbroadcast(g_xba @ matrix_t(a_t), xb.shape)
-            g_x = None
-            if need_x:
-                g_x = unbroadcast(g_xb @ matrix_t(b_t), x.shape) + unbroadcast(g_y1 @ matrix_t(w0_t), x.shape)
+            g_xb = g @ a
+            g_x = unbroadcast(g_xb @ b + g @ w0.data, x.shape) if need_x else None
             g_e, g_generators = None, (None,) * 4
             if need_generated:
-                g_a = matrix_t(unbroadcast(matrix_t(xb) @ g_xba, a_t.shape))
-                g_b = matrix_t(unbroadcast(matrix_t(xd) @ g_xb, b_t.shape))
+                g_a = unbroadcast(matrix_t(g) @ xb, a.shape)
+                g_b = unbroadcast(matrix_t(g_xb) @ xd, b.shape)
                 g_column, g_generators = generated_vjp(g_a, g_b)
                 g_e = np.zeros_like(e)
                 g_e[..., index, :] = g_column[..., 0]
@@ -128,12 +118,10 @@ class HypernetLayer:
                 g_x,
                 g_e,
                 *g_generators,
-                matrix_t(unbroadcast(matrix_t(xd) @ g_y1, w0_t.shape)) if need_w0 else None,
+                unbroadcast(matrix_t(g) @ xd, w0.shape) if need_w0 else None,
                 unbroadcast(g, b0.shape) if need_b0 else None,
             )
 
-        out = y1 + xba
-        out += b0.data
         return apply_op((x, embedding, *generators, w0, b0), out, vjp)
 
     def phi_parameters(self) -> list[Tensor]:
@@ -166,9 +154,7 @@ def hypernet_generate(column: np.ndarray, layer: HypernetLayer):
     Plain arrays, no tape node: `HypernetLayer.forward` records the whole
     layer as one node. `vjp(g_a, g_b)` returns the column's gradient and
     the generators' in `phi_parameters` order, None for a generator that
-    needs none. Values and gradients replay the numpy operations of the
-    unfused matmul -> relu -> matmul -> reshape chains (`tests/unfused.py`)
-    in order. A stack of columns [..., embed_dim, 1], with generators
+    needs none. A stack of columns [..., embed_dim, 1], with generators
     stacked alike, gives a stack of pairs.
     """
     lead = column.shape[:-2]
@@ -177,10 +163,9 @@ def hypernet_generate(column: np.ndarray, layer: HypernetLayer):
     b, vjp_b = _generated_factor(layer.w1_b, layer.w2_b, column, lead + (r, i))
 
     def vjp(g_a: np.ndarray, g_b: np.ndarray):
-        # The B chain was recorded after the A chain, so its part comes first.
-        g_col_b, g_w1_b, g_w2_b = vjp_b(g_b)
         g_col_a, g_w1_a, g_w2_a = vjp_a(g_a)
-        return g_col_b + g_col_a, (g_w1_a, g_w2_a, g_w1_b, g_w2_b)
+        g_col_b, g_w1_b, g_w2_b = vjp_b(g_b)
+        return g_col_a + g_col_b, (g_w1_a, g_w2_a, g_w1_b, g_w2_b)
 
     return a, b, vjp
 
@@ -415,8 +400,6 @@ class HypernetModel(TaskModel):
         embedding, index = self.task_rows.select(task, train)
         h = x
         for layer in self.layers:
-            # Each layer's node returns its own part of the embedding's
-            # gradient, so the parts sum in the unfused chain's order.
             h = layer.forward(h, embedding, index)
         return h, []
 

@@ -10,12 +10,10 @@ column-history multiplicity term is evaluated on the hardened matrix and
 treated as a constant per step. Skipping the prior at strength 0 is the
 trainer's decision (`trainer._step` records no prior node then).
 
-The regulariser records one tape node whose hand-written VJP (digamma of
-the column masses) replays, in order, the numpy operations of the
-generic-op chain it replaces, so its value and gradient are bit for bit
-those of that chain. It takes a model's stack of allocation matrices
-[M, T, S] as one input: each matrix is scored apart, the M values are
-added in matrix order, and one node covers them.
+The regulariser records one tape node whose hand-written VJP is the
+digamma of the column masses. It takes a model's stack of allocation
+matrices [M, T, S] as one input: each matrix is scored apart, the M
+values are added, and one node covers them.
 """
 
 from __future__ import annotations
@@ -126,24 +124,15 @@ def _relaxed_terms(z_hat: Tensor, alpha: float):
     return values, matrix_grad
 
 
-def _sum_in_order(values) -> float:
-    """0.0 + v_0 + v_1 + ...: the total that adding the matrices' terms one by one gives."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def ibp_regularizer(z_hat: Tensor, alpha: float, strength: float) -> Tensor:
     """Loss term -strength * relaxed log-density of `z_hat`, one tape node.
 
     On a binary input at strength 1 the value is `-ibp_log_prob` up to
     rounding: the per-column terms are summed in column order here and
     exactly rounded (`math.fsum`) there. A stack [M, T, S] scores each
-    matrix apart and adds the M terms in matrix order.
+    matrix apart and adds the M terms.
     """
     if strength < 0:
         raise DomainError("strength must be non-negative")
     values, matrix_grad = _relaxed_terms(z_hat, alpha)
-    total = _sum_in_order(-value * strength for value in values)
-    return apply_op((z_hat,), total, lambda g: (matrix_grad(-(g * strength)),))
+    return apply_op((z_hat,), -strength * math.fsum(values), lambda g: (matrix_grad(-(g * strength)),))

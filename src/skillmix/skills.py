@@ -97,11 +97,8 @@ class DenseLayer:
         """x @ W^T + b, with (W, b) the flat theta = base + w @ (phi * mask) unflattened; one tape node.
 
         Differentiable in x, phi, base and w; once a mask is frozen, masked
-        entries of phi get exactly zero gradient. The forward pass and the VJP
-        replay, in the same order, the numpy operations of the unfused chain
-        (mask, mix, slice, reshape, transpose, matmul, add), so values and
-        gradients are bit-identical to it. Only inputs that require a gradient
-        get one: the first layer's input is a constant.
+        entries of phi get exactly zero gradient. Only inputs that require a
+        gradient get one: the first layer's input is a constant.
 
         Leading axes of `w` stack replicas: `x` [..., n, in] and `phi`
         [..., S, d] carry the same leading axes, while `base` and the mask
@@ -116,26 +113,25 @@ class DenseLayer:
         _check_input(x, self.shape.in_dim, lead)
         o, i = self.shape.out_dim, self.shape.in_dim
         phi_m = phi.data if mask is None else phi.data * mask
-        w_row = wd[..., None, :]
-        theta = base.data + (w_row @ phi_m)[..., 0, :]
-        weight_t = matrix_t(theta[..., : o * i].reshape(lead + (o, i))).copy()
+        theta = base.data + (wd[..., None, :] @ phi_m)[..., 0, :]
+        weight = theta[..., : o * i].reshape(lead + (o, i))
         xd = x.data
         need_x, need_phi, need_base, need_w = (t.requires_grad for t in (x, phi, base, w))
 
         def vjp(g):
             g_weight = matrix_t(matrix_t(xd) @ g).reshape(lead + (-1,))
-            g_theta = np.concatenate([g_weight, g.sum(axis=-2)], axis=-1)[..., None, :]
-            g_phi = wd[..., :, None] * g_theta if need_phi else None
+            g_theta = np.concatenate([g_weight, g.sum(axis=-2)], axis=-1)
+            g_phi = np.einsum("...s,...d->...sd", wd, g_theta) if need_phi else None
             if need_phi and mask is not None:
                 g_phi *= mask
             return (
-                g @ matrix_t(weight_t) if need_x else None,
+                g @ weight if need_x else None,
                 g_phi,
-                g_theta[..., 0, :] if need_base else None,
-                w_grad((g_theta @ matrix_t(phi_m))[..., 0, :]) if need_w else None,
+                g_theta if need_base else None,
+                w_grad((g_theta[..., None, :] @ matrix_t(phi_m))[..., 0, :]) if need_w else None,
             )
 
-        out = xd @ weight_t
+        out = xd @ matrix_t(weight)
         out += theta[..., None, o * i :]
         return apply_op((x, phi, base, w), out, vjp)
 

@@ -84,12 +84,8 @@ class TrainedModel:
 def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
     """Negative log-likelihood up to constants, as one tape node: MSE or logistic loss.
 
-    Values and gradients replay the numpy operations of the unfused chains
-    (sub -> mul -> mean, and mul -> neg -> softplus -> mean) in order; a
-    mean is the batch sum divided by the batch size, as `ndarray.mean`
-    computes it. A stack of replicas' predictions [..., n, 1] gives the
-    sum of the replicas' mean losses, so each replica's gradient is its
-    own loss's.
+    A stack of replicas' predictions [..., n, 1] gives the sum of the
+    replicas' mean losses, so each replica's gradient is its own loss's.
     """
     if kind not in ("regression", "classification"):
         raise ContractError(f"unknown task kind '{kind}'")
@@ -99,21 +95,11 @@ def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
     count = y.shape[-2] * y.shape[-1]
     if kind == "regression":
         err = pred.data - y
-
-        def vjp(g):
-            part = g / count * err
-            return (part + part,)
-
-        return apply_op((pred,), (np.add.reduce(err * err, axis=(-2, -1)) / count).sum(), vjp)
+        return apply_op((pred,), (err * err).mean(axis=(-2, -1)).sum(), lambda g: (2.0 * g / count * err,))
 
     margin = -(y * pred.data)
-    slope = expit(margin)
-
-    def vjp(g):
-        return (-(g / count * slope) * y,)
-
     softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    return apply_op((pred,), (np.add.reduce(softplus, axis=(-2, -1)) / count).sum(), vjp)
+    return apply_op((pred,), softplus.mean(axis=(-2, -1)).sum(), lambda g: (-g / count * expit(margin) * y,))
 
 
 def _split(task: TaskSpec, split: str) -> tuple[np.ndarray, np.ndarray]:

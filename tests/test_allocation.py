@@ -29,6 +29,7 @@ from skillmix.priors import ibp_log_prob
 from skillmix.recovery import skill_recovery_score
 
 import unfused
+from drift import assert_arrays_close
 from gradcheck import grad_check
 
 unit_matrices = arrays(
@@ -86,7 +87,7 @@ def test_expected_allocation_is_the_unfused_chain_and_records_no_node():
         got = expected_allocation(logits, tau)
         assert len(ad.active_tape()) == 0
         assert isinstance(got, np.ndarray)
-        assert np.array_equal(got, unfused.sigmoid(unfused.mul(logits, 1.0 / tau)).data)
+        assert_arrays_close(got, unfused.sigmoid(unfused.mul(logits, 1.0 / tau)).data)
     ad.reset_tape()
 
 
@@ -216,7 +217,7 @@ def test_draw_and_normalised_row_equal_the_unfused_chain(num_tasks, num_skills, 
         ad.backward(loss)
         results.append((relaxed.data, row.data, logits.grad))
     for got, expected in zip(*results):
-        assert np.array_equal(got, expected)
+        assert_arrays_close(got, expected)
 
 
 def test_stacked_draw_equals_one_draw_per_replica():
@@ -249,7 +250,7 @@ def test_replica_block_draw_equals_each_replicas_per_matrix_draws():
 
 
 def test_stacked_rows_and_gradients_equal_each_matrix_alone():
-    # One node for the stack: each matrix's row and gradient are its own node's, prior part first.
+    # One node for the stack: each matrix's row and gradient, with a second consumer as the prior is, are its own node's.
     rng = np.random.default_rng(5)
     data = rng.uniform(0.05, 0.95, size=(2, 4, 3))
     probe, prior_probe = rng.standard_normal((2, 3)), rng.standard_normal((2, 4, 3))

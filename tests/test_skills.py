@@ -11,6 +11,7 @@ from skillmix.errors import ContractError, ShapeError
 from skillmix.skills import DenseLayer, LowRankLayer
 
 import unfused
+from drift import assert_arrays_close
 from gradcheck import grad_check
 
 
@@ -186,8 +187,7 @@ def test_mixed_affine_equals_unfused_chain(batch, in_dim, out_dim, num_skills, m
     if not x_needs_grad:
         assert x.grad is None
     for got, expected in zip(fused, reference):
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
+        assert_arrays_close(got, expected)
 
 
 # ---------------------------------------------------------------------------

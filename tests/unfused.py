@@ -1,12 +1,17 @@
 """Reference chains of small autodiff ops that the fused ops replace.
 
-Each function records the op-by-op chain the model used before its hot
-paths became single tape nodes: the dense/sparse composition and affine map,
-the Gumbel draw, the normalised row, the task loss, the IBP prior and the
-hypernetwork layer. The equivalence tests compare the fused ops against
-these bit for bit. The generic ops only these chains need (subtraction,
-product, negation, division, matrix product, transpose, reshape, row
-selection, sigmoid, relu, softplus, log-gamma, sum and mean) live here too.
+Each function records, op by op, what one of the model's single tape nodes
+computes: the dense/sparse composition and affine map, the Gumbel draw, the
+normalised row, the task loss, the IBP prior and the hypernetwork layer. A
+fused op sums in its own order, so the equivalence tests compare its value
+and gradients with these chains within the float tolerance of `drift.py`
+(`FLOAT_RTOL`, relative to the largest magnitude), not bit for bit. Bytes
+stay the gate where bit-identity is a contract: the golden run directories
+(`test_golden.py`, re-recorded under that tolerance when a change moves
+them) and a stacked adaptation or evaluation against one per replica or
+task. The generic ops only these chains need (subtraction, product,
+negation, division, matrix product, transpose, reshape, row selection,
+sigmoid, relu, softplus, log-gamma, sum and mean) live here too.
 """
 
 import math
