@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 from .errors import ConfigError
 
@@ -39,9 +40,9 @@ class _Record:
 
     A field's class attribute is its default; a record class as default is
     built afresh for each instance. Every construction, `replace` included,
-    stores each float field's value as a `float` (so `tau=1` and
-    `tau=1.0` give one document and one `config_hash`), checks that it is
-    finite, and then runs `__post_init__`.
+    checks that each float field's value is finite, stores it as a `float`,
+    with -0.0 as 0.0 (so `tau=1` and `tau=1.0`, or -0.0 and 0.0, give one
+    document and one `config_hash`), and then runs `__post_init__`.
     `prefix` is what a `ConfigError` puts before a field's name.
     """
 
@@ -59,9 +60,9 @@ class _Record:
                 values[name] = default() if isinstance(default, type) else default
             value = values[name]
             if cls.__annotations__[name].startswith("float") and value is not None:
-                value = float(value)
-                if not abs(value) < float("inf"):
+                if not abs(value) <= sys.float_info.max:  # infinite, NaN, or an integer beyond the float range
                     raise ConfigError(cls._prefix + name, "must be a finite number")
+                value = float(value) + 0.0  # + 0.0 turns -0.0 into 0.0: equal values, one config_hash
             object.__setattr__(self, name, value)
         self.__post_init__()
 

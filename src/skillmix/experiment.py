@@ -11,11 +11,6 @@ written only after a run that did not fail, so the reproducibility
 contract stays exact. A run that scores skill recovery times its first
 `scipy.optimize` import as a stage of its own.
 
-Few-shot adaptation runs every held-out task and resample side by side
-on one replicated copy of the trained model (`trainer.few_shot_adapt`),
-one stack per task kind and training split size, so a mixed world adapts
-its regression and classification tasks in two stacks.
-
 A grid (`run_grid`) runs the product of config fields' values and writes,
 under the output root, the plot data of the runs that passed and one status
 table, compare_table.csv: a column per varied field, run_dir, then status.
@@ -205,14 +200,9 @@ def run_experiment(config: ExperimentConfig, overwrite: bool = True) -> RunRecor
             (run_dir / "hierarchy.txt").write_text(render_hierarchy_text(groups))
 
         stage.enter("few_shot_adaptation")
-        stacks: dict[tuple, list[int]] = {}
-        for ordinal, task in enumerate(holdout):
-            stacks.setdefault((task.kind, task.x_train.shape[0]), []).append(ordinal)
         few_shot: dict = {}
-        for ordinals in stacks.values():
-            result = few_shot_adapt(
-                trained, [holdout[o] for o in ordinals], ordinals, range(config.adaptation_resamples)
-            )
+        if holdout:
+            result = few_shot_adapt(trained, holdout, resamples=range(config.adaptation_resamples))
             for task_id, before, after in zip(result.task_ids, result.metrics_before, result.metrics_after):
                 few_shot.setdefault(task_id, {"resamples": []})["resamples"].append(
                     {"before": before, "after": after}

@@ -81,25 +81,36 @@ class TrainedModel:
         return self.config.model_kind
 
 
-def task_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
+def task_loss(pred: Tensor, targets: np.ndarray, kind: str | Sequence[str]) -> Tensor:
     """Negative log-likelihood up to constants, as one tape node: MSE or logistic loss.
 
-    A stack of replicas' predictions [..., n, 1] gives the sum of the
-    replicas' mean losses, so each replica's gradient is its own loss's.
+    `kind` is "regression" or "classification", or one per replica of a
+    stack [R, n, 1]; a stack gives the sum of the replicas' mean losses,
+    so each replica's gradient is its own kind's.
     """
-    if kind not in ("regression", "classification"):
-        raise ContractError(f"unknown task kind '{kind}'")
+    kinds = (kind,) if isinstance(kind, str) else kind
+    if not {"regression", "classification"}.issuperset(kinds):
+        raise ContractError(f"unknown task kind in {kinds}")
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != pred.shape:
         raise ShapeError(f"targets shape {y.shape} != predictions shape {pred.shape}")
+    if not isinstance(kind, str) and (y.ndim != 3 or len(kinds) != y.shape[0]):
+        raise ShapeError(f"{len(kinds)} task kinds for a stack of predictions of shape {y.shape}")
     count = y.shape[-2] * y.shape[-1]
-    if kind == "regression":
+    if "regression" in kinds:
         err = pred.data - y
-        return apply_op((pred,), (err * err).mean(axis=(-2, -1)).sum(), lambda g: (2.0 * g / count * err,))
-
-    margin = -(y * pred.data)
-    softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
-    return apply_op((pred,), softplus.mean(axis=(-2, -1)).sum(), lambda g: (-g / count * expit(margin) * y,))
+        loss, vjp = err * err, lambda g: 2.0 * g / count * err
+    if "classification" in kinds:
+        margin = -(y * pred.data)
+        softplus = np.maximum(margin, 0.0) + np.log1p(np.exp(-np.abs(margin)))
+        logistic_vjp = lambda g: -g / count * expit(margin) * y
+        if "regression" not in kinds:
+            loss, vjp = softplus, logistic_vjp
+        else:  # a mixed stack: each replica takes its own kind's terms
+            classify = np.array([name == "classification" for name in kinds])[:, None, None]
+            loss, squares_vjp = np.where(classify, softplus, loss), vjp
+            vjp = lambda g: np.where(classify, logistic_vjp(g), squares_vjp(g))
+    return apply_op((pred,), loss.mean(axis=(-2, -1)).sum(), lambda g: (vjp(g),))
 
 
 def _split(task: TaskSpec, split: str) -> tuple[np.ndarray, np.ndarray]:
@@ -208,14 +219,15 @@ def resolve_fixed_allocation(config: ExperimentConfig, tasks: list[TaskSpec], wo
     return None if matrix is None else np.asarray(matrix, dtype=np.float64)
 
 
-def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind: str, name: str, x, y, rng, tau, step: int):
+def _step(model, optimizer, config: ExperimentConfig, task_index: int, kind, name: str, x, y, rng, tau, step: int):
     """One step on a batch of task `name`; returns (task loss, prior) values.
 
     A replicated model steps every replica at once: `x` and `y` carry the
-    replica axis, `rng` is one generator per replica and the loss is the
-    sum of the replicas' losses. Only a base task of a learnable allocation
-    returns its relaxed stack of allocation matrices, and the prior scores
-    every matrix of it in one node; a new task's step carries no prior.
+    replica axis, `rng` and `kind` hold one generator and one task kind per
+    replica, and the loss sums the replicas' losses. Only a base task of a
+    learnable allocation returns its relaxed stack of allocation matrices,
+    and the prior scores every matrix of it in one node; a new task's step
+    carries no prior.
     """
     reset_tape()
     pred, relaxed = model.forward(task_index, tensor(x), train=True, rng=rng, tau=tau)
@@ -414,8 +426,8 @@ def few_shot_adapt(
     draw of its learnable block, layer 0's row before layer 1's. Each step
     records one tape whose loss sums the replicas' losses and takes one
     elementwise Adam step, so every replica ends bit for bit where it
-    would alone. The tasks must share a task kind and a training split
-    size.
+    would alone. Each replica's loss is its task's kind, so a mixed world
+    adapts in one stack. The tasks must share a training split size.
     """
     config = trained.config
     ordinals = range(len(tasks)) if ordinals is None else ordinals
@@ -423,8 +435,8 @@ def few_shot_adapt(
     for task in tasks:
         if task.id in training_ids:
             raise ContractError(f"task id '{task.id}' collides with a training task")
-    if len(ordinals) != len(tasks) or len({(t.kind, t.x_train.shape[0]) for t in tasks}) != 1:
-        raise ContractError("adapt one or more tasks of one kind and training split size, one ordinal each")
+    if len(ordinals) != len(tasks) or len({t.x_train.shape[0] for t in tasks}) != 1:
+        raise ContractError("adapt one or more tasks of one training split size, one ordinal each")
 
     stack = [task for task in tasks for _ in resamples]
     rngs = [np.random.default_rng([config.seed, STREAM_ADAPT, o, r]) for o in ordinals for r in resamples]
@@ -447,7 +459,7 @@ def few_shot_adapt(
     for r, rng in enumerate(rngs):
         batches[:, r] = rng.integers(pool_size, size=(config.adaptation_steps, batch_size))
     replica = np.arange(len(stack))[:, None]
-    kind, name = tasks[0].kind, ",".join(t.id for t in tasks)
+    kinds, name = [t.kind for t in stack], ",".join(t.id for t in tasks)
 
     step = 0
     for phase_steps, fast, slow in _adaptation_phases(model, config):
@@ -460,7 +472,7 @@ def few_shot_adapt(
         for p in model.named_parameters().values():
             p.requires_grad = id(p) in trained_ids
         for batch in batches[step : step + phase_steps]:
-            _step(model, optimizer, config, task_index, kind, name,
+            _step(model, optimizer, config, task_index, kinds, name,
                   x_pool[replica, batch], y_pool[replica, batch], rngs, None, step)
             step += 1
     # Free the last phase's Adam moments first: the evaluation's stacked

@@ -60,6 +60,8 @@ def test_config_errors_exit_1(config_file, tmp_path, capsys):
     all_ones = {"world": {"skills_per_task_min": 4, "skills_per_task_max": 4}}  # no two planted columns differ
     assert main(["run", str(config_file(all_ones))]) == EXIT_CONFIG
     assert "world.skills_per_task_min" in capsys.readouterr().err
+    assert main(["run", str(config_file({**TINY, "tau": 10**400}))]) == EXIT_CONFIG  # beyond the float range
+    assert "'tau': must be a finite number" in capsys.readouterr().err
 
 
 def test_existing_run_dir_with_no_overwrite_exits_2(config_file):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from skillmix.config import (
     parse_config_dict,
 )
 from skillmix.errors import ConfigError
+from skillmix.experiment import run_grid
 from skillmix.synthetic import task_id
 
 
@@ -212,7 +214,7 @@ def test_float_fields_lists_every_float_field():
     assert sorted(floats) == sorted(FLOAT_FIELDS)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "huge_integer"])
 @pytest.mark.parametrize("key", FLOAT_FIELDS)
 def test_non_finite_numbers_are_rejected(tmp_path, key, value):
     doc = {"world": {key.removeprefix("world."): value}} if key.startswith("world.") else {key: value}
@@ -220,7 +222,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, key, value):
     path.write_text(json.dumps(doc))  # json writes the NaN and Infinity tokens Python's parser reads
     with pytest.raises(ConfigError) as err:
         parse_config(path)
-    assert err.value.key == key
+    assert err.value.key == key and str(err.value).endswith("must be a finite number")
 
 
 def test_a_config_is_frozen_and_its_document_a_copy():
@@ -298,6 +300,15 @@ def test_an_int_in_a_float_field_is_stored_as_a_float_and_hashes_alike():
     parsed = parse_config_dict({"tau": 1, "world": {"noise_sigma": 0}})
     assert type(parsed.tau) is float and type(parsed.world.noise_sigma) is float
     assert parsed == ExperimentConfig(tau=1.0) and config_hash(parsed) == config_hash(ExperimentConfig(tau=1.0))
+
+
+def test_negative_zero_is_stored_as_zero_and_hashes_alike():
+    parsed = parse_config_dict({"world": {"noise_sigma": -0.0}, "ibp_strength": -0.0})
+    assert math.copysign(1.0, parsed.ibp_strength) == math.copysign(1.0, parsed.world.noise_sigma) == 1.0
+    assert config_hash(parsed) == config_hash(ExperimentConfig())
+    with pytest.raises(ConfigError) as err:
+        run_grid(ExperimentConfig(), {"world.noise_sigma": [0.0, -0.0]})
+    assert str(err.value).endswith("two points are one config")
 
 
 def test_a_run_directory_config_parses_back_to_the_hash_that_names_it(tmp_path, monkeypatch):

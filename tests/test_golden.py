@@ -171,6 +171,8 @@ def _replica(result, trained_model, r) -> dict:
 def test_stacked_adaptation_equals_one_adaptation_per_replica(name):
     """All held-out tasks x 2 resamples in one call against one call per replica, bit for bit.
 
+    A mixed world's regression and classification tasks share the stack.
+
     Each replica's metrics must also equal the golden summary's. That
     summary was recorded from a stacked adaptation too, so this half
     pins the recorded results rather than lone adaptations: it fails when
@@ -188,29 +190,22 @@ def test_stacked_adaptation_equals_one_adaptation_per_replica(name):
     holdout = [t for t in tasks if t.split == "eval"]
     golden = json.loads((GOLDEN / f"{name}.json").read_text())["few_shot"]
     resamples = (0, 1)
-    checked = 0
-    for kind in ("regression", "classification"):
-        ordinals = [o for o, t in enumerate(holdout) if t.kind == kind]
-        if not ordinals:
-            continue
-        stacked = few_shot_adapt(trained, [holdout[o] for o in ordinals], ordinals, resamples)
-        replicas = [(o, s) for o in ordinals for s in resamples]
-        assert len(stacked.task_ids) == len(replicas)
-        for r, (ordinal, resample) in enumerate(replicas):
-            task = holdout[ordinal]
-            alone = few_shot_adapt(trained, [task], [ordinal], (resample,))
-            metrics, params = _replica(stacked, trained.model, r)
-            metrics_alone, params_alone = _replica(alone, trained.model, 0)
-            assert stacked.task_ids[r] == task.id
-            assert metrics == metrics_alone
-            if golden:
-                assert metrics == golden[task.id]["resamples"][resample]
-            assert sorted(params) == sorted(params_alone)
-            for key in params:
-                assert params[key].shape == params_alone[key].shape, key
-                assert np.array_equal(params[key], params_alone[key]), key
-            checked += 1
-    assert checked == 2 * len(holdout)
+    stacked = few_shot_adapt(trained, holdout, resamples=resamples)
+    replicas = [(o, s) for o in range(len(holdout)) for s in resamples]
+    assert len(stacked.task_ids) == len(replicas)
+    for r, (ordinal, resample) in enumerate(replicas):
+        task = holdout[ordinal]
+        alone = few_shot_adapt(trained, [task], [ordinal], (resample,))
+        metrics, params = _replica(stacked, trained.model, r)
+        metrics_alone, params_alone = _replica(alone, trained.model, 0)
+        assert stacked.task_ids[r] == task.id
+        assert metrics == metrics_alone
+        if golden:
+            assert metrics == golden[task.id]["resamples"][resample]
+        assert sorted(params) == sorted(params_alone)
+        for key in params:
+            assert params[key].shape == params_alone[key].shape, key
+            assert np.array_equal(params[key], params_alone[key]), key
 
 
 def _record(out_root: Path) -> None:

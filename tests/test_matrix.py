@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from skillmix import experiment
 from skillmix.config import MODEL_KINDS, PARAMETERISATIONS, TASK_KINDS, parse_config_dict
 from skillmix.experiment import CURVE_METRICS, HISTORY_FIELDS, OUTPUT_ROOT_ENV, emit_plot_data, run_experiment
+from skillmix.trainer import few_shot_adapt
 
 TINY = {
     "seed": 1,
@@ -129,3 +131,25 @@ def test_an_underflowed_allocation_runs_and_uses_no_skill(tmp_path, monkeypatch)
         assert not np.any(expit(np.array(logits)))  # the expected allocation at tau = 1
         assert record.summary["allocation_metrics"][layer] == {"discreteness": 0.0, "sparsity": 0.0, "usage": 0.0}
     assert len(record.summary["few_shot"]) == TINY["world"]["holdout_tasks"]
+
+
+def test_a_mixed_world_adapts_its_held_out_tasks_in_one_call(tmp_path, monkeypatch):
+    """One `few_shot_adapt` call takes the regression and the classification task; none runs without held-out tasks."""
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    calls = []
+
+    def counted(trained, tasks, *args, **kwargs):
+        calls.append([task.kind for task in tasks])
+        return few_shot_adapt(trained, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "few_shot_adapt", counted)
+    doc = json.loads(json.dumps(TINY))
+    doc["world"].update(task_kind="mixed", holdout_tasks=2)
+    record = run_experiment(parse_config_dict(doc))
+    assert record.failure is None, record.failure
+    assert calls == [["regression", "classification"]]
+    assert len(record.summary["few_shot"]) == 2
+    doc["world"]["holdout_tasks"] = 0
+    record = run_experiment(parse_config_dict(doc))
+    assert record.failure is None, record.failure
+    assert calls == [["regression", "classification"]] and record.summary["few_shot"] == {}

@@ -8,7 +8,7 @@ from skillmix import autodiff as ad
 from skillmix import trainer
 from skillmix.allocation import as_binary, harden
 from skillmix.config import MODEL_KINDS, ExperimentConfig, WorldConfig
-from skillmix.errors import ConfigError, ContractError, GenerationError, TrainingDivergedError
+from skillmix.errors import ConfigError, ContractError, GenerationError, ShapeError, TrainingDivergedError
 from skillmix.priors import ibp_regularizer
 from skillmix.recovery import RecoveryScore, skill_recovery_score
 from skillmix.synthetic import STREAM_ADAPT, STREAM_TRAIN, generate_synthetic_benchmark
@@ -267,6 +267,30 @@ def test_task_loss_kinds():
     assert logistic == pytest.approx(np.mean(np.log1p(np.exp([-1.0, -2.0]))))
     with pytest.raises(ContractError):
         task_loss(pred, np.zeros((2, 1)), "ranking")
+
+    # A stack takes one kind per replica: its value is the sum of the
+    # replicas' lone losses, and each replica's gradient its own, bit for bit.
+    rng = np.random.default_rng(0)
+    kinds = ["classification", "regression", "regression", "classification"]
+    data, targets = rng.standard_normal((2, 4, 5, 1))
+    targets[[0, 3]] = np.where(targets[[0, 3]] >= 0.0, 1.0, -1.0)
+    ad.reset_tape()
+    stack = ad.tensor(data, requires_grad=True)
+    loss = task_loss(stack, targets, kinds)
+    ad.backward(loss)
+    alone = []
+    for r, kind in enumerate(kinds):
+        ad.reset_tape()
+        pred = ad.tensor(data[r], requires_grad=True)
+        value = task_loss(pred, targets[r], kind)
+        ad.backward(value)
+        assert np.array_equal(stack.grad[r], pred.grad), r
+        alone.append(value.item())
+    assert loss.item() == np.sum(alone)
+    with pytest.raises(ContractError):
+        task_loss(stack, targets, ["regression", "ranking", "regression", "regression"])
+    with pytest.raises(ShapeError):
+        task_loss(stack, targets, kinds[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ package mentions (dunder methods are called by Python itself). The third
 lists every public module-level function or class of the package that no
 name, attribute or import alias in the package or the benchmark's code
 (`perfbench/*.py`) reads and that `skillmix.__all__` does not export: a
-public name only tests read.
+public name only tests read. The fourth lists every field of
+`ExperimentConfig` and `WorldConfig` that no attribute read in the package
+outside `config.py` names: a field nothing reads changes no run, yet it
+enters the config hash and so splits run directories.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import skillmix
+from skillmix.config import ExperimentConfig, WorldConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "skillmix"
 BENCHMARK = PACKAGE.parents[1] / "perfbench"
@@ -135,3 +139,27 @@ def test_the_check_finds_a_public_function_only_tests_read():
     }
     readers = [*modules.values(), "from a import aliased as b\nimport a\nb()\n"]
     assert unread_public_definitions(modules, readers) == ["a.left_behind", "a.exported", "a.Orphan"]
+
+
+def unread_fields(fields, sources: list[str]) -> list[str]:
+    """The `fields` that no `Attribute` read in `sources` names, in order."""
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in fields if name not in read]
+
+
+def test_every_config_field_is_read_outside_the_config_module():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"]
+    assert unread_fields([*ExperimentConfig._fields, *WorldConfig._fields], sources) == []
+
+
+def test_the_check_finds_a_field_nothing_reads():
+    sources = [
+        "def f(config):\n    return config.seed + config.world.num_tasks\n",
+        "def g(config, other):\n    other.steps = getattr(config, 'steps')\n",
+    ]
+    assert unread_fields(["seed", "world", "num_tasks", "steps", "planted"], sources) == ["steps", "planted"]
