@@ -30,7 +30,6 @@ from .errors import ConfigError
 MODEL_KINDS = ("skilled", "private", "shared", "expert", "hypernet")
 PARAMETERISATIONS = ("dense", "sparse", "lowrank")
 ALLOCATION_MODES = ("per_layer", "global")
-ADAPT_MODES = ("z_then_full", "z_only", "full")
 TASK_KINDS = ("regression", "classification", "mixed")
 MAX_FEW_SHOT = 32  # upper bound on k_shot: the k-shot pool is drawn from the training split
 
@@ -165,7 +164,6 @@ class ExperimentConfig(_Record):
     adaptation_batch_size: int = 8
     adaptation_resamples: int = 5
     adapt_z_only_steps: int = 100
-    adapt_mode: str = "z_then_full"
     embedding_dim: int = 8
     expert_table: object = None  # None | "planted" | 0/1 matrix, one row per training task
 
@@ -178,8 +176,6 @@ class ExperimentConfig(_Record):
             raise ConfigError("parameterisation", f"must be one of {PARAMETERISATIONS}")
         if self.allocation_mode not in ALLOCATION_MODES:
             raise ConfigError("allocation_mode", f"must be one of {ALLOCATION_MODES}")
-        if self.adapt_mode not in ADAPT_MODES:
-            raise ConfigError("adapt_mode", f"must be one of {ADAPT_MODES}")
         if self.num_skills < 1:
             raise ConfigError("num_skills", "must be >= 1")
         if not 0.0 <= self.sparsity < 1.0:

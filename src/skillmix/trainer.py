@@ -384,16 +384,14 @@ def _adaptation_phases(model, config: ExperimentConfig):
     """(num_steps, fast, slow) triples: the new task's own parameters alone, then with the skills.
 
     The steps sum to `adaptation_steps`. `fast` trains at `lr_z` and
-    `slow` at `lr_phi`. The head follows `adapt_mode` (`z_only`: every
-    step, `full`: none, `z_then_full`: `adapt_z_only_steps`). A new task
-    with a fixed row has no parameters of its own, so it adapts the skills
-    for every step.
+    `slow` at `lr_phi`. The head runs min(`adapt_z_only_steps`,
+    `adaptation_steps`) steps; a head of every step adapts the routing
+    alone, as Caccia et al. (arXiv 2211.03831) do. A new task with a fixed
+    row has no parameters of its own, so it adapts the skills every step.
     """
     steps = config.adaptation_steps
     new, skills = model.new_task_parameters(), model.phi_parameters()
-    head = 0
-    if new:
-        head = {"z_only": steps, "full": 0}.get(config.adapt_mode, min(config.adapt_z_only_steps, steps))
+    head = min(config.adapt_z_only_steps, steps) if new else 0
     phases = []
     if head:
         phases.append((head, new, []))

@@ -30,7 +30,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from skillmix.config import (
-    ADAPT_MODES,
     ALLOCATION_MODES,
     MAX_FEW_SHOT,
     MODEL_KINDS,
@@ -114,7 +113,6 @@ def config_docs(draw) -> dict:
         "adaptation_batch_size": draw(st.integers(1, 10)),
         "adaptation_resamples": draw(st.integers(1, 3)),
         "adapt_z_only_steps": draw(st.integers(0, 12)),
-        "adapt_mode": draw(st.sampled_from(ADAPT_MODES)),
         "embedding_dim": draw(st.integers(1, 4)),
         "expert_table": draw(st.one_of(st.none(), st.just("planted"), matrices)),
     }

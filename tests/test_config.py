@@ -4,7 +4,6 @@ import math
 import pytest
 
 from skillmix.config import (
-    ADAPT_MODES,
     ALLOCATION_MODES,
     MAX_FEW_SHOT,
     MODEL_KINDS,
@@ -60,7 +59,6 @@ def test_integers_are_accepted_for_numbers():
     [
         ("parameterisation", PARAMETERISATIONS),
         ("allocation_mode", ALLOCATION_MODES),
-        ("adapt_mode", ADAPT_MODES),
     ],
 )
 def test_every_enum_value_parses_and_others_are_rejected(key, values):
@@ -195,8 +193,10 @@ def test_nullable_field():
 
 # A config describes one run: its output root is the environment's, its sweep
 # grid the sweep's, and the best dev state and the threshold fraction are fixed.
+# `adapt_z_only_steps` alone sets the adaptation schedule.
 @pytest.mark.parametrize("key,value", [("sweep_grid", [2, 4]), ("output_dir", "runs"),
-                                       ("select_best_dev", True), ("loss_threshold_frac", 0.5)])
+                                       ("select_best_dev", True), ("loss_threshold_frac", 0.5),
+                                       ("adapt_mode", "z_only")])
 def test_fields_that_do_not_change_a_run_are_unknown_keys(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config_dict({key: value})

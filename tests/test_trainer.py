@@ -399,7 +399,7 @@ def test_expert_adaptation_uses_planted_row():
 
 
 def test_z_row_only_adaptation_freezes_everything_else():
-    trained, holdout = trained_small(adapt_mode="z_only", adaptation_steps=80)
+    trained, holdout = trained_small(adapt_z_only_steps=80, adaptation_steps=80)
     before = trained.model.snapshot()
     res = few_shot_adapt(trained, [holdout[0]])
     after = replica_parameters(res.model, trained.model)
@@ -531,7 +531,7 @@ def test_step_gradients_without_the_prior_equal_the_unfused_chain(allocation_mod
 
 
 def test_z_row_only_adaptation_still_learns_on_recombinable_task():
-    trained, holdout = trained_small(adapt_mode="z_only", steps=600, adaptation_steps=150, k_shot=16)
+    trained, holdout = trained_small(steps=600, adapt_z_only_steps=150, adaptation_steps=150, k_shot=16)
     res = few_shot_adapt(trained, [holdout[0]])
     assert res.metrics_after[0]["loss"] < res.metrics_before[0]["loss"]
 
@@ -614,7 +614,7 @@ def test_private_adaptation_trains_only_a_new_skill(param):
 
 def test_hypernet_z_only_adaptation_leaves_the_generators_unchanged():
     trained, holdout = trained_small(
-        "hypernet", steps=60, adapt_mode="z_only", adapt_z_only_steps=10, adaptation_steps=30
+        "hypernet", steps=60, adapt_z_only_steps=30, adaptation_steps=30
     )
     before = trained.model.snapshot()
     res = few_shot_adapt(trained, [holdout[0]])
